@@ -6,7 +6,6 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -58,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to a .cfg file or a bundled scenario name")
         p.add_argument("--out-dir", default=None,
                        help="output directory (defaults to the scenario's)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread budget hint for numeric backends")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="override a config entry (repeatable)")
@@ -79,10 +76,6 @@ def main(argv=None) -> int:
             print(f"{name}\t{path}")
         return EXIT_OK
     try:
-        if args.threads is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
         overrides = list(args.override)
         if args.command in _SINGLE_OPS:
             overrides.append(
@@ -93,7 +86,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     for outcome in manifest.outcomes:

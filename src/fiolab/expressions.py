@@ -45,19 +45,22 @@ def evaluate(expr: sp.Expr, variables: Sequence[sp.Symbol], points) -> np.ndarra
     return out
 
 
-def parse_scalar_expr(formula: str, variables: Sequence[sp.Symbol],
-                      aliases: dict | None = None) -> sp.Expr:
+def parse_scalar_expr(formula: str, variables: Sequence[sp.Symbol]) -> sp.Expr:
     """Parse a formula over the given coordinate symbols.
 
     Allowed besides the coordinates: exp, sin, cos, sqrt, pi, I, and `lam`
-    (the smooth bracket over all coordinates).
+    (the smooth bracket over all coordinates).  A bare prefix stands for the
+    one coordinate that carries it: over (x0, y0, theta0) a formula may write
+    x, y and theta, while over (x0, x1) a bare x stays undefined.
     """
     local = {str(v): v for v in variables}
+    prefixes = [str(v).rstrip("0123456789") for v in variables]
+    for prefix, v in zip(prefixes, variables):
+        if prefix != str(v) and prefixes.count(prefix) == 1:
+            local.setdefault(prefix, v)
     local["lam"] = sp.sqrt(1 + sum(v ** 2 for v in variables))
     local.update({"exp": sp.exp, "sin": sp.sin, "cos": sp.cos,
                   "sqrt": sp.sqrt, "pi": sp.pi, "I": sp.I})
-    if aliases:
-        local.update(aliases)
     return sp.sympify(formula, locals=local)
 
 

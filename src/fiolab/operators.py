@@ -14,15 +14,15 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import sympy as sp
 
-from .expressions import evaluate, parse_scalar_expr
+from .expressions import evaluate
 from .grids import GridSpec
 from .phases import GeneratingFunction
-from .symbols import SymbolField
+from .symbols import as_expr
 
 MAGIC = b"FIOLAB01"
 
@@ -44,6 +44,10 @@ class IterationError(RuntimeError):
     pass
 
 
+class OperatorFormatError(ValueError):
+    """File that does not follow the binary operator layout."""
+
+
 def _grids_equal(g1: GridSpec, g2: GridSpec) -> bool:
     return (g1.dim, g1.points) == (g2.dim, g2.points) and \
         abs(g1.radius - g2.radius) < 1e-12
@@ -53,14 +57,13 @@ def _grids_equal(g1: GridSpec, g2: GridSpec) -> bool:
 class DiscreteOperator:
     """Dense operator between two uniform grids.
 
-    `matrix` holds W_row^{1/2} K W_col^{1/2}; `quad_weights` are the
-    per-column quadrature weights (uniform spacing^dim for these grids).
+    `matrix` holds W_row^{1/2} K W_col^{1/2}; the grids are uniform, so
+    each side has one quadrature weight, spacing^dim.
     """
 
     matrix: np.ndarray
     row_grid: GridSpec
     col_grid: GridSpec
-    quad_weights: np.ndarray
     provenance: dict
 
     def __post_init__(self):
@@ -71,8 +74,12 @@ class DiscreteOperator:
                 f"({self.row_grid.size}, {self.col_grid.size})")
 
     @property
-    def row_weights(self) -> np.ndarray:
-        return np.full(self.row_grid.size, self.row_grid.spacing ** self.row_grid.dim)
+    def quad_weights(self) -> float:
+        return self.col_grid.spacing ** self.col_grid.dim
+
+    @property
+    def row_weights(self) -> float:
+        return self.row_grid.spacing ** self.row_grid.dim
 
     def inner(self, u, v, side: str = "col") -> complex:
         """Weighted L2 inner product <u, v> on the chosen grid."""
@@ -80,34 +87,9 @@ class DiscreteOperator:
         return complex(np.sum(w * np.asarray(u) * np.conj(np.asarray(v))))
 
 
-def _quad_weights(grid: GridSpec) -> np.ndarray:
-    return np.full(grid.size, grid.spacing ** grid.dim)
-
-
 def _config_hash(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _amplitude_xt(a, S: GeneratingFunction):
-    """Coerce `a` to a vectorized function of stacked (x, theta) points."""
-    if isinstance(a, SymbolField):
-        if len(a.variables) != 2 * S.n:
-            raise ValueError("amplitude must live on (x, theta)")
-        if a.expr is not None:
-            variables = a.variables
-            return lambda pts: evaluate(a.expr, variables, pts)
-        return lambda pts: np.asarray(a.fn(pts))
-    if isinstance(a, str):
-        variables = S.xvars + S.tvars
-        aliases = {"x": S.xvars[0], "theta": S.tvars[0]} if S.n == 1 else {}
-        expr = parse_scalar_expr(a, variables, aliases=aliases)
-        return lambda pts: evaluate(expr, variables, pts)
-    if isinstance(a, sp.Expr):
-        variables = S.xvars + S.tvars
-        return lambda pts: evaluate(a, variables, pts)
-    value = complex(a)
-    return lambda pts: np.full(pts.shape[:-1], value)
 
 
 def _taper_1d(axis: np.ndarray, radius: float, fraction: float = 0.1) -> np.ndarray:
@@ -133,7 +115,6 @@ def _theta_taper(theta_grid: GridSpec, enabled: bool) -> np.ndarray:
 def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
                       theta_grid: GridSpec, taper: bool) -> np.ndarray:
     """E[i, k] = e^{i S(x_i, theta_k)} a(x_i, theta_k) tau_k w_k / (2 pi)^n."""
-    amp = _amplitude_xt(a, S)
     th = theta_grid.mesh()
     nx, nth = len(x_points), len(th)
     xt = np.concatenate([
@@ -141,7 +122,8 @@ def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
         np.tile(th, (nx, 1)),
     ], axis=-1)
     svals = evaluate(S.expr, S.xvars + S.tvars, xt).reshape(nx, nth)
-    avals = np.asarray(amp(xt), dtype=complex).reshape(nx, nth)
+    avals = np.asarray(evaluate(as_expr(a, S.variables), S.variables, xt),
+                       dtype=complex).reshape(nx, nth)
     tau = _theta_taper(theta_grid, taper)
     w = theta_grid.spacing ** theta_grid.dim / (2.0 * np.pi) ** theta_grid.dim
     return np.exp(1j * svals) * avals * (tau * w)[None, :]
@@ -205,7 +187,6 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
         }),
     }
     return DiscreteOperator(matrix=matrix, row_grid=x_grid, col_grid=y_grid,
-                            quad_weights=_quad_weights(y_grid),
                             provenance=prov)
 
 
@@ -223,7 +204,6 @@ def apply(F: DiscreteOperator, u) -> np.ndarray:
 def adjoint(F: DiscreteOperator) -> DiscreteOperator:
     return DiscreteOperator(matrix=F.matrix.conj().T,
                             row_grid=F.col_grid, col_grid=F.row_grid,
-                            quad_weights=_quad_weights(F.row_grid),
                             provenance={**F.provenance, "adjoint": True})
 
 
@@ -235,7 +215,7 @@ def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
             "config": _config_hash({"A": A.provenance, "B": B.provenance})}
     return DiscreteOperator(matrix=A.matrix @ B.matrix,
                             row_grid=A.row_grid, col_grid=B.col_grid,
-                            quad_weights=B.quad_weights, provenance=prov)
+                            provenance=prov)
 
 
 def operator_norm(F: DiscreteOperator, tol: float = 1e-8,
@@ -296,18 +276,31 @@ def save_operator(F: DiscreteOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> DiscreteOperator:
+    """Read a file written by `save_operator`; OperatorFormatError when the
+    file is truncated, extended or its header is incomplete."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError("not an operator file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        shape = tuple(header["shape"])
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(shape)
-    rg = GridSpec(**header["row_grid"])
-    cg = GridSpec(**header["col_grid"])
+        blob = fh.read()
+    if blob[:len(MAGIC)] != MAGIC:
+        raise OperatorFormatError("not an operator file")
+    start = len(MAGIC) + 8
+    if len(blob) < start:
+        raise OperatorFormatError("file ends before the header length")
+    (hlen,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    try:
+        header = json.loads(blob[start:start + hlen].decode())
+        rows, cols = (int(k) for k in header["shape"])
+        rg = GridSpec(**header["row_grid"])
+        cg = GridSpec(**header["col_grid"])
+        provenance = header["provenance"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise OperatorFormatError(f"bad operator header: {exc!r}") from exc
+    payload = blob[start + hlen:]
+    if len(payload) != 16 * rows * cols:
+        raise OperatorFormatError(
+            f"payload of {len(payload)} bytes, expected {16 * rows * cols}")
+    data = np.frombuffer(payload, dtype="<c16").reshape(rows, cols)
     return DiscreteOperator(matrix=np.array(data), row_grid=rg, col_grid=cg,
-                            quad_weights=_quad_weights(cg),
-                            provenance=header["provenance"])
+                            provenance=provenance)
 
 
 def gaussian_samples(grid: GridSpec, center: float = 0.0,

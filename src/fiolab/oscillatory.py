@@ -21,6 +21,7 @@ Only n = N = 1 is supported here.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -28,9 +29,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import sympy as sp
 
-from .expressions import evaluate, parse_scalar_expr
+from .expressions import evaluate
 from .phases import PhaseField
-from .symbols import SymbolField
+from .symbols import as_expr
 from .weights import bracket
 
 class ConvergenceError(RuntimeError):
@@ -288,34 +289,6 @@ def choose_eps0(phi: PhaseField, x: float = 0.0, cap: float = 1e4,
 # quadrature plumbing
 
 
-def _as_expr_1d(f, var: sp.Symbol) -> sp.Expr:
-    if isinstance(f, SymbolField):
-        if f.expr is None:
-            raise ValueError("need an expression-backed test function")
-        if len(f.variables) != 1:
-            raise ValueError("test function must be univariate")
-        return f.expr.subs(f.variables[0], var)
-    if isinstance(f, sp.Expr):
-        return f
-    if isinstance(f, str):
-        return parse_scalar_expr(f, (var,), aliases={"y": var})
-    raise TypeError("f must be a SymbolField, sympy expression or string")
-
-
-def _amplitude_expr(a, phi: PhaseField) -> sp.Expr:
-    if isinstance(a, SymbolField):
-        if a.expr is None:
-            raise ValueError("need an expression-backed amplitude")
-        if len(a.variables) != 3:
-            raise ValueError("amplitude must live on (x, y, theta)")
-        return a.expr.subs(dict(zip(a.variables, phi.variables)))
-    if isinstance(a, str):
-        aliases = {"x": phi.xvars[0], "y": phi.yvars[0],
-                   "theta": phi.tvars[0]}
-        return parse_scalar_expr(a, phi.variables, aliases=aliases)
-    return sp.sympify(a)
-
-
 def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
                   start: float, cap: float = 1e-14,
                   samples: int = 2048) -> float:
@@ -377,8 +350,8 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     xv = float(x)
     yv, tv = phi.yvars[0], phi.tvars[0]
     phi_yt = phi.expr.subs(phi.xvars[0], xv)
-    a_yt = _amplitude_expr(a, phi).subs(phi.xvars[0], xv)
-    f_expr = _as_expr_1d(f, yv)
+    a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
+    f_expr = as_expr(f, (yv,))
 
     core = sp.exp(sp.I * phi_yt) * a_yt * f_expr
     core_fn = sp.lambdify((yv, tv), core, modules="numpy", cse=True)
@@ -459,6 +432,36 @@ def _aitken(values: Sequence[complex]) -> complex:
     return v2 - d2 * d2 / den
 
 
+@functools.lru_cache(maxsize=8)
+def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
+    """Lambdified u, phi, the omega-partition ratio and (tL)^k[(1-omega)u].
+
+    None of them depends on the truncation radius, so calls that differ
+    only in R share one symbolic k-fold expansion.
+    """
+    dy = sp.diff(phi_yt, yv)
+    dt = sp.diff(phi_yt, tv)
+    denom = dy ** 2 + dt ** 2
+    lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
+    t_ratio = denom / (eps0 * lam2)
+
+    u_fn = sp.lambdify((yv, tv), u, modules="numpy", cse=True)
+    phase_fn = sp.lambdify((yv, tv), phi_yt, modules="numpy", cse=True)
+    ratio_fn = sp.lambdify((yv, tv), t_ratio, modules="numpy", cse=True)
+
+    ibp_fn = None
+    if k > 0:
+        omega = _chi_atom(0)(t_ratio)
+        c_y = dy / (sp.I * denom)
+        c_t = dt / (sp.I * denom)
+        w = (1 - omega) * u
+        for _ in range(k):
+            w = -(sp.diff(c_y * w, yv) + sp.diff(c_t * w, tv))
+        ibp_fn = sp.lambdify((yv, tv), w,
+                             modules=[_chi_modules(k), "numpy"], cse=True)
+    return u_fn, phase_fn, ratio_fn, ibp_fn
+
+
 def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
                   eps0: Optional[float] = None,
                   margin: Optional[float] = None,
@@ -482,30 +485,10 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
         eps0 = choose_eps0(phi, xv)
     yv, tv = phi.yvars[0], phi.tvars[0]
     phi_yt = phi.expr.subs(phi.xvars[0], xv)
-    a_yt = _amplitude_expr(a, phi).subs(phi.xvars[0], xv)
-    f_expr = _as_expr_1d(f, yv)
-    u = a_yt * f_expr
-
-    dy = sp.diff(phi_yt, yv)
-    dt = sp.diff(phi_yt, tv)
-    denom = dy ** 2 + dt ** 2
-    lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
-    t_ratio = denom / (eps0 * lam2)
-
-    u_fn = sp.lambdify((yv, tv), u, modules="numpy", cse=True)
-    phase_fn = sp.lambdify((yv, tv), phi_yt, modules="numpy", cse=True)
-    ratio_fn = sp.lambdify((yv, tv), t_ratio, modules="numpy", cse=True)
-
-    ibp_fn = None
-    if k > 0:
-        omega = _chi_atom(0)(t_ratio)
-        c_y = dy / (sp.I * denom)
-        c_t = dt / (sp.I * denom)
-        w = (1 - omega) * u
-        for _ in range(k):
-            w = -(sp.diff(c_y * w, yv) + sp.diff(c_t * w, tv))
-        ibp_fn = sp.lambdify((yv, tv), w,
-                             modules=[_chi_modules(k), "numpy"], cse=True)
+    a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
+    f_expr = as_expr(f, (yv,))
+    u_fn, phase_fn, ratio_fn, ibp_fn = _ibp_callables(
+        a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
 
     if margin is None:
         margin = 64.0

@@ -16,11 +16,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expressions import multi_indices
+from .expressions import evaluate, multi_indices
 from .grids import GridSpec
 from .operators import DiscreteOperator, operator_norm, singular_values
 from .phases import GeneratingFunction
-from .symbols import SymbolField, _derivative_values
+from .symbols import SymbolField, _derivative_values, as_expr
 from .weights import bracket
 
 DEFAULT_DELTA_FLOOR = 1e-8
@@ -79,14 +79,8 @@ class CompactnessReport:
     tail_fine: float
     plateau_coarse: int
     plateau_fine: int
-
-
-def _amp_value(a, S: GeneratingFunction, x, theta) -> complex:
-    from .operators import _amplitude_xt
-    fn = _amplitude_xt(a, S)
-    pt = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                         np.atleast_1d(np.asarray(theta, float))])[None, :]
-    return complex(np.asarray(fn(pt)).ravel()[0])
+    spectrum_coarse: np.ndarray
+    spectrum_fine: np.ndarray
 
 
 def predicted_symbol(S: GeneratingFunction, a, x, theta,
@@ -104,7 +98,8 @@ def predicted_symbol(S: GeneratingFunction, a, x, theta,
     if det < delta_floor:
         raise DeterminantFloorError(
             f"|det| = {det:.3g} below floor {delta_floor:.3g}")
-    value = abs(_amp_value(a, S, x, theta)) ** 2 / det
+    amp = evaluate(as_expr(a, S.variables), S.variables, pt)[0]
+    value = abs(complex(amp)) ** 2 / det
     if which is Which.FFSTAR:
         base = np.concatenate([x, S.grad_x(pt)[0]])
     else:
@@ -262,7 +257,8 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     NONCOMPACT-CONSISTENT: the plateau count (s_j >= plateau_cut * s_max)
     grows by >= `growth` under refinement.  COMPACT-CONSISTENT: the value at
     a fixed tail index is < tail_cut at both resolutions and stable within
-    `stability`.  Anything else: INCONCLUSIVE.
+    `stability`.  Anything else: INCONCLUSIVE.  The report carries both
+    spectra.
     """
     sc = singular_values(F_coarse)
     sf = singular_values(F_fine)
@@ -273,7 +269,7 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     smax = max(float(sc[0]), float(sf[0]))
     if smax == 0.0:
         return CompactnessReport("COMPACT-CONSISTENT", tail_index,
-                                 0.0, 0.0, 0, 0)
+                                 0.0, 0.0, 0, 0, sc, sf)
     pc = int(np.sum(sc >= plateau_cut * smax))
     pf = int(np.sum(sf >= plateau_cut * smax))
     tc = float(sc[tail_index])
@@ -288,7 +284,8 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
         verdict = "INCONCLUSIVE"
     return CompactnessReport(verdict=verdict, tail_index=tail_index,
                              tail_coarse=tc, tail_fine=tf,
-                             plateau_coarse=pc, plateau_fine=pf)
+                             plateau_coarse=pc, plateau_fine=pf,
+                             spectrum_coarse=sc, spectrum_fine=sf)
 
 
 def lambda_at(x: float, theta: float) -> float:

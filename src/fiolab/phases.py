@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import sympy as sp
 
-from .expressions import (coord_symbols, diff_multi, evaluate, lambdified,
+from .expressions import (coord_symbols, diff_multi, evaluate,
                           multi_indices, parse_scalar_expr)
 from .grids import tensor_grid
 from .weights import bracket
@@ -54,6 +54,12 @@ class HypothesisReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _gradient(expr: sp.Expr, variables, block, points) -> np.ndarray:
+    """Columns d expr / dv for v in `block`, evaluated over `variables`."""
+    cols = [evaluate(sp.diff(expr, v), variables, points) for v in block]
+    return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+
+
 @dataclass
 class GeneratingFunction:
     """S(x, theta) with exact first/second derivatives.
@@ -76,14 +82,10 @@ class GeneratingFunction:
         return evaluate(self.expr, self.variables, points).real
 
     def grad_x(self, points) -> np.ndarray:
-        cols = [evaluate(sp.diff(self.expr, v), self.variables, points)
-                for v in self.xvars]
-        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+        return _gradient(self.expr, self.variables, self.xvars, points)
 
     def grad_theta(self, points) -> np.ndarray:
-        cols = [evaluate(sp.diff(self.expr, v), self.variables, points)
-                for v in self.tvars]
-        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+        return _gradient(self.expr, self.variables, self.tvars, points)
 
     def mixed_hess(self, points) -> np.ndarray:
         """d2S/dx_i dtheta_j as an (..., n, n) array."""
@@ -101,10 +103,7 @@ class GeneratingFunction:
         xvars = coord_symbols("x", n)
         tvars = coord_symbols("theta", n)
         if isinstance(expr, str):
-            aliases = {}
-            if n == 1:
-                aliases = {"x": xvars[0], "theta": tvars[0]}
-            expr = parse_scalar_expr(expr, xvars + tvars, aliases=aliases)
+            expr = parse_scalar_expr(expr, xvars + tvars)
         return cls(n=n, expr=sp.sympify(expr), xvars=xvars, tvars=tvars)
 
 
@@ -126,19 +125,14 @@ class PhaseField:
     def __call__(self, points) -> np.ndarray:
         return evaluate(self.expr, self.variables, points).real
 
-    def _grad(self, block, points) -> np.ndarray:
-        cols = [evaluate(sp.diff(self.expr, v), self.variables, points)
-                for v in block]
-        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-
     def grad_x(self, points):
-        return self._grad(self.xvars, points)
+        return _gradient(self.expr, self.variables, self.xvars, points)
 
     def grad_y(self, points):
-        return self._grad(self.yvars, points)
+        return _gradient(self.expr, self.variables, self.yvars, points)
 
     def grad_theta(self, points):
-        return self._grad(self.tvars, points)
+        return _gradient(self.expr, self.variables, self.tvars, points)
 
     def derivative(self, alpha, points) -> np.ndarray:
         """d^alpha phi, alpha over the (x, y, theta) coordinates jointly."""
@@ -194,40 +188,47 @@ def _default_ppa(dim: int) -> int:
     return {1: 33, 2: 17, 3: 13}.get(dim, 7)
 
 
-def verify_H2(phi: PhaseField, radii=DEFAULT_RADII, max_order: int = 3,
-              points_per_axis: Optional[int] = None,
-              cap: float = DEFAULT_CAP,
-              growth_tol: float = GROWTH_TOL) -> HypothesisReport:
-    """Estimate C_{a,b,g} = sup |d phi| / lambda^(2 - order) per multi-index.
+def _verify_growth(name, expr, variables, radii, max_order,
+                   points_per_axis, cap, growth_tol) -> HypothesisReport:
+    """Estimate C_alpha = sup |d^alpha expr| / lambda^(2 - |alpha|).
 
     Fails when a constant exceeds `cap` or keeps growing between the two
-    largest radii (asymptotically unbounded ratio).
+    largest radii (asymptotically unbounded ratio).  The witness is the
+    argmax at the largest radius for the last failing multi-index, the
+    point where the reported constants[alpha] is measured.
     """
-    dim = phi.n + phi.n + phi.N
+    dim = len(variables)
     ppa = points_per_axis or _default_ppa(dim)
     constants, per_radius = {}, {}
     passed, witness = True, None
     for alpha in multi_indices(dim, max_order):
         order = sum(alpha)
-        d = diff_multi(phi.expr, phi.variables, alpha)
+        d = diff_multi(expr, variables, alpha)
         seq = []
-        worst_pt, worst = None, 0.0
         for r, pts in _grids(dim, radii, ppa):
-            vals = np.abs(evaluate(d, phi.variables, pts))
+            vals = np.abs(evaluate(d, variables, pts))
             ratio = vals / bracket(pts) ** (2 - order)
             i = int(np.argmax(ratio))
             seq.append(float(ratio[i]))
-            if ratio[i] >= worst:
-                worst, worst_pt = float(ratio[i]), tuple(pts[i])
         constants[alpha] = seq[-1]
         per_radius[alpha] = seq
         grows = (len(seq) >= 2 and seq[-2] > 1e-9
                  and seq[-1] > growth_tol * seq[-2])
         if seq[-1] > cap or grows:
-            witness = worst_pt
+            witness = tuple(pts[i])  # pts, i: the largest radius
             passed = False
-    return HypothesisReport(name="H2", constants=constants, passed=passed,
+    return HypothesisReport(name=name, constants=constants, passed=passed,
                             witness=witness, per_radius=per_radius)
+
+
+def verify_H2(phi: PhaseField, radii=DEFAULT_RADII, max_order: int = 3,
+              points_per_axis: Optional[int] = None,
+              cap: float = DEFAULT_CAP,
+              growth_tol: float = GROWTH_TOL) -> HypothesisReport:
+    """C_{a,b,g} = sup |d phi| / lambda^(2 - order) per multi-index over
+    (x, y, theta); see _verify_growth."""
+    return _verify_growth("H2", phi.expr, phi.variables, radii, max_order,
+                          points_per_axis, cap, growth_tol)
 
 
 def _verify_equivalence(phi: PhaseField, name: str, image_fn,
@@ -305,30 +306,8 @@ def verify_G3(S: GeneratingFunction, radii=DEFAULT_RADII, max_order: int = 3,
               cap: float = DEFAULT_CAP,
               growth_tol: float = GROWTH_TOL) -> HypothesisReport:
     """As verify_H2, restricted to (x, theta) and lambda(x, theta)."""
-    dim = 2 * S.n
-    ppa = points_per_axis or _default_ppa(dim)
-    constants, per_radius = {}, {}
-    passed, witness = True, None
-    for alpha in multi_indices(dim, max_order):
-        order = sum(alpha)
-        d = diff_multi(S.expr, S.variables, alpha)
-        seq = []
-        worst_pt = None
-        for r, pts in _grids(dim, radii, ppa):
-            vals = np.abs(evaluate(d, S.variables, pts))
-            ratio = vals / bracket(pts) ** (2 - order)
-            i = int(np.argmax(ratio))
-            seq.append(float(ratio[i]))
-            worst_pt = tuple(pts[i])
-        constants[alpha] = seq[-1]
-        per_radius[alpha] = seq
-        grows = (len(seq) >= 2 and seq[-2] > 1e-9
-                 and seq[-1] > growth_tol * seq[-2])
-        if seq[-1] > cap or grows:
-            witness = worst_pt
-            passed = False
-    return HypothesisReport(name="G3", constants=constants, passed=passed,
-                            witness=witness, per_radius=per_radius)
+    return _verify_growth("G3", S.expr, S.variables, radii, max_order,
+                          points_per_axis, cap, growth_tol)
 
 
 def verify_separation(S: GeneratingFunction, triples,

@@ -35,7 +35,7 @@ from .phases import (GeneratingFunction, quadratic_generating, special_phase,
                      verify_G2, verify_G3, verify_H2, verify_H3)
 from .symbols import SymbolField, seminorm_estimate
 from .weights import DEFAULT_CONVENTION, parse_weight
-from .expressions import multi_indices
+from .expressions import coord_symbols, multi_indices, parse_scalar_expr
 
 KNOWN_OPERATIONS = ("verify-symbol", "verify-phase", "oscint",
                     "build-operator", "check-ffstar", "spectrum", "cv-check",
@@ -44,6 +44,17 @@ KNOWN_OPERATIONS = ("verify-symbol", "verify-phase", "oscint",
 
 class ScenarioError(Exception):
     """Configuration problem: parse failure or invalid reference."""
+
+
+class _Config(configparser.ConfigParser):
+    """ConfigParser whose getint/getfloat/getboolean raise ScenarioError on
+    a malformed value (all three convert through `_get_conv`)."""
+
+    def _get_conv(self, section, option, conv, **kwargs):
+        try:
+            return super()._get_conv(section, option, conv, **kwargs)
+        except ValueError as exc:
+            raise ScenarioError(f"[{section}] {option}: {exc}") from exc
 
 
 @dataclass
@@ -82,7 +93,7 @@ def load_scenario(path, overrides: Sequence[str] = ()):
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     text = path.read_text()
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cfg = _Config(inline_comment_prefixes=("#",))
     try:
         cfg.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -160,8 +171,6 @@ def _amplitude_string(cfg) -> str:
 
 
 def _grids(cfg):
-    if not cfg.has_section("grids"):
-        raise ScenarioError("missing [grids] section")
     m = cfg.getint("grids", "M", fallback=256)
     r = cfg.getfloat("grids", "R", fallback=8.0)
     if m < 2 or r <= 0:
@@ -213,15 +222,21 @@ def emit_plot_data(result, kind: str, path) -> None:
 # operations
 
 
-def _op_build_operator(cfg, ctx, out_dir: Path) -> dict:
-    S = ctx["S"]
-    a = ctx["a"]
-    xg, yg, tg = ctx["grids"]
-    route = Route(cfg.get("operator", "route", fallback="kernel").upper())
+def _discretize(cfg, ctx, xg, yg, tg) -> DiscreteOperator:
+    """The scenario's operator on the given grids, by its [operator] route."""
+    route = cfg.get("operator", "route", fallback="kernel").upper()
+    if route not in Route.__members__:
+        raise ScenarioError(f"unknown operator route {route!r}")
     taper = cfg.getboolean("operator", "taper", fallback=True)
-    F = discretize_fio(S, a, xg, yg, tg, route=route, taper=taper)
+    return discretize_fio(ctx["S"], ctx["a"], xg, yg, tg,
+                          route=Route[route], taper=taper)
+
+
+def _op_build_operator(cfg, ctx, out_dir: Path) -> dict:
+    xg, yg, tg = ctx["grids"]
+    F = _discretize(cfg, ctx, xg, yg, tg)
     ctx["F"] = F
-    details = {"route": route.value, "provenance": F.provenance}
+    details = {"route": F.provenance["route"], "provenance": F.provenance}
     passed = True
     if cfg.getboolean("operator", "apply_check", fallback=False):
         rtol = cfg.getfloat("operator", "apply_rtol", fallback=1e-6)
@@ -307,8 +322,13 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
     if f is None:
         raise ScenarioError("[oscint] needs f = <formula in y>")
     x = cfg.getfloat("oscint", "x", fallback=0.0)
-    schedule = [float(t) for t in
-                cfg.get("oscint", "schedule", fallback="4,8,16,32,64").split(",")]
+    raw = cfg.get("oscint", "schedule", fallback="4,8,16,32,64")
+    try:
+        schedule = [float(t) for t in raw.split(",")]
+    except ValueError as exc:
+        raise ScenarioError(f"bad [oscint] schedule {raw!r}") from exc
+    if any(s2 <= s1 for s1, s2 in zip(schedule, schedule[1:])):
+        raise ScenarioError(f"[oscint] schedule must be increasing: {raw!r}")
     kind = cfg.get("oscint", "cutoff", fallback="gaussian").strip().upper()
     try:
         cutoff = CutoffSpec(CutoffKind[kind])
@@ -369,14 +389,7 @@ def _op_verify_symbol(cfg, ctx, out_dir: Path) -> dict:
         weight = parse_weight(weight_tag, 2)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    from .expressions import parse_scalar_expr
-    try:
-        a_expr = parse_scalar_expr(
-            ctx["a_raw"], S.variables,
-            aliases={"x": S.xvars[0], "theta": S.tvars[0]})
-    except (sympy.SympifyError, TypeError) as exc:
-        raise ScenarioError(f"bad symbol formula: {exc}") from exc
-    a_field = SymbolField.from_expr(a_expr, S.variables, weight=weight,
+    a_field = SymbolField.from_expr(ctx["a"], S.variables, weight=weight,
                                     rho=rho)
     grid = GridSpec(2, cfg.getfloat("symbol", "check_radius", fallback=8.0),
                     cfg.getint("symbol", "check_points", fallback=17))
@@ -398,12 +411,10 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
     F = _require_operator(cfg, ctx, out_dir)
     if not cfg.has_section("cv") or not cfg.has_option("cv", "sigma"):
         raise ScenarioError("missing [cv] sigma = <formula in x, xi>")
-    from .expressions import coord_symbols, parse_scalar_expr
     xv, = coord_symbols("x", 1)
     xiv = sympy.Symbol("xi", real=True)
     try:
-        expr = parse_scalar_expr(cfg.get("cv", "sigma"), (xv, xiv),
-                                 aliases={"x": xv, "xi": xiv})
+        expr = parse_scalar_expr(cfg.get("cv", "sigma"), (xv, xiv))
     except (sympy.SympifyError, TypeError) as exc:
         raise ScenarioError(f"bad sigma formula: {exc}") from exc
     sigma = SymbolField.from_expr(expr, (xv, xiv))
@@ -423,22 +434,17 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
 
 
 def _op_compactness(cfg, ctx, out_dir: Path) -> dict:
-    S = ctx["S"]
-    a = ctx["a"]
     xg, yg, tg = ctx["grids"]
-    fine_m = 2 * xg.points
-    xf = GridSpec(1, xg.radius, fine_m, dft_aligned=True)
-    route = Route(cfg.get("operator", "route", fallback="kernel").upper())
-    taper = cfg.getboolean("operator", "taper", fallback=True)
-    coarse = discretize_fio(S, a, xg, yg, tg, route=route, taper=taper)
-    fine = discretize_fio(S, a, xf, xf, xf.dual(), route=route, taper=taper)
+    xf = GridSpec(1, xg.radius, 2 * xg.points, dft_aligned=True)
+    coarse = _discretize(cfg, ctx, xg, yg, tg)
+    fine = _discretize(cfg, ctx, xf, xf, xf.dual())
     tail_index = cfg.getint("compactness", "tail_index", fallback=0) or None
     report = compactness_probe(coarse, fine, tail_index=tail_index)
     expected = cfg.get("compactness", "expected", fallback=None)
     passed = True if expected is None else (report.verdict == expected.strip())
-    emit_plot_data(singular_values(coarse), "singular-values",
+    emit_plot_data(report.spectrum_coarse, "singular-values",
                    out_dir / "spectrum_coarse.csv")
-    emit_plot_data(singular_values(fine), "singular-values",
+    emit_plot_data(report.spectrum_fine, "singular-values",
                    out_dir / "spectrum_fine.csv")
     details = {
         "verdict": report.verdict,
@@ -475,25 +481,18 @@ def run_scenario(path, out_dir: Optional[str] = None,
                 else cfg.get("output", "dir", fallback=f"out_{name}"))
     dest.mkdir(parents=True, exist_ok=True)
 
-    ctx = {"S": _build_generating(cfg)}
-    ctx["a_raw"] = _amplitude_string(cfg) if cfg.has_section("symbol") else "1"
-    S = ctx["S"]
-    from .expressions import parse_scalar_expr
+    S = _build_generating(cfg)
+    a_raw = _amplitude_string(cfg) if cfg.has_section("symbol") else "1"
     try:
-        a_expr = parse_scalar_expr(
-            ctx["a_raw"], S.variables,
-            aliases={"x": S.xvars[0], "theta": S.tvars[0]} if S.n == 1 else {})
+        a_expr = parse_scalar_expr(a_raw, S.variables)
     except (sympy.SympifyError, TypeError) as exc:
-        raise ScenarioError(f"bad symbol formula {ctx['a_raw']!r}: {exc}") from exc
+        raise ScenarioError(f"bad symbol formula {a_raw!r}: {exc}") from exc
     extra = a_expr.free_symbols - set(S.variables)
     if extra:
         raise ScenarioError(
             f"symbol formula references undefined names: "
             f"{sorted(map(str, extra))}")
-    ctx["a"] = a_expr
-    ctx["grids"] = _grids(cfg) if cfg.has_section("grids") else \
-        (GridSpec(1, 8.0, 256, True),) * 2 + (GridSpec(1, 8.0, 256, True).dual(),)
-
+    ctx = {"S": S, "a": a_expr, "grids": _grids(cfg)}
     xg, yg, tg = ctx["grids"]
     manifest = RunManifest(
         scenario_hash=digest,

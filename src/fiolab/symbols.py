@@ -130,6 +130,28 @@ class SymbolField:
                    expr=sp.sympify(value))
 
 
+def as_expr(a, variables: Sequence[sp.Symbol]) -> sp.Expr:
+    """`a` as a sympy expression over the caller's `variables`.
+
+    `a` is a formula string, a sympy expression, an expression-backed
+    SymbolField on as many coordinates (renamed to `variables`) or a number.
+    A number is parsed from its repr: sympify(0.1 + 0.2) would keep only 15
+    digits and lambdify to 0.3.
+    """
+    if isinstance(a, str):
+        return parse_scalar_expr(a, variables)
+    if isinstance(a, SymbolField):
+        if a.expr is None:
+            raise ValueError("need an expression-backed field")
+        if a.dim != len(variables):
+            raise ValueError(
+                f"field must live on {len(variables)} coordinates")
+        return a.expr.xreplace(dict(zip(a.variables, variables)))
+    if isinstance(a, sp.Expr):
+        return a
+    return sp.sympify(repr(complex(a)))
+
+
 def _fd_derivative(fn, point, alpha, dim):
     """Central differences with one Richardson level along each axis in turn."""
     order = sum(alpha)

@@ -1,15 +1,24 @@
 """Discretized operators: kernel evaluation, routes, algebra, norms, I/O."""
+import json
+import struct
+
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiolab.grids import GridSpec
-from fiolab.operators import (AlignmentError, GridMismatchError, Route, adjoint,
-                              apply, compose, discretize_fio, gaussian_samples,
+from fiolab.operators import (AlignmentError, GridMismatchError,
+                              OperatorFormatError, Route, adjoint, apply,
+                              compose, discretize_fio, gaussian_samples,
                               kernel_eval, load_operator, operator_norm,
                               save_operator, singular_values)
-from fiolab.phases import GeneratingFunction
+from fiolab.oscillatory import fio_apply_ibp, regularized_fio_apply
+from fiolab.pdo import predicted_symbol
+from fiolab.phases import GeneratingFunction, special_phase
+from fiolab.symbols import SymbolField
+from fiolab.weights import constant_weight
 
 A_GAUSS = "exp(-theta**2/4)"
 
@@ -160,7 +169,55 @@ class TestNorms:
             c * operator_norm(F), rel=1e-6)
 
 
+class TestAmplitudeForms:
+    """Every accepted amplitude form gives the same operator, bit for bit."""
+
+    grid = GridSpec(1, 8.0, 64, dft_aligned=True)
+
+    def build(self, S, a):
+        F = discretize_fio(S, a, self.grid, self.grid, self.grid.dual())
+        return F.matrix, predicted_symbol(S, a, 0.5, -0.25)[1]
+
+    def assert_identical(self, S, forms):
+        (m0, p0), *rest = [self.build(S, a) for a in forms]
+        for m, p in rest:
+            assert np.array_equal(m, m0) and p == p0
+
+    def test_string_expr_and_field(self, S_chirp):
+        expr = sp.exp(-S_chirp.tvars[0] ** 2)
+        field = SymbolField.from_expr(expr, S_chirp.variables)
+        self.assert_identical(S_chirp, ["exp(-theta**2)", expr, field])
+
+    def test_float_keeps_every_digit(self, S_chirp):
+        forms = [0.1 + 0.2, "0.30000000000000004"]
+        self.assert_identical(S_chirp, forms)
+        phi = special_phase(S_chirp)
+        v0, v1 = [fio_apply_ibp(a, phi, "exp(-y**2/2)", 0.0, k=0, R=4.0).value
+                  for a in forms]
+        assert v0 == v1
+
+    def test_callable_field_rejected(self, S_chirp):
+        field = SymbolField(variables=S_chirp.variables,
+                            weight=constant_weight(1.0, 2), rho=0.0,
+                            fn=lambda pts: np.ones(len(pts)))
+        with pytest.raises(ValueError, match="expression-backed"):
+            discretize_fio(S_chirp, field, self.grid, self.grid,
+                           self.grid.dual())
+        with pytest.raises(ValueError, match="expression-backed"):
+            predicted_symbol(S_chirp, field, 0.0, 0.0)
+        phi = special_phase(S_chirp)
+        field3 = SymbolField(variables=phi.variables,
+                             weight=constant_weight(1.0, 3), rho=0.0,
+                             fn=lambda pts: np.ones(len(pts)))
+        with pytest.raises(ValueError, match="expression-backed"):
+            regularized_fio_apply(field3, phi, "exp(-y**2/2)", 0.0)
+
+
 class TestPersistence:
+    def test_weights_from_grids(self, chirp_op, grid256):
+        assert chirp_op.quad_weights == grid256.spacing
+        assert adjoint(chirp_op).row_weights == grid256.spacing
+
     def test_roundtrip(self, chirp_op, tmp_path):
         p = tmp_path / "op.fop"
         save_operator(chirp_op, str(p))
@@ -180,6 +237,32 @@ class TestPersistence:
         data[:8] = b"BOGUS!!!"
         p.write_bytes(bytes(data))
         with pytest.raises(ValueError):
+            load_operator(str(p))
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:12],                     # ends inside the length field
+        lambda b: b[:-1],                     # payload one byte short
+        lambda b: b + bytes(16),              # one trailing matrix entry
+        lambda b: b"FIOLAB01" + struct.pack("<Q", 0),  # no header at all
+    ], ids=["truncated-length", "truncated-payload", "extended", "headerless"])
+    def test_damaged_file_rejected(self, chirp_op, tmp_path, damage):
+        p = tmp_path / "op.fop"
+        save_operator(chirp_op, str(p))
+        p.write_bytes(damage(p.read_bytes()))
+        with pytest.raises(OperatorFormatError):
+            load_operator(str(p))
+
+    def test_header_missing_key_rejected(self, chirp_op, tmp_path):
+        p = tmp_path / "op.fop"
+        save_operator(chirp_op, str(p))
+        blob = p.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        del header["shape"]
+        new = json.dumps(header).encode()
+        p.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new
+                      + blob[16 + hlen:])
+        with pytest.raises(OperatorFormatError):
             load_operator(str(p))
 
 

@@ -2,10 +2,26 @@
 import numpy as np
 import pytest
 
-from fiolab.phases import (GeneratingFunction, omega_domain_membership,
-                           lambda_equivalence, quadratic_generating,
-                           special_phase, verify_G2, verify_G3, verify_H2,
-                           verify_H3, verify_H3star, verify_separation)
+from fiolab.expressions import diff_multi, evaluate
+from fiolab.phases import (DEFAULT_CAP, GROWTH_TOL, GeneratingFunction,
+                           omega_domain_membership, lambda_equivalence,
+                           quadratic_generating, special_phase, verify_G2,
+                           verify_G3, verify_H2, verify_H3, verify_H3star,
+                           verify_separation)
+from fiolab.weights import bracket
+
+
+def assert_witness_measures_constant(rep, expr, variables):
+    """The witness is where constants[alpha] of the last failing alpha is
+    measured."""
+    failing = [a for a, seq in rep.per_radius.items()
+               if seq[-1] > DEFAULT_CAP
+               or (seq[-2] > 1e-9 and seq[-1] > GROWTH_TOL * seq[-2])]
+    alpha = failing[-1]
+    pt = np.array([rep.witness])
+    d = diff_multi(expr, variables, alpha)
+    ratio = np.abs(evaluate(d, variables, pt)) / bracket(pt) ** (2 - sum(alpha))
+    assert float(ratio[0]) == pytest.approx(rep.constants[alpha], rel=1e-12)
 
 
 class TestSpecialPhase:
@@ -58,6 +74,7 @@ class TestVerifyH2:
         phi = special_phase(GeneratingFunction.from_expr("x**4*theta", 1))
         rep = verify_H2(phi)
         assert not rep.passed and rep.witness is not None
+        assert_witness_measures_constant(rep, phi.expr, phi.variables)
 
 
 class TestVerifyH3:
@@ -108,8 +125,10 @@ class TestVerifyG3:
         assert max(rep.constants.values()) <= 2.0 * 1.0 + 1e-9
 
     def test_exponential_coupling_fails(self):
-        rep = verify_G3(GeneratingFunction.from_expr("exp(x)*theta", 1))
+        S = GeneratingFunction.from_expr("exp(x)*theta", 1)
+        rep = verify_G3(S)
         assert not rep.passed and rep.witness is not None
+        assert_witness_measures_constant(rep, S.expr, S.variables)
 
 
 class TestSeparation:

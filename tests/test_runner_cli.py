@@ -1,9 +1,11 @@
 """Scenario runner and command-line interface: exit codes, artifacts,
 determinism of emitted files."""
+import csv
 import json
 
 import pytest
 
+from fiolab import cli, pdo, runner
 from fiolab.cli import bundled_scenarios, main
 from fiolab.runner import ScenarioError, load_scenario, run_scenario
 
@@ -72,6 +74,27 @@ class TestCli:
                    str(tmp_path / "out"), "--override", "notakeyvalue"])
         assert rc == 2
 
+    @pytest.mark.parametrize("name, override", [
+        ("fourier_inversion", "grids.M=abc"),
+        ("oscint_gaussian", "oscint.schedule=64,32"),
+    ])
+    def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
+                                        override):
+        rc = main(["run", name, "--out-dir", str(tmp_path / "out"),
+                   "--override", override])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_uncaught_exception_exits_three(self, tmp_path, capsys,
+                                            monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "run_scenario", boom)
+        rc = main(["run", "fourier_inversion", "--out-dir",
+                   str(tmp_path / "out")])
+        assert rc == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_reruns_byte_identical_except_manifest(self, tmp_path):
@@ -106,6 +129,34 @@ class TestDeterminism:
         _, h1 = load_scenario(cfg_path("fourier_inversion"), overrides=o)
         _, h2 = load_scenario(cfg_path("fourier_inversion"), overrides=o[::-1])
         assert h1 == h2
+
+
+class TestCompactness:
+    def test_spectrum_csvs_are_the_report_spectra(self, tmp_path,
+                                                  monkeypatch):
+        reports, svd_calls = [], []
+        probe, svd = pdo.compactness_probe, pdo.singular_values
+
+        def recording_probe(*args, **kwargs):
+            reports.append(probe(*args, **kwargs))
+            return reports[-1]
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(args)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(runner, "compactness_probe", recording_probe)
+        monkeypatch.setattr(pdo, "singular_values", counting_svd)
+        monkeypatch.setattr(runner, "singular_values", counting_svd)
+        out = tmp_path / "out"
+        run_scenario(cfg_path("compact_decay"), out_dir=str(out),
+                     overrides=["grids.M=64", "compactness.tail_index=40"])
+        assert len(svd_calls) == 2
+        (report,) = reports
+        for side, spectrum in (("coarse", report.spectrum_coarse),
+                               ("fine", report.spectrum_fine)):
+            with open(out / f"spectrum_{side}.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [float(v) for _, v in rows] == spectrum.tolist()
 
 
 class TestLoadScenario:

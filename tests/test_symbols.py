@@ -5,6 +5,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiolab.expressions import coord_symbols, parse_scalar_expr
 from fiolab.grids import GridSpec
 from fiolab.symbols import (DerivativeOrderError, LowerBoundError, SymbolField,
                             derivative_symbol, eval_derivative, product_symbol,
@@ -175,3 +176,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             SymbolField.from_expr("exp(-x**2)", (X,),
                                   weight=lambda_weight(0.0, 2))
+
+
+class TestParsePrefixes:
+    def test_bare_prefix_names_the_single_coordinate(self):
+        x0, t0 = coord_symbols("x", 1) + coord_symbols("theta", 1)
+        assert parse_scalar_expr("x*theta + x0", (x0, t0)) == x0 * t0 + x0
+
+    def test_shared_prefix_stays_undefined(self):
+        xs = coord_symbols("x", 2)
+        expr = parse_scalar_expr("x + x1", xs)
+        assert expr.free_symbols - set(xs)
