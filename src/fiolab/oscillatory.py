@@ -12,7 +12,11 @@ function:
   the near-critical part by direct quadrature, and applies the k-th power of
   the transpose of the first-order operator L (with L e^{i phi} = e^{i phi})
   to the rest.  The iterated transpose is expanded symbolically by the
-  product rule, never by nested numerical differentiation.
+  product rule, never by nested numerical differentiation.  The k-fold term
+  is evaluated by region of the partition ratio: it is 0 where the ratio is
+  <= 1, the short (tL)^k u where it is >= 2 (omega vanishes identically
+  there), and only on the annulus between needs the full expression with
+  its chi-derivatives.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin), which gives
@@ -240,11 +244,8 @@ class IBPOperator:
 
     def apply_transpose(self, expr: sp.Expr, k: int = 1) -> sp.Expr:
         """(tL)^k expr, expanded by the symbolic product rule."""
-        y, t = self.phi.yvars[0], self.phi.tvars[0]
-        out = expr
-        for _ in range(int(k)):
-            out = -(sp.diff(self.c_y * out, y) + sp.diff(self.c_t * out, t))
-        return out
+        return _transpose_power(expr, self.c_y, self.c_t,
+                                self.phi.yvars[0], self.phi.tvars[0], k)
 
     def identity_residual(self, points) -> float:
         """max |L e^{i phi} / e^{i phi} - 1| over the given Omega_0 points."""
@@ -255,6 +256,14 @@ class IBPOperator:
         # L e^{i phi} = e^{i phi} * (i gy * c_y + i gt * c_t)
         val = (gy * gy + gt * gt) / d
         return float(np.max(np.abs(val - 1.0)))
+
+
+def _transpose_power(w: sp.Expr, c_y: sp.Expr, c_t: sp.Expr, y: sp.Symbol,
+                     t: sp.Symbol, k: int) -> sp.Expr:
+    """(tL)^k w with tL w = -(d_y(c_y w) + d_t(c_t w)), by the product rule."""
+    for _ in range(int(k)):
+        w = -(sp.diff(c_y * w, y) + sp.diff(c_t * w, t))
+    return w
 
 
 def ibp_operator(phi: PhaseField, eps0: float) -> IBPOperator:
@@ -434,7 +443,8 @@ def _aitken(values: Sequence[complex]) -> complex:
 
 @functools.lru_cache(maxsize=8)
 def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
-    """Lambdified u, phi, the omega-partition ratio and (tL)^k[(1-omega)u].
+    """Lambdified u, phi, the omega-partition ratio, (tL)^k[(1-omega)u] and
+    the short (tL)^k u it reduces to where omega is identically 0.
 
     None of them depends on the truncation radius, so calls that differ
     only in R share one symbolic k-fold expansion.
@@ -449,17 +459,17 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     phase_fn = sp.lambdify((yv, tv), phi_yt, modules="numpy", cse=True)
     ratio_fn = sp.lambdify((yv, tv), t_ratio, modules="numpy", cse=True)
 
-    ibp_fn = None
+    ibp_fn = short_fn = None
     if k > 0:
         omega = _chi_atom(0)(t_ratio)
         c_y = dy / (sp.I * denom)
         c_t = dt / (sp.I * denom)
-        w = (1 - omega) * u
-        for _ in range(k):
-            w = -(sp.diff(c_y * w, yv) + sp.diff(c_t * w, tv))
+        w = _transpose_power((1 - omega) * u, c_y, c_t, yv, tv, k)
         ibp_fn = sp.lambdify((yv, tv), w,
                              modules=[_chi_modules(k), "numpy"], cse=True)
-    return u_fn, phase_fn, ratio_fn, ibp_fn
+        short = _transpose_power(u, c_y, c_t, yv, tv, k)
+        short_fn = sp.lambdify((yv, tv), short, modules="numpy", cse=True)
+    return u_fn, phase_fn, ratio_fn, ibp_fn, short_fn
 
 
 def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
@@ -473,6 +483,12 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
         e^{i phi} * (omega * a * f  +  (tL)^k[(1 - omega) * a * f])
     which for every k equals the oscillatory integral up to truncation and
     quadrature error; larger k buys faster decay of the truncated tail.
+    The k-fold term is evaluated in three regions of the partition ratio
+    r = D / (eps0 lambda^2): it vanishes where r <= 1 (omega = 1); where
+    r >= 2, omega and all its derivatives vanish, so it is the short
+    (tL)^k u; the full expansion with its chi-derivatives is evaluated
+    only on the annulus 1 < r < 2 (and at any NaN r, so that a non-finite
+    value is still caught).
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.
     """
@@ -487,25 +503,31 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
     phi_yt = phi.expr.subs(phi.xvars[0], xv)
     a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
     f_expr = as_expr(f, (yv,))
-    u_fn, phase_fn, ratio_fn, ibp_fn = _ibp_callables(
+    u_fn, phase_fn, ratio_fn, ibp_fn, short_fn = _ibp_callables(
         a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
 
     if margin is None:
         margin = 64.0
 
     def integrand_values(Y, T):
-        """omega*u + (tL)^k[(1-omega)*u], without the e^{i phi} factor."""
+        """omega*u + (tL)^k[(1-omega)*u], without the e^{i phi} factor,
+        with the k-fold term evaluated by region of the ratio."""
         with np.errstate(all="ignore"):
-            ratio = np.asarray(ratio_fn(Y, T), dtype=float)
-            vals = np.where(ratio < 2.0, chi(ratio), 0.0) * \
-                np.asarray(u_fn(Y, T), dtype=complex)
-            if ibp_fn is not None:
-                far = np.asarray(ibp_fn(Y, T), dtype=complex)
-                vals = vals + np.where(ratio <= 1.0, 0.0 + 0.0j, far)
-            else:
+            ratio = np.broadcast_to(
+                np.asarray(ratio_fn(Y, T), dtype=float), Y.shape)
+            u = np.asarray(u_fn(Y, T), dtype=complex)
+            vals = np.where(ratio < 2.0, chi(ratio), 0.0) * u
+            if k == 0:
                 vals = vals + np.where(ratio <= 1.0, 0.0,
-                                       1.0 - chi(ratio)) * \
-                    np.asarray(u_fn(Y, T), dtype=complex)
+                                       1.0 - chi(ratio)) * u
+            else:
+                far = np.zeros(Y.shape, dtype=complex)
+                outer = ratio >= 2.0
+                annulus = ~(outer | (ratio <= 1.0))
+                for fn, m in ((short_fn, outer), (ibp_fn, annulus)):
+                    if np.any(m):
+                        far[m] = fn(Y[m], T[m])
+                vals = vals + far
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite integrand away from the guard")
         return vals

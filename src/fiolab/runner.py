@@ -26,11 +26,11 @@ from . import __version__
 from .grids import GridSpec
 from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                           OscIntegralResult, regularized_fio_apply)
-from .operators import (DiscreteOperator, Route, adjoint, apply, compose,
-                        discretize_fio, gaussian_samples, operator_norm,
-                        save_operator, singular_values)
-from .pdo import (PdoSymbolEstimate, Which, compactness_probe, compare_symbols,
-                  cv_bound_check, cv_seminorm)
+from .operators import (DiscreteOperator, IterationError, Route, adjoint,
+                        apply, compose, discretize_fio, gaussian_samples,
+                        operator_norm, save_operator, singular_values)
+from .pdo import (NewtonError, PdoSymbolEstimate, Which, compactness_probe,
+                  compare_symbols, cv_bound_check, cv_seminorm)
 from .phases import (GeneratingFunction, quadratic_generating, special_phase,
                      verify_G2, verify_G3, verify_H2, verify_H3)
 from .symbols import SymbolField, seminorm_estimate
@@ -436,7 +436,7 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
 def _op_compactness(cfg, ctx, out_dir: Path) -> dict:
     xg, yg, tg = ctx["grids"]
     xf = GridSpec(1, xg.radius, 2 * xg.points, dft_aligned=True)
-    coarse = _discretize(cfg, ctx, xg, yg, tg)
+    coarse = ctx["F"] if "F" in ctx else _discretize(cfg, ctx, xg, yg, tg)
     fine = _discretize(cfg, ctx, xf, xf, xf.dual())
     tail_index = cfg.getint("compactness", "tail_index", fallback=0) or None
     report = compactness_probe(coarse, fine, tail_index=tail_index)
@@ -508,7 +508,14 @@ def run_scenario(path, out_dir: Optional[str] = None,
         out_dir=str(dest),
     )
     for op in _operation_list(cfg):
-        outcome = _DISPATCH[op](cfg, ctx, dest)
+        try:
+            outcome = _DISPATCH[op](cfg, ctx, dest)
+        except (IterationError, NewtonError) as exc:
+            # non-convergence is a failed check (exit 1), not an internal
+            # error; the message goes into the operation's JSON
+            error = f"{type(exc).__name__}: {exc}"
+            _write_json(dest, op, {"passed": False, "error": error})
+            outcome = {"operation": op, "passed": False, "error": error}
         manifest.outcomes.append(outcome)
     manifest.wall_clock_s = time.perf_counter() - t0
     (dest / "manifest.json").write_text(manifest.to_json() + "\n")

@@ -6,12 +6,14 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiolab import oscillatory
 from fiolab.oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                                 IBPOperator, OutsideDomainError, chi,
                                 chi_derivative, chi_expr, choose_eps0,
                                 fio_apply_ibp, ibp_operator, omega_partition,
                                 regularized_fio_apply)
 from fiolab.phases import GeneratingFunction, special_phase
+from fiolab.symbols import as_expr
 
 A_ONE = "1"
 F_GAUSS = "exp(-y**2/2)"
@@ -45,6 +47,13 @@ class TestChi:
         for val in (0.3, 1.2, 1.7, 2.5):
             assert float(e.subs(t, val)) == pytest.approx(float(chi(val)),
                                                           abs=1e-12)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_derivatives_exactly_zero_beyond_two(self, m):
+        # the premise of the short (tL)^k u where omega's ratio is >= 2
+        for t in (2.0, np.nextafter(2.0, 3.0), 2.5, 3.0, 1e6):
+            assert float(chi_derivative(t, m)) == 0.0
+        assert np.all(chi_derivative(np.linspace(2.0, 9.0, 701), m) == 0.0)
 
     @given(st.floats(1.0 + 1e-6, 2.0 - 1e-6))
     @settings(max_examples=40, deadline=None)
@@ -195,3 +204,51 @@ class TestFioApplyIBP:
     def test_truncation_radius_reported(self, phi_xt):
         res = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=0, R=8.0)
         assert res.truncation_radius == 8.0
+
+
+def ibp_callables(phi, k):
+    """`_ibp_callables` with the arguments fio_apply_ibp(A_ONE, phi, F_GAUSS,
+    0.0, k, R) passes, so the symbolic build is shared with those calls."""
+    yv, tv = phi.yvars[0], phi.tvars[0]
+    u = as_expr(A_ONE, phi.variables).subs(phi.xvars[0], 0.0) * \
+        as_expr(F_GAUSS, (yv,))
+    return oscillatory._ibp_callables(
+        u, phi.expr.subs(phi.xvars[0], 0.0), yv, tv, 0.0,
+        float(choose_eps0(phi, 0.0)), k)
+
+
+class TestIBPRegions:
+    def test_short_term_matches_full_where_omega_vanishes(self, phi_xt, rng):
+        _, _, ratio_fn, full_fn, short_fn = ibp_callables(phi_xt, 2)
+        Y, T = rng.uniform(-24.0, 24.0, (2, 20000))
+        outer = ratio_fn(Y, T) >= 2.0
+        assert outer.sum() > 10000
+        full = full_fn(Y[outer], T[outer])
+        short = short_fn(Y[outer], T[outer])
+        assert np.all(np.abs(short - full) <= 1e-10 * np.abs(full))
+
+    def test_nan_ratio_reaches_full_expression(self, phi_xt, monkeypatch):
+        # a NaN ratio at the grid edge y = -R, where the true ratio is >= 2:
+        # it must go to the full expression (NaN there, as it contains the
+        # ratio), not to the short one, so the finiteness check fires
+        R = 12.0
+        real = oscillatory._ibp_callables
+        seen = []
+
+        def patched(*args):
+            u_fn, phase_fn, ratio_fn, full_fn, short_fn = real(*args)
+
+            def nan_ratio(Y, T):
+                r = np.array(np.broadcast_to(ratio_fn(Y, T), np.shape(Y)))
+                r[np.asarray(Y) == -R] = np.nan
+                return r
+
+            def full(Y, T):
+                nan = np.isnan(nan_ratio(Y, T))
+                seen.append(int(nan.sum()))
+                return np.where(nan, np.nan, full_fn(Y, T))
+            return u_fn, phase_fn, nan_ratio, full, short_fn
+        monkeypatch.setattr(oscillatory, "_ibp_callables", patched)
+        with pytest.raises(FloatingPointError, match="non-finite integrand"):
+            fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=R)
+        assert sum(seen) > 0

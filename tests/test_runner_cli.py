@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fiolab import cli, pdo, runner
+from fiolab import cli, operators, pdo, runner
 from fiolab.cli import bundled_scenarios, main
 from fiolab.runner import ScenarioError, load_scenario, run_scenario
 
@@ -95,6 +95,29 @@ class TestCli:
         assert rc == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, op, owner, target, error", [
+        ("multiplier_norm", "cv-check", pdo, "operator_norm",
+         operators.IterationError("power iteration did not converge")),
+        ("ffstar_gaussian", "check-ffstar", pdo, "predicted_symbol",
+         pdo.NewtonError("no convergence in 50 iterations")),
+    ], ids=["cv-check", "check-ffstar"])
+    def test_nonconvergence_exits_one(self, tmp_path, capsys, monkeypatch,
+                                      name, op, owner, target, error):
+        def no_convergence(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(owner, target, no_convergence)
+        d = tmp_path / "out"
+        rc = main(["run", name, "--out-dir", str(d), "--override",
+                   "grids.M=64", "--override", f"scenario.operations={op}"])
+        assert rc == 1
+        assert f"[FAIL] {op}" in capsys.readouterr().out
+        message = f"{type(error).__name__}: {error}"
+        assert json.loads((d / f"{op}.json").read_text()) == {
+            "passed": False, "error": message}
+        outcomes = json.loads((d / "manifest.json").read_text())["outcomes"]
+        assert outcomes == [{"operation": op, "passed": False,
+                             "error": message}]
+
 
 class TestDeterminism:
     def test_reruns_byte_identical_except_manifest(self, tmp_path):
@@ -157,6 +180,20 @@ class TestCompactness:
             with open(out / f"spectrum_{side}.csv") as fh:
                 rows = list(csv.reader(fh))[1:]
             assert [float(v) for _, v in rows] == spectrum.tolist()
+
+    def test_reuses_the_built_operator(self, tmp_path, monkeypatch):
+        calls = []
+        discretize = runner.discretize_fio
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].points)
+            return discretize(*args, **kwargs)
+        monkeypatch.setattr(runner, "discretize_fio", counting)
+        run_scenario(cfg_path("compact_decay"), out_dir=str(tmp_path / "out"),
+                     overrides=["grids.M=64", "compactness.tail_index=40",
+                                "scenario.operations=build-operator "
+                                "compactness"])
+        assert calls == [64, 128]
 
 
 class TestLoadScenario:
