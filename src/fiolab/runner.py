@@ -351,6 +351,7 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
         "sigma_residuals": [[float(s), float(r)]
                             for s, r in res.sigma_residuals],
         "truncation_radius": res.truncation_radius,
+        "quadrature": res.quadrature,
     }
     expected = cfg.getfloat("oscint", "expected_re", fallback=None)
     if expected is not None and converged:

@@ -1,5 +1,7 @@
 """Oscillatory integrals: regularization, partition of unity, integration
 by parts with the exact transpose operator."""
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -108,12 +110,68 @@ class TestRegularizedApply:
         assert sigmas == sorted(sigmas) and len(sigmas) >= 3
 
     def test_divergent_schedule_raises(self, phi_xt):
-        # a two-entry schedule cannot certify convergence monotonically if the
-        # residuals grow; force that with a tiny truncation radius
+        # the theta**2 amplitude makes the sigma values diverge, so the
+        # residuals of the three-entry schedule cannot decrease
         with pytest.raises(ConvergenceError):
             regularized_fio_apply("theta**2", phi_xt, F_GAUSS, 0.0,
-                                  schedule=(0.5, 1, 2), y_radius=1.0,
-                                  compute_gap=False)
+                                  schedule=(0.5, 1, 2), compute_gap=False)
+
+
+class TestSeparableRoute:
+    """Special phase, y-free amplitude, Gaussian cutoff: the separable sum
+    reorders the tensor-trapezoid sum on the same grids."""
+
+    @pytest.mark.parametrize("a, f, x", [(A_ONE, F_GAUSS, 1.0),
+                                         ("exp(-theta**2/8)", "1", 0.0),
+                                         ("exp(-theta**2/8)", "1", 1.0)])
+    def test_matches_tensor_sum(self, phi_xt, monkeypatch, a, f, x):
+        # theta reaches about 2000 at sigma = 256 with a = 1, where a step
+        # rounded at that scale moves the sum by about 5e-12
+        real = oscillatory._separable_quadrature
+        seen = []
+
+        def spy(theta_fn, f_fn, xv, sigma, y_ax, t_ax):
+            val = real(theta_fn, f_fn, xv, sigma, y_ax, t_ax)
+            seen.append((sigma, y_ax, t_ax, val))
+            return val
+        monkeypatch.setattr(oscillatory, "_separable_quadrature", spy)
+        schedule = (16, 32, 64, 128, 256)
+        regularized_fio_apply(a, phi_xt, f, x, schedule=schedule,
+                              compute_gap=False)
+        assert [sigma for sigma, *_ in seen] == list(schedule)
+        y, t = phi_xt.yvars[0], phi_xt.tvars[0]
+        core = sp.lambdify((y, t), (
+            sp.exp(sp.I * phi_xt.expr) * as_expr(a, phi_xt.variables)
+            * as_expr(f, (y,))).subs(phi_xt.xvars[0], x), "numpy")
+        for sigma, y_ax, t_ax, val in seen:
+            ref = oscillatory._tiled_quadrature(
+                lambda Y, T: core(Y, T) * np.exp(
+                    -(x * x + Y * Y + T * T) / (2.0 * sigma ** 2)),
+                y_ax, t_ax)
+            assert abs(val - ref) <= 1e-12 * abs(ref), sigma
+
+    @pytest.mark.parametrize("extra, a, kind, route", [
+        ("0", A_ONE, CutoffKind.GAUSSIAN, "separable"),
+        ("0", "exp(-y**2/8)", CutoffKind.GAUSSIAN, "tensor"),
+        ("0", A_ONE, CutoffKind.SMOOTH_BUMP, "tensor"),
+        ("y**2/8", A_ONE, CutoffKind.GAUSSIAN, "tensor")])
+    def test_route_chosen_by_input(self, phi_xt, monkeypatch, extra, a, kind,
+                                   route):
+        # extra is added to the phase; y**2/8 makes it non-special
+        real = oscillatory._tiled_quadrature
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(oscillatory, "_tiled_quadrature", counting)
+        phi = dataclasses.replace(phi_xt, expr=phi_xt.expr + as_expr(
+            extra, phi_xt.variables))
+        res = regularized_fio_apply(a, phi, F_GAUSS, 0.0, schedule=(4, 8),
+                                    cutoff=CutoffSpec(kind),
+                                    compute_gap=False)
+        assert [q["route"] for q in res.quadrature] == [route, route]
+        assert len(calls) == (2 if route == "tensor" else 0)
 
 
 class TestOmegaPartition:

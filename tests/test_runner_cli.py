@@ -38,6 +38,13 @@ class TestCli:
         names = {p.name for p in d.iterdir()}
         assert {"oscint.json", "oscint_residuals.csv",
                 "manifest.json"} <= names
+        # every quadrature's grid and route: the schedule 16, 32, 64 on the
+        # separable route, then the smooth-bump gap pass on the tensor route
+        quadrature = json.loads((d / "oscint.json").read_text())["quadrature"]
+        assert [(q["sigma"], q["cutoff"], q["route"]) for q in quadrature] == [
+            (16.0, "gaussian", "separable"), (32.0, "gaussian", "separable"),
+            (64.0, "gaussian", "separable"), (64.0, "smooth_bump", "tensor")]
+        assert all(q["ny"] > 1 and q["nt"] > 1 for q in quadrature)
 
     def test_spectrum_artifacts(self, tmp_path):
         d = tmp_path / "out"
