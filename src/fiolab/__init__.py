@@ -15,10 +15,9 @@ from .weights import (DEFAULT_CONVENTION, DegenerateWeightError,
                       LambdaConvention, TemperedReport, WeightSpec, bracket,
                       constant_weight, lambda_weight, parse_weight,
                       verify_tempered, weight_product)
-from .symbols import (DerivativeOrderError, DomainError, LowerBoundError,
-                      SeminormTable, SymbolField, derivative_symbol,
-                      eval_derivative, product_symbol, reciprocal_symbol,
-                      seminorm_estimate)
+from .symbols import (DerivativeOrderError, LowerBoundError, SeminormTable,
+                      SymbolField, derivative_symbol, eval_derivative,
+                      product_symbol, reciprocal_symbol, seminorm_estimate)
 from .phases import (GeneratingFunction, HypothesisReport, PhaseField,
                      lambda_equivalence, omega_domain_membership,
                      quadratic_generating, special_phase, verify_G2,
@@ -27,8 +26,7 @@ from .phases import (GeneratingFunction, HypothesisReport, PhaseField,
 from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                           IBPOperator, OscIntegralResult, OutsideDomainError,
                           chi, chi_expr, choose_eps0, fio_apply_ibp,
-                          ibp_operator, omega_partition,
-                          regularized_fio_apply)
+                          omega_partition, regularized_fio_apply)
 from .operators import (AlignmentError, DiscreteOperator, GridMismatchError,
                         IterationError, Route, adjoint, apply, compose,
                         discretize_fio, gaussian_samples, kernel_eval,

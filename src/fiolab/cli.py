@@ -18,12 +18,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 #: subcommands that run a scenario restricted to a single operation
-_SINGLE_OPS = {
-    "oscint": "oscint",
-    "build-operator": "build-operator",
-    "check-ffstar": "check-ffstar",
-    "spectrum": "spectrum",
-}
+_SINGLE_OPS = ("oscint", "build-operator", "check-ffstar", "spectrum")
 
 
 def bundled_scenarios() -> dict:
@@ -78,8 +73,7 @@ def main(argv=None) -> int:
     try:
         overrides = list(args.override)
         if args.command in _SINGLE_OPS:
-            overrides.append(
-                f"scenario.operations={_SINGLE_OPS[args.command]}")
+            overrides.append(f"scenario.operations={args.command}")
         path = _resolve_scenario(args.scenario)
         manifest = run_scenario(path, out_dir=args.out_dir,
                                 overrides=overrides)

@@ -64,19 +64,15 @@ def parse_scalar_expr(formula: str, variables: Sequence[sp.Symbol]) -> sp.Expr:
     return sp.sympify(formula, locals=local)
 
 
-def multi_indices(dim: int, max_total: int, min_total: int = 0):
-    """All multi-indices alpha in N^dim with min_total <= |alpha| <= max_total."""
-    def rec(d, budget):
-        if d == 1:
-            for i in range(budget + 1):
-                yield (i,)
-            return
-        for i in range(budget + 1):
-            for rest in rec(d - 1, budget - i):
-                yield (i,) + rest
-    for idx in rec(dim, max_total):
-        if min_total <= sum(idx) <= max_total:
-            yield idx
+def multi_indices(dim: int, max_total: int):
+    """All multi-indices alpha in N^dim with |alpha| <= max_total."""
+    if dim == 1:
+        for i in range(max_total + 1):
+            yield (i,)
+        return
+    for i in range(max_total + 1):
+        for rest in multi_indices(dim - 1, max_total - i):
+            yield (i,) + rest
 
 
 def diff_multi(expr: sp.Expr, variables: Sequence[sp.Symbol],

@@ -48,11 +48,12 @@ from .symbols import as_expr
 from .weights import bracket
 
 class ConvergenceError(RuntimeError):
-    """Sigma residuals stopped decreasing; carries the residual table."""
+    """Sigma residuals stopped decreasing; carries the partial result (value
+    NaN, the residual table and the quadratures that ran)."""
 
-    def __init__(self, message, residuals):
+    def __init__(self, message, result: OscIntegralResult):
         super().__init__(message)
-        self.residuals = residuals
+        self.result = result
 
 
 class OutsideDomainError(ValueError):
@@ -69,17 +70,10 @@ _B_LEFT = sp.exp(-1 / (_T - 1))
 _B_RIGHT = sp.exp(-1 / (2 - _T))
 _CHI_TRANSITION = _B_RIGHT / (_B_LEFT + _B_RIGHT)
 
-_chi_transition_fns: dict = {}
-
-
+@functools.cache
 def _chi_transition_fn(m: int):
     """m-th derivative of the transition profile, valid on 1 < t < 2."""
-    fn = _chi_transition_fns.get(m)
-    if fn is None:
-        fn = sp.lambdify(_T, sp.diff(_CHI_TRANSITION, _T, m),
-                         modules="numpy")
-        _chi_transition_fns[m] = fn
-    return fn
+    return sp.lambdify(_T, sp.diff(_CHI_TRANSITION, _T, m), modules="numpy")
 
 
 def chi_derivative(t, m: int = 0) -> np.ndarray:
@@ -110,9 +104,7 @@ def chi_expr(t: sp.Expr) -> sp.Expr:
                         (_CHI_TRANSITION.subs(_T, t), True))
 
 
-_chi_atoms: dict = {}
-
-
+@functools.cache
 def _chi_atom(m: int):
     """Atomic sympy function standing for chi^(m); differentiation raises m.
 
@@ -120,13 +112,9 @@ def _chi_atom(m: int):
     profile inline) keeps the k-fold transpose expressions small; lambdify
     binds the atoms to `chi_derivative` at evaluation time.
     """
-    cls = _chi_atoms.get(m)
-    if cls is None:
-        def fdiff(self, argindex=1, _m=m):
-            return _chi_atom(_m + 1)(self.args[0])
-        cls = type(f"chi{m}", (sp.Function,), {"fdiff": fdiff, "nargs": (1,)})
-        _chi_atoms[m] = cls
-    return cls
+    def fdiff(self, argindex=1, _m=m):
+        return _chi_atom(_m + 1)(self.args[0])
+    return type(f"chi{m}", (sp.Function,), {"fdiff": fdiff, "nargs": (1,)})
 
 
 def _chi_modules(max_order: int) -> dict:
@@ -199,14 +187,23 @@ def omega_partition(phi: PhaseField, eps: float, points) -> np.ndarray:
     return out if out.shape else float(out)
 
 
+def _ibp_coefficients(phase: sp.Expr, y: sp.Symbol, t: sp.Symbol):
+    """(D, c_y, c_t) of L = c_y d/dy + c_t d/dt with L e^{i phase} =
+    e^{i phase}: D = (d_y phase)^2 + (d_t phase)^2 and c = (d phase)/(i D)."""
+    dy = sp.diff(phase, y)
+    dt = sp.diff(phase, t)
+    denom = dy ** 2 + dt ** 2
+    return denom, dy / (sp.I * denom), dt / (sp.I * denom)
+
+
 class IBPOperator:
     """The operator L with L e^{i phi} = e^{i phi} and its exact transpose.
 
-    tL = sum_j F_j d/dy_j + sum_k G_k d/dtheta_k + H with
-    F_j = -(d phi/dy_j)/(i D), G_k = -(d phi/dtheta_k)/(i D) and
-    H = -div of the coefficient field (D = |grad_y phi|^2+|grad_theta phi|^2).
-    Note H picks up derivatives of 1/D as well; without them the k-fold
-    transpose would not preserve the integral.
+    tL w = -(d_y(c_y w) + d_theta(c_t w)) = F dw/dy + G dw/dtheta + H w with
+    F = -c_y = -(d phi/dy)/(i D), G = -c_t and H = -div(c_y, c_t)
+    (D = |grad_y phi|^2+|grad_theta phi|^2).  H picks up derivatives of 1/D
+    as well; without them the k-fold transpose would not preserve the
+    integral.
     """
 
     def __init__(self, phi: PhaseField, eps0: float):
@@ -215,15 +212,8 @@ class IBPOperator:
             raise ValueError("eps0 must be positive")
         self.phi = phi
         self.eps0 = eps0
-        y, t = phi.yvars[0], phi.tvars[0]
-        dy = sp.diff(phi.expr, y)
-        dt = sp.diff(phi.expr, t)
-        self.denom = dy ** 2 + dt ** 2
-        self.c_y = dy / (sp.I * self.denom)
-        self.c_t = dt / (sp.I * self.denom)
-        self.F_expr = -self.c_y
-        self.G_expr = -self.c_t
-        self.H_expr = -(sp.diff(self.c_y, y) + sp.diff(self.c_t, t))
+        self.denom, self.c_y, self.c_t = _ibp_coefficients(
+            phi.expr, phi.yvars[0], phi.tvars[0])
 
     def _guard(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -235,18 +225,9 @@ class IBPOperator:
                 f"point {points[np.argmax(bad)]} below the eps0*lambda^2 guard")
         return points
 
-    def F(self, points, j: int = 0) -> np.ndarray:
-        if j != 0:
-            raise IndexError("n = 1")
-        return evaluate(self.F_expr, self.phi.variables, self._guard(points))
-
-    def G(self, points, j: int = 0) -> np.ndarray:
-        if j != 0:
-            raise IndexError("N = 1")
-        return evaluate(self.G_expr, self.phi.variables, self._guard(points))
-
-    def H(self, points) -> np.ndarray:
-        return evaluate(self.H_expr, self.phi.variables, self._guard(points))
+    def F(self, points) -> np.ndarray:
+        """The d/dy coefficient -c_y of tL, guarded."""
+        return evaluate(-self.c_y, self.phi.variables, self._guard(points))
 
     def apply_transpose(self, expr: sp.Expr, k: int = 1) -> sp.Expr:
         """(tL)^k expr, expanded by the symbolic product rule."""
@@ -272,17 +253,13 @@ def _transpose_power(w: sp.Expr, c_y: sp.Expr, c_t: sp.Expr, y: sp.Symbol,
     return w
 
 
-def ibp_operator(phi: PhaseField, eps0: float) -> IBPOperator:
-    return IBPOperator(phi, eps0)
-
-
-def choose_eps0(phi: PhaseField, x: float = 0.0, cap: float = 1e4,
-                candidates=(0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01),
-                radius: float = 8.0, points_per_axis: int = 81) -> float:
-    """Largest partition threshold for which lambda^2 <= C(eps)|y|^2 holds on
-    supp omega_eps (sampled, |y| >= 0.5) with C(eps) below the cap."""
+def choose_eps0(phi: PhaseField, x: float = 0.0) -> float:
+    """Largest partition threshold eps in (0.4, 0.3, ..., 0.01) for which
+    lambda^2 <= C(eps)|y|^2 holds on supp omega_eps (sampled on an 81^2
+    grid of [-8, 8]^2, |y| >= 0.5) with C(eps) <= 1e4; else 0.01."""
     _require_1d(phi)
-    ax = np.linspace(-radius, radius, points_per_axis)
+    candidates = (0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01)
+    ax = np.linspace(-8.0, 8.0, 81)
     yy, tt = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([np.full(yy.size, x), yy.ravel(), tt.ravel()], axis=-1)
     gy = phi.grad_y(pts)[..., 0]
@@ -290,14 +267,14 @@ def choose_eps0(phi: PhaseField, x: float = 0.0, cap: float = 1e4,
     d = gy * gy + gt * gt
     lam2 = bracket(pts) ** 2
     absy = np.abs(pts[:, 1])
-    for eps in sorted(candidates, reverse=True):
+    for eps in candidates:
         on_supp = (d / (eps * lam2) < 2.0) & (absy >= 0.5)
         if not np.any(on_supp):
             continue
         c = float(np.max(lam2[on_supp] / absy[on_supp] ** 2))
-        if c <= cap:
+        if c <= 1e4:
             return eps
-    return float(min(candidates))
+    return candidates[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +282,15 @@ def choose_eps0(phi: PhaseField, x: float = 0.0, cap: float = 1e4,
 
 
 def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
-                  start: float, cap: float = 1e-14,
-                  samples: int = 2048) -> float:
-    """Radius beyond which the sampled 1-D profile stays below cap*max."""
-    r = np.linspace(0.0, start, samples)
+                  start: float) -> float:
+    """Radius beyond which the 1-D profile, sampled at 2048 points of
+    [0, start], stays below 1e-14 * max."""
+    r = np.linspace(0.0, start, 2048)
     v = np.abs(profile(r))
     peak = float(np.max(v))
     if peak == 0.0:
         return 1.0
-    above = np.nonzero(v > cap * peak)[0]
+    above = np.nonzero(v > 1e-14 * peak)[0]
     edge = r[above[-1]] if len(above) else 0.0
     return float(min(start, edge * 1.05 + 1.0))
 
@@ -325,19 +302,18 @@ def _trapezoid_weights(npts: int, spacing: float) -> np.ndarray:
     return w
 
 
-def _axis(radius: float, freq: float, margin: float,
-          max_points: int, min_step: Optional[float] = None):
+def _axis(radius: float, freq: float, margin: float):
+    """Linspace of [-radius, radius] with step <= 2 pi / (freq + margin),
+    capped at 8192 points."""
     h = 2.0 * np.pi / (freq + margin)
-    if min_step is not None:
-        h = min(h, min_step)
     npts = int(np.ceil(2.0 * radius / h)) + 1
-    if npts > max_points:
-        npts = max_points
-    return np.linspace(-radius, radius, npts)
+    return np.linspace(-radius, radius, min(npts, 8192))
 
 
-def _tiled_quadrature(fn, y_ax, t_ax, tile: int = 256):
-    """Accumulate sum w_y w_t fn(y, t) over the tensor grid, tiled in theta."""
+def _tiled_quadrature(fn, y_ax, t_ax):
+    """Accumulate sum w_y w_t fn(y, t) over the tensor grid, in tiles of 256
+    theta columns."""
+    tile = 256
     wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
     total = 0.0 + 0.0j
@@ -383,8 +359,6 @@ def _separable_quadrature(theta_fn, f_fn, xv: float, sigma: float,
 def regularized_fio_apply(a, phi: PhaseField, f, x: float,
                           schedule: Sequence[float] = (4, 8, 16, 32, 64),
                           cutoff: CutoffSpec = CutoffSpec(CutoffKind.GAUSSIAN),
-                          margin: float = 12.0,
-                          max_points: int = 8192,
                           compute_gap: bool = True) -> OscIntegralResult:
     """Cutoff-regularized oscillatory integral along an increasing sigma
     schedule, with extrapolated limit and cutoff-independence diagnostics.
@@ -437,8 +411,8 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
                         np.tile(np.linspace(-rt, rt, 21), 21)], axis=-1)
         freq_y = float(np.max(np.abs(phi.grad_y(pts)))) + 0.0
         freq_t = float(np.max(np.abs(phi.grad_theta(pts))))
-        y_ax = _axis(ry, max(freq_y, rt), margin, max_points)
-        t_ax = _axis(rt, freq_t, margin, max_points)
+        y_ax = _axis(ry, max(freq_y, rt), 12.0)
+        t_ax = _axis(rt, freq_t, 12.0)
 
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
@@ -468,7 +442,9 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     if len(tail) == 3 and not (tail[0] >= tail[1] >= tail[2]) \
             and any(r > noise_floor for r in tail):
         raise ConvergenceError(
-            f"sigma residuals not decreasing: {residuals}", residuals)
+            f"sigma residuals not decreasing: {residuals}",
+            OscIntegralResult(value=np.nan + 0j, sigma_residuals=residuals,
+                              quadrature=quadrature))
 
     gap = None
     if compute_gap:
@@ -503,9 +479,7 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     None of them depends on the truncation radius, so calls that differ
     only in R share one symbolic k-fold expansion.
     """
-    dy = sp.diff(phi_yt, yv)
-    dt = sp.diff(phi_yt, tv)
-    denom = dy ** 2 + dt ** 2
+    denom, c_y, c_t = _ibp_coefficients(phi_yt, yv, tv)
     lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
     t_ratio = denom / (eps0 * lam2)
 
@@ -516,8 +490,6 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     ibp_fn = short_fn = None
     if k > 0:
         omega = _chi_atom(0)(t_ratio)
-        c_y = dy / (sp.I * denom)
-        c_t = dt / (sp.I * denom)
         w = _transpose_power((1 - omega) * u, c_y, c_t, yv, tv, k)
         ibp_fn = sp.lambdify((yv, tv), w,
                              modules=[_chi_modules(k), "numpy"], cse=True)
@@ -526,10 +498,8 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     return u_fn, phase_fn, ratio_fn, ibp_fn, short_fn
 
 
-def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
-                  eps0: Optional[float] = None,
-                  margin: Optional[float] = None,
-                  max_points: int = 8192) -> OscIntegralResult:
+def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
+                  R: float) -> OscIntegralResult:
     """Truncated-box evaluation with the k-fold transposed operator applied
     to the far-from-critical part of the integrand.
 
@@ -543,6 +513,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
     (tL)^k u; the full expansion with its chi-derivatives is evaluated
     only on the annulus 1 < r < 2 (and at any NaN r, so that a non-finite
     value is still caught).
+    The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.
     """
@@ -551,17 +522,14 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
     if k < 0:
         raise ValueError("k must be >= 0")
     xv = float(x)
-    if eps0 is None:
-        eps0 = choose_eps0(phi, xv)
+    eps0 = choose_eps0(phi, xv)
     yv, tv = phi.yvars[0], phi.tvars[0]
     phi_yt = phi.expr.subs(phi.xvars[0], xv)
     a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
     f_expr = as_expr(f, (yv,))
     u_fn, phase_fn, ratio_fn, ibp_fn, short_fn = _ibp_callables(
         a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
-
-    if margin is None:
-        margin = 64.0
+    margin = 64.0
 
     def integrand_values(Y, T):
         """omega*u + (tL)^k[(1-omega)*u], without the e^{i phi} factor,
@@ -612,8 +580,8 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int, R: float,
                     np.tile(np.linspace(-R, R, 21), 21)], axis=-1)
     freq_y = float(np.max(np.abs(phi.grad_y(pts))))
     freq_t = float(np.max(np.abs(phi.grad_theta(pts))))
-    y_ax = _axis(R, freq_y, margin, max_points)
-    t_ax = _axis(R, freq_t, margin, max_points)
+    y_ax = _axis(R, freq_y, margin)
+    t_ax = _axis(R, freq_t, margin)
 
     tail_acc = [0.0]
     hy = y_ax[1] - y_ax[0]

@@ -84,20 +84,19 @@ class CompactnessReport:
 
 
 def predicted_symbol(S: GeneratingFunction, a, x, theta,
-                     which: Which = Which.FFSTAR,
-                     delta_floor: float = DEFAULT_DELTA_FLOOR
-                     ) -> Tuple[np.ndarray, float]:
+                     which: Which = Which.FFSTAR) -> Tuple[np.ndarray, float]:
     """(base point, value): value = |a|^2 / |det mixed hessian| at (x, theta).
 
     Base point is (x, grad_x S) for FF* and (grad_theta S, theta) for F*F.
+    A |det| below DEFAULT_DELTA_FLOOR raises DeterminantFloorError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     pt = np.concatenate([x, theta])[None, :]
     det = float(np.abs(np.linalg.det(S.mixed_hess(pt)))[0])
-    if det < delta_floor:
+    if det < DEFAULT_DELTA_FLOOR:
         raise DeterminantFloorError(
-            f"|det| = {det:.3g} below floor {delta_floor:.3g}")
+            f"|det| = {det:.3g} below floor {DEFAULT_DELTA_FLOOR:.3g}")
     amp = evaluate(as_expr(a, S.variables), S.variables, pt)[0]
     value = abs(complex(amp)) ** 2 / det
     if which is Which.FFSTAR:
@@ -107,28 +106,27 @@ def predicted_symbol(S: GeneratingFunction, a, x, theta,
     return base, value
 
 
-def theta_inverse(S: GeneratingFunction, x, xi, guess=None,
-                  delta_floor: float = DEFAULT_DELTA_FLOOR,
-                  tol: float = 1e-12, max_iterations: int = 50) -> np.ndarray:
-    """Solve grad_x S(x, theta) = xi for theta by Newton iteration."""
+def theta_inverse(S: GeneratingFunction, x, xi) -> np.ndarray:
+    """Solve grad_x S(x, theta) = xi for theta by Newton iteration from
+    theta = xi: at most 50 steps, to a residual below 1e-12."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    theta = np.array(guess if guess is not None else xi, dtype=float)
-    for _ in range(max_iterations):
+    theta = np.array(xi, dtype=float)
+    for _ in range(50):
         pt = np.concatenate([x, theta])[None, :]
         res = S.grad_x(pt)[0] - xi
-        if np.linalg.norm(res) < tol:
+        if np.linalg.norm(res) < 1e-12:
             return theta
         jac = S.mixed_hess(pt)[0]  # d grad_x S / d theta
-        if abs(np.linalg.det(jac)) < delta_floor / 2.0:
+        if abs(np.linalg.det(jac)) < DEFAULT_DELTA_FLOOR / 2.0:
             raise NewtonError(f"Jacobian degenerate at theta={theta}")
         theta = theta - np.linalg.solve(jac, res)
-    raise NewtonError(f"no convergence in {max_iterations} iterations")
+    raise NewtonError("no convergence in 50 iterations")
 
 
-def _window_profile(offsets: np.ndarray, half_width: float,
-                    flat_fraction: float = 0.7) -> np.ndarray:
-    """Flat-top window: 1 on the inner fraction, cosine roll-off outside."""
+def _window_profile(offsets: np.ndarray, half_width: float) -> np.ndarray:
+    """Flat-top window: 1 on the inner 70%, cosine roll-off outside."""
+    flat_fraction = 0.7
     u = np.abs(offsets) / half_width
     w = np.zeros_like(u)
     w[u <= flat_fraction] = 1.0
@@ -168,13 +166,13 @@ def extract_symbol(FFstar: DiscreteOperator, x: float, xi: float,
 def compare_symbols(S: GeneratingFunction, a, FFstar: DiscreteOperator,
                     sample_points: Sequence[Tuple[float, float]],
                     which: Which = Which.FFSTAR,
-                    window_half_width: Optional[float] = None,
-                    predicted_floor: float = DEFAULT_PREDICTED_FLOOR
+                    window_half_width: Optional[float] = None
                     ) -> PdoSymbolEstimate:
     """Extracted-vs-predicted symbol at (x, theta) samples.
 
-    Relative error is recorded whenever the predicted value sits above the
-    floor (tiny predictions drown in extraction noise by design).
+    Relative error is recorded whenever the predicted value sits at or above
+    DEFAULT_PREDICTED_FLOOR (tiny predictions drown in extraction noise by
+    design).
     """
     dy = FFstar.col_grid.spacing
     hw = window_half_width if window_half_width is not None else 32.0 * dy
@@ -186,23 +184,20 @@ def compare_symbols(S: GeneratingFunction, a, FFstar: DiscreteOperator,
             raise AssertionError("predicted symbol must be nonnegative")
         extracted = extract_symbol(FFstar, float(base[0]), float(base[1]),
                                    window_half_width=hw)
-        rel = abs(extracted - pred) / pred if pred >= predicted_floor else None
+        rel = abs(extracted - pred) / pred \
+            if pred >= DEFAULT_PREDICTED_FLOOR else None
         est.samples.append(SymbolSample(x=float(x), xi=float(base[1]),
                                         extracted=extracted, predicted=pred,
                                         rel_error=rel))
     return est
 
 
-def refinement_ratio(coarse: PdoSymbolEstimate, fine: PdoSymbolEstimate,
-                     sample_lambdas: Optional[Sequence[float]] = None,
-                     lambda_min: float = 3.0) -> float:
-    """max over samples of error(fine)/error(coarse), restricted to samples
-    with bracket weight >= lambda_min when sample_lambdas is given."""
+def refinement_ratio(coarse: PdoSymbolEstimate,
+                     fine: PdoSymbolEstimate) -> float:
+    """max over samples of error(fine)/error(coarse)."""
     ratios = []
-    for idx, (c, f) in enumerate(zip(coarse.samples, fine.samples)):
+    for c, f in zip(coarse.samples, fine.samples):
         if c.rel_error is None or f.rel_error is None or c.rel_error == 0.0:
-            continue
-        if sample_lambdas is not None and sample_lambdas[idx] < lambda_min:
             continue
         ratios.append(f.rel_error / c.rel_error)
     if not ratios:
@@ -237,28 +232,24 @@ class BoundCheckReport:
 
 
 def cv_bound_check(F: DiscreteOperator, Q: SeminormReport,
-                   gamma: float = 1.0, slack: float = 1e-6
-                   ) -> BoundCheckReport:
-    """Checks the measured operator norm against (gamma * Q_k)^{1/2}."""
+                   gamma: float = 1.0) -> BoundCheckReport:
+    """Checks the measured operator norm against (gamma * Q_k)^{1/2}, with
+    a relative slack of 1e-6."""
     norm = operator_norm(F)
     bound = float(np.sqrt(gamma * Q.Q_k))
     return BoundCheckReport(norm=norm, bound=bound,
                             ratio=norm / bound if bound > 0 else np.inf,
-                            passed=bool(norm <= bound * (1.0 + slack)))
+                            passed=bool(norm <= bound * (1.0 + 1e-6)))
 
 
 def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
-                      tail_index: Optional[int] = None,
-                      tail_cut: float = 0.01, plateau_cut: float = 0.5,
-                      growth: float = 1.3, stability: float = 0.10
-                      ) -> CompactnessReport:
+                      tail_index: Optional[int] = None) -> CompactnessReport:
     """Singular-value diagnostics at two resolutions.
 
-    NONCOMPACT-CONSISTENT: the plateau count (s_j >= plateau_cut * s_max)
-    grows by >= `growth` under refinement.  COMPACT-CONSISTENT: the value at
-    a fixed tail index is < tail_cut at both resolutions and stable within
-    `stability`.  Anything else: INCONCLUSIVE.  The report carries both
-    spectra.
+    NONCOMPACT-CONSISTENT: the plateau count (s_j >= 0.5 * s_max) grows by
+    a factor >= 1.3 under refinement.  COMPACT-CONSISTENT: the value at a
+    fixed tail index is < 0.01 at both resolutions and stable within 10%.
+    Anything else: INCONCLUSIVE.  The report carries both spectra.
     """
     sc = singular_values(F_coarse)
     sf = singular_values(F_fine)
@@ -270,15 +261,14 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     if smax == 0.0:
         return CompactnessReport("COMPACT-CONSISTENT", tail_index,
                                  0.0, 0.0, 0, 0, sc, sf)
-    pc = int(np.sum(sc >= plateau_cut * smax))
-    pf = int(np.sum(sf >= plateau_cut * smax))
+    pc = int(np.sum(sc >= 0.5 * smax))
+    pf = int(np.sum(sf >= 0.5 * smax))
     tc = float(sc[tail_index])
     tf = float(sf[tail_index])
     # a genuinely growing plateau adds many states, not one or two cells
-    if pc > 0 and pf >= growth * pc and pf - pc >= 4:
+    if pc > 0 and pf >= 1.3 * pc and pf - pc >= 4:
         verdict = "NONCOMPACT-CONSISTENT"
-    elif tc < tail_cut and tf < tail_cut and \
-            abs(tf - tc) <= stability * max(tc, 1e-12):
+    elif tc < 0.01 and tf < 0.01 and abs(tf - tc) <= 0.10 * max(tc, 1e-12):
         verdict = "COMPACT-CONSISTENT"
     else:
         verdict = "INCONCLUSIVE"

@@ -62,17 +62,12 @@ def _gradient(expr: sp.Expr, variables, block, points) -> np.ndarray:
 
 @dataclass
 class GeneratingFunction:
-    """S(x, theta) with exact first/second derivatives.
-
-    `coeffs`, when present, is the quadratic coefficient table
-    {(alpha, beta): C} with |alpha| + |beta| = 2.
-    """
+    """S(x, theta) with exact first/second derivatives."""
 
     n: int
     expr: sp.Expr
     xvars: Tuple[sp.Symbol, ...]
     tvars: Tuple[sp.Symbol, ...]
-    coeffs: Optional[dict] = None
 
     @property
     def variables(self):
@@ -157,7 +152,6 @@ def quadratic_generating(coeffs: dict, n: int) -> GeneratingFunction:
     xvars = coord_symbols("x", n)
     tvars = coord_symbols("theta", n)
     expr = sp.Integer(0)
-    table = {}
     for (alpha, beta), c in coeffs.items():
         alpha = tuple(int(k) for k in alpha)
         beta = tuple(int(k) for k in beta)
@@ -169,9 +163,7 @@ def quadratic_generating(coeffs: dict, n: int) -> GeneratingFunction:
         for v, k in zip(tvars, beta):
             term *= v ** k
         expr += term
-        table[(alpha, beta)] = float(c)
-    return GeneratingFunction(n=n, expr=expr, xvars=xvars, tvars=tvars,
-                              coeffs=table)
+    return GeneratingFunction(n=n, expr=expr, xvars=xvars, tvars=tvars)
 
 
 def _grids(dim: int, radii, points_per_axis: int):
@@ -188,131 +180,112 @@ def _default_ppa(dim: int) -> int:
     return {1: 33, 2: 17, 3: 13}.get(dim, 7)
 
 
-def _verify_growth(name, expr, variables, radii, max_order,
-                   points_per_axis, cap, growth_tol) -> HypothesisReport:
-    """Estimate C_alpha = sup |d^alpha expr| / lambda^(2 - |alpha|).
+def _verify_growth(name, expr, variables) -> HypothesisReport:
+    """Estimate C_alpha = sup |d^alpha expr| / lambda^(2 - |alpha|) for
+    |alpha| <= 3 on the DEFAULT_RADII boxes.
 
-    Fails when a constant exceeds `cap` or keeps growing between the two
-    largest radii (asymptotically unbounded ratio).  The witness is the
-    argmax at the largest radius for the last failing multi-index, the
-    point where the reported constants[alpha] is measured.
+    Fails when a constant exceeds DEFAULT_CAP or grows by more than
+    GROWTH_TOL between the two largest radii (asymptotically unbounded
+    ratio).  The witness is the argmax at the largest radius for the last
+    failing multi-index, the point where the reported constants[alpha] is
+    measured.
     """
     dim = len(variables)
-    ppa = points_per_axis or _default_ppa(dim)
     constants, per_radius = {}, {}
     passed, witness = True, None
-    for alpha in multi_indices(dim, max_order):
+    for alpha in multi_indices(dim, 3):
         order = sum(alpha)
         d = diff_multi(expr, variables, alpha)
         seq = []
-        for r, pts in _grids(dim, radii, ppa):
+        for r, pts in _grids(dim, DEFAULT_RADII, _default_ppa(dim)):
             vals = np.abs(evaluate(d, variables, pts))
             ratio = vals / bracket(pts) ** (2 - order)
             i = int(np.argmax(ratio))
             seq.append(float(ratio[i]))
         constants[alpha] = seq[-1]
         per_radius[alpha] = seq
-        grows = (len(seq) >= 2 and seq[-2] > 1e-9
-                 and seq[-1] > growth_tol * seq[-2])
-        if seq[-1] > cap or grows:
+        grows = seq[-2] > 1e-9 and seq[-1] > GROWTH_TOL * seq[-2]
+        if seq[-1] > DEFAULT_CAP or grows:
             witness = tuple(pts[i])  # pts, i: the largest radius
             passed = False
     return HypothesisReport(name=name, constants=constants, passed=passed,
                             witness=witness, per_radius=per_radius)
 
 
-def verify_H2(phi: PhaseField, radii=DEFAULT_RADII, max_order: int = 3,
-              points_per_axis: Optional[int] = None,
-              cap: float = DEFAULT_CAP,
-              growth_tol: float = GROWTH_TOL) -> HypothesisReport:
+def verify_H2(phi: PhaseField) -> HypothesisReport:
     """C_{a,b,g} = sup |d phi| / lambda^(2 - order) per multi-index over
     (x, y, theta); see _verify_growth."""
-    return _verify_growth("H2", phi.expr, phi.variables, radii, max_order,
-                          points_per_axis, cap, growth_tol)
+    return _verify_growth("H2", phi.expr, phi.variables)
 
 
-def _verify_equivalence(phi: PhaseField, name: str, image_fn,
-                        radii, points_per_axis, floor, decay_tol):
+def _verify_equivalence(phi: PhaseField, name: str, image_fn, radii):
+    """K1 is the min of the ratio at the largest radius: it fails at or
+    below DEFAULT_FLOOR or when it shrinks below DECAY_TOL times its value
+    at the previous radius."""
     dim = phi.n + phi.n + phi.N
-    ppa = points_per_axis or _default_ppa(dim)
     k1s, k2s = [], []
     worst_pt = None
-    for r, pts in _grids(dim, radii, ppa):
+    for r, pts in _grids(dim, radii, _default_ppa(dim)):
         ratio = bracket(image_fn(pts)) / bracket(pts)
         i = int(np.argmin(ratio))
         k1s.append(float(ratio[i]))
         k2s.append(float(np.max(ratio)))
         worst_pt = tuple(pts[i])
     k1, k2 = k1s[-1], max(k2s)
-    decays = len(k1s) >= 2 and k1s[-2] > 0 and k1 < decay_tol * k1s[-2]
-    passed = bool(k1 > floor and not decays)
+    decays = len(k1s) >= 2 and k1s[-2] > 0 and k1 < DECAY_TOL * k1s[-2]
+    passed = bool(k1 > DEFAULT_FLOOR and not decays)
     return HypothesisReport(
         name=name, constants={"K1": k1, "K2": k2}, passed=passed,
         witness=None if passed else worst_pt,
         per_radius={"K1": k1s, "K2": k2s})
 
 
-def verify_H3(phi: PhaseField, radii=DEFAULT_RADII,
-              points_per_axis: Optional[int] = None,
-              floor: float = DEFAULT_FLOOR,
-              decay_tol: float = DECAY_TOL) -> HypothesisReport:
+def verify_H3(phi: PhaseField, radii=DEFAULT_RADII) -> HypothesisReport:
     """K1 <= lambda(grad_y phi, grad_theta phi, y)/lambda(x, y, theta) <= K2."""
     def image(pts):
         y = pts[:, phi.n:2 * phi.n]
         return np.concatenate(
             [phi.grad_y(pts), phi.grad_theta(pts), y], axis=-1)
-    return _verify_equivalence(phi, "H3", image, radii, points_per_axis,
-                               floor, decay_tol)
+    return _verify_equivalence(phi, "H3", image, radii)
 
 
-def verify_H3star(phi: PhaseField, radii=DEFAULT_RADII,
-                  points_per_axis: Optional[int] = None,
-                  floor: float = DEFAULT_FLOOR,
-                  decay_tol: float = DECAY_TOL) -> HypothesisReport:
+def verify_H3star(phi: PhaseField, radii=DEFAULT_RADII) -> HypothesisReport:
     """Same equivalence with the field (x, grad_theta phi, grad_x phi)."""
     def image(pts):
         x = pts[:, :phi.n]
         return np.concatenate(
             [x, phi.grad_theta(pts), phi.grad_x(pts)], axis=-1)
-    return _verify_equivalence(phi, "H3*", image, radii, points_per_axis,
-                               floor, decay_tol)
+    return _verify_equivalence(phi, "H3*", image, radii)
 
 
-def verify_G2(S: GeneratingFunction, radii=DEFAULT_RADII,
-              points_per_axis: Optional[int] = None,
-              floor: float = DEFAULT_FLOOR,
-              decay_tol: float = DECAY_TOL) -> HypothesisReport:
-    """delta0 = inf |det d2S/dx dtheta| over the sampled boxes."""
+def verify_G2(S: GeneratingFunction) -> HypothesisReport:
+    """delta0 = inf |det d2S/dx dtheta| over the DEFAULT_RADII boxes; fails
+    below DEFAULT_FLOOR or when the box minimum shrinks by DECAY_TOL."""
     dim = 2 * S.n
-    ppa = points_per_axis or _default_ppa(dim)
     mins = []
     worst_pt = None
-    for r, pts in _grids(dim, radii, ppa):
+    for r, pts in _grids(dim, DEFAULT_RADII, _default_ppa(dim)):
         dets = np.abs(np.linalg.det(S.mixed_hess(pts)))
         i = int(np.argmin(dets))
         mins.append(float(dets[i]))
         worst_pt = tuple(pts[i])
     delta0 = min(mins)
-    decays = len(mins) >= 2 and mins[-2] > 0 and mins[-1] < decay_tol * mins[-2]
-    passed = bool(delta0 >= floor and not decays)
+    decays = mins[-2] > 0 and mins[-1] < DECAY_TOL * mins[-2]
+    passed = bool(delta0 >= DEFAULT_FLOOR and not decays)
     return HypothesisReport(name="G2", constants={"delta0": delta0},
                             passed=passed,
                             witness=None if passed else worst_pt,
                             per_radius={"delta0": mins})
 
 
-def verify_G3(S: GeneratingFunction, radii=DEFAULT_RADII, max_order: int = 3,
-              points_per_axis: Optional[int] = None,
-              cap: float = DEFAULT_CAP,
-              growth_tol: float = GROWTH_TOL) -> HypothesisReport:
+def verify_G3(S: GeneratingFunction) -> HypothesisReport:
     """As verify_H2, restricted to (x, theta) and lambda(x, theta)."""
-    return _verify_growth("G3", S.expr, S.variables, radii, max_order,
-                          points_per_axis, cap, growth_tol)
+    return _verify_growth("G3", S.expr, S.variables)
 
 
-def verify_separation(S: GeneratingFunction, triples,
-                      cap: float = DEFAULT_CAP) -> HypothesisReport:
-    """C = max |x - x'| / |grad_theta S(x,.) - grad_theta S(x',.)| over triples.
+def verify_separation(S: GeneratingFunction, triples) -> HypothesisReport:
+    """C = max |x - x'| / |grad_theta S(x,.) - grad_theta S(x',.)| over
+    triples; fails above DEFAULT_CAP.
 
     `triples` is an iterable of (x, x', theta); degenerate pairs x = x' are
     skipped.
@@ -333,7 +306,7 @@ def verify_separation(S: GeneratingFunction, triples,
         ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
     i = int(np.argmax(ratio))
     c = float(ratio[i])
-    passed = bool(np.isfinite(c) and c <= cap)
+    passed = bool(np.isfinite(c) and c <= DEFAULT_CAP)
     witness = None if passed else (tuple(x[i]), tuple(xp[i]), tuple(th[i]))
     return HypothesisReport(name="separation", constants={"C": c},
                             passed=passed, witness=witness)
@@ -353,15 +326,14 @@ def omega_domain_membership(S: GeneratingFunction, eps0: float,
     return lhs < rhs
 
 
-def lambda_equivalence(S: GeneratingFunction, eps0: float = DEFAULT_EPS0,
-                       radius: float = 8.0,
-                       points_per_axis: Optional[int] = None) -> dict:
-    """Sample the domain above and report how lambda(x,y,theta)/lambda(x,theta)
-    and |y|/lambda(x,theta) behave on its members."""
+def lambda_equivalence(S: GeneratingFunction,
+                       eps0: float = DEFAULT_EPS0) -> dict:
+    """Sample the domain above on [-8, 8]^3n and report how
+    lambda(x,y,theta)/lambda(x,theta) and |y|/lambda(x,theta) behave on its
+    members."""
     n = S.n
     dim = 3 * n
-    ppa = points_per_axis or _default_ppa(dim)
-    pts = tensor_grid(dim, radius, ppa)
+    pts = tensor_grid(dim, 8.0, _default_ppa(dim))
     x, y, th = pts[:, :n], pts[:, n:2 * n], pts[:, 2 * n:]
     g = S.grad_theta(np.concatenate([x, th], axis=-1))
     inside = np.sum((g - y) ** 2, axis=-1) < eps0 * np.sum(pts * pts, axis=-1)

@@ -37,11 +37,6 @@ from .symbols import SymbolField, seminorm_estimate
 from .weights import DEFAULT_CONVENTION, parse_weight
 from .expressions import coord_symbols, multi_indices, parse_scalar_expr
 
-KNOWN_OPERATIONS = ("verify-symbol", "verify-phase", "oscint",
-                    "build-operator", "check-ffstar", "spectrum", "cv-check",
-                    "compactness")
-
-
 class ScenarioError(Exception):
     """Configuration problem: parse failure or invalid reference."""
 
@@ -108,9 +103,8 @@ def load_scenario(path, overrides: Sequence[str] = ()):
         cfg.set(section, key, value)
     if not cfg.has_section("scenario"):
         raise ScenarioError("missing [scenario] section")
-    ops = _operation_list(cfg)
-    for op in ops:
-        if op not in KNOWN_OPERATIONS:
+    for op in _operation_list(cfg):
+        if op not in _DISPATCH:
             raise ScenarioError(f"unknown operation: {op}")
     digest = hashlib.sha256()
     digest.update(text.encode())
@@ -124,6 +118,22 @@ def _operation_list(cfg) -> List[str]:
     return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
 
 
+def _formula(text: str, variables, where: str) -> sympy.Expr:
+    """A config formula parsed over `variables`; ScenarioError when it does
+    not parse to an expression or names anything else."""
+    try:
+        expr = parse_scalar_expr(text, variables)
+    except (sympy.SympifyError, TypeError, AttributeError) as exc:
+        raise ScenarioError(f"bad {where} formula {text!r}: {exc}") from exc
+    if not isinstance(expr, sympy.Expr):
+        raise ScenarioError(f"{where} formula {text!r} is not an expression")
+    extra = expr.free_symbols - set(variables)
+    if extra:
+        raise ScenarioError(f"{where} formula references undefined names: "
+                            f"{sorted(map(str, extra))}")
+    return expr
+
+
 def _build_generating(cfg) -> GeneratingFunction:
     if not cfg.has_section("phase"):
         raise ScenarioError("missing [phase] section")
@@ -133,16 +143,9 @@ def _build_generating(cfg) -> GeneratingFunction:
         raise ScenarioError("[phase] needs a `generating` entry")
     gen = gen.strip()
     if gen.startswith("expr:"):
-        try:
-            S = GeneratingFunction.from_expr(gen[len("expr:"):], n)
-        except (sympy.SympifyError, TypeError) as exc:
-            raise ScenarioError(f"bad generating expression: {exc}") from exc
-        extra = S.expr.free_symbols - set(S.variables)
-        if extra:
-            raise ScenarioError(
-                f"generating function references undefined names: "
-                f"{sorted(map(str, extra))}")
-        return S
+        variables = coord_symbols("x", n) + coord_symbols("theta", n)
+        return GeneratingFunction.from_expr(
+            _formula(gen[len("expr:"):], variables, "[phase] generating"), n)
     if gen == "quadratic":
         if n != 1:
             raise ScenarioError("config quadratic phases support n = 1")
@@ -315,12 +318,12 @@ def _op_spectrum(cfg, ctx, out_dir: Path) -> dict:
 def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
     if not cfg.has_section("oscint"):
         raise ScenarioError("missing [oscint] section")
-    S = ctx["S"]
-    phi = special_phase(S)
-    a = cfg.get("oscint", "a", fallback="1")
-    f = cfg.get("oscint", "f", fallback=None)
-    if f is None:
+    phi = special_phase(ctx["S"])
+    a = _formula(cfg.get("oscint", "a", fallback="1"), phi.variables,
+                 "[oscint] a")
+    if not cfg.has_option("oscint", "f"):
         raise ScenarioError("[oscint] needs f = <formula in y>")
+    f = _formula(cfg.get("oscint", "f"), phi.yvars, "[oscint] f")
     x = cfg.getfloat("oscint", "x", fallback=0.0)
     raw = cfg.get("oscint", "schedule", fallback="4,8,16,32,64")
     try:
@@ -339,9 +342,7 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
                                     cutoff=cutoff)
         converged = True
     except ConvergenceError as exc:
-        res = OscIntegralResult(value=np.nan + 0j,
-                                sigma_residuals=exc.residuals)
-        converged = False
+        res, converged = exc.result, False
     emit_plot_data(res, "sigma-residuals", out_dir / "oscint_residuals.csv")
     passed = converged
     details = {
@@ -412,13 +413,9 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
     F = _require_operator(cfg, ctx, out_dir)
     if not cfg.has_section("cv") or not cfg.has_option("cv", "sigma"):
         raise ScenarioError("missing [cv] sigma = <formula in x, xi>")
-    xv, = coord_symbols("x", 1)
-    xiv = sympy.Symbol("xi", real=True)
-    try:
-        expr = parse_scalar_expr(cfg.get("cv", "sigma"), (xv, xiv))
-    except (sympy.SympifyError, TypeError) as exc:
-        raise ScenarioError(f"bad sigma formula: {exc}") from exc
-    sigma = SymbolField.from_expr(expr, (xv, xiv))
+    xxi = coord_symbols("x", 1) + (sympy.Symbol("xi", real=True),)
+    sigma = SymbolField.from_expr(
+        _formula(cfg.get("cv", "sigma"), xxi, "[cv] sigma"), xxi)
     k = cfg.getint("cv", "k", fallback=3)
     gamma = cfg.getfloat("cv", "gamma", fallback=1.0)
     grid = GridSpec(2, cfg.getfloat("cv", "radius", fallback=8.0),
@@ -484,16 +481,8 @@ def run_scenario(path, out_dir: Optional[str] = None,
 
     S = _build_generating(cfg)
     a_raw = _amplitude_string(cfg) if cfg.has_section("symbol") else "1"
-    try:
-        a_expr = parse_scalar_expr(a_raw, S.variables)
-    except (sympy.SympifyError, TypeError) as exc:
-        raise ScenarioError(f"bad symbol formula {a_raw!r}: {exc}") from exc
-    extra = a_expr.free_symbols - set(S.variables)
-    if extra:
-        raise ScenarioError(
-            f"symbol formula references undefined names: "
-            f"{sorted(map(str, extra))}")
-    ctx = {"S": S, "a": a_expr, "grids": _grids(cfg)}
+    ctx = {"S": S, "a": _formula(a_raw, S.variables, "[symbol] a"),
+           "grids": _grids(cfg)}
     xg, yg, tg = ctx["grids"]
     manifest = RunManifest(
         scenario_hash=digest,

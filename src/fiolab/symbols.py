@@ -27,10 +27,6 @@ class DerivativeOrderError(ValueError):
     pass
 
 
-class DomainError(ValueError):
-    pass
-
-
 class LowerBoundError(ValueError):
     """Reciprocal lower bound |a| >= C0*lambda^mu failed; carries a witness."""
 
@@ -75,7 +71,6 @@ class SymbolField:
     rho: float
     expr: Optional[sp.Expr] = None
     fn: Optional[Callable] = None
-    domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     seminorms: SeminormTable = field(default_factory=SeminormTable)
 
     def __post_init__(self):
@@ -95,38 +90,29 @@ class SymbolField:
         return self.expr is not None
 
     def __call__(self, points) -> np.ndarray:
-        points = self._check_domain(points)
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1 and self.dim == 1:
+            points = points[:, None]
         if self.expr is not None:
             return evaluate(self.expr, self.variables, points)
         return np.asarray(self.fn(points))
 
-    def _check_domain(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1 and self.dim == 1:
-            points = points[:, None]
-        if self.domain is not None:
-            inside = np.asarray(self.domain(points))
-            if not np.all(inside):
-                bad = points[np.argmin(inside)]
-                raise DomainError(f"point {bad} outside symbol domain")
-        return points
-
     @classmethod
-    def from_expr(cls, expr, variables, weight=None, rho=0.0, domain=None):
+    def from_expr(cls, expr, variables, weight=None, rho=0.0):
         variables = tuple(variables)
         if isinstance(expr, str):
             expr = parse_scalar_expr(expr, variables)
         if weight is None:
             weight = constant_weight(1.0, len(variables))
         return cls(variables=variables, weight=weight, rho=rho,
-                   expr=sp.sympify(expr), domain=domain)
+                   expr=sp.sympify(expr))
 
     @classmethod
-    def constant(cls, value, dim, weight=None, rho=0.0):
+    def constant(cls, value, dim, weight=None):
         variables = coord_symbols("v", dim)
         if weight is None:
             weight = constant_weight(1.0, dim)
-        return cls(variables=variables, weight=weight, rho=rho,
+        return cls(variables=variables, weight=weight, rho=0.0,
                    expr=sp.sympify(value))
 
 
@@ -185,7 +171,6 @@ def eval_derivative(a: SymbolField, point, alpha) -> Tuple[complex, float]:
     if len(alpha) != a.dim:
         raise ValueError("multi-index length must match field dimension")
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    a._check_domain(point[None, :])
     if a.has_exact_derivatives:
         d = diff_multi(a.expr, a.variables, alpha)
         val = evaluate(d, a.variables, point[None, :]).ravel()[0]
@@ -216,7 +201,6 @@ def seminorm_estimate(a: SymbolField, alpha, grid) -> float:
             points = points[:, None]
         gdesc = GridSpec(a.dim, float(np.max(np.abs(points))) or 1.0,
                          len(points))
-    points = a._check_domain(points)
     num = np.abs(_derivative_values(a, alpha, points))
     w = a.weight(points)
     if np.any(w == 0.0):
@@ -237,8 +221,7 @@ def derivative_symbol(a: SymbolField, alpha) -> SymbolField:
         new_weight = weight_product(
             a.weight, lambda_weight(-a.rho * sum(alpha), a.dim))
     return SymbolField(variables=a.variables, weight=new_weight, rho=a.rho,
-                       expr=diff_multi(a.expr, a.variables, alpha),
-                       domain=a.domain)
+                       expr=diff_multi(a.expr, a.variables, alpha))
 
 
 def product_symbol(a: SymbolField, b: SymbolField) -> SymbolField:
@@ -250,11 +233,10 @@ def product_symbol(a: SymbolField, b: SymbolField) -> SymbolField:
     weight = weight_product(a.weight, b.weight)
     if a.has_exact_derivatives and b.has_exact_derivatives:
         return SymbolField(variables=a.variables, weight=weight, rho=rho,
-                           expr=a.expr * b.expr, domain=a.domain or b.domain)
+                           expr=a.expr * b.expr)
     return SymbolField(
         variables=a.variables, weight=weight, rho=rho,
-        fn=lambda pts: np.asarray(a(pts)) * np.asarray(b(pts)),
-        domain=a.domain or b.domain)
+        fn=lambda pts: np.asarray(a(pts)) * np.asarray(b(pts)))
 
 
 def reciprocal_symbol(a: SymbolField, C0: float, mu: float,
@@ -276,7 +258,6 @@ def reciprocal_symbol(a: SymbolField, C0: float, mu: float,
     weight = weight_product(a.weight, lambda_weight(-2.0 * mu, a.dim))
     if a.has_exact_derivatives:
         return SymbolField(variables=a.variables, weight=weight, rho=a.rho,
-                           expr=1 / a.expr, domain=a.domain)
+                           expr=1 / a.expr)
     return SymbolField(variables=a.variables, weight=weight, rho=a.rho,
-                       fn=lambda pts: 1.0 / np.asarray(a(pts)),
-                       domain=a.domain)
+                       fn=lambda pts: 1.0 / np.asarray(a(pts)))

@@ -103,11 +103,6 @@ class TemperedReport:
     l_candidate: float
     witness: Optional[tuple] = None
 
-    # alias kept for callers that avoid the keyword-like name
-    @property
-    def pass_(self) -> bool:
-        return self.passed
-
 
 def verify_tempered(w: WeightSpec, pairs, l_candidate: float,
                     c0_cap: float = 1e6) -> TemperedReport:
@@ -154,29 +149,25 @@ def weight_product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
     )
 
 
-def parse_weight(tag: str, dim: int,
-                 conv: LambdaConvention = DEFAULT_CONVENTION) -> WeightSpec:
+def parse_weight(tag: str, dim: int) -> WeightSpec:
     """Parse a config weight tag: `lambda:p=2`, `const:1`, `expr:<formula>`.
 
     Expression formulas may use the components v1..vd, `r` (= |v|), `lam`
-    (the bracket weight), `exp` and arithmetic.
+    (the smooth bracket weight), `exp` and arithmetic.
     """
     tag = tag.strip()
     if tag.startswith("lambda:"):
         body = tag[len("lambda:"):]
         if not body.startswith("p="):
             raise ValueError(f"bad lambda weight tag: {tag!r}")
-        return lambda_weight(float(body[2:]), dim, conv)
+        return lambda_weight(float(body[2:]), dim)
     if tag.startswith("const:"):
         return constant_weight(float(tag[len("const:"):]), dim)
     if tag.startswith("expr:"):
         formula = tag[len("expr:"):]
         comps = sp.symbols(f"v1:{dim + 1}")
         r = sp.sqrt(sum(c ** 2 for c in comps))
-        if conv is LambdaConvention.ONE_PLUS_NORM:
-            lam = 1 + r
-        else:
-            lam = sp.sqrt(1 + sum(c ** 2 for c in comps))
+        lam = sp.sqrt(1 + sum(c ** 2 for c in comps))
         local = {f"v{i + 1}": comps[i] for i in range(dim)}
         local.update({"r": r, "lam": lam, "exp": sp.exp, "sqrt": sp.sqrt})
         expr = sp.sympify(formula, locals=local)

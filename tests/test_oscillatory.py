@@ -12,7 +12,7 @@ from fiolab import oscillatory
 from fiolab.oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                                 IBPOperator, OutsideDomainError, chi,
                                 chi_derivative, chi_expr, choose_eps0,
-                                fio_apply_ibp, ibp_operator, omega_partition,
+                                fio_apply_ibp, omega_partition,
                                 regularized_fio_apply)
 from fiolab.phases import GeneratingFunction, special_phase
 from fiolab.symbols import as_expr
@@ -203,7 +203,7 @@ class TestIBPOperator:
         assert op.F(np.array([[0.0, 1.0, 1.0]]))[0] == pytest.approx(-0.5j)
 
     def test_identity_residual_zero_on_domain(self, phi_xt, rng):
-        op = ibp_operator(phi_xt, 0.4)
+        op = IBPOperator(phi_xt, 0.4)
         pts = rng.uniform(-4, 4, (400, 3))
         inside = pts[omega_partition(phi_xt, 0.4, pts) == 0.0][:100]
         assert len(inside) >= 50

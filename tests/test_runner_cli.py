@@ -84,6 +84,13 @@ class TestCli:
     @pytest.mark.parametrize("name, override", [
         ("fourier_inversion", "grids.M=abc"),
         ("oscint_gaussian", "oscint.schedule=64,32"),
+        ("oscint_gaussian", "oscint.a=foo"),
+        ("oscint_gaussian", "oscint.f=exp(-y**2/2"),
+        ("oscint_gaussian", "oscint.f=bar*y"),
+        ("oscint_gaussian", "oscint.f=y.z"),
+        ("oscint_gaussian", "oscint.f=[1]"),
+        ("multiplier_norm", "cv.sigma=foo*x"),
+        ("fourier_inversion", "scenario.operations=bogus"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
                                         override):
@@ -91,6 +98,17 @@ class TestCli:
                    "--override", override])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_nonconverging_oscint_keeps_its_quadratures(self, tmp_path):
+        d = tmp_path / "out"
+        rc = main(["oscint", "oscint_gaussian", "--out-dir", str(d),
+                   "--override", "oscint.a=theta**2",
+                   "--override", "oscint.schedule=0.5,1,2"])
+        assert rc == 1
+        result = json.loads((d / "oscint.json").read_text())
+        assert result["passed"] is False
+        assert [(q["sigma"], q["route"]) for q in result["quadrature"]] == [
+            (0.5, "separable"), (1.0, "separable"), (2.0, "separable")]
 
     def test_uncaught_exception_exits_three(self, tmp_path, capsys,
                                             monkeypatch):
