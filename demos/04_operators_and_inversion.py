@@ -6,6 +6,8 @@ quadrature of the kernel in theta (KERNEL route) or as inverse-DFT o
 multiplier o DFT (SPECTRAL route, exact on aligned grids).  For S = x.theta
 and a = 1 the operator is the identity on band-limited functions.
 """
+import tempfile
+
 import numpy as np
 
 from fiolab.grids import GridSpec
@@ -47,7 +49,8 @@ C = compose(chirp, adjoint(chirp))
 print(f"norm of FF*: {operator_norm(C):.9f} (= norm(F)^2)")
 
 # -- binary persistence -----------------------------------------------------
-save_operator(chirp, "/tmp/chirp_demo.fop")
-back = load_operator("/tmp/chirp_demo.fop")
+with tempfile.TemporaryDirectory() as tmp:
+    save_operator(chirp, f"{tmp}/chirp_demo.fop")
+    back = load_operator(f"{tmp}/chirp_demo.fop")
 print(f"save/load roundtrip exact: "
       f"{np.array_equal(back.matrix, chirp.matrix)}")

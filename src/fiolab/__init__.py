@@ -15,8 +15,7 @@ from .weights import (DEFAULT_CONVENTION, DegenerateWeightError,
                       LambdaConvention, TemperedReport, WeightSpec, bracket,
                       constant_weight, lambda_weight, parse_weight,
                       verify_tempered, weight_product)
-from .symbols import (DerivativeOrderError, LowerBoundError, SeminormTable,
-                      SymbolField, derivative_symbol, eval_derivative,
+from .symbols import (LowerBoundError, SymbolField, derivative_symbol,
                       product_symbol, reciprocal_symbol, seminorm_estimate)
 from .phases import (GeneratingFunction, HypothesisReport, PhaseField,
                      lambda_equivalence, omega_domain_membership,

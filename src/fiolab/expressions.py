@@ -65,7 +65,10 @@ def parse_scalar_expr(formula: str, variables: Sequence[sp.Symbol]) -> sp.Expr:
 
 
 def multi_indices(dim: int, max_total: int):
-    """All multi-indices alpha in N^dim with |alpha| <= max_total."""
+    """All multi-indices alpha in N^dim with |alpha| <= max_total; a
+    negative max_total raises ValueError."""
+    if max_total < 0:
+        raise ValueError(f"derivative order {max_total} must be >= 0")
     if dim == 1:
         for i in range(max_total + 1):
             yield (i,)

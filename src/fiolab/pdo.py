@@ -20,7 +20,7 @@ from .expressions import evaluate, multi_indices
 from .grids import GridSpec
 from .operators import DiscreteOperator, operator_norm, singular_values
 from .phases import GeneratingFunction
-from .symbols import SymbolField, _derivative_values, as_expr
+from .symbols import SymbolField, as_expr
 from .weights import bracket
 
 DEFAULT_DELTA_FLOOR = 1e-8
@@ -205,19 +205,15 @@ def refinement_ratio(coarse: PdoSymbolEstimate,
     return float(max(ratios))
 
 
-def cv_seminorm(sigma: SymbolField, k: int, grid) -> SeminormReport:
-    """Q_k = sum over |alpha| <= k of the grid supremum of |d^alpha sigma|."""
+def cv_seminorm(sigma: SymbolField, k: int, grid: GridSpec) -> SeminormReport:
+    """Q_k = sum over |alpha| <= k of the grid supremum of |d^alpha sigma|;
+    a negative k raises ValueError."""
     k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    points = grid.mesh() if isinstance(grid, GridSpec) else \
-        np.asarray(grid, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = grid.mesh()
     table = {}
     total = 0.0
     for alpha in multi_indices(sigma.dim, k):
-        sup = float(np.max(np.abs(_derivative_values(sigma, alpha, points))))
+        sup = float(np.max(np.abs(sigma.derivative(alpha, points))))
         table[tuple(alpha)] = sup
         total += float(sup)
     return SeminormReport(k=k, Q_k=total, table=table)

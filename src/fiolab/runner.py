@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -111,6 +112,16 @@ def load_scenario(path, overrides: Sequence[str] = ()):
     for item in sorted(overrides):
         digest.update(item.encode())
     return cfg, digest.hexdigest()
+
+
+@contextmanager
+def _config_values(where: str):
+    """ValueError from a library object built from config values, reported
+    as the ScenarioError it is."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{where} {exc}") from exc
 
 
 def _operation_list(cfg) -> List[str]:
@@ -387,21 +398,18 @@ def _op_verify_symbol(cfg, ctx, out_dir: Path) -> dict:
     S = ctx["S"]
     weight_tag = cfg.get("symbol", "weight", fallback="const:1")
     rho = cfg.getfloat("symbol", "rho", fallback=0.0)
-    try:
-        weight = parse_weight(weight_tag, 2)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    a_field = SymbolField.from_expr(ctx["a"], S.variables, weight=weight,
-                                    rho=rho)
-    grid = GridSpec(2, cfg.getfloat("symbol", "check_radius", fallback=8.0),
-                    cfg.getint("symbol", "check_points", fallback=17))
+    radius = cfg.getfloat("symbol", "check_radius", fallback=8.0)
+    points = cfg.getint("symbol", "check_points", fallback=17)
     max_order = cfg.getint("symbol", "max_order", fallback=2)
     estimates = {}
-    finite = True
-    for alpha in multi_indices(2, max_order):
-        c = seminorm_estimate(a_field, alpha, grid)
-        estimates["".join(map(str, alpha))] = c
-        finite = finite and bool(np.isfinite(c))
+    with _config_values("[symbol]"):
+        a_field = SymbolField.from_expr(ctx["a"], S.variables, rho=rho,
+                                        weight=parse_weight(weight_tag, 2))
+        grid = GridSpec(2, radius, points)
+        for alpha in multi_indices(2, max_order):
+            estimates["".join(map(str, alpha))] = \
+                seminorm_estimate(a_field, alpha, grid)
+    finite = all(np.isfinite(c) for c in estimates.values())
     _write_json(out_dir, "verify-symbol",
                 {"passed": finite, "seminorms": estimates,
                  "weight": weight_tag, "rho": rho})
@@ -410,7 +418,6 @@ def _op_verify_symbol(cfg, ctx, out_dir: Path) -> dict:
 
 
 def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
-    F = _require_operator(cfg, ctx, out_dir)
     if not cfg.has_section("cv") or not cfg.has_option("cv", "sigma"):
         raise ScenarioError("missing [cv] sigma = <formula in x, xi>")
     xxi = coord_symbols("x", 1) + (sympy.Symbol("xi", real=True),)
@@ -418,10 +425,12 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
         _formula(cfg.get("cv", "sigma"), xxi, "[cv] sigma"), xxi)
     k = cfg.getint("cv", "k", fallback=3)
     gamma = cfg.getfloat("cv", "gamma", fallback=1.0)
-    grid = GridSpec(2, cfg.getfloat("cv", "radius", fallback=8.0),
-                    cfg.getint("cv", "points", fallback=33))
-    q = cv_seminorm(sigma, k, grid)
-    report = cv_bound_check(F, q, gamma=gamma)
+    radius = cfg.getfloat("cv", "radius", fallback=8.0)
+    points = cfg.getint("cv", "points", fallback=33)
+    with _config_values("[cv]"):
+        q = cv_seminorm(sigma, k, GridSpec(2, radius, points))
+    report = cv_bound_check(_require_operator(cfg, ctx, out_dir), q,
+                            gamma=gamma)
     details = {
         "k": k, "gamma": gamma, "Q_k": q.Q_k,
         "operator_norm": report.norm, "bound": report.bound,

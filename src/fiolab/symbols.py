@@ -6,9 +6,8 @@ declared by the constructor and *verified* on grids, never inferred.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -18,13 +17,6 @@ from .expressions import (coord_symbols, diff_multi, evaluate,
 from .grids import GridSpec
 from .weights import (WeightSpec, bracket, constant_weight, lambda_weight,
                       weight_product)
-
-#: highest derivative order allowed for black-box (finite-difference) fields
-FD_MAX_ORDER = 4
-
-
-class DerivativeOrderError(ValueError):
-    pass
 
 
 class LowerBoundError(ValueError):
@@ -36,48 +28,18 @@ class LowerBoundError(ValueError):
 
 
 @dataclass
-class SeminormTable:
-    """Estimated constants C_alpha per multi-index, with the grid used."""
-
-    entries: dict = field(default_factory=dict)
-    grid: Optional[dict] = None
-
-    def record(self, alpha: Tuple[int, ...], value: float, grid: GridSpec):
-        self.entries[tuple(alpha)] = float(value)
-        self.grid = grid.descriptor()
-
-    def to_json(self) -> str:
-        payload = {
-            "entries": [
-                {"alpha": list(a), "C_alpha": c}
-                for a, c in sorted(self.entries.items())
-            ],
-            "grid": self.grid,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-@dataclass
 class SymbolField:
-    """A smooth complex field with declared class metadata (weight m, rho).
-
-    Fields built from the expression grammar carry exact derivatives of any
-    order; black-box callables fall back to central differences with one
-    Richardson level, capped at order FD_MAX_ORDER.
-    """
+    """A smooth complex field `expr` over `variables`, with declared class
+    metadata (weight m, rho) and exact derivatives of any order."""
 
     variables: Tuple[sp.Symbol, ...]
     weight: WeightSpec
     rho: float
-    expr: Optional[sp.Expr] = None
-    fn: Optional[Callable] = None
-    seminorms: SeminormTable = field(default_factory=SeminormTable)
+    expr: sp.Expr
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.expr is None and self.fn is None:
-            raise ValueError("need an expression or a callable")
         if self.weight.dim != self.dim:
             raise ValueError("weight dimension must match field dimension")
 
@@ -85,17 +47,13 @@ class SymbolField:
     def dim(self) -> int:
         return len(self.variables)
 
-    @property
-    def has_exact_derivatives(self) -> bool:
-        return self.expr is not None
-
     def __call__(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1 and self.dim == 1:
-            points = points[:, None]
-        if self.expr is not None:
-            return evaluate(self.expr, self.variables, points)
-        return np.asarray(self.fn(points))
+        return evaluate(self.expr, self.variables, points)
+
+    def derivative(self, alpha, points) -> np.ndarray:
+        """d^alpha a on points of shape (..., dim)."""
+        d = diff_multi(self.expr, self.variables, alpha)
+        return evaluate(d, self.variables, points)
 
     @classmethod
     def from_expr(cls, expr, variables, weight=None, rho=0.0):
@@ -119,16 +77,14 @@ class SymbolField:
 def as_expr(a, variables: Sequence[sp.Symbol]) -> sp.Expr:
     """`a` as a sympy expression over the caller's `variables`.
 
-    `a` is a formula string, a sympy expression, an expression-backed
-    SymbolField on as many coordinates (renamed to `variables`) or a number.
-    A number is parsed from its repr: sympify(0.1 + 0.2) would keep only 15
-    digits and lambdify to 0.3.
+    `a` is a formula string, a sympy expression, a SymbolField on as many
+    coordinates (renamed to `variables`) or a number.  A number is parsed
+    from its repr: sympify(0.1 + 0.2) would keep only 15 digits and
+    lambdify to 0.3.
     """
     if isinstance(a, str):
         return parse_scalar_expr(a, variables)
     if isinstance(a, SymbolField):
-        if a.expr is None:
-            raise ValueError("need an expression-backed field")
         if a.dim != len(variables):
             raise ValueError(
                 f"field must live on {len(variables)} coordinates")
@@ -138,84 +94,25 @@ def as_expr(a, variables: Sequence[sp.Symbol]) -> sp.Expr:
     return sp.sympify(repr(complex(a)))
 
 
-def _fd_derivative(fn, point, alpha, dim):
-    """Central differences with one Richardson level along each axis in turn."""
-    order = sum(alpha)
-    if order == 0:
-        return complex(np.asarray(fn(point[None, :])).ravel()[0]), 0.0
+def seminorm_estimate(a: SymbolField, alpha, grid: GridSpec) -> float:
+    """sup over the grid of |d^alpha a| / (m * lambda^(-rho|alpha|)).
 
-    # peel one derivative off the first active axis, recurse on the rest
-    axis = next(i for i, k in enumerate(alpha) if k)
-    rest = list(alpha)
-    rest[axis] -= 1
-    h = (np.finfo(float).eps ** (1.0 / 3.0)) * max(1.0, abs(point[axis]))
-
-    def d(hh):
-        p_plus = point.copy()
-        p_minus = point.copy()
-        p_plus[axis] += hh
-        p_minus[axis] -= hh
-        vp, _ = _fd_derivative(fn, p_plus, tuple(rest), dim)
-        vm, _ = _fd_derivative(fn, p_minus, tuple(rest), dim)
-        return (vp - vm) / (2.0 * hh)
-
-    d1 = d(h)
-    d2 = d(h / 2.0)
-    richardson = (4.0 * d2 - d1) / 3.0
-    return richardson, abs(richardson - d2)
-
-
-def eval_derivative(a: SymbolField, point, alpha) -> Tuple[complex, float]:
-    """Derivative d^alpha a(point); returns (value, error_estimate)."""
+    Raises ValueError unless the weight is finite and positive on the grid.
+    """
     alpha = tuple(int(k) for k in np.atleast_1d(alpha))
-    if len(alpha) != a.dim:
-        raise ValueError("multi-index length must match field dimension")
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if a.has_exact_derivatives:
-        d = diff_multi(a.expr, a.variables, alpha)
-        val = evaluate(d, a.variables, point[None, :]).ravel()[0]
-        return complex(val), 0.0
-    if sum(alpha) > FD_MAX_ORDER:
-        raise DerivativeOrderError(
-            f"order {sum(alpha)} exceeds finite-difference cap {FD_MAX_ORDER}"
-        )
-    return _fd_derivative(a.fn, point.copy(), alpha, a.dim)
-
-
-def _derivative_values(a: SymbolField, alpha, points) -> np.ndarray:
-    if a.has_exact_derivatives:
-        d = diff_multi(a.expr, a.variables, alpha)
-        return evaluate(d, a.variables, points)
-    return np.array([eval_derivative(a, p, alpha)[0] for p in points])
-
-
-def seminorm_estimate(a: SymbolField, alpha, grid) -> float:
-    """sup over the grid of |d^alpha a| / (m * lambda^(-rho|alpha|))."""
-    alpha = tuple(int(k) for k in np.atleast_1d(alpha))
-    if isinstance(grid, GridSpec):
-        points = grid.mesh()
-        gdesc = grid
-    else:
-        points = np.asarray(grid, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        gdesc = GridSpec(a.dim, float(np.max(np.abs(points))) or 1.0,
-                         len(points))
-    num = np.abs(_derivative_values(a, alpha, points))
+    points = grid.mesh()
+    num = np.abs(a.derivative(alpha, points))
     w = a.weight(points)
-    if np.any(w == 0.0):
-        raise ZeroDivisionError("weight vanishes on the grid")
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise ValueError(
+            f"weight '{a.weight.tag}' is not finite and positive on the grid")
     denom = w * bracket(points) ** (-a.rho * sum(alpha))
-    est = float(np.max(num / denom))
-    a.seminorms.record(alpha, est, gdesc)
-    return est
+    return float(np.max(num / denom))
 
 
 def derivative_symbol(a: SymbolField, alpha) -> SymbolField:
     """d^alpha a, declared in the class with weight m*lambda^(-rho|alpha|)."""
     alpha = tuple(int(k) for k in np.atleast_1d(alpha))
-    if not a.has_exact_derivatives:
-        raise DerivativeOrderError("derivative_symbol needs exact derivatives")
     new_weight = a.weight
     if a.rho * sum(alpha) != 0:
         new_weight = weight_product(
@@ -231,22 +128,17 @@ def product_symbol(a: SymbolField, b: SymbolField) -> SymbolField:
         raise ValueError("fields must share coordinate symbols")
     rho = min(a.rho, b.rho)
     weight = weight_product(a.weight, b.weight)
-    if a.has_exact_derivatives and b.has_exact_derivatives:
-        return SymbolField(variables=a.variables, weight=weight, rho=rho,
-                           expr=a.expr * b.expr)
-    return SymbolField(
-        variables=a.variables, weight=weight, rho=rho,
-        fn=lambda pts: np.asarray(a(pts)) * np.asarray(b(pts)))
+    return SymbolField(variables=a.variables, weight=weight, rho=rho,
+                       expr=a.expr * b.expr)
 
 
 def reciprocal_symbol(a: SymbolField, C0: float, mu: float,
                       grid=None) -> SymbolField:
-    """1/a with weight m*lambda^(-2*mu), after checking |a| >= C0*lambda^mu."""
+    """1/a with weight m*lambda^(-2*mu), after checking |a| >= C0*lambda^mu
+    on `grid` (a GridSpec; by default 17 points per axis on [-8, 8]^dim)."""
     if grid is None:
         grid = GridSpec(a.dim, 8.0, 17)
-    points = grid.mesh() if isinstance(grid, GridSpec) else np.asarray(grid)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = grid.mesh()
     vals = np.abs(a(points))
     floor = C0 * bracket(points) ** mu
     bad = vals < floor
@@ -256,8 +148,5 @@ def reciprocal_symbol(a: SymbolField, C0: float, mu: float,
             f"|a| = {vals[i]:.6g} < {floor[i]:.6g} at {points[i]}",
             witness=tuple(points[i]))
     weight = weight_product(a.weight, lambda_weight(-2.0 * mu, a.dim))
-    if a.has_exact_derivatives:
-        return SymbolField(variables=a.variables, weight=weight, rho=a.rho,
-                           expr=1 / a.expr)
     return SymbolField(variables=a.variables, weight=weight, rho=a.rho,
-                       fn=lambda pts: 1.0 / np.asarray(a(pts)))
+                       expr=1 / a.expr)

@@ -6,6 +6,7 @@ explicit cap on the estimated C0.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -153,7 +154,9 @@ def parse_weight(tag: str, dim: int) -> WeightSpec:
     """Parse a config weight tag: `lambda:p=2`, `const:1`, `expr:<formula>`.
 
     Expression formulas may use the components v1..vd, `r` (= |v|), `lam`
-    (the smooth bracket weight), `exp` and arithmetic.
+    (the smooth bracket weight), `exp`, `sqrt` and arithmetic.  A formula
+    that does not parse, names anything else or is not a real expression
+    raises ValueError.
     """
     tag = tag.strip()
     if tag.startswith("lambda:"):
@@ -170,7 +173,18 @@ def parse_weight(tag: str, dim: int) -> WeightSpec:
         lam = sp.sqrt(1 + sum(c ** 2 for c in comps))
         local = {f"v{i + 1}": comps[i] for i in range(dim)}
         local.update({"r": r, "lam": lam, "exp": sp.exp, "sqrt": sp.sqrt})
-        expr = sp.sympify(formula, locals=local)
+        # identifiers only: the exponent of a literal such as 1e-3 is skipped
+        unknown = set(re.findall(r"\b[A-Za-z_]\w*", formula)) - set(local)
+        if unknown:
+            raise ValueError(f"weight formula {formula!r} names undefined "
+                             f"{sorted(unknown)}")
+        try:
+            expr = sp.sympify(formula, locals=local)
+        except (sp.SympifyError, TypeError) as exc:
+            raise ValueError(f"bad weight formula {formula!r}: {exc}") from exc
+        if not isinstance(expr, sp.Expr) or expr.is_extended_real is False:
+            raise ValueError(
+                f"weight formula {formula!r} is not a real expression")
         f = sp.lambdify(comps, expr, modules="numpy")
 
         def fn(pts, f=f):

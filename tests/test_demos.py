@@ -17,7 +17,11 @@ FAST_DEMOS = ("01_weights_and_symbols", "02_phases_and_hypotheses",
 
 @pytest.mark.parametrize("name", FAST_DEMOS)
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
+    """The demo prints its story and leaves no temporary file behind."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+    assert not any(scratch.iterdir())

@@ -14,11 +14,10 @@ from fiolab.operators import (AlignmentError, GridMismatchError,
                               compose, discretize_fio, gaussian_samples,
                               kernel_eval, load_operator, operator_norm,
                               save_operator, singular_values)
-from fiolab.oscillatory import fio_apply_ibp, regularized_fio_apply
+from fiolab.oscillatory import fio_apply_ibp
 from fiolab.pdo import predicted_symbol
 from fiolab.phases import GeneratingFunction, special_phase
 from fiolab.symbols import SymbolField
-from fiolab.weights import constant_weight
 
 A_GAUSS = "exp(-theta**2/4)"
 
@@ -195,22 +194,6 @@ class TestAmplitudeForms:
         v0, v1 = [fio_apply_ibp(a, phi, "exp(-y**2/2)", 0.0, k=0, R=4.0).value
                   for a in forms]
         assert v0 == v1
-
-    def test_callable_field_rejected(self, S_chirp):
-        field = SymbolField(variables=S_chirp.variables,
-                            weight=constant_weight(1.0, 2), rho=0.0,
-                            fn=lambda pts: np.ones(len(pts)))
-        with pytest.raises(ValueError, match="expression-backed"):
-            discretize_fio(S_chirp, field, self.grid, self.grid,
-                           self.grid.dual())
-        with pytest.raises(ValueError, match="expression-backed"):
-            predicted_symbol(S_chirp, field, 0.0, 0.0)
-        phi = special_phase(S_chirp)
-        field3 = SymbolField(variables=phi.variables,
-                             weight=constant_weight(1.0, 3), rho=0.0,
-                             fn=lambda pts: np.ones(len(pts)))
-        with pytest.raises(ValueError, match="expression-backed"):
-            regularized_fio_apply(field3, phi, "exp(-y**2/2)", 0.0)
 
 
 class TestPersistence:

@@ -7,11 +7,20 @@ import pytest
 
 from fiolab import cli, operators, pdo, runner
 from fiolab.cli import bundled_scenarios, main
+from fiolab.expressions import multi_indices
+from fiolab.grids import GridSpec
+from fiolab.phases import GeneratingFunction
 from fiolab.runner import ScenarioError, load_scenario, run_scenario
+from fiolab.symbols import SymbolField, seminorm_estimate
+from fiolab.weights import lambda_weight
 
 ALL_SCENARIOS = ("chirp_phase", "compact_decay", "ffstar_gaussian",
                  "fourier_inversion", "multiplier_norm",
                  "noncompact_identity", "oscint_gaussian")
+
+
+VERIFY_SYMBOL = "scenario.operations=verify-symbol"
+CV_CHECK = "scenario.operations=cv-check"
 
 
 def cfg_path(name):
@@ -81,7 +90,7 @@ class TestCli:
                    str(tmp_path / "out"), "--override", "notakeyvalue"])
         assert rc == 2
 
-    @pytest.mark.parametrize("name, override", [
+    @pytest.mark.parametrize("name, overrides", [
         ("fourier_inversion", "grids.M=abc"),
         ("oscint_gaussian", "oscint.schedule=64,32"),
         ("oscint_gaussian", "oscint.a=foo"),
@@ -91,12 +100,22 @@ class TestCli:
         ("oscint_gaussian", "oscint.f=[1]"),
         ("multiplier_norm", "cv.sigma=foo*x"),
         ("fourier_inversion", "scenario.operations=bogus"),
+        *[("ffstar_gaussian", f"{VERIFY_SYMBOL} {o}") for o in (
+            "symbol.check_points=1", "symbol.check_radius=0",
+            "symbol.rho=2", "symbol.max_order=-1",
+            "symbol.weight=expr:q*v1", "symbol.weight=expr:v3",
+            "symbol.weight=expr:v1.z", "symbol.weight=expr:1/0",
+            "symbol.weight=expr:I", "symbol.weight=expr:-1")],
+        *[("multiplier_norm", f"{CV_CHECK} {o}") for o in (
+            "cv.points=1", "cv.radius=-2", "cv.k=-1")],
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
-                                        override):
-        rc = main(["run", name, "--out-dir", str(tmp_path / "out"),
-                   "--override", override])
-        assert rc == 2
+                                        overrides):
+        """`overrides` holds one or more space-separated overrides."""
+        args = ["run", name, "--out-dir", str(tmp_path / "out")]
+        for override in overrides.split():
+            args += ["--override", override]
+        assert main(args) == 2
         assert "config error:" in capsys.readouterr().err
 
     def test_nonconverging_oscint_keeps_its_quadratures(self, tmp_path):
@@ -219,6 +238,27 @@ class TestCompactness:
                                 "scenario.operations=build-operator "
                                 "compactness"])
         assert calls == [64, 128]
+
+
+class TestVerifySymbol:
+    def test_values_are_seminorm_estimates(self, tmp_path):
+        overrides = [VERIFY_SYMBOL, "symbol.weight=lambda:p=-1",
+                     "symbol.rho=0.5", "symbol.max_order=3"]
+        for out in ("a", "b"):
+            run_scenario(cfg_path("ffstar_gaussian"),
+                         out_dir=str(tmp_path / out), overrides=overrides)
+        result = (tmp_path / "a" / "verify-symbol.json").read_bytes()
+        assert result == (tmp_path / "b" / "verify-symbol.json").read_bytes()
+        S = GeneratingFunction.from_expr("x*theta", 1)
+        a = SymbolField.from_expr("exp(-(x**2 + theta**2)/25)", S.variables,
+                                  weight=lambda_weight(-1.0, 2), rho=0.5)
+        grid = GridSpec(2, 8.0, 17)
+        expected = {"".join(map(str, alpha)): seminorm_estimate(a, alpha, grid)
+                    for alpha in multi_indices(2, 3)}
+        seminorms = json.loads(result)["seminorms"]
+        assert len(seminorms) == 10
+        assert {k: v.hex() for k, v in seminorms.items()} == \
+            {k: v.hex() for k, v in expected.items()}
 
 
 class TestLoadScenario:
