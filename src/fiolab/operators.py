@@ -251,6 +251,10 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
 
 def singular_values(F: DiscreteOperator,
                     count: Optional[int] = None) -> np.ndarray:
+    """The singular values in decreasing order, the first `count` of them
+    when count is given (a negative count raises ValueError)."""
+    if count is not None and count < 0:
+        raise ValueError(f"count {count} must be >= 0")
     if max(F.matrix.shape) > 4096:
         raise ValueError("dense decomposition capped at 4096")
     s = np.linalg.svd(F.matrix, compute_uv=False)

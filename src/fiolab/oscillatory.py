@@ -20,12 +20,16 @@ function:
   from the ratio (|grad_y phi|^2 + |grad_theta phi|^2) / lambda^2), treats
   the near-critical part by direct quadrature, and applies the k-th power of
   the transpose of the first-order operator L (with L e^{i phi} = e^{i phi})
-  to the rest.  The iterated transpose is expanded symbolically by the
-  product rule, never by nested numerical differentiation.  The k-fold term
-  is evaluated by region of the partition ratio: it is 0 where the ratio is
-  <= 1, the short (tL)^k u where it is >= 2 (omega vanishes identically
-  there), and only on the annulus between needs the full expression with
-  its chi-derivatives.
+  to the rest.  The iterated transpose is evaluated on Taylor jets in
+  (y, theta) (`jets`): sympy differentiates only the amplitude, the two
+  coefficients of L and omega, each up to order k, and every transpose is
+  exact jet arithmetic, never nested numerical differentiation.
+  `IBPOperator.apply_transpose` keeps the symbolic product-rule expansion
+  as the reference the tests compare against.  The k-fold term is
+  evaluated by region of the partition ratio: it is 0 where the ratio is
+  <= 1, the omega-free (tL)^k u where it is >= 2 (omega vanishes
+  identically there), and only on the annulus between needs omega's jet
+  with its chi-derivatives.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin), which gives
@@ -35,6 +39,7 @@ Only n = N = 1 is supported here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -42,6 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import sympy as sp
 
+from . import jets
 from .expressions import evaluate
 from .phases import PhaseField
 from .symbols import as_expr
@@ -70,14 +76,39 @@ _B_LEFT = sp.exp(-1 / (_T - 1))
 _B_RIGHT = sp.exp(-1 / (2 - _T))
 _CHI_TRANSITION = _B_RIGHT / (_B_LEFT + _B_RIGHT)
 
-@functools.cache
-def _chi_transition_fn(m: int):
-    """m-th derivative of the transition profile, valid on 1 < t < 2."""
-    return sp.lambdify(_T, sp.diff(_CHI_TRANSITION, _T, m), modules="numpy")
+def _chi_taylor(t: np.ndarray, order: int) -> List[np.ndarray]:
+    """Taylor coefficients s_0..s_order of the transition profile at points
+    1 < t < 2.  The profile is s = sigma(z) with z = 1/(t-1) - 1/(2-t) and
+    sigma the logistic function, so s' = s (1 - s) z'.  s_0 and 1 - s_0 are
+    seeded from B_R/(B_L + B_R) and B_L/(B_L + B_R): the first is the
+    profile's own formula, and the second keeps 1 - s accurate where s is
+    close to 1."""
+    b_left = np.exp(-1 / (t - 1))
+    b_right = np.exp(-1 / (2 - t))
+    s = [b_right / (b_left + b_right)]
+    if order == 0:
+        return s
+    s_bar = [b_left / (b_left + b_right)]
+    # z' has coefficients (j+1) z_{j+1}, z_j = (-1)^j/(t-1)^{j+1} - 1/(2-t)^{j+1}
+    inv_left, inv_right = 1 / (t - 1), 1 / (2 - t)
+    pow_left, pow_right = inv_left, inv_right
+    dz, p = [], []
+    for j in range(order):
+        pow_left, pow_right = pow_left * inv_left, pow_right * inv_right
+        dz.append((j + 1) * ((-1) ** (j + 1) * pow_left - pow_right))
+        p.append(sum(s[i] * s_bar[j - i] for i in range(j + 1)))
+        step = sum(p[i] * dz[j - i] for i in range(j + 1)) / (j + 1)
+        s.append(step)
+        s_bar.append(-step)
+    return s
 
 
 def chi_derivative(t, m: int = 0) -> np.ndarray:
-    """chi^(m)(t) for t >= 0 (chi is even; callers pass the even argument)."""
+    """chi^(m)(t) for t >= 0 (chi is even; callers pass the even argument).
+
+    On the transition 1 < t < 2 it is m! times the m-th Taylor coefficient
+    of `_chi_taylor`: exact Taylor arithmetic, with chi^(0) computed by the
+    profile's own formula."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -88,7 +119,9 @@ def chi_derivative(t, m: int = 0) -> np.ndarray:
     if np.any(mid):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
-            vals = _chi_transition_fn(m)(t[mid])
+            vals = _chi_taylor(t[mid], m)[m]
+            if m:
+                vals = math.factorial(m) * vals
         out[mid] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
     return out[0] if scalar else out
 
@@ -109,8 +142,8 @@ def _chi_atom(m: int):
     """Atomic sympy function standing for chi^(m); differentiation raises m.
 
     Keeping chi-derivatives atomic (instead of exploding the transition
-    profile inline) keeps the k-fold transpose expressions small; lambdify
-    binds the atoms to `chi_derivative` at evaluation time.
+    profile inline) keeps the derivatives of omega small; lambdify binds
+    the atoms to `chi_derivative` at evaluation time.
     """
     def fdiff(self, argindex=1, _m=m):
         return _chi_atom(_m + 1)(self.args[0])
@@ -188,12 +221,13 @@ def omega_partition(phi: PhaseField, eps: float, points) -> np.ndarray:
 
 
 def _ibp_coefficients(phase: sp.Expr, y: sp.Symbol, t: sp.Symbol):
-    """(D, c_y, c_t) of L = c_y d/dy + c_t d/dt with L e^{i phase} =
-    e^{i phase}: D = (d_y phase)^2 + (d_t phase)^2 and c = (d phase)/(i D)."""
+    """(D, h_y, h_t) with D = (d_y phase)^2 + (d_t phase)^2 and
+    h = (d phase)/D, real for a real phase: L = (h_y d/dy + h_t d/dt)/i
+    has L e^{i phase} = e^{i phase}."""
     dy = sp.diff(phase, y)
     dt = sp.diff(phase, t)
     denom = dy ** 2 + dt ** 2
-    return denom, dy / (sp.I * denom), dt / (sp.I * denom)
+    return denom, dy / denom, dt / denom
 
 
 class IBPOperator:
@@ -212,8 +246,9 @@ class IBPOperator:
             raise ValueError("eps0 must be positive")
         self.phi = phi
         self.eps0 = eps0
-        self.denom, self.c_y, self.c_t = _ibp_coefficients(
+        self.denom, h_y, h_t = _ibp_coefficients(
             phi.expr, phi.yvars[0], phi.tvars[0])
+        self.c_y, self.c_t = h_y / sp.I, h_t / sp.I
 
     def _guard(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -230,7 +265,8 @@ class IBPOperator:
         return evaluate(-self.c_y, self.phi.variables, self._guard(points))
 
     def apply_transpose(self, expr: sp.Expr, k: int = 1) -> sp.Expr:
-        """(tL)^k expr, expanded by the symbolic product rule."""
+        """(tL)^k expr, expanded by the symbolic product rule: the reference
+        the Taylor-jet evaluation of `fio_apply_ibp` is tested against."""
         return _transpose_power(expr, self.c_y, self.c_t,
                                 self.phi.yvars[0], self.phi.tvars[0], k)
 
@@ -471,31 +507,59 @@ def _aitken(values: Sequence[complex]) -> complex:
     return v2 - d2 * d2 / den
 
 
+#: points per block of the jet evaluation.  A block's largest array, the 110
+#: coefficient pairs of a k = 4 transpose step, then takes 1.8 MB, about one
+#: core's L2 cache; blocks of 512 and 1024 points ran criterion 3 slower.
+_JET_CHUNK = 2048
+
+
 @functools.lru_cache(maxsize=8)
 def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
-    """Lambdified u, phi, the omega-partition ratio, (tL)^k[(1-omega)u] and
-    the short (tL)^k u it reduces to where omega is identically 0.
+    """Lambdified u, phi and the omega-partition ratio, and for k > 0 the
+    k-fold term (tL)^k[(1-omega)u] as a function of (Y, T, with_omega).
+
+    With h = grad phi / D real, tL w = i (d_y(h_y w) + d_t(h_t w)), so the
+    term is i^k T^k[(1-omega)u] with T w = d_y(h_y w) + d_t(h_t w).  It is
+    evaluated on Taylor jets of order k: sympy differentiates only u, h_y,
+    h_t and omega, each up to order k, and every T costs one order of the
+    jet.  with_omega=False drops omega, which vanishes with all its
+    derivatives where the ratio is >= 2.
 
     None of them depends on the truncation radius, so calls that differ
-    only in R share one symbolic k-fold expansion.
+    only in R share one symbolic build.
     """
-    denom, c_y, c_t = _ibp_coefficients(phi_yt, yv, tv)
+    denom, h_y, h_t = _ibp_coefficients(phi_yt, yv, tv)
     lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
     t_ratio = denom / (eps0 * lam2)
 
     u_fn = sp.lambdify((yv, tv), u, modules="numpy", cse=True)
     phase_fn = sp.lambdify((yv, tv), phi_yt, modules="numpy", cse=True)
     ratio_fn = sp.lambdify((yv, tv), t_ratio, modules="numpy", cse=True)
+    if k == 0:
+        return u_fn, phase_fn, ratio_fn, None
 
-    ibp_fn = short_fn = None
-    if k > 0:
-        omega = _chi_atom(0)(t_ratio)
-        w = _transpose_power((1 - omega) * u, c_y, c_t, yv, tv, k)
-        ibp_fn = sp.lambdify((yv, tv), w,
-                             modules=[_chi_modules(k), "numpy"], cse=True)
-        short = _transpose_power(u, c_y, c_t, yv, tv, k)
-        short_fn = sp.lambdify((yv, tv), short, modules="numpy", cse=True)
-    return u_fn, phase_fn, ratio_fn, ibp_fn, short_fn
+    u_jet = jets.lambdify((yv, tv), jets.derivatives(u, yv, tv, k))
+    h_jet = jets.lambdify((yv, tv), [
+        d for pair in zip(jets.derivatives(h_y, yv, tv, k),
+                          jets.derivatives(h_t, yv, tv, k)) for d in pair])
+    omega_jet = jets.lambdify(
+        (yv, tv), jets.derivatives(_chi_atom(0)(t_ratio), yv, tv, k),
+        modules=[_chi_modules(k), "numpy"])
+    rotation = 1j ** k
+
+    def kfold(Y, T, with_omega: bool) -> np.ndarray:
+        out = np.empty(Y.shape, dtype=complex)
+        for start in range(0, Y.size, _JET_CHUNK):
+            y, t = Y[start:start + _JET_CHUNK], T[start:start + _JET_CHUNK]
+            w = jets.evaluate(u_jet, y, t, k)
+            if with_omega:
+                one_minus = -jets.evaluate(omega_jet, y, t, k)
+                one_minus[0] += 1.0
+                w = jets.multiply(one_minus, w, k)
+            w = jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k)
+            out[start:start + _JET_CHUNK] = rotation * jets.as_complex(w)
+        return out
+    return u_fn, phase_fn, ratio_fn, kfold
 
 
 def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
@@ -507,12 +571,12 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         e^{i phi} * (omega * a * f  +  (tL)^k[(1 - omega) * a * f])
     which for every k equals the oscillatory integral up to truncation and
     quadrature error; larger k buys faster decay of the truncated tail.
-    The k-fold term is evaluated in three regions of the partition ratio
+    The k-fold term is evaluated on Taylor jets of order k (see
+    `_ibp_callables`), in three regions of the partition ratio
     r = D / (eps0 lambda^2): it vanishes where r <= 1 (omega = 1); where
-    r >= 2, omega and all its derivatives vanish, so it is the short
-    (tL)^k u; the full expansion with its chi-derivatives is evaluated
-    only on the annulus 1 < r < 2 (and at any NaN r, so that a non-finite
-    value is still caught).
+    r >= 2, omega and all its derivatives vanish, so it is (tL)^k u; omega's
+    jet with its chi-derivatives is evaluated only on the annulus 1 < r < 2
+    (and at any NaN r, so that a non-finite value is still caught).
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.
@@ -527,7 +591,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     phi_yt = phi.expr.subs(phi.xvars[0], xv)
     a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
     f_expr = as_expr(f, (yv,))
-    u_fn, phase_fn, ratio_fn, ibp_fn, short_fn = _ibp_callables(
+    u_fn, phase_fn, ratio_fn, kfold = _ibp_callables(
         a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
     margin = 64.0
 
@@ -546,9 +610,9 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
                 far = np.zeros(Y.shape, dtype=complex)
                 outer = ratio >= 2.0
                 annulus = ~(outer | (ratio <= 1.0))
-                for fn, m in ((short_fn, outer), (ibp_fn, annulus)):
+                for m, with_omega in ((outer, False), (annulus, True)):
                     if np.any(m):
-                        far[m] = fn(Y[m], T[m])
+                        far[m] = kfold(Y[m], T[m], with_omega)
                 vals = vals + far
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite integrand away from the guard")

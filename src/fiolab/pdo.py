@@ -230,7 +230,9 @@ class BoundCheckReport:
 def cv_bound_check(F: DiscreteOperator, Q: SeminormReport,
                    gamma: float = 1.0) -> BoundCheckReport:
     """Checks the measured operator norm against (gamma * Q_k)^{1/2}, with
-    a relative slack of 1e-6."""
+    a relative slack of 1e-6.  gamma must be finite and positive."""
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma {gamma} must be finite and positive")
     norm = operator_norm(F)
     bound = float(np.sqrt(gamma * Q.Q_k))
     return BoundCheckReport(norm=norm, bound=bound,
@@ -251,8 +253,9 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     sf = singular_values(F_fine)
     if tail_index is None:
         tail_index = int(0.8 * len(sc))
-    if tail_index >= len(sc):
-        raise ValueError("tail index beyond the coarse spectrum")
+    if not 0 <= tail_index < len(sc):
+        raise ValueError(f"tail index {tail_index} outside the coarse "
+                         f"spectrum of {len(sc)} values")
     smax = max(float(sc[0]), float(sf[0]))
     if smax == 0.0:
         return CompactnessReport("COMPACT-CONSISTENT", tail_index,

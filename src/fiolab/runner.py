@@ -319,7 +319,8 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path) -> dict:
 def _op_spectrum(cfg, ctx, out_dir: Path) -> dict:
     F = _require_operator(cfg, ctx, out_dir)
     count = cfg.getint("spectrum", "count", fallback=0) or None
-    s = singular_values(F, count)
+    with _config_values("[spectrum]"):
+        s = singular_values(F, count)
     emit_plot_data(s, "singular-values", out_dir / "spectrum.csv")
     details = {"count": len(s), "top": float(s[0]) if len(s) else 0.0}
     _write_json(out_dir, "spectrum", {"passed": True, **details})
@@ -429,8 +430,9 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
     points = cfg.getint("cv", "points", fallback=33)
     with _config_values("[cv]"):
         q = cv_seminorm(sigma, k, GridSpec(2, radius, points))
-    report = cv_bound_check(_require_operator(cfg, ctx, out_dir), q,
-                            gamma=gamma)
+    F = _require_operator(cfg, ctx, out_dir)
+    with _config_values("[cv]"):
+        report = cv_bound_check(F, q, gamma=gamma)
     details = {
         "k": k, "gamma": gamma, "Q_k": q.Q_k,
         "operator_norm": report.norm, "bound": report.bound,
@@ -446,7 +448,8 @@ def _op_compactness(cfg, ctx, out_dir: Path) -> dict:
     coarse = ctx["F"] if "F" in ctx else _discretize(cfg, ctx, xg, yg, tg)
     fine = _discretize(cfg, ctx, xf, xf, xf.dual())
     tail_index = cfg.getint("compactness", "tail_index", fallback=0) or None
-    report = compactness_probe(coarse, fine, tail_index=tail_index)
+    with _config_values("[compactness]"):
+        report = compactness_probe(coarse, fine, tail_index=tail_index)
     expected = cfg.get("compactness", "expected", fallback=None)
     passed = True if expected is None else (report.verdict == expected.strip())
     emit_plot_data(report.spectrum_coarse, "singular-values",

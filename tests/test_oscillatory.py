@@ -2,6 +2,7 @@
 by parts with the exact transpose operator."""
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -277,36 +278,102 @@ def ibp_callables(phi, k):
 
 class TestIBPRegions:
     def test_short_term_matches_full_where_omega_vanishes(self, phi_xt, rng):
-        _, _, ratio_fn, full_fn, short_fn = ibp_callables(phi_xt, 2)
+        # where the ratio is >= 2 the omega-free term (tL)^k u equals the
+        # term evaluated with omega's jet
+        _, _, ratio_fn, kfold = ibp_callables(phi_xt, 2)
         Y, T = rng.uniform(-24.0, 24.0, (2, 20000))
         outer = ratio_fn(Y, T) >= 2.0
         assert outer.sum() > 10000
-        full = full_fn(Y[outer], T[outer])
-        short = short_fn(Y[outer], T[outer])
+        full = kfold(Y[outer], T[outer], True)
+        short = kfold(Y[outer], T[outer], False)
         assert np.all(np.abs(short - full) <= 1e-10 * np.abs(full))
 
     def test_nan_ratio_reaches_full_expression(self, phi_xt, monkeypatch):
         # a NaN ratio at the grid edge y = -R, where the true ratio is >= 2:
-        # it must go to the full expression (NaN there, as it contains the
-        # ratio), not to the short one, so the finiteness check fires
+        # it must go to the evaluation with omega (NaN there, as omega's jet
+        # reads the ratio), not to the omega-free one, so the finiteness
+        # check fires
         R = 12.0
         real = oscillatory._ibp_callables
         seen = []
 
         def patched(*args):
-            u_fn, phase_fn, ratio_fn, full_fn, short_fn = real(*args)
+            u_fn, phase_fn, ratio_fn, kfold = real(*args)
 
             def nan_ratio(Y, T):
                 r = np.array(np.broadcast_to(ratio_fn(Y, T), np.shape(Y)))
                 r[np.asarray(Y) == -R] = np.nan
                 return r
 
-            def full(Y, T):
+            def term(Y, T, with_omega):
+                vals = kfold(Y, T, with_omega)
+                if not with_omega:
+                    return vals
                 nan = np.isnan(nan_ratio(Y, T))
                 seen.append(int(nan.sum()))
-                return np.where(nan, np.nan, full_fn(Y, T))
-            return u_fn, phase_fn, nan_ratio, full, short_fn
+                return np.where(nan, np.nan, vals)
+            return u_fn, phase_fn, nan_ratio, term
         monkeypatch.setattr(oscillatory, "_ibp_callables", patched)
         with pytest.raises(FloatingPointError, match="non-finite integrand"):
             fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=R)
         assert sum(seen) > 0
+
+
+class TestIBPJets:
+    """The Taylor-jet evaluation of the k-fold term against the symbolic
+    product-rule expansion of `IBPOperator.apply_transpose`."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("S, a", [
+        ("x*theta", "1"),
+        ("x*theta + theta**2/2", "1"),
+        ("x*theta + theta**2/2", "exp(I*theta)*(1 + x*y)"),
+    ], ids=["xt", "chirp", "chirp-complex"])
+    def test_matches_symbolic_transpose(self, S, a, k):
+        phi = special_phase(GeneratingFunction.from_expr(S, 1))
+        xs, yv, tv = phi.variables
+        x = 0.7
+        eps0 = choose_eps0(phi, x)
+        u = as_expr(a, phi.variables) * as_expr(F_GAUSS, (yv,))
+        _, _, ratio_fn, kfold = oscillatory._ibp_callables(
+            u.subs(xs, x), phi.expr.subs(xs, x), yv, tv, x, float(eps0), k)
+
+        op = IBPOperator(phi, eps0)
+        ratio = op.denom / (eps0 * (1 + xs ** 2 + yv ** 2 + tv ** 2))
+        omega = oscillatory._chi_atom(0)(ratio)
+        reference = sp.lambdify(
+            (xs, yv, tv), op.apply_transpose((1 - omega) * u, k),
+            modules=[oscillatory._chi_modules(k), "numpy"], cse=True)
+
+        Y, T = np.random.default_rng(k).uniform(-6.0, 6.0, (2, 6000))
+        r = ratio_fn(Y, T)
+        annulus, outer = (r > 1.0) & (r < 2.0), r >= 2.0
+        assert annulus.sum() > 500 and outer.sum() > 500
+        for m, with_omega in ((annulus, True), (outer, True),
+                              (outer, False)):
+            want = reference(x, Y[m], T[m])
+            got = kfold(Y[m], T[m], with_omega)
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12 * np.max(np.abs(want))
+
+    def test_chi_derivatives_match_mpmath(self):
+        def profile(t):
+            b_left = mpmath.exp(-1 / (t - 1))
+            b_right = mpmath.exp(-1 / (2 - t))
+            return b_right / (b_left + b_right)
+        grid = np.linspace(1.0, 2.0, 20001)[1:-1]
+        for m in range(5):
+            scale = np.max(np.abs(chi_derivative(grid, m)))
+            for t in (1.03, 1.2, 1.5, 1.8, 1.97):
+                with mpmath.workdps(50):
+                    exact = float(mpmath.diff(profile, mpmath.mpf(t), m))
+                err = abs(float(chi_derivative(t, m)) - exact)
+                assert err <= 1e-14 * scale, (m, t, err / scale)
+
+    def test_transition_value_bit_identical(self):
+        # the bump cutoff reads chi^(0): it must stay the profile's formula
+        t = np.linspace(1.0, 2.0, 10 ** 6 + 2)[1:-1]
+        with np.errstate(all="ignore"):
+            formula = sp.lambdify(oscillatory._T, oscillatory._CHI_TRANSITION,
+                                  modules="numpy")(t)
+        assert np.array_equal(chi(t), formula)

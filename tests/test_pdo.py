@@ -186,5 +186,6 @@ class TestCompactnessProbe:
         S = GeneratingFunction.from_expr("x*theta", 1)
         F = discretize_fio(S, "1", self.coarse, self.coarse,
                            self.coarse.dual(), Route.SPECTRAL)
-        with pytest.raises(ValueError):
-            compactness_probe(F, F, tail_index=10 ** 6)
+        for tail_index in (10 ** 6, -1):
+            with pytest.raises(ValueError):
+                compactness_probe(F, F, tail_index=tail_index)

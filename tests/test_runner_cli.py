@@ -107,7 +107,10 @@ class TestCli:
             "symbol.weight=expr:v1.z", "symbol.weight=expr:1/0",
             "symbol.weight=expr:I", "symbol.weight=expr:-1")],
         *[("multiplier_norm", f"{CV_CHECK} {o}") for o in (
-            "cv.points=1", "cv.radius=-2", "cv.k=-1")],
+            "cv.points=1", "cv.radius=-2", "cv.k=-1", "cv.gamma=-1")],
+        *[("multiplier_norm", f"scenario.operations={op} grids.M=64 {o}")
+          for op, o in (("spectrum", "spectrum.count=-1"),
+                        ("compactness", "compactness.tail_index=-1"))],
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
                                         overrides):
