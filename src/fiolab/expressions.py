@@ -1,12 +1,45 @@
-"""Shared sympy plumbing: coordinate symbols, cached lambdify, vector eval."""
+"""Shared sympy plumbing: coordinate symbols, formulas, derivatives, and
+`lambdify`, fiolab's one call of `sympy.lambdify`.  Its code names numpy
+functions by qualified name (numpy.exp) in a namespace holding only the
+numpy module, so no call runs `from numpy import *`, which would import
+numpy.f2py and numpy.testing.
+"""
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 _LAMBDIFY_CACHE: dict = {}
+
+
+class _ProductPowerPrinter(NumPyPrinter):
+    """NumPyPrinter that writes x**n, for an integer 2 <= |n| <= 8, as a
+    product: numpy evaluates a power other than 2 or -1 with pow(), several
+    times slower than the multiplications."""
+
+    def _print_Pow(self, expr, rational=False):
+        n = expr.exp
+        if n.is_Integer and 2 <= abs(n) <= 8:
+            product = "*".join([f"({self._print(expr.base)})"] * abs(int(n)))
+            return f"({product})" if n > 0 else f"(1/({product}))"
+        return super()._print_Pow(expr, rational=rational)
+
+
+def lambdify(args, expr, functions: Optional[dict] = None):
+    """The numpy function of `expr` (an expression or a list of them) over
+    `args`, with common subexpressions eliminated and integer powers
+    multiplied out.  `functions` maps the names of undefined sympy
+    functions in `expr` to their numpy implementations."""
+    printer = _ProductPowerPrinter({
+        "fully_qualified_modules": True, "inline": True,
+        "allow_unknown_functions": True, "user_functions": {}})
+    namespace = {"numpy": np}
+    modules = [functions, namespace] if functions else [namespace]
+    return sp.lambdify(args, expr, modules=modules, cse=True,
+                       printer=printer)
 
 
 def coord_symbols(prefix: str, count: int) -> Tuple[sp.Symbol, ...]:
@@ -18,7 +51,7 @@ def lambdified(expr: sp.Expr, variables: Sequence[sp.Symbol]):
     key = (sp.srepr(expr), tuple(variables))
     fn = _LAMBDIFY_CACHE.get(key)
     if fn is None:
-        fn = sp.lambdify(tuple(variables), expr, modules="numpy")
+        fn = lambdify(tuple(variables), expr)
         _LAMBDIFY_CACHE[key] = fn
     return fn
 

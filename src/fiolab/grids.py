@@ -25,8 +25,9 @@ class GridSpec:
             raise ValueError("dim must be >= 1")
         if self.points < 2:
             raise ValueError("points must be >= 2")
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"radius {self.radius!r} must be > 0, with a "
+                             f"finite spacing")
 
     @property
     def spacing(self) -> float:

@@ -12,7 +12,9 @@ evaluated as a gather over a table of coefficient pairs followed by one
 GEMM with a summing matrix; a derivative is a shift of the coefficients,
 folded into that matrix.  Every coefficient is exact Taylor arithmetic
 (Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13),
-not a difference quotient.  The input jets come from symbolic derivatives.
+not a difference quotient.  The input jets are values of the symbolic
+derivatives listed by `derivatives`, turned into one numpy function by
+`expressions.lambdify`.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from typing import List, Tuple
 
 import numpy as np
 import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
 
 @functools.cache
@@ -43,29 +44,6 @@ def derivatives(expr: sp.Expr, y: sp.Symbol, t: sp.Symbol,
     return [out[ab] for ab in jet_indices(order)]
 
 
-class _ProductPowerPrinter(NumPyPrinter):
-    """NumPyPrinter that writes x**n, for an integer 2 <= |n| <= 8, as a
-    product: numpy evaluates a power other than 2 or -1 with pow(), several
-    times slower than the multiplications."""
-
-    def _print_Pow(self, expr, rational=False):
-        n = expr.exp
-        if n.is_Integer and 2 <= abs(n) <= 8:
-            product = "*".join([f"({self._print(expr.base)})"] * abs(int(n)))
-            return f"({product})" if n > 0 else f"(1/({product}))"
-        return super()._print_Pow(expr, rational=rational)
-
-
-def lambdify(args, exprs: List[sp.Expr], modules="numpy"):
-    """sympy.lambdify of a derivative list, with common subexpressions
-    eliminated and integer powers multiplied out."""
-    printer = _ProductPowerPrinter({
-        "fully_qualified_modules": False, "inline": True,
-        "allow_unknown_functions": True, "user_functions": {}})
-    return sp.lambdify(args, exprs, modules=modules, cse=True,
-                       printer=printer)
-
-
 @functools.cache
 def _inverse_factorials(order: int) -> np.ndarray:
     return np.array([1.0 / (math.factorial(a) * math.factorial(b))
@@ -73,11 +51,11 @@ def _inverse_factorials(order: int) -> np.ndarray:
 
 
 def evaluate(fn, y: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-    """The jets, shape (ncoef, lanes, points), of a function lambdified
-    from `derivatives(..., order)`: each derivative is scaled by
-    1/(a! b!).  When fn returns r derivative lists interleaved (the i-th
-    derivative of each, in turn), row r*i + j of the result is coefficient
-    i of the j-th function."""
+    """The jets, shape (ncoef, lanes, points), of a function that
+    `expressions.lambdify` built from `derivatives(..., order)`: each
+    derivative is scaled by 1/(a! b!).  When fn returns r derivative lists
+    interleaved (the i-th derivative of each, in turn), row r*i + j of the
+    result is coefficient i of the j-th function."""
     values = fn(y, t)
     repeat = len(values) // len(jet_indices(order))
     lanes = 2 if any(np.iscomplexobj(v) for v in values) else 1

@@ -48,7 +48,7 @@ import numpy as np
 import sympy as sp
 
 from . import jets
-from .expressions import evaluate
+from .expressions import evaluate, lambdify
 from .phases import PhaseField
 from .symbols import as_expr
 from .weights import bracket
@@ -142,8 +142,9 @@ def _chi_atom(m: int):
     """Atomic sympy function standing for chi^(m); differentiation raises m.
 
     Keeping chi-derivatives atomic (instead of exploding the transition
-    profile inline) keeps the derivatives of omega small; lambdify binds
-    the atoms to `chi_derivative` at evaluation time.
+    profile inline) keeps the derivatives of omega small; `_chi_modules`,
+    passed to `expressions.lambdify` as its functions, binds the atoms to
+    `chi_derivative` at evaluation time.
     """
     def fdiff(self, argindex=1, _m=m):
         return _chi_atom(_m + 1)(self.args[0])
@@ -151,6 +152,7 @@ def _chi_atom(m: int):
 
 
 def _chi_modules(max_order: int) -> dict:
+    """The numpy functions chi0..chi{max_order} of the atoms `_chi_atom`."""
     return {f"chi{m}": (lambda t, _m=m: chi_derivative(t, _m))
             for m in range(max_order + 1)}
 
@@ -414,15 +416,14 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     f_expr = as_expr(f, (yv,))
 
     core = sp.exp(sp.I * phi_yt) * a_yt * f_expr
-    core_fn = sp.lambdify((yv, tv), core, modules="numpy", cse=True)
-    f_fn = sp.lambdify(yv, f_expr, modules="numpy")
-    aenv_fn = sp.lambdify((yv, tv), sp.Abs(a_yt), modules="numpy")
+    core_fn = lambdify((yv, tv), core)
+    f_fn = lambdify(yv, f_expr)
+    aenv_fn = lambdify((yv, tv), sp.Abs(a_yt))
     # S(theta) = phi + y theta; y-free exactly when d phi / dy = -theta
     s_t = sp.expand(phi_yt + yv * tv)
     theta_fn = None
     if yv not in s_t.free_symbols | a_yt.free_symbols:
-        theta_fn = sp.lambdify(tv, sp.exp(sp.I * s_t) * a_yt,
-                               modules="numpy")
+        theta_fn = lambdify(tv, sp.exp(sp.I * s_t) * a_yt)
     quadrature = []
 
     f_rad = _decay_radius(lambda r: np.abs(np.broadcast_to(f_fn(r), r.shape)),
@@ -515,8 +516,9 @@ _JET_CHUNK = 2048
 
 @functools.lru_cache(maxsize=8)
 def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
-    """Lambdified u, phi and the omega-partition ratio, and for k > 0 the
-    k-fold term (tL)^k[(1-omega)u] as a function of (Y, T, with_omega).
+    """Lambdified u, phi and the omega-partition ratio, and the k-fold
+    term (tL)^k[(1-omega)u] as a function of (Y, T, with_omega); at k = 0
+    it is (1-omega)u.
 
     With h = grad phi / D real, tL w = i (d_y(h_y w) + d_t(h_t w)), so the
     term is i^k T^k[(1-omega)u] with T w = d_y(h_y w) + d_t(h_t w).  It is
@@ -532,19 +534,16 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
     t_ratio = denom / (eps0 * lam2)
 
-    u_fn = sp.lambdify((yv, tv), u, modules="numpy", cse=True)
-    phase_fn = sp.lambdify((yv, tv), phi_yt, modules="numpy", cse=True)
-    ratio_fn = sp.lambdify((yv, tv), t_ratio, modules="numpy", cse=True)
-    if k == 0:
-        return u_fn, phase_fn, ratio_fn, None
-
-    u_jet = jets.lambdify((yv, tv), jets.derivatives(u, yv, tv, k))
-    h_jet = jets.lambdify((yv, tv), [
+    u_fn = lambdify((yv, tv), u)
+    phase_fn = lambdify((yv, tv), phi_yt)
+    ratio_fn = lambdify((yv, tv), t_ratio)
+    u_jet = lambdify((yv, tv), jets.derivatives(u, yv, tv, k))
+    h_jet = lambdify((yv, tv), [
         d for pair in zip(jets.derivatives(h_y, yv, tv, k),
                           jets.derivatives(h_t, yv, tv, k)) for d in pair])
-    omega_jet = jets.lambdify(
+    omega_jet = lambdify(
         (yv, tv), jets.derivatives(_chi_atom(0)(t_ratio), yv, tv, k),
-        modules=[_chi_modules(k), "numpy"])
+        _chi_modules(k))
     rotation = 1j ** k
 
     def kfold(Y, T, with_omega: bool) -> np.ndarray:
@@ -603,17 +602,13 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
                 np.asarray(ratio_fn(Y, T), dtype=float), Y.shape)
             u = np.asarray(u_fn(Y, T), dtype=complex)
             vals = np.where(ratio < 2.0, chi(ratio), 0.0) * u
-            if k == 0:
-                vals = vals + np.where(ratio <= 1.0, 0.0,
-                                       1.0 - chi(ratio)) * u
-            else:
-                far = np.zeros(Y.shape, dtype=complex)
-                outer = ratio >= 2.0
-                annulus = ~(outer | (ratio <= 1.0))
-                for m, with_omega in ((outer, False), (annulus, True)):
-                    if np.any(m):
-                        far[m] = kfold(Y[m], T[m], with_omega)
-                vals = vals + far
+            far = np.zeros(Y.shape, dtype=complex)
+            outer = ratio >= 2.0
+            annulus = ~(outer | (ratio <= 1.0))
+            for m, with_omega in ((outer, False), (annulus, True)):
+                if np.any(m):
+                    far[m] = kfold(Y[m], T[m], with_omega)
+            vals = vals + far
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite integrand away from the guard")
         return vals

@@ -44,13 +44,18 @@ class ScenarioError(Exception):
 
 class _Config(configparser.ConfigParser):
     """ConfigParser whose getint/getfloat/getboolean raise ScenarioError on
-    a malformed value (all three convert through `_get_conv`)."""
+    a malformed value or a float that is not finite (all three convert
+    through `_get_conv`)."""
 
     def _get_conv(self, section, option, conv, **kwargs):
         try:
-            return super()._get_conv(section, option, conv, **kwargs)
+            value = super()._get_conv(section, option, conv, **kwargs)
         except ValueError as exc:
             raise ScenarioError(f"[{section}] {option}: {exc}") from exc
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ScenarioError(f"[{section}] {option}: {value!r} is not "
+                                f"finite")
+        return value
 
 
 @dataclass
@@ -138,6 +143,8 @@ def _formula(text: str, variables, where: str) -> sympy.Expr:
         raise ScenarioError(f"bad {where} formula {text!r}: {exc}") from exc
     if not isinstance(expr, sympy.Expr):
         raise ScenarioError(f"{where} formula {text!r} is not an expression")
+    if expr.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
+        raise ScenarioError(f"{where} formula {text!r} is not finite")
     extra = expr.free_symbols - set(variables)
     if extra:
         raise ScenarioError(f"{where} formula references undefined names: "
@@ -187,10 +194,9 @@ def _amplitude_string(cfg) -> str:
 def _grids(cfg):
     m = cfg.getint("grids", "M", fallback=256)
     r = cfg.getfloat("grids", "R", fallback=8.0)
-    if m < 2 or r <= 0:
-        raise ScenarioError("grids need M >= 2 and R > 0")
-    x = GridSpec(1, r, m, dft_aligned=True)
-    return x, x, x.dual()
+    with _config_values("[grids]"):
+        x = GridSpec(1, r, m, dft_aligned=True)
+        return x, x, x.dual()
 
 
 def _write_json(out_dir: Path, name: str, payload: dict):
@@ -342,6 +348,9 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
         schedule = [float(t) for t in raw.split(",")]
     except ValueError as exc:
         raise ScenarioError(f"bad [oscint] schedule {raw!r}") from exc
+    if not all(0 < s < np.inf for s in schedule):
+        raise ScenarioError(
+            f"[oscint] schedule needs finite sigmas > 0: {raw!r}")
     if any(s2 <= s1 for s1, s2 in zip(schedule, schedule[1:])):
         raise ScenarioError(f"[oscint] schedule must be increasing: {raw!r}")
     kind = cfg.get("oscint", "cutoff", fallback="gaussian").strip().upper()

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 import sympy as sp
 
+from .expressions import evaluate
+
 
 class LambdaConvention(Enum):
     SQRT_SUM_SQUARES = "sqrt_sum_squares"   # (1 + |v|^2)^(1/2), smooth
@@ -155,8 +157,8 @@ def parse_weight(tag: str, dim: int) -> WeightSpec:
 
     Expression formulas may use the components v1..vd, `r` (= |v|), `lam`
     (the smooth bracket weight), `exp`, `sqrt` and arithmetic.  A formula
-    that does not parse, names anything else or is not a real expression
-    raises ValueError.
+    that does not parse, names anything else or is not a finite real
+    expression raises ValueError.
     """
     tag = tag.strip()
     if tag.startswith("lambda:"):
@@ -182,15 +184,11 @@ def parse_weight(tag: str, dim: int) -> WeightSpec:
             expr = sp.sympify(formula, locals=local)
         except (sp.SympifyError, TypeError) as exc:
             raise ValueError(f"bad weight formula {formula!r}: {exc}") from exc
-        if not isinstance(expr, sp.Expr) or expr.is_extended_real is False:
+        if (not isinstance(expr, sp.Expr) or expr.is_extended_real is False
+                or expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan)):
             raise ValueError(
-                f"weight formula {formula!r} is not a real expression")
-        f = sp.lambdify(comps, expr, modules="numpy")
-
-        def fn(pts, f=f):
-            cols = [pts[..., i] for i in range(dim)]
-            return np.broadcast_to(np.asarray(f(*cols), dtype=float),
-                                   pts.shape[:-1]).copy()
-
-        return WeightSpec(dim=dim, fn=fn, C0=None, l=None, tag=tag)
+                f"weight formula {formula!r} is not a finite real expression")
+        return WeightSpec(dim=dim,
+                          fn=lambda pts: evaluate(expr, comps, pts),
+                          C0=None, l=None, tag=tag)
     raise ValueError(f"unknown weight tag: {tag!r}")

@@ -1,5 +1,9 @@
-"""Module boundaries: no fiolab module imports another one's private names."""
+"""Module boundaries: no fiolab module imports another one's private names,
+and only `expressions` turns a sympy expression into a numpy function."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +25,48 @@ def test_no_private_cross_module_import(path):
                and (node.level > 0 or (node.module or "").startswith("fiolab"))
                for alias in node.names if _is_private(alias.name)]
     assert private == []
+
+
+def _sympy_lambdify_references(tree):
+    """Names of the nodes that reach sympy's lambdify: `sp.lambdify` on an
+    imported sympy module, or an import of lambdify from sympy."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "sympy"}
+    found = [f"{node.value.id}.lambdify" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "lambdify"
+             and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    found += [f"from {node.module} import lambdify"
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("sympy")
+              for alias in node.names if alias.name == "lambdify"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_expressions_lambdifies(path):
+    """`expressions.lambdify` is the one conversion of a sympy expression
+    into a numpy function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _sympy_lambdify_references(tree)
+    if path.stem == "expressions":
+        assert found == ["sp.lambdify"]
+    else:
+        assert found == []
+
+
+def test_run_imports_no_numpy_star(tmp_path):
+    """A scenario run leaves numpy's lazy submodules unimported: no
+    lambdify runs `from numpy import *`."""
+    script = (
+        "import sys\n"
+        "from fiolab.cli import main\n"
+        f"assert main(['run', 'fourier_inversion', '--out-dir', "
+        f"{str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted({'numpy.f2py', 'numpy.testing'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(fiolab.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -323,7 +323,7 @@ class TestIBPJets:
     """The Taylor-jet evaluation of the k-fold term against the symbolic
     product-rule expansion of `IBPOperator.apply_transpose`."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("S, a", [
         ("x*theta", "1"),
         ("x*theta + theta**2/2", "1"),

@@ -100,14 +100,27 @@ class TestCli:
         ("oscint_gaussian", "oscint.f=[1]"),
         ("multiplier_norm", "cv.sigma=foo*x"),
         ("fourier_inversion", "scenario.operations=bogus"),
+        ("ffstar_gaussian", "symbol.a=1/0"),
+        ("ffstar_gaussian", "grids.R=nan"),
+        ("ffstar_gaussian", "grids.R=inf"),
+        ("fourier_inversion", "grids.R=1e308"),
+        ("fourier_inversion", "grids.M=1"),
+        ("oscint_gaussian", "oscint.x=nan"),
+        ("oscint_gaussian", "oscint.expected_re=inf"),
+        ("ffstar_gaussian", "ffstar.tol=nan"),
+        ("oscint_gaussian", "oscint.schedule=-1,2,3"),
+        ("oscint_gaussian", "oscint.schedule=4,8,inf"),
         *[("ffstar_gaussian", f"{VERIFY_SYMBOL} {o}") for o in (
             "symbol.check_points=1", "symbol.check_radius=0",
+            "symbol.check_radius=inf",
             "symbol.rho=2", "symbol.max_order=-1",
             "symbol.weight=expr:q*v1", "symbol.weight=expr:v3",
             "symbol.weight=expr:v1.z", "symbol.weight=expr:1/0",
+            "symbol.weight=expr:v1/0",
             "symbol.weight=expr:I", "symbol.weight=expr:-1")],
         *[("multiplier_norm", f"{CV_CHECK} {o}") for o in (
-            "cv.points=1", "cv.radius=-2", "cv.k=-1", "cv.gamma=-1")],
+            "cv.points=1", "cv.radius=-2", "cv.radius=nan", "cv.k=-1",
+            "cv.gamma=-1")],
         *[("multiplier_norm", f"scenario.operations={op} grids.M=64 {o}")
           for op, o in (("spectrum", "spectrum.count=-1"),
                         ("compactness", "compactness.tail_index=-1"))],
