@@ -10,7 +10,7 @@ L2 boundedness and compactness.
 
 __version__ = "0.1.0"
 
-from .grids import GridSpec, tensor_grid
+from .grids import GridSpec
 from .weights import (DEFAULT_CONVENTION, DegenerateWeightError,
                       LambdaConvention, TemperedReport, WeightSpec, bracket,
                       constant_weight, lambda_weight, parse_weight,
@@ -35,7 +35,6 @@ from .pdo import (BoundCheckReport, CompactnessReport, PdoSymbolEstimate,
                   SeminormReport, Which, compactness_probe, compare_symbols,
                   cv_bound_check, cv_seminorm, extract_symbol,
                   predicted_symbol, refinement_ratio, theta_inverse)
-from .runner import (RunManifest, ScenarioError, emit_plot_data,
-                     load_scenario, run_scenario)
+from .runner import RunManifest, ScenarioError, load_scenario, run_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

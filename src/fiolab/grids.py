@@ -72,7 +72,3 @@ class GridSpec:
             "dft_aligned": self.dft_aligned,
         }
 
-
-def tensor_grid(dim: int, radius: float, points_per_axis: int) -> np.ndarray:
-    """Convenience: points of a plain (non-aligned) tensor grid."""
-    return GridSpec(dim, radius, points_per_axis).mesh()

@@ -388,7 +388,7 @@ def _separable_quadrature(theta_fn, f_fn, xv: float, sigma: float,
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
     c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape) \
         * np.exp(-(y_ax / sigma) ** 2 / 2.0)
-    g_t = np.exp(-((xv / sigma) ** 2 + (t_ax / sigma) ** 2) / 2.0)
+    g_t = np.exp(-(np.square(xv / sigma) + (t_ax / sigma) ** 2) / 2.0)
     theta_vals = np.broadcast_to(theta_fn(t_ax), t_ax.shape)
     return complex(np.sum(wt * theta_vals * g_t * _fourier_sum(c, y_ax,
                                                                 t_ax)))
@@ -453,7 +453,7 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
 
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
-            return vals * cut.at_r2((xv / sigma) ** 2 + (Y / sigma) ** 2
+            return vals * cut.at_r2(np.square(xv / sigma) + (Y / sigma) ** 2
                                     + (T / sigma) ** 2)
 
         separable = theta_fn is not None and cut.kind is CutoffKind.GAUSSIAN

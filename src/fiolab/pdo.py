@@ -88,7 +88,8 @@ def predicted_symbol(S: GeneratingFunction, a, x, theta,
     """(base point, value): value = |a|^2 / |det mixed hessian| at (x, theta).
 
     Base point is (x, grad_x S) for FF* and (grad_theta S, theta) for F*F.
-    A |det| below DEFAULT_DELTA_FLOOR raises DeterminantFloorError.
+    A |det| below DEFAULT_DELTA_FLOOR raises DeterminantFloorError, a value
+    that is not finite ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -98,7 +99,13 @@ def predicted_symbol(S: GeneratingFunction, a, x, theta,
         raise DeterminantFloorError(
             f"|det| = {det:.3g} below floor {DEFAULT_DELTA_FLOOR:.3g}")
     amp = evaluate(as_expr(a, S.variables), S.variables, pt)[0]
-    value = abs(complex(amp)) ** 2 / det
+    try:
+        value = abs(complex(amp)) ** 2 / det
+    except OverflowError:
+        value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"predicted symbol {value} at x = {x.tolist()}, "
+                         f"theta = {theta.tolist()} is not finite")
     if which is Which.FFSTAR:
         base = np.concatenate([x, S.grad_x(pt)[0]])
     else:
@@ -140,7 +147,8 @@ def extract_symbol(FFstar: DiscreteOperator, x: float, xi: float,
                    window_half_width: Optional[float] = None) -> complex:
     """sigma(x, xi) = sum_y w_y K(x, y) win(y - x) e^{-i (x - y) xi}.
 
-    Windowed inverse quantization of the kernel row nearest to x.
+    Windowed inverse quantization of the kernel row nearest to x; x must
+    lie within the row grid's radius and xi within the column grid's band.
     """
     grid = FFstar.row_grid
     if grid.dim != 1 or FFstar.col_grid.dim != 1:
@@ -151,6 +159,9 @@ def extract_symbol(FFstar: DiscreteOperator, x: float, xi: float,
         window_half_width = 32.0 * dy
     if window_half_width < 8.0 * dy:
         raise ValueError("window must span at least 8 grid spacings")
+    if not abs(x) <= grid.radius:
+        raise OutOfBandError(f"|x| = {abs(x):.3g} beyond grid radius "
+                             f"{grid.radius:.3g}")
     nyquist = np.pi / dy
     if abs(xi) > nyquist:
         raise OutOfBandError(f"|xi| = {abs(xi):.3g} beyond band {nyquist:.3g}")

@@ -10,7 +10,6 @@ box cannot expose them), never proofs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -19,7 +18,7 @@ import sympy as sp
 
 from .expressions import (coord_symbols, diff_multi, evaluate,
                           multi_indices, parse_scalar_expr)
-from .grids import tensor_grid
+from .grids import GridSpec
 from .weights import bracket
 
 DEFAULT_RADII = (4.0, 8.0, 16.0)
@@ -43,15 +42,14 @@ class HypothesisReport:
     witness: Optional[tuple] = None
     per_radius: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "constants": {str(k): v for k, v in self.constants.items()},
             "pass": self.passed,
             "witness": list(self.witness) if self.witness else None,
             "per_radius": {str(k): v for k, v in self.per_radius.items()},
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _gradient(expr: sp.Expr, variables, block, points) -> np.ndarray:
@@ -333,7 +331,7 @@ def lambda_equivalence(S: GeneratingFunction,
     members."""
     n = S.n
     dim = 3 * n
-    pts = tensor_grid(dim, 8.0, _default_ppa(dim))
+    pts = GridSpec(dim, 8.0, _default_ppa(dim)).mesh()
     x, y, th = pts[:, :n], pts[:, n:2 * n], pts[:, 2 * n:]
     g = S.grad_theta(np.concatenate([x, th], axis=-1))
     inside = np.sum((g - y) ** 2, axis=-1) < eps0 * np.sum(pts * pts, axis=-1)

@@ -1,9 +1,11 @@
 """Scenario runner: parse a config, orchestrate the modules, persist results.
 
 Scenarios are flat INI-style files with named sections and key=value
-entries.  Each operation writes a JSON result (sorted keys, repr floats)
-and, where meaningful, a plot-ready CSV; the manifest ties everything to the
-scenario hash.  All numeric outputs are deterministic: rerunning the same
+entries.  Each operation returns (passed, details); `run_scenario` alone
+writes them, as `<op>.json` = {"passed": passed, **details} (sorted keys,
+repr floats) and as the manifest outcome {"operation": op, "passed": passed,
+**details}.  An operation may also write plot-ready CSVs; the manifest ties
+everything to the scenario hash.  All numeric outputs are deterministic: rerunning the same
 scenario byte-reproduces every JSON/CSV (the manifest additionally carries
 wall-clock time and is exempt from that guarantee).
 """
@@ -26,12 +28,12 @@ import sympy
 from . import __version__
 from .grids import GridSpec
 from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
-                          OscIntegralResult, regularized_fio_apply)
+                          regularized_fio_apply)
 from .operators import (DiscreteOperator, IterationError, Route, adjoint,
                         apply, compose, discretize_fio, gaussian_samples,
                         operator_norm, save_operator, singular_values)
-from .pdo import (NewtonError, PdoSymbolEstimate, Which, compactness_probe,
-                  compare_symbols, cv_bound_check, cv_seminorm)
+from .pdo import (NewtonError, Which, compactness_probe, compare_symbols,
+                  cv_bound_check, cv_seminorm)
 from .phases import (GeneratingFunction, quadratic_generating, special_phase,
                      verify_G2, verify_G3, verify_H2, verify_H3)
 from .symbols import SymbolField, seminorm_estimate
@@ -213,33 +215,8 @@ def _write_csv(path: Path, header: Sequence[str], rows):
                              for v in row])
 
 
-def emit_plot_data(result, kind: str, path) -> None:
-    """Two/three-column CSVs for the supported result kinds."""
-    path = Path(path)
-    if kind == "sigma-residuals":
-        if not isinstance(result, OscIntegralResult):
-            raise ValueError("sigma-residuals expects an oscillatory result")
-        _write_csv(path, ["sigma", "residual_abs"],
-                   [(float(s), float(r)) for s, r in result.sigma_residuals])
-    elif kind == "singular-values":
-        s = np.asarray(result, dtype=float)
-        _write_csv(path, ["index", "singular_value"],
-                   [(int(i), float(v)) for i, v in enumerate(s)])
-    elif kind == "symbol-comparison":
-        if not isinstance(result, PdoSymbolEstimate):
-            raise ValueError("symbol-comparison expects a symbol estimate")
-        rows = []
-        for smp in result.samples:
-            lam = float(np.sqrt(1.0 + smp.x ** 2 + smp.xi ** 2))
-            rows.append((lam, float("nan") if smp.rel_error is None
-                         else float(smp.rel_error)))
-        _write_csv(path, ["lambda_base", "relative_error"], rows)
-    else:
-        raise ValueError(f"unsupported plot kind: {kind!r}")
-
-
 # ---------------------------------------------------------------------------
-# operations
+# operations: each returns (passed, details); `run_scenario` writes them
 
 
 def _discretize(cfg, ctx, xg, yg, tg) -> DiscreteOperator:
@@ -252,14 +229,20 @@ def _discretize(cfg, ctx, xg, yg, tg) -> DiscreteOperator:
                           route=Route[route], taper=taper)
 
 
-def _op_build_operator(cfg, ctx, out_dir: Path) -> dict:
-    xg, yg, tg = ctx["grids"]
-    F = _discretize(cfg, ctx, xg, yg, tg)
-    ctx["F"] = F
+def _operator(cfg, ctx) -> DiscreteOperator:
+    """The scenario's operator on the scenario grids, built once per run."""
+    if "F" not in ctx:
+        ctx["F"] = _discretize(cfg, ctx, *ctx["grids"])
+    return ctx["F"]
+
+
+def _op_build_operator(cfg, ctx, out_dir: Path):
+    F = _operator(cfg, ctx)
     details = {"route": F.provenance["route"], "provenance": F.provenance}
     passed = True
     if cfg.getboolean("operator", "apply_check", fallback=False):
         rtol = cfg.getfloat("operator", "apply_rtol", fallback=1e-6)
+        yg = ctx["grids"][1]
         g = gaussian_samples(yg, width=4.0 * yg.spacing)
         err = float(np.linalg.norm(apply(F, g) - g)
                     / np.linalg.norm(g))
@@ -270,20 +253,11 @@ def _op_build_operator(cfg, ctx, out_dir: Path) -> dict:
         dest = out_dir / "operator.bin"
         save_operator(F, str(dest))
         details["saved"] = dest.name
-    _write_json(out_dir, "build-operator", {"passed": passed, **details})
-    return {"operation": "build-operator", "passed": passed, **details}
+    return passed, details
 
 
-def _require_operator(cfg, ctx, out_dir):
-    if "F" not in ctx:
-        _op_build_operator(cfg, ctx, out_dir)
-    return ctx["F"]
-
-
-def _op_check_ffstar(cfg, ctx, out_dir: Path) -> dict:
-    F = _require_operator(cfg, ctx, out_dir)
-    S = ctx["S"]
-    a = ctx["a"]
+def _op_check_ffstar(cfg, ctx, out_dir: Path):
+    F = _operator(cfg, ctx)
     ffstar = compose(F, adjoint(F))
     raw = cfg.get("ffstar", "samples", fallback="0 0")
     samples = []
@@ -297,7 +271,9 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path) -> dict:
         except ValueError as exc:
             raise ScenarioError(f"bad ffstar sample {tok!r}") from exc
     tol = cfg.getfloat("ffstar", "tol", fallback=0.05)
-    est = compare_symbols(S, a, ffstar, samples, which=Which.FFSTAR)
+    with _config_values("[ffstar]"):
+        est = compare_symbols(ctx["S"], ctx["a"], ffstar, samples,
+                              which=Which.FFSTAR)
     recorded = [s for s in est.samples if s.rel_error is not None]
     passed = all(s.rel_error <= tol for s in recorded)
     rows = [(s.x, s.xi, float(np.real(s.extracted)), float(np.imag(s.extracted)),
@@ -306,8 +282,12 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path) -> dict:
     _write_csv(out_dir / "ffstar_samples.csv",
                ["x", "xi", "extracted_re", "extracted_im", "predicted",
                 "relative_error"], rows)
-    emit_plot_data(est, "symbol-comparison", out_dir / "ffstar_errors.csv")
-    details = {
+    _write_csv(out_dir / "ffstar_errors.csv",
+               ["lambda_base", "relative_error"],
+               [(float(np.sqrt(1.0 + s.x ** 2 + s.xi ** 2)),
+                 float("nan") if s.rel_error is None else float(s.rel_error))
+                for s in est.samples])
+    return passed, {
         "tol": tol,
         "window": est.window,
         "recorded": len(recorded),
@@ -317,23 +297,19 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path) -> dict:
             "predicted": s.predicted, "rel_error": s.rel_error,
         } for s in est.samples],
     }
-    _write_json(out_dir, "check-ffstar", {"passed": passed, **details})
-    return {"operation": "check-ffstar", "passed": passed,
-            "max_rel_error": est.max_rel_error, "tol": tol}
 
 
-def _op_spectrum(cfg, ctx, out_dir: Path) -> dict:
-    F = _require_operator(cfg, ctx, out_dir)
+def _op_spectrum(cfg, ctx, out_dir: Path):
+    F = _operator(cfg, ctx)
     count = cfg.getint("spectrum", "count", fallback=0) or None
     with _config_values("[spectrum]"):
         s = singular_values(F, count)
-    emit_plot_data(s, "singular-values", out_dir / "spectrum.csv")
-    details = {"count": len(s), "top": float(s[0]) if len(s) else 0.0}
-    _write_json(out_dir, "spectrum", {"passed": True, **details})
-    return {"operation": "spectrum", "passed": True, **details}
+    _write_csv(out_dir / "spectrum.csv", ["index", "singular_value"],
+               enumerate(s.tolist()))
+    return True, {"count": len(s), "top": float(s[0]) if len(s) else 0.0}
 
 
-def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
+def _op_oscint(cfg, ctx, out_dir: Path):
     if not cfg.has_section("oscint"):
         raise ScenarioError("missing [oscint] section")
     phi = special_phase(ctx["S"])
@@ -364,7 +340,6 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
         converged = True
     except ConvergenceError as exc:
         res, converged = exc.result, False
-    emit_plot_data(res, "sigma-residuals", out_dir / "oscint_residuals.csv")
     passed = converged
     details = {
         "value": _cfloat(res.value),
@@ -375,6 +350,8 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
         "truncation_radius": res.truncation_radius,
         "quadrature": res.quadrature,
     }
+    _write_csv(out_dir / "oscint_residuals.csv", ["sigma", "residual_abs"],
+               details["sigma_residuals"])
     expected = cfg.getfloat("oscint", "expected_re", fallback=None)
     if expected is not None and converged:
         rtol = cfg.getfloat("oscint", "rtol", fallback=1e-3)
@@ -382,11 +359,10 @@ def _op_oscint(cfg, ctx, out_dir: Path) -> dict:
         details["expected_re"] = expected
         details["expected_rel_error"] = float(err)
         passed = passed and err < rtol
-    _write_json(out_dir, "oscint", {"passed": passed, **details})
-    return {"operation": "oscint", "passed": passed, "value": details["value"]}
+    return passed, details
 
 
-def _op_verify_phase(cfg, ctx, out_dir: Path) -> dict:
+def _op_verify_phase(cfg, ctx, out_dir: Path):
     S = ctx["S"]
     phi = special_phase(S)
     reports = {
@@ -397,14 +373,11 @@ def _op_verify_phase(cfg, ctx, out_dir: Path) -> dict:
     }
     expect_pass = cfg.getboolean("verify", "expect_pass", fallback=True)
     all_pass = all(r.passed for r in reports.values())
-    passed = all_pass == expect_pass
-    details = {name: json.loads(r.to_json()) for name, r in reports.items()}
-    _write_json(out_dir, "verify-phase", {"passed": passed, **details})
-    return {"operation": "verify-phase", "passed": passed,
-            "hypotheses": {k: r.passed for k, r in reports.items()}}
+    return all_pass == expect_pass, {name: r.to_dict()
+                                     for name, r in reports.items()}
 
 
-def _op_verify_symbol(cfg, ctx, out_dir: Path) -> dict:
+def _op_verify_symbol(cfg, ctx, out_dir: Path):
     S = ctx["S"]
     weight_tag = cfg.get("symbol", "weight", fallback="const:1")
     rho = cfg.getfloat("symbol", "rho", fallback=0.0)
@@ -420,14 +393,11 @@ def _op_verify_symbol(cfg, ctx, out_dir: Path) -> dict:
             estimates["".join(map(str, alpha))] = \
                 seminorm_estimate(a_field, alpha, grid)
     finite = all(np.isfinite(c) for c in estimates.values())
-    _write_json(out_dir, "verify-symbol",
-                {"passed": finite, "seminorms": estimates,
-                 "weight": weight_tag, "rho": rho})
-    return {"operation": "verify-symbol", "passed": finite,
-            "seminorms": estimates}
+    return finite, {"seminorms": estimates, "weight": weight_tag,
+                    "rho": rho}
 
 
-def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
+def _op_cv_check(cfg, ctx, out_dir: Path):
     if not cfg.has_section("cv") or not cfg.has_option("cv", "sigma"):
         raise ScenarioError("missing [cv] sigma = <formula in x, xi>")
     xxi = coord_symbols("x", 1) + (sympy.Symbol("xi", real=True),)
@@ -439,33 +409,31 @@ def _op_cv_check(cfg, ctx, out_dir: Path) -> dict:
     points = cfg.getint("cv", "points", fallback=33)
     with _config_values("[cv]"):
         q = cv_seminorm(sigma, k, GridSpec(2, radius, points))
-    F = _require_operator(cfg, ctx, out_dir)
+    F = _operator(cfg, ctx)
     with _config_values("[cv]"):
         report = cv_bound_check(F, q, gamma=gamma)
-    details = {
+    return report.passed, {
         "k": k, "gamma": gamma, "Q_k": q.Q_k,
         "operator_norm": report.norm, "bound": report.bound,
         "ratio": report.ratio,
     }
-    _write_json(out_dir, "cv-check", {"passed": report.passed, **details})
-    return {"operation": "cv-check", "passed": report.passed, **details}
 
 
-def _op_compactness(cfg, ctx, out_dir: Path) -> dict:
-    xg, yg, tg = ctx["grids"]
+def _op_compactness(cfg, ctx, out_dir: Path):
+    xg = ctx["grids"][0]
     xf = GridSpec(1, xg.radius, 2 * xg.points, dft_aligned=True)
-    coarse = ctx["F"] if "F" in ctx else _discretize(cfg, ctx, xg, yg, tg)
+    coarse = _operator(cfg, ctx)
     fine = _discretize(cfg, ctx, xf, xf, xf.dual())
     tail_index = cfg.getint("compactness", "tail_index", fallback=0) or None
     with _config_values("[compactness]"):
         report = compactness_probe(coarse, fine, tail_index=tail_index)
     expected = cfg.get("compactness", "expected", fallback=None)
     passed = True if expected is None else (report.verdict == expected.strip())
-    emit_plot_data(report.spectrum_coarse, "singular-values",
-                   out_dir / "spectrum_coarse.csv")
-    emit_plot_data(report.spectrum_fine, "singular-values",
-                   out_dir / "spectrum_fine.csv")
-    details = {
+    for side, s in (("coarse", report.spectrum_coarse),
+                    ("fine", report.spectrum_fine)):
+        _write_csv(out_dir / f"spectrum_{side}.csv",
+                   ["index", "singular_value"], enumerate(s.tolist()))
+    return passed, {
         "verdict": report.verdict,
         "expected": expected,
         "tail_index": report.tail_index,
@@ -474,8 +442,6 @@ def _op_compactness(cfg, ctx, out_dir: Path) -> dict:
         "plateau_coarse": report.plateau_coarse,
         "plateau_fine": report.plateau_fine,
     }
-    _write_json(out_dir, "compactness", {"passed": passed, **details})
-    return {"operation": "compactness", "passed": passed, **details}
 
 
 _DISPATCH = {
@@ -520,14 +486,14 @@ def run_scenario(path, out_dir: Optional[str] = None,
     )
     for op in _operation_list(cfg):
         try:
-            outcome = _DISPATCH[op](cfg, ctx, dest)
+            passed, details = _DISPATCH[op](cfg, ctx, dest)
         except (IterationError, NewtonError) as exc:
             # non-convergence is a failed check (exit 1), not an internal
             # error; the message goes into the operation's JSON
-            error = f"{type(exc).__name__}: {exc}"
-            _write_json(dest, op, {"passed": False, "error": error})
-            outcome = {"operation": op, "passed": False, "error": error}
-        manifest.outcomes.append(outcome)
+            passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+        _write_json(dest, op, {"passed": passed, **details})
+        manifest.outcomes.append({"operation": op, "passed": passed,
+                                  **details})
     manifest.wall_clock_s = time.perf_counter() - t0
     (dest / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

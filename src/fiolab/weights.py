@@ -73,11 +73,17 @@ def lambda_weight(p: float, dim: int,
 
     Temperedness metadata: l = |p| with C0 = 1 for the 1+|v| form.  The
     smooth form obeys lambda(x) <= sqrt(2)*lambda(x1)*(1+|x1-x|), so it gets
-    C0 = 2^(|p|/2).
+    C0 = 2^(|p|/2), which must be finite (ValueError otherwise).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    c0 = 1.0 if conv is LambdaConvention.ONE_PLUS_NORM else 2.0 ** (abs(p) / 2.0)
+    try:
+        c0 = 1.0 if conv is LambdaConvention.ONE_PLUS_NORM \
+            else 2.0 ** (abs(p) / 2.0)
+    except OverflowError:
+        c0 = np.inf
+    if not np.isfinite(c0):
+        raise ValueError(f"lambda weight p = {p:g}: C0 = {c0} is not finite")
     return WeightSpec(
         dim=dim,
         fn=lambda pts: bracket(pts, conv) ** p,

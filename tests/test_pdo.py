@@ -6,8 +6,8 @@ import sympy as sp
 
 from fiolab.grids import GridSpec
 from fiolab.operators import Route, adjoint, compose, discretize_fio
-from fiolab.pdo import (DeterminantFloorError, NewtonError, Which,
-                        compactness_probe,
+from fiolab.pdo import (DeterminantFloorError, NewtonError, OutOfBandError,
+                        Which, compactness_probe,
                         compare_symbols, cv_bound_check, cv_seminorm,
                         extract_symbol, lambda_at, predicted_symbol,
                         refinement_ratio, theta_inverse)
@@ -71,6 +71,11 @@ class TestPredictedSymbol:
         with pytest.raises(DeterminantFloorError):
             predicted_symbol(S, "1", 0.0, 0.0)
 
+    def test_value_that_is_not_finite_rejected(self, S_xt):
+        # |a|^2 overflows a double
+        with pytest.raises(ValueError, match="not finite"):
+            predicted_symbol(S_xt, "1e300", 0.0, 0.0)
+
 
 class TestExtractSymbol:
     def test_identity_composition_symbol_is_one(self, S_xt, grid256):
@@ -82,6 +87,13 @@ class TestExtractSymbol:
         v0 = extract_symbol(C, 0.0, 1.0)
         v1 = extract_symbol(C, 1.5, 1.0)
         assert abs(v0 - v1) < 1e-10
+
+    @pytest.mark.parametrize("x", [20.0, -20.0])
+    def test_base_point_beyond_the_grid_rejected(self, S_xt, x):
+        grid = GridSpec(1, 8.0, 64, dft_aligned=True)
+        C = ffstar(S_xt, "1", grid, Route.SPECTRAL)
+        with pytest.raises(OutOfBandError, match="grid radius"):
+            extract_symbol(C, x, 0.0)
 
 
 class TestCompareSymbols:

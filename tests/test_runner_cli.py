@@ -117,13 +117,15 @@ class TestCli:
             "symbol.weight=expr:q*v1", "symbol.weight=expr:v3",
             "symbol.weight=expr:v1.z", "symbol.weight=expr:1/0",
             "symbol.weight=expr:v1/0",
-            "symbol.weight=expr:I", "symbol.weight=expr:-1")],
+            "symbol.weight=expr:I", "symbol.weight=expr:-1",
+            "symbol.weight=lambda:p=1e300")],
         *[("multiplier_norm", f"{CV_CHECK} {o}") for o in (
             "cv.points=1", "cv.radius=-2", "cv.radius=nan", "cv.k=-1",
             "cv.gamma=-1")],
         *[("multiplier_norm", f"scenario.operations={op} grids.M=64 {o}")
           for op, o in (("spectrum", "spectrum.count=-1"),
                         ("compactness", "compactness.tail_index=-1"))],
+        ("ffstar_gaussian", "grids.M=64 symbol.a=1e300"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
                                         overrides):
@@ -133,6 +135,48 @@ class TestCli:
             args += ["--override", override]
         assert main(args) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample", ["0 1e300", "1e300 0", "20 0"])
+    def test_ffstar_sample_off_the_grid_exits_two(self, tmp_path, capsys,
+                                                  sample):
+        """A sample holds a space, so it cannot ride in the space-separated
+        overrides of `test_bad_config_value_exits_two`."""
+        rc = main(["run", "ffstar_gaussian", "--out-dir", str(tmp_path / "out"),
+                   "--override", "grids.M=64",
+                   "--override", f"ffstar.samples={sample}"])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["1e300", "-1e300"])
+    def test_huge_oscint_x_saturates_the_cutoff(self, tmp_path, x):
+        # e^{-x^2/(2 sigma^2)} is 0 in double precision: the value is 0,
+        # not the expected f(0) = 1
+        d = tmp_path / "out"
+        assert main(["oscint", "oscint_gaussian", "--out-dir", str(d),
+                     "--override", f"oscint.x={x}"]) == 1
+        result = json.loads((d / "oscint.json").read_text())
+        assert result["value"] == {"re": 0.0, "im": 0.0}
+        assert result["passed"] is False
+
+    def test_single_operation_writes_only_its_artifacts(self, tmp_path):
+        # the operator spectrum needs is built without the build-operator
+        # operation, whose apply check would fail at this rtol
+        d = tmp_path / "out"
+        assert main(["spectrum", "fourier_inversion", "--out-dir", str(d),
+                     "--override", "operator.apply_rtol=1e-30"]) == 0
+        assert {p.name for p in d.iterdir()} == {
+            "spectrum.json", "spectrum.csv", "manifest.json"}
+
+    def test_manifest_outcome_is_the_operation_json(self, tmp_path):
+        d = tmp_path / "out"
+        ops = ("build-operator", "check-ffstar", "spectrum", "compactness")
+        run_scenario(cfg_path("ffstar_gaussian"), out_dir=str(d),
+                     overrides=["grids.M=64", "compactness.tail_index=40",
+                                f"scenario.operations={','.join(ops)}"])
+        outcomes = json.loads((d / "manifest.json").read_text())["outcomes"]
+        assert [o.pop("operation") for o in outcomes] == list(ops)
+        for op, outcome in zip(ops, outcomes):
+            assert outcome == json.loads((d / f"{op}.json").read_text())
 
     def test_nonconverging_oscint_keeps_its_quadratures(self, tmp_path):
         d = tmp_path / "out"

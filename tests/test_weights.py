@@ -36,6 +36,13 @@ class TestLambdaWeight:
         with pytest.raises(ValueError):
             lambda_weight(1.0, 0)
 
+    @pytest.mark.parametrize("p", [1e300, -1e300, float("inf"),
+                                   float("nan")])
+    def test_constant_that_is_not_finite_rejected(self, p):
+        # C0 = 2^(|p|/2) of the smooth convention
+        with pytest.raises(ValueError, match="not finite"):
+            lambda_weight(p, 1)
+
 
 class TestVerifyTempered:
     def test_lambda_one_certified(self):
