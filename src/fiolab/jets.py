@@ -101,6 +101,25 @@ def multiply(f: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
     return _gather_sum(f, g, ia, ib, matrix)
 
 
+def compose(s, g: np.ndarray, order: int) -> np.ndarray:
+    """The jet of f(g) to `order`, from the univariate Taylor coefficients
+    s[m] = f^(m)(g_0)/m!, m = 0..order (arrays over the points), and the
+    jet g of order at least `order`.
+
+    With d = g - g_0, f(g) = sum_m s_m d^m is summed by Horner's rule,
+    p_m = s_m + d p_{m+1}.  d has no constant term, so p_m is needed only
+    to order - m: the m-th inner sum is truncated there."""
+    d = g[:len(jet_indices(order))].copy()
+    d[0] = 0.0
+    # rows of p beyond order - m stay 0 until that step fills them
+    p = np.zeros_like(d)
+    p[0] = s[order]
+    for m in range(order - 1, -1, -1):
+        p[:len(jet_indices(order - m))] = multiply(d, p, order - m)
+        p[0] += s[m]
+    return p
+
+
 @functools.cache
 def _divergence_table(order: int):
     """Pairs and weights of w -> d_y(c_y w) + d_t(c_t w), from a jet of

@@ -220,17 +220,22 @@ def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
 
 def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
     """sqrt of the top eigenvalue of F*F by power iteration from a seeded
-    random start, at most 10000 steps."""
+    random start, at most 10000 steps; a non-finite iterate raises
+    IterationError at once."""
     a = F.matrix
     rng = np.random.default_rng(7)
     v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     prev = None
     prev_inc = None
-    for _ in range(10_000):
+    for step in range(1, 10_001):
         w = a.conj().T @ (a @ v)
         lam = float(np.real(np.vdot(v, w)))
         nw = np.linalg.norm(w)
+        if not np.isfinite(nw):
+            raise IterationError(
+                f"power iteration step {step}: the iterate F*F v is not "
+                f"finite (norm {nw})")
         if nw == 0.0:
             return 0.0
         v = w / nw

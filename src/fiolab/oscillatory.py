@@ -22,14 +22,17 @@ function:
   the transpose of the first-order operator L (with L e^{i phi} = e^{i phi})
   to the rest.  The iterated transpose is evaluated on Taylor jets in
   (y, theta) (`jets`): sympy differentiates only the amplitude, the two
-  coefficients of L and omega, each up to order k, and every transpose is
-  exact jet arithmetic, never nested numerical differentiation.
+  coefficients of L and the partition ratio, each up to order k; omega's
+  jet is composed from the bump's Taylor coefficients and the ratio's jet,
+  and every transpose is exact jet arithmetic, never nested numerical
+  differentiation.
   `IBPOperator.apply_transpose` keeps the symbolic product-rule expansion
   as the reference the tests compare against.  The k-fold term is
   evaluated by region of the partition ratio: it is 0 where the ratio is
   <= 1, the omega-free (tL)^k u where it is >= 2 (omega vanishes
-  identically there), and only on the annulus between needs omega's jet
-  with its chi-derivatives.
+  identically there), and only on the annulus between needs omega's jet.
+  The local grid around the critical set evaluates the integrand only on
+  the support of its radial weight psi.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin), which gives
@@ -103,27 +106,37 @@ def _chi_taylor(t: np.ndarray, order: int) -> List[np.ndarray]:
     return s
 
 
-def chi_derivative(t, m: int = 0) -> np.ndarray:
-    """chi^(m)(t) for t >= 0 (chi is even; callers pass the even argument).
+def _chi_coefficients(t, order: int) -> np.ndarray:
+    """Taylor coefficients s_m = chi^(m)(t)/m!, m = 0..order, at points
+    t >= 0 (chi is even; callers pass the even argument), shape
+    (order + 1,) + t.shape.
 
-    On the transition 1 < t < 2 it is m! times the m-th Taylor coefficient
-    of `_chi_taylor`: exact Taylor arithmetic, with chi^(0) computed by the
-    profile's own formula."""
+    By region: 1, 0, 0, ... where t <= 1; all 0 where t >= 2 or t is NaN;
+    `_chi_taylor` on the transition 1 < t < 2, where a coefficient that
+    over- or underflows to a non-finite value next to t = 1 or t = 2 is 0."""
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.zeros(t.shape, dtype=float)
-    if m == 0:
-        out[t <= 1.0] = 1.0
+    out = np.zeros((order + 1,) + t.shape)
+    out[0][t <= 1.0] = 1.0
     mid = (t > 1.0) & (t < 2.0)
     if np.any(mid):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
-            vals = _chi_taylor(t[mid], m)[m]
-            if m:
-                vals = math.factorial(m) * vals
-        out[mid] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-    return out[0] if scalar else out
+            taylor = _chi_taylor(t[mid], order)
+        for row, coefficient in zip(out, taylor):
+            row[mid] = np.nan_to_num(coefficient, copy=False, nan=0.0,
+                                     posinf=0.0, neginf=0.0)
+    return out
+
+
+def chi_derivative(t, m: int = 0) -> np.ndarray:
+    """chi^(m)(t) for t >= 0: m! times the m-th coefficient of
+    `_chi_coefficients`, exact Taylor arithmetic, with chi^(0) computed by
+    the transition profile's own formula."""
+    t = np.asarray(t, dtype=float)
+    out = _chi_coefficients(np.atleast_1d(t), m)[m]
+    if m:
+        out *= math.factorial(m)
+    return out[0] if t.ndim == 0 else out
 
 
 def chi(t) -> np.ndarray:
@@ -135,26 +148,6 @@ def chi_expr(t: sp.Expr) -> sp.Expr:
     """Symbolic piecewise form of the bump (for inspection, not iteration)."""
     return sp.Piecewise((1, t <= 1), (0, t >= 2),
                         (_CHI_TRANSITION.subs(_T, t), True))
-
-
-@functools.cache
-def _chi_atom(m: int):
-    """Atomic sympy function standing for chi^(m); differentiation raises m.
-
-    Keeping chi-derivatives atomic (instead of exploding the transition
-    profile inline) keeps the derivatives of omega small; `_chi_modules`,
-    passed to `expressions.lambdify` as its functions, binds the atoms to
-    `chi_derivative` at evaluation time.
-    """
-    def fdiff(self, argindex=1, _m=m):
-        return _chi_atom(_m + 1)(self.args[0])
-    return type(f"chi{m}", (sp.Function,), {"fdiff": fdiff, "nargs": (1,)})
-
-
-def _chi_modules(max_order: int) -> dict:
-    """The numpy functions chi0..chi{max_order} of the atoms `_chi_atom`."""
-    return {f"chi{m}": (lambda t, _m=m: chi_derivative(t, _m))
-            for m in range(max_order + 1)}
 
 
 class CutoffKind(Enum):
@@ -388,7 +381,9 @@ def _separable_quadrature(theta_fn, f_fn, xv: float, sigma: float,
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
     c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape) \
         * np.exp(-(y_ax / sigma) ** 2 / 2.0)
-    g_t = np.exp(-(np.square(xv / sigma) + (t_ax / sigma) ** 2) / 2.0)
+    with np.errstate(over="ignore"):  # a huge x saturates the cutoff to 0
+        x2 = np.square(xv / sigma)
+    g_t = np.exp(-(x2 + (t_ax / sigma) ** 2) / 2.0)
     theta_vals = np.broadcast_to(theta_fn(t_ax), t_ax.shape)
     return complex(np.sum(wt * theta_vals * g_t * _fourier_sum(c, y_ax,
                                                                 t_ax)))
@@ -451,10 +446,12 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
         y_ax = _axis(ry, max(freq_y, rt), 12.0)
         t_ax = _axis(rt, freq_t, 12.0)
 
+        with np.errstate(over="ignore"):  # as in _separable_quadrature
+            x2 = np.square(xv / sigma)
+
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
-            return vals * cut.at_r2(np.square(xv / sigma) + (Y / sigma) ** 2
-                                    + (T / sigma) ** 2)
+            return vals * cut.at_r2(x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
 
         separable = theta_fn is not None and cut.kind is CutoffKind.GAUSSIAN
         if separable:
@@ -508,6 +505,21 @@ def _aitken(values: Sequence[complex]) -> complex:
     return v2 - d2 * d2 / den
 
 
+def _on_support(integrand, weight, phase):
+    """(Y, T) -> integrand * weight * phase, with integrand and phase
+    evaluated only where weight > 0 and an exact 0 elsewhere: the same
+    values as the full product wherever the integrand is finite."""
+    def weighted(Y, T):
+        w = weight(Y, T)
+        on = w > 0.0
+        w, Y, T = w[on], Y[on], T[on]
+        vals = integrand(Y, T) * w * phase(Y, T)
+        out = np.zeros(on.shape, dtype=complex)
+        out[on] = vals
+        return out
+    return weighted
+
+
 #: points per block of the jet evaluation.  A block's largest array, the 110
 #: coefficient pairs of a k = 4 transpose step, then takes 1.8 MB, about one
 #: core's L2 cache; blocks of 512 and 1024 points ran criterion 3 slower.
@@ -523,9 +535,11 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     With h = grad phi / D real, tL w = i (d_y(h_y w) + d_t(h_t w)), so the
     term is i^k T^k[(1-omega)u] with T w = d_y(h_y w) + d_t(h_t w).  It is
     evaluated on Taylor jets of order k: sympy differentiates only u, h_y,
-    h_t and omega, each up to order k, and every T costs one order of the
-    jet.  with_omega=False drops omega, which vanishes with all its
-    derivatives where the ratio is >= 2.
+    h_t and the ratio r, each up to order k, and every T costs one order of
+    the jet.  omega = chi(r) is never differentiated symbolically: its jet
+    is `jets.compose` of chi's Taylor coefficients at r_0, taken once per
+    block from `_chi_coefficients`, with the ratio's jet.  with_omega=False
+    drops omega, which vanishes with all its derivatives where r >= 2.
 
     None of them depends on the truncation radius, so calls that differ
     only in R share one symbolic build.
@@ -541,9 +555,7 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     h_jet = lambdify((yv, tv), [
         d for pair in zip(jets.derivatives(h_y, yv, tv, k),
                           jets.derivatives(h_t, yv, tv, k)) for d in pair])
-    omega_jet = lambdify(
-        (yv, tv), jets.derivatives(_chi_atom(0)(t_ratio), yv, tv, k),
-        _chi_modules(k))
+    ratio_jet = lambdify((yv, tv), jets.derivatives(t_ratio, yv, tv, k))
     rotation = 1j ** k
 
     def kfold(Y, T, with_omega: bool) -> np.ndarray:
@@ -552,7 +564,8 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
             y, t = Y[start:start + _JET_CHUNK], T[start:start + _JET_CHUNK]
             w = jets.evaluate(u_jet, y, t, k)
             if with_omega:
-                one_minus = -jets.evaluate(omega_jet, y, t, k)
+                r = jets.evaluate(ratio_jet, y, t, k)
+                one_minus = -jets.compose(_chi_coefficients(r[0, 0], k), r, k)
                 one_minus[0] += 1.0
                 w = jets.multiply(one_minus, w, k)
             w = jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k)
@@ -574,8 +587,15 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     `_ibp_callables`), in three regions of the partition ratio
     r = D / (eps0 lambda^2): it vanishes where r <= 1 (omega = 1); where
     r >= 2, omega and all its derivatives vanish, so it is (tL)^k u; omega's
-    jet with its chi-derivatives is evaluated only on the annulus 1 < r < 2
-    (and at any NaN r, so that a non-finite value is still caught).
+    jet, composed from chi's Taylor coefficients and the ratio's jet, is
+    evaluated only on the annulus 1 < r < 2 (and at any NaN r, so that a
+    non-finite value is still caught).
+    For k > 0 the integral is split by a radial partition psi into a local
+    part on a fine grid and the rest on the coarse grid.  The local grid is
+    a square around psi's disk: the integrand is evaluated only where
+    psi > 0 and is an exact 0 on the corners, so every sum is the one the
+    full grid gives.  A non-finite integrand there is still caught by the
+    coarse grid, which covers those corners.
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.
@@ -600,15 +620,13 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         with np.errstate(all="ignore"):
             ratio = np.broadcast_to(
                 np.asarray(ratio_fn(Y, T), dtype=float), Y.shape)
-            u = np.asarray(u_fn(Y, T), dtype=complex)
-            vals = np.where(ratio < 2.0, chi(ratio), 0.0) * u
-            far = np.zeros(Y.shape, dtype=complex)
+            vals = np.where(ratio < 2.0, chi(ratio), 0.0) \
+                * np.asarray(u_fn(Y, T), dtype=complex)
             outer = ratio >= 2.0
             annulus = ~(outer | (ratio <= 1.0))
             for m, with_omega in ((outer, False), (annulus, True)):
                 if np.any(m):
-                    far[m] = kfold(Y[m], T[m], with_omega)
-            vals = vals + far
+                    vals[m] += kfold(Y[m], T[m], with_omega)
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite integrand away from the guard")
         return vals
@@ -662,10 +680,8 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         npts = int(np.ceil(2.0 * local_radius / h_loc)) + 1
         loc_ax = np.linspace(-local_radius, local_radius, min(npts, 4096))
 
-        def local_integrand(Y, T):
-            return integrand_values(Y, T) * psi(Y, T) * phase_factor(Y, T)
-
-        val = val + _tiled_quadrature(local_integrand, loc_ax, loc_ax)
+        val = val + _tiled_quadrature(
+            _on_support(integrand_values, psi, phase_factor), loc_ax, loc_ax)
 
     val = val / (2.0 * np.pi)
     return OscIntegralResult(value=complex(val), ibp_order=k,

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiolab.grids import GridSpec
-from fiolab.operators import (AlignmentError, GridMismatchError,
+from fiolab.operators import (AlignmentError, DiscreteOperator,
+                              GridMismatchError, IterationError,
                               OperatorFormatError, Route, adjoint, apply,
                               compose, discretize_fio, gaussian_samples,
                               kernel_eval, load_operator, operator_norm,
@@ -156,6 +157,16 @@ class TestNorms:
                            grid256.dual(), Route.SPECTRAL)
         assert operator_norm(F) == pytest.approx(
             float(singular_values(F, 1)[0]), abs=1e-7)
+
+    def test_non_finite_iterate_raises_at_once(self, chirp_op):
+        # F*F overflows: the first iterate is not finite, and the iteration
+        # stops there instead of running its 10000 steps on NaN
+        huge = DiscreteOperator(1e200 * chirp_op.matrix, chirp_op.row_grid,
+                                chirp_op.col_grid, chirp_op.provenance)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IterationError,
+                               match=r"step [1-3]: the iterate .* not finite"):
+                operator_norm(huge)
 
     @given(st.floats(0.25, 4.0))
     @settings(max_examples=10, deadline=None)

@@ -1,6 +1,8 @@
 """Oscillatory integrals: regularization, partition of unity, integration
 by parts with the exact transpose operator."""
 import dataclasses
+import functools
+import math
 
 import mpmath
 import numpy as np
@@ -9,7 +11,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiolab import oscillatory
+from fiolab import jets, oscillatory
+from fiolab.expressions import lambdify
 from fiolab.oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                                 IBPOperator, OutsideDomainError, chi,
                                 chi_derivative, chi_expr, choose_eps0,
@@ -319,6 +322,82 @@ class TestIBPRegions:
         assert sum(seen) > 0
 
 
+class TestIBPSupport:
+    """The local psi-grid evaluates the integrand only where psi > 0."""
+
+    def test_masked_local_sum_equals_full_grid_sum(self, phi_xt,
+                                                   monkeypatch):
+        R = 6.0
+        masked = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=R)
+
+        def full_grid(integrand, weight, phase):
+            return lambda Y, T: integrand(Y, T) * weight(Y, T) * phase(Y, T)
+        monkeypatch.setattr(oscillatory, "_on_support", full_grid)
+        full = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=R)
+        assert masked.value == full.value
+        assert masked.tail_mass == full.tail_mass
+
+    def test_no_point_outside_psi_reaches_the_kfold_term(self, phi_xt,
+                                                          monkeypatch):
+        real_callables = oscillatory._ibp_callables
+        real_on_support = oscillatory._on_support
+        real_quadrature = oscillatory._tiled_quadrature
+        state = {"local": False, "points": [], "psi": None, "axes": []}
+
+        def callables(*args):
+            u_fn, phase_fn, ratio_fn, kfold = real_callables(*args)
+
+            def counted(Y, T, with_omega):
+                if state["local"]:
+                    state["points"].append((Y, T))
+                return kfold(Y, T, with_omega)
+            return u_fn, phase_fn, ratio_fn, counted
+
+        def on_support(integrand, weight, phase):
+            state["psi"] = weight
+            local = real_on_support(integrand, weight, phase)
+
+            def flagged(Y, T):
+                state["local"] = True
+                try:
+                    return local(Y, T)
+                finally:
+                    state["local"] = False
+            return flagged
+
+        def quadrature(fn, y_ax, t_ax):
+            state["axes"].append(y_ax)
+            return real_quadrature(fn, y_ax, t_ax)
+        monkeypatch.setattr(oscillatory, "_ibp_callables", callables)
+        monkeypatch.setattr(oscillatory, "_on_support", on_support)
+        monkeypatch.setattr(oscillatory, "_tiled_quadrature", quadrature)
+        fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=6.0)
+
+        Y = np.concatenate([y for y, _ in state["points"]])
+        T = np.concatenate([t for _, t in state["points"]])
+        assert Y.size > 0 and np.all(state["psi"](Y, T) > 0.0)
+        # the local grid does hold psi = 0 points: its square's corners
+        loc_ax = state["axes"][-1]
+        grid_y, grid_t = np.meshgrid(loc_ax, loc_ax, indexing="ij")
+        assert np.mean(state["psi"](grid_y, grid_t) == 0.0) > 0.15
+
+
+@functools.cache
+def chi_atom(m: int):
+    """Atomic sympy function standing for chi^(m); differentiation raises m.
+    It keeps the symbolic reference's omega small: `chi_modules` binds the
+    atoms to `chi_derivative` when the reference is lambdified."""
+    def fdiff(self, argindex=1, _m=m):
+        return chi_atom(_m + 1)(self.args[0])
+    return type(f"chi{m}", (sp.Function,), {"fdiff": fdiff, "nargs": (1,)})
+
+
+def chi_modules(max_order: int) -> dict:
+    """The numpy functions chi0..chi{max_order} of the atoms `chi_atom`."""
+    return {f"chi{m}": (lambda t, _m=m: chi_derivative(t, _m))
+            for m in range(max_order + 1)}
+
+
 class TestIBPJets:
     """The Taylor-jet evaluation of the k-fold term against the symbolic
     product-rule expansion of `IBPOperator.apply_transpose`."""
@@ -340,10 +419,10 @@ class TestIBPJets:
 
         op = IBPOperator(phi, eps0)
         ratio = op.denom / (eps0 * (1 + xs ** 2 + yv ** 2 + tv ** 2))
-        omega = oscillatory._chi_atom(0)(ratio)
+        omega = chi_atom(0)(ratio)
         reference = sp.lambdify(
             (xs, yv, tv), op.apply_transpose((1 - omega) * u, k),
-            modules=[oscillatory._chi_modules(k), "numpy"], cse=True)
+            modules=[chi_modules(k), "numpy"], cse=True)
 
         Y, T = np.random.default_rng(k).uniform(-6.0, 6.0, (2, 6000))
         r = ratio_fn(Y, T)
@@ -355,6 +434,36 @@ class TestIBPJets:
             got = kfold(Y[m], T[m], with_omega)
             err = np.max(np.abs(got - want))
             assert err <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_compose_matches_symbolic_derivatives(self, k):
+        # the jet of f(g) from f's Taylor coefficients at g_0 and g's jet,
+        # against the jet of the symbolic composition
+        y, t, z = sp.symbols("y t z", real=True)
+        g = y * sp.sin(t) + 1 / (1 + y ** 2)
+        f = sp.exp(-z) * sp.cos(3 * z)
+        Y, T = np.random.default_rng(k).uniform(-2.0, 2.0, (2, 500))
+        g_jet = jets.evaluate(lambdify((y, t), jets.derivatives(g, y, t, k)),
+                              Y, T, k)
+        s = [np.broadcast_to(lambdify(z, sp.diff(f, z, m)
+                                      / math.factorial(m))(g_jet[0, 0]),
+                             Y.shape) for m in range(k + 1)]
+        want = jets.evaluate(lambdify((y, t), jets.derivatives(
+            f.subs(z, g), y, t, k)), Y, T, k)
+        got = jets.compose(s, g_jet, k)
+        scale = np.max(np.abs(want), axis=(0, 1))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_chi_coefficients_are_scaled_chi_derivatives(self):
+        t = np.concatenate([np.linspace(0.0, 3.0, 30001),
+                            [np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0),
+                             np.nan]])
+        assert np.any(t <= 1.0) and np.any(t >= 2.0)
+        coefficients = oscillatory._chi_coefficients(t, 4)
+        assert np.all(coefficients[:, -1] == 0.0)  # NaN
+        for m in range(5):
+            assert np.all(coefficients[m] * math.factorial(m)
+                          == chi_derivative(t, m))
 
     def test_chi_derivatives_match_mpmath(self):
         def profile(t):

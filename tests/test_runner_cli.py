@@ -2,6 +2,7 @@
 determinism of emitted files."""
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -148,12 +149,18 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x", ["1e300", "-1e300"])
-    def test_huge_oscint_x_saturates_the_cutoff(self, tmp_path, x):
+    def test_huge_oscint_x_saturates_the_cutoff(self, tmp_path, capsys, x):
         # e^{-x^2/(2 sigma^2)} is 0 in double precision: the value is 0,
-        # not the expected f(0) = 1
+        # not the expected f(0) = 1.  The saturation is intended, so it
+        # emits no RuntimeWarning, which the CLI would print to stderr.
         d = tmp_path / "out"
-        assert main(["oscint", "oscint_gaussian", "--out-dir", str(d),
-                     "--override", f"oscint.x={x}"]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["oscint", "oscint_gaussian", "--out-dir", str(d),
+                         "--override", f"oscint.x={x}"]) == 1
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
         result = json.loads((d / "oscint.json").read_text())
         assert result["value"] == {"re": 0.0, "im": 0.0}
         assert result["passed"] is False
