@@ -6,7 +6,7 @@ numpy.f2py and numpy.testing.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -28,14 +28,17 @@ class _ProductPowerPrinter(NumPyPrinter):
         return super()._print_Pow(expr, rational=rational)
 
 
-def lambdify(args, expr):
+def lambdify(args, expr, functions: Optional[dict] = None):
     """The numpy function of `expr` (an expression or a list of them) over
     `args`, with common subexpressions eliminated and integer powers
-    multiplied out."""
+    multiplied out.  `functions` maps the names of undefined sympy
+    functions in `expr` to their numpy implementations."""
     printer = _ProductPowerPrinter({
         "fully_qualified_modules": True, "inline": True,
         "allow_unknown_functions": True, "user_functions": {}})
-    return sp.lambdify(args, expr, modules=[{"numpy": np}], cse=True,
+    namespace = {"numpy": np}
+    modules = [functions, namespace] if functions else [namespace]
+    return sp.lambdify(args, expr, modules=modules, cse=True,
                        printer=printer)
 
 

@@ -56,10 +56,15 @@ def evaluate(fn, y: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
     derivative is scaled by 1/(a! b!).  When fn returns r derivative lists
     interleaved (the i-th derivative of each, in turn), row r*i + j of the
     result is coefficient i of the j-th function."""
-    values = fn(y, t)
+    return from_values(fn(y, t), y.size, order)
+
+
+def from_values(values, size: int, order: int) -> np.ndarray:
+    """`evaluate` of the derivative values such a function returned at
+    `size` points."""
     repeat = len(values) // len(jet_indices(order))
     lanes = 2 if any(np.iscomplexobj(v) for v in values) else 1
-    out = np.empty((len(values), lanes, y.size))
+    out = np.empty((len(values), lanes, size))
     for row, value in zip(out, values):
         row[0] = np.real(value)
         if lanes == 2:

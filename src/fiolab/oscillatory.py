@@ -537,8 +537,9 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     evaluated on Taylor jets of order k: sympy differentiates only u, h_y,
     h_t and the ratio r, each up to order k, and every T costs one order of
     the jet.  omega = chi(r) is never differentiated symbolically: its jet
-    is `jets.compose` of chi's Taylor coefficients at r_0, taken once per
-    block from `_chi_coefficients`, with the ratio's jet.  with_omega=False
+    is `jets.compose` of chi's Taylor coefficients at r_0, which the
+    ratio's lambdified jet returns first (`_chi_coefficients` bound to the
+    undefined function chi0), with the ratio's jet.  with_omega=False
     drops omega, which vanishes with all its derivatives where r >= 2.
 
     None of them depends on the truncation radius, so calls that differ
@@ -555,7 +556,11 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     h_jet = lambdify((yv, tv), [
         d for pair in zip(jets.derivatives(h_y, yv, tv, k),
                           jets.derivatives(h_t, yv, tv, k)) for d in pair])
-    ratio_jet = lambdify((yv, tv), jets.derivatives(t_ratio, yv, tv, k))
+    # chi0(r): chi's Taylor coefficients at r_0, shape (k + 1, points)
+    omega_parts = lambdify(
+        (yv, tv), [sp.Function("chi0")(t_ratio),
+                   *jets.derivatives(t_ratio, yv, tv, k)],
+        {"chi0": lambda r: _chi_coefficients(r, k)})
     rotation = 1j ** k
 
     def kfold(Y, T, with_omega: bool) -> np.ndarray:
@@ -564,8 +569,9 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
             y, t = Y[start:start + _JET_CHUNK], T[start:start + _JET_CHUNK]
             w = jets.evaluate(u_jet, y, t, k)
             if with_omega:
-                r = jets.evaluate(ratio_jet, y, t, k)
-                one_minus = -jets.compose(_chi_coefficients(r[0, 0], k), r, k)
+                s, *ratio = omega_parts(y, t)
+                one_minus = -jets.compose(
+                    s, jets.from_values(ratio, y.size, k), k)
                 one_minus[0] += 1.0
                 w = jets.multiply(one_minus, w, k)
             w = jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k)
