@@ -97,6 +97,17 @@ def parse_scalar_expr(formula: str, variables: Sequence[sp.Symbol]) -> sp.Expr:
     return sp.sympify(formula, locals=local)
 
 
+def check_names(expr, variables: Sequence[sp.Symbol]):
+    """`expr`, after checking that every symbol it names is one of
+    `variables`; ValueError naming the others."""
+    stray = sp.sympify(expr).free_symbols - set(variables)
+    if stray:
+        raise ValueError(
+            f"{expr} names {', '.join(sorted(map(str, stray)))}, not among "
+            f"its variables {', '.join(map(str, variables))}")
+    return expr
+
+
 def multi_indices(dim: int, max_total: int):
     """All multi-indices alpha in N^dim with |alpha| <= max_total; a
     negative max_total raises ValueError."""

@@ -7,10 +7,12 @@ of its rows.  Arrays are coefficient-major, shape (ncoef, lanes, points):
 one lane for a real function, two (real and imaginary part) for a complex
 one, so every product of jets is real arithmetic.
 
-A product of two jets is a convolution of their coefficients.  It is
-evaluated as a gather over a table of coefficient pairs followed by one
-GEMM with a summing matrix; a derivative is a shift of the coefficients,
-folded into that matrix.  Every coefficient is exact Taylor arithmetic
+A product of two jets is a convolution of their coefficients, and a
+derivative is a shift of them.  Both follow a plan of coefficient pairs
+(a, b, row, weight): one kernel multiplies row a of one jet by row b of
+the other, scales the product by the weight (a derivative's factor) and
+adds it in place to the output row, so each pair costs one product of
+(lanes, points) arrays.  Every coefficient is exact Taylor arithmetic
 (Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13),
 not a difference quotient.  The input jets are values of the symbolic
 derivatives listed by `derivatives`, turned into one numpy function by
@@ -73,37 +75,36 @@ def from_values(values, size: int, order: int) -> np.ndarray:
     return out
 
 
-def _gather_sum(left: np.ndarray, right: np.ndarray, ia, ib,
-                matrix: np.ndarray) -> np.ndarray:
-    """matrix @ (left[ia] * right[ib]) over the pair index, per lane and
-    point."""
-    pairs = left[ia] * right[ib]
-    lanes = pairs.shape[1]
-    return (matrix @ pairs.reshape(len(ia), -1)).reshape(
-        matrix.shape[0], lanes, -1)
+def _accumulate(left: np.ndarray, right: np.ndarray, plan,
+                rows: int) -> np.ndarray:
+    """The jet whose row r is the sum of weight * left[a] * right[b] over
+    the plan's pairs (a, b, r, weight), per lane and point; a one-lane jet
+    multiplies each lane of a two-lane one."""
+    shape = np.broadcast_shapes(left.shape[1:], right.shape[1:])
+    out = np.zeros((rows, *shape))
+    tmp = np.empty(shape)
+    for a, b, row, weight in plan:
+        np.multiply(left[a], right[b], out=tmp)
+        if weight != 1.0:
+            tmp *= weight
+        out[row] += tmp
+    return out
 
 
 @functools.cache
 def _product_table(order: int):
     index = jet_indices(order)
     position = {ab: i for i, ab in enumerate(index)}
-    ia, ib, rows = [], [], []
-    for i, (a1, b1) in enumerate(index):
-        for j, (a2, b2) in enumerate(index):
-            if a1 + a2 + b1 + b2 <= order:
-                ia.append(i)
-                ib.append(j)
-                rows.append(position[a1 + a2, b1 + b2])
-    matrix = np.zeros((len(index), len(ia)))
-    matrix[rows, np.arange(len(ia))] = 1.0
-    return np.array(ia), np.array(ib), matrix
+    return tuple((i, j, position[a1 + a2, b1 + b2], 1.0)
+                 for i, (a1, b1) in enumerate(index)
+                 for j, (a2, b2) in enumerate(index)
+                 if a1 + a2 + b1 + b2 <= order)
 
 
 def multiply(f: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
     """The product jet f g, truncated to `order` (f and g are jets of at
     least that order; a one-lane jet multiplies each lane of the other)."""
-    ia, ib, matrix = _product_table(order)
-    return _gather_sum(f, g, ia, ib, matrix)
+    return _accumulate(f, g, _product_table(order), len(jet_indices(order)))
 
 
 def compose(s, g: np.ndarray, order: int) -> np.ndarray:
@@ -132,22 +133,18 @@ def _divergence_table(order: int):
     2i is coefficient i of c_y, row 2i + 1 that of c_t)."""
     index = jet_indices(order)
     lower = {ab: i for i, ab in enumerate(jet_indices(order - 1))}
-    ia, ib, rows, weights = [], [], [], []
+    plan = []
     for axis in (0, 1):
         for i, alpha in enumerate(index):
             for j, beta in enumerate(index):
                 gamma = [alpha[0] + beta[0], alpha[1] + beta[1]]
                 if sum(gamma) > order or gamma[axis] == 0:
                     continue
-                ia.append(2 * i + axis)
-                ib.append(j)
                 # d/d axis of the monomial: gamma[axis] times one degree less
-                weights.append(float(gamma[axis]))
+                weight = float(gamma[axis])
                 gamma[axis] -= 1
-                rows.append(lower[tuple(gamma)])
-    matrix = np.zeros((len(lower), len(ia)))
-    matrix[rows, np.arange(len(ia))] = weights
-    return np.array(ia), np.array(ib), matrix
+                plan.append((2 * i + axis, j, lower[tuple(gamma)], weight))
+    return tuple(plan)
 
 
 def divergence_power(c: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
@@ -156,8 +153,8 @@ def divergence_power(c: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     interleaved jets of (c_y, c_t) of order at least k.  Each step costs
     one order of the jet."""
     for order in range(k, 0, -1):
-        ia, ib, matrix = _divergence_table(order)
-        w = _gather_sum(c, w, ia, ib, matrix)
+        w = _accumulate(c, w, _divergence_table(order),
+                        len(jet_indices(order - 1)))
     return w[0]
 
 

@@ -208,12 +208,16 @@ def adjoint(F: DiscreteOperator) -> DiscreteOperator:
 
 
 def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
-    """A after B; weighted matrices compose exactly."""
+    """A after B; weighted matrices compose exactly.  An overflowing
+    product is left non-finite for the caller to report, without a numpy
+    warning."""
     if not _grids_equal(A.col_grid, B.row_grid):
         raise GridMismatchError("inner grids do not match")
     prov = {"route": "COMPOSE",
             "config": _config_hash({"A": A.provenance, "B": B.provenance})}
-    return DiscreteOperator(matrix=A.matrix @ B.matrix,
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = A.matrix @ B.matrix
+    return DiscreteOperator(matrix=matrix,
                             row_grid=A.row_grid, col_grid=B.col_grid,
                             provenance=prov)
 
@@ -221,36 +225,37 @@ def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
 def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
     """sqrt of the top eigenvalue of F*F by power iteration from a seeded
     random start, at most 10000 steps; a non-finite iterate raises
-    IterationError at once."""
+    IterationError at once, without a numpy warning."""
     a = F.matrix
     rng = np.random.default_rng(7)
     v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     prev = None
     prev_inc = None
-    for step in range(1, 10_001):
-        w = a.conj().T @ (a @ v)
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw):
-            raise IterationError(
-                f"power iteration step {step}: the iterate F*F v is not "
-                f"finite (norm {nw})")
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if prev is not None:
-            inc = abs(lam - prev)
-            # remaining error of the geometric eigenvalue sequence:
-            # inc * r / (1 - r) with r the observed increment ratio
-            if inc == 0.0:
-                return float(np.sqrt(max(lam, 0.0)))
-            if prev_inc is not None and prev_inc > 0.0:
-                r = min(inc / prev_inc, 0.999)
-                if inc * r / (1.0 - r) <= tol * max(abs(lam), 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, 10_001):
+            w = a.conj().T @ (a @ v)
+            lam = float(np.real(np.vdot(v, w)))
+            nw = np.linalg.norm(w)
+            if not np.isfinite(nw):
+                raise IterationError(
+                    f"power iteration step {step}: the iterate F*F v is not "
+                    f"finite (norm {nw})")
+            if nw == 0.0:
+                return 0.0
+            v = w / nw
+            if prev is not None:
+                inc = abs(lam - prev)
+                # remaining error of the geometric eigenvalue sequence:
+                # inc * r / (1 - r) with r the observed increment ratio
+                if inc == 0.0:
                     return float(np.sqrt(max(lam, 0.0)))
-            prev_inc = inc
-        prev = lam
+                if prev_inc is not None and prev_inc > 0.0:
+                    r = min(inc / prev_inc, 0.999)
+                    if inc * r / (1.0 - r) <= tol * max(abs(lam), 1e-300):
+                        return float(np.sqrt(max(lam, 0.0)))
+                prev_inc = inc
+            prev = lam
     raise IterationError("power iteration did not converge in 10000 steps")
 
 

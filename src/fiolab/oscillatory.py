@@ -520,10 +520,13 @@ def _on_support(integrand, weight, phase):
     return weighted
 
 
-#: points per block of the jet evaluation.  A block's largest array, the 110
-#: coefficient pairs of a k = 4 transpose step, then takes 1.8 MB, about one
-#: core's L2 cache; blocks of 512 and 1024 points ran criterion 3 slower.
-_JET_CHUNK = 2048
+#: points per block of the jet evaluation.  The jet kernel makes a few numpy
+#: calls per coefficient pair, each on one (lanes, points) row of at most
+#: 128 KB here, so larger blocks spend less per point on call overhead until
+#: the jets leave the cache.  Warm k = 4, R = 12 calls of criterion 3, median
+#: of four alternated calls on 2 cores: 1.86 s at 2048 points, 1.50-1.69 s at
+#: 4096, 1.34-1.53 s at 8192, 1.54-1.57 s at 16384 and 1.87 s at 32768.
+_JET_CHUNK = 8192
 
 
 @functools.lru_cache(maxsize=8)
@@ -553,7 +556,8 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     phase_fn = lambdify((yv, tv), phi_yt)
     ratio_fn = lambdify((yv, tv), t_ratio)
     u_jet = lambdify((yv, tv), jets.derivatives(u, yv, tv, k))
-    h_jet = lambdify((yv, tv), [
+    # k = 0 takes no transpose step, so it needs no jet of h
+    h_jet = None if k == 0 else lambdify((yv, tv), [
         d for pair in zip(jets.derivatives(h_y, yv, tv, k),
                           jets.derivatives(h_t, yv, tv, k)) for d in pair])
     # chi0(r): chi's Taylor coefficients at r_0, shape (k + 1, points)
@@ -574,7 +578,8 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
                     s, jets.from_values(ratio, y.size, k), k)
                 one_minus[0] += 1.0
                 w = jets.multiply(one_minus, w, k)
-            w = jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k)
+            w = (jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k)
+                 if k else w[0])
             out[start:start + _JET_CHUNK] = rotation * jets.as_complex(w)
         return out
     return u_fn, phase_fn, ratio_fn, kfold

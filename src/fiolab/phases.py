@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 import sympy as sp
 
-from .expressions import (coord_symbols, diff_multi, evaluate,
+from .expressions import (check_names, coord_symbols, diff_multi, evaluate,
                           multi_indices, parse_scalar_expr)
 from .grids import GridSpec
 from .weights import bracket
@@ -93,11 +93,14 @@ class GeneratingFunction:
 
     @classmethod
     def from_expr(cls, expr, n: int):
+        """S from a formula or expression over x0.. and theta0..; any other
+        symbol raises ValueError."""
         xvars = coord_symbols("x", n)
         tvars = coord_symbols("theta", n)
         if isinstance(expr, str):
             expr = parse_scalar_expr(expr, xvars + tvars)
-        return cls(n=n, expr=sp.sympify(expr), xvars=xvars, tvars=tvars)
+        expr = check_names(sp.sympify(expr), xvars + tvars)
+        return cls(n=n, expr=expr, xvars=xvars, tvars=tvars)
 
 
 @dataclass

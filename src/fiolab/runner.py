@@ -38,7 +38,8 @@ from .phases import (GeneratingFunction, quadratic_generating, special_phase,
                      verify_G2, verify_G3, verify_H2, verify_H3)
 from .symbols import SymbolField, seminorm_estimate
 from .weights import DEFAULT_CONVENTION, parse_weight
-from .expressions import coord_symbols, multi_indices, parse_scalar_expr
+from .expressions import (check_names, coord_symbols, multi_indices,
+                          parse_scalar_expr)
 
 class ScenarioError(Exception):
     """Configuration problem: parse failure or invalid reference."""
@@ -147,11 +148,10 @@ def _formula(text: str, variables, where: str) -> sympy.Expr:
         raise ScenarioError(f"{where} formula {text!r} is not an expression")
     if expr.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
         raise ScenarioError(f"{where} formula {text!r} is not finite")
-    extra = expr.free_symbols - set(variables)
-    if extra:
-        raise ScenarioError(f"{where} formula references undefined names: "
-                            f"{sorted(map(str, extra))}")
-    return expr
+    try:
+        return check_names(expr, variables)
+    except ValueError as exc:
+        raise ScenarioError(f"{where} formula {exc}") from exc
 
 
 def _build_generating(cfg) -> GeneratingFunction:

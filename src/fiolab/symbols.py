@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import sympy as sp
 
-from .expressions import (coord_symbols, diff_multi, evaluate,
+from .expressions import (check_names, coord_symbols, diff_multi, evaluate,
                           parse_scalar_expr)
 from .grids import GridSpec
 from .weights import (WeightSpec, bracket, constant_weight, lambda_weight,
@@ -80,18 +80,20 @@ def as_expr(a, variables: Sequence[sp.Symbol]) -> sp.Expr:
     `a` is a formula string, a sympy expression, a SymbolField on as many
     coordinates (renamed to `variables`) or a number.  A number is parsed
     from its repr: sympify(0.1 + 0.2) would keep only 15 digits and
-    lambdify to 0.3.
+    lambdify to 0.3.  A symbol outside `variables` raises ValueError.
     """
     if isinstance(a, str):
-        return parse_scalar_expr(a, variables)
-    if isinstance(a, SymbolField):
+        expr = parse_scalar_expr(a, variables)
+    elif isinstance(a, SymbolField):
         if a.dim != len(variables):
             raise ValueError(
                 f"field must live on {len(variables)} coordinates")
-        return a.expr.xreplace(dict(zip(a.variables, variables)))
-    if isinstance(a, sp.Expr):
-        return a
-    return sp.sympify(repr(complex(a)))
+        expr = a.expr.xreplace(dict(zip(a.variables, variables)))
+    elif isinstance(a, sp.Expr):
+        expr = a
+    else:
+        return sp.sympify(repr(complex(a)))
+    return check_names(expr, variables)
 
 
 def seminorm_estimate(a: SymbolField, alpha, grid: GridSpec) -> float:

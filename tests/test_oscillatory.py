@@ -3,6 +3,10 @@ by parts with the exact transpose operator."""
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -267,6 +271,31 @@ class TestFioApplyIBP:
         res = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=0, R=8.0)
         assert res.truncation_radius == 8.0
 
+    def test_rejects_names_outside_the_variables(self, phi_xt):
+        with pytest.raises(ValueError, match="y1"):
+            fio_apply_ibp(A_ONE, phi_xt, "exp(-y1**2/2)", 0.0, k=0, R=8.0)
+
+
+def test_ibp_value_independent_of_blas_threads(tmp_path):
+    """The k-fold term calls no BLAS routine: one and two OpenBLAS threads
+    give the same value and tail mass, to the last bit."""
+    script = (
+        "from fiolab.oscillatory import fio_apply_ibp\n"
+        "from fiolab.phases import GeneratingFunction, special_phase\n"
+        "phi = special_phase(GeneratingFunction.from_expr('x*theta', 1))\n"
+        f"res = fio_apply_ibp({A_ONE!r}, phi, {F_GAUSS!r}, 0.0, k=2, R=6.0)\n"
+        "print(repr(res.value), repr(res.tail_mass))\n")
+    src = str(Path(oscillatory.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        outs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=tmp_path,
+            capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1] and outs[0].strip()
+
 
 def ibp_callables(phi, k):
     """`_ibp_callables` with the arguments fio_apply_ibp(A_ONE, phi, F_GAUSS,
@@ -453,6 +482,20 @@ class TestIBPJets:
         got = jets.compose(s, g_jet, k)
         scale = np.max(np.abs(want), axis=(0, 1))
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_kfold_independent_of_block_boundaries(self, phi_xt, k):
+        # one block and 3 points in one call, against the same points in
+        # two calls whose blocks end elsewhere
+        _, _, ratio_fn, kfold = ibp_callables(phi_xt, k)
+        n = oscillatory._JET_CHUNK + 3
+        Y, T = np.random.default_rng(k).uniform(-6.0, 6.0, (2, n))
+        r = ratio_fn(Y, T)
+        assert np.any((r > 1.0) & (r < 2.0)) and np.any(r >= 2.0)
+        whole = kfold(Y, T, True)
+        split = np.concatenate([kfold(Y[:5], T[:5], True),
+                                kfold(Y[5:], T[5:], True)])
+        assert np.array_equal(whole, split)
 
     def test_chi_coefficients_are_scaled_chi_derivatives(self):
         t = np.concatenate([np.linspace(0.0, 3.0, 30001),

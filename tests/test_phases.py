@@ -24,6 +24,11 @@ def assert_witness_measures_constant(rep, expr, variables):
     assert float(ratio[0]) == pytest.approx(rep.constants[alpha], rel=1e-12)
 
 
+def test_generating_function_rejects_names_outside_its_variables():
+    with pytest.raises(ValueError, match="theta1, x1"):
+        GeneratingFunction.from_expr("x1*theta1", 1)
+
+
 class TestSpecialPhase:
     def test_bilinear(self, S_xt):
         phi = special_phase(S_xt)

@@ -165,6 +165,24 @@ class TestCli:
         assert result["value"] == {"re": 0.0, "im": 0.0}
         assert result["passed"] is False
 
+    @pytest.mark.parametrize("name, overrides, code", [
+        ("multiplier_norm", f"grids.M=64 symbol.a=1e300 {CV_CHECK}", 1),
+        ("ffstar_gaussian", "grids.M=64 symbol.a=1e300", 2),
+    ], ids=["operator_norm", "compose"])
+    def test_overflowing_operator_emits_no_runtime_warning(
+            self, tmp_path, capsys, name, overrides, code):
+        # the power iteration's IterationError (exit 1) and the non-finite
+        # predicted symbol's config error (exit 2) report the overflow
+        args = ["run", name, "--out-dir", str(tmp_path / "out")]
+        for override in overrides.split():
+            args += ["--override", override]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == code
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
     def test_single_operation_writes_only_its_artifacts(self, tmp_path):
         # the operator spectrum needs is built without the build-operator
         # operation, whose apply check would fail at this rtol

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from fiolab.expressions import coord_symbols, parse_scalar_expr
 from fiolab.grids import GridSpec
-from fiolab.symbols import (LowerBoundError, SymbolField, derivative_symbol,
-                            product_symbol, reciprocal_symbol,
-                            seminorm_estimate)
+from fiolab.symbols import (LowerBoundError, SymbolField, as_expr,
+                            derivative_symbol, product_symbol,
+                            reciprocal_symbol, seminorm_estimate)
 from fiolab.weights import lambda_weight, parse_weight
 
 X = sp.Symbol("x", real=True)
@@ -157,6 +157,12 @@ class TestValidation:
         a = gaussian_field(weight=parse_weight(tag, 1))
         with pytest.raises(ValueError, match="finite and positive"):
             seminorm_estimate(a, (0,), GridSpec(1, 4.0, 16))
+
+    @pytest.mark.parametrize("a", ["x1 + x0", sp.Symbol("x1") * X])
+    def test_as_expr_rejects_names_outside_its_variables(self, a):
+        x0 = coord_symbols("x", 1)[0]
+        with pytest.raises(ValueError, match="x1"):
+            as_expr(a, (x0,))
 
 
 class TestParsePrefixes:
