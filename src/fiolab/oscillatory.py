@@ -402,8 +402,9 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     trapezoid grid, recorded in `OscIntegralResult.quadrature`."""
     _require_1d(phi)
     schedule = [float(s) for s in schedule]
-    if any(s2 <= s1 for s1, s2 in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be increasing")
+    if not all(s1 < s2 for s1, s2 in zip([0.0] + schedule, schedule)):
+        raise ValueError(f"schedule must be positive and increasing: "
+                         f"{schedule}")
     xv = float(x)
     yv, tv = phi.yvars[0], phi.tvars[0]
     phi_yt = phi.expr.subs(phi.xvars[0], xv)

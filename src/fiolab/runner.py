@@ -1,25 +1,27 @@
 """Scenario runner: parse a config, orchestrate the modules, persist results.
 
 Scenarios are flat INI-style files with named sections and key=value
-entries.  Each operation returns (passed, details); `run_scenario` alone
-writes them, as `<op>.json` = {"passed": passed, **details} (sorted keys,
-repr floats) and as the manifest outcome {"operation": op, "passed": passed,
-**details}.  An operation may also write plot-ready CSVs; the manifest ties
-everything to the scenario hash.  All numeric outputs are deterministic: rerunning the same
-scenario byte-reproduces every JSON/CSV (the manifest additionally carries
-wall-clock time and is exempt from that guarantee).
+entries, in the format `_SCHEMA` declares.  Each operation reads the typed
+values and returns (passed, details); `run_scenario` alone writes them, as
+`<op>.json` = {"passed": passed, **details} (sorted keys, repr floats) and
+as the manifest outcome {"operation": op, "passed": passed, **details}.  An
+operation may also write plot-ready CSVs.  Rerunning a scenario
+byte-reproduces every JSON/CSV; the manifest, which ties them to the
+scenario hash and the effective config, also carries wall-clock time.
 """
 from __future__ import annotations
 
 import configparser
 import csv
+import difflib
 import hashlib
 import json
+import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -41,24 +43,9 @@ from .weights import DEFAULT_CONVENTION, parse_weight
 from .expressions import (check_names, coord_symbols, multi_indices,
                           parse_scalar_expr)
 
+
 class ScenarioError(Exception):
     """Configuration problem: parse failure or invalid reference."""
-
-
-class _Config(configparser.ConfigParser):
-    """ConfigParser whose getint/getfloat/getboolean raise ScenarioError on
-    a malformed value or a float that is not finite (all three convert
-    through `_get_conv`)."""
-
-    def _get_conv(self, section, option, conv, **kwargs):
-        try:
-            value = super()._get_conv(section, option, conv, **kwargs)
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}] {option}: {exc}") from exc
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ScenarioError(f"[{section}] {option}: {value!r} is not "
-                                f"finite")
-        return value
 
 
 @dataclass
@@ -67,6 +54,7 @@ class RunManifest:
     lambda_convention: str
     module_versions: dict
     grids: dict
+    config: dict
     outcomes: List[dict] = field(default_factory=list)
     wall_clock_s: float = 0.0
     out_dir: str = ""
@@ -76,163 +64,119 @@ class RunManifest:
         return all(o["passed"] for o in self.outcomes)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "scenario_hash": self.scenario_hash,
-            "lambda_convention": self.lambda_convention,
-            "module_versions": self.module_versions,
-            "grids": self.grids,
-            "outcomes": self.outcomes,
-            "wall_clock_s": self.wall_clock_s,
-            "out_dir": self.out_dir,
-        }, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _cfloat(z) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def load_scenario(path, overrides: Sequence[str] = ()):
-    """Parse + validate; returns (config, scenario hash)."""
-    path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
-    text = path.read_text()
-    cfg = _Config(inline_comment_prefixes=("#",))
+# converters: an entry's text to its typed value, or ValueError
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _bool(text: str) -> bool:
     try:
-        cfg.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ScenarioError(f"parse error in {path}: {exc}") from exc
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ScenarioError(f"override must look like section.key=value: {item}")
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        if not cfg.has_section(section):
-            cfg.add_section(section)
-        cfg.set(section, key, value)
-    if not cfg.has_section("scenario"):
-        raise ScenarioError("missing [scenario] section")
-    for op in _operation_list(cfg):
-        if op not in _DISPATCH:
-            raise ScenarioError(f"unknown operation: {op}")
-    digest = hashlib.sha256()
-    digest.update(text.encode())
-    for item in sorted(overrides):
-        digest.update(item.encode())
-    return cfg, digest.hexdigest()
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
-@contextmanager
-def _config_values(where: str):
-    """ValueError from a library object built from config values, reported
-    as the ScenarioError it is."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ScenarioError(f"{where} {exc}") from exc
+def _samples(text: str) -> List[Tuple[float, float]]:
+    pairs = [tok.split() for tok in text.split(";") if tok.strip()]
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{text!r} is not `x xi` pairs separated by `;`")
+    return [(_float(x), _float(xi)) for x, xi in pairs]
 
 
-def _operation_list(cfg) -> List[str]:
-    raw = cfg.get("scenario", "operations", fallback="")
-    return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
+def _coeffs(text: str) -> GeneratingFunction:
+    keymap = {"xx": ((2,), (0,)), "xt": ((1,), (1,)), "tt": ((0,), (2,))}
+    pairs = [tok.split(":") for tok in text.split(",") if tok.strip()]
+    if not pairs or any(len(p) != 2 or p[0].strip() not in keymap
+                        for p in pairs):
+        raise ValueError(f"{text!r} is not xx|xt|tt:value pairs")
+    return quadratic_generating(
+        {keymap[key.strip()]: _float(value) for key, value in pairs}, 1)
 
 
-def _formula(text: str, variables, where: str) -> sympy.Expr:
-    """A config formula parsed over `variables`; ScenarioError when it does
-    not parse to an expression or names anything else."""
+def _weight(text: str) -> str:
+    """The tag as given, which verify-symbol records, once it parses."""
+    parse_weight(text, 2)
+    return text
+
+
+def _formula(text: str, variables) -> sympy.Expr:
     try:
         expr = parse_scalar_expr(text, variables)
     except (sympy.SympifyError, TypeError, AttributeError) as exc:
-        raise ScenarioError(f"bad {where} formula {text!r}: {exc}") from exc
+        raise ValueError(f"bad formula {text!r}: {exc}") from exc
     if not isinstance(expr, sympy.Expr):
-        raise ScenarioError(f"{where} formula {text!r} is not an expression")
+        raise ValueError(f"formula {text!r} is not an expression")
     if expr.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
-        raise ScenarioError(f"{where} formula {text!r} is not finite")
-    try:
-        return check_names(expr, variables)
-    except ValueError as exc:
-        raise ScenarioError(f"{where} formula {exc}") from exc
+        raise ValueError(f"formula {text!r} is not finite")
+    return check_names(expr, variables)
 
 
-def _build_generating(cfg) -> GeneratingFunction:
-    if not cfg.has_section("phase"):
-        raise ScenarioError("missing [phase] section")
-    n = cfg.getint("phase", "n", fallback=1)
-    gen = cfg.get("phase", "generating", fallback=None)
-    if gen is None:
-        raise ScenarioError("[phase] needs a `generating` entry")
-    gen = gen.strip()
-    if gen.startswith("expr:"):
-        variables = coord_symbols("x", n) + coord_symbols("theta", n)
-        return GeneratingFunction.from_expr(
-            _formula(gen[len("expr:"):], variables, "[phase] generating"), n)
-    if gen == "quadratic":
-        if n != 1:
-            raise ScenarioError("config quadratic phases support n = 1")
-        raw = cfg.get("phase", "coeffs", fallback="")
-        keymap = {"xx": ((2,), (0,)), "xt": ((1,), (1,)), "tt": ((0,), (2,))}
-        coeffs = {}
-        for tok in raw.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                key, val = tok.split(":")
-                coeffs[keymap[key.strip()]] = float(val)
-            except (ValueError, KeyError) as exc:
-                raise ScenarioError(f"bad quadratic coefficient {tok!r}") from exc
-        if not coeffs:
-            raise ScenarioError("quadratic phase needs nonempty coeffs")
-        return quadratic_generating(coeffs, n)
-    raise ScenarioError(f"unknown generating kind: {gen!r}")
+def _generating(text: str, variables):
+    if text == "quadratic" and len(variables) == 2:
+        return text  # S is [phase] coeffs
+    if not text.startswith("expr:"):
+        raise ValueError(f"{text!r} is neither expr:<formula> nor, for "
+                         f"n = 1, quadratic")
+    return GeneratingFunction.from_expr(_formula(text[5:], variables),
+                                        len(variables) // 2)
 
 
-def _amplitude_string(cfg) -> str:
-    if not cfg.has_section("symbol") or not cfg.has_option("symbol", "a"):
-        raise ScenarioError("missing [symbol] a = <formula>")
-    return cfg.get("symbol", "a")
+_REQUIRED = object()
 
 
-def _grids(cfg):
-    m = cfg.getint("grids", "M", fallback=256)
-    r = cfg.getfloat("grids", "R", fallback=8.0)
-    with _config_values("[grids]"):
-        x = GridSpec(1, r, m, dft_aligned=True)
-        return x, x, x.dual()
-
-
-def _write_json(out_dir: Path, name: str, payload: dict):
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+class _Entry(NamedTuple):
+    """`default`: a text, None (no value) or _REQUIRED; a `many` value is a
+    list of items split at commas and spaces; a value or item must be one
+    of `choices` if given; a formula is over the coordinates `over`."""
+    convert: Callable
+    default: object = None
+    choices: Tuple[str, ...] = ()
+    over: Tuple[str, ...] = ()
+    many: bool = False
 
 
 # ---------------------------------------------------------------------------
 # operations: each returns (passed, details); `run_scenario` writes them
 
 
-def _discretize(cfg, ctx, xg, yg, tg) -> DiscreteOperator:
-    """The scenario's operator on the given grids, by its [operator] route."""
-    route = cfg.get("operator", "route", fallback="kernel").upper()
-    if route not in Route.__members__:
-        raise ScenarioError(f"unknown operator route {route!r}")
-    taper = cfg.getboolean("operator", "taper", fallback=True)
-    return discretize_fio(ctx["S"], ctx["a"], xg, yg, tg,
-                          route=Route[route], taper=taper)
+@contextmanager
+def _config_values(where: str):
+    """ValueError, or NotImplementedError for a dimension the 1-D grids do
+    not support, from the library on config values, as a ScenarioError."""
+    try:
+        yield
+    except (ValueError, NotImplementedError) as exc:
+        raise ScenarioError(f"{where} {exc}") from exc
 
 
-def _operator(cfg, ctx) -> DiscreteOperator:
-    """The scenario's operator on the scenario grids, built once per run."""
+def _write_csv(path: Path, header: Sequence[str], rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def _operator(cfg, ctx, x: Optional[GridSpec] = None) -> DiscreteOperator:
+    """The scenario's operator, by its [operator] route, with x and y on the
+    grid `x` and theta on its dual; on the scenario grid (the default), it
+    is built once per run."""
+    if x is not None:
+        return discretize_fio(ctx["S"], cfg["symbol", "a"], x, x, x.dual(),
+                              route=Route[cfg["operator", "route"]],
+                              taper=cfg["operator", "taper"])
     if "F" not in ctx:
-        ctx["F"] = _discretize(cfg, ctx, *ctx["grids"])
+        ctx["F"] = _operator(cfg, ctx, ctx["x"])
     return ctx["F"]
 
 
@@ -240,48 +184,31 @@ def _op_build_operator(cfg, ctx, out_dir: Path):
     F = _operator(cfg, ctx)
     details = {"route": F.provenance["route"], "provenance": F.provenance}
     passed = True
-    if cfg.getboolean("operator", "apply_check", fallback=False):
-        rtol = cfg.getfloat("operator", "apply_rtol", fallback=1e-6)
-        yg = ctx["grids"][1]
-        g = gaussian_samples(yg, width=4.0 * yg.spacing)
-        err = float(np.linalg.norm(apply(F, g) - g)
-                    / np.linalg.norm(g))
-        details["apply_rel_error"] = err
-        details["apply_rtol"] = rtol
+    if cfg["operator", "apply_check"]:
+        rtol = cfg["operator", "apply_rtol"]
+        g = gaussian_samples(ctx["x"], width=4.0 * ctx["x"].spacing)
+        err = float(np.linalg.norm(apply(F, g) - g) / np.linalg.norm(g))
+        details.update(apply_rel_error=err, apply_rtol=rtol)
         passed = err < rtol
-    if cfg.getboolean("operator", "save", fallback=False):
-        dest = out_dir / "operator.bin"
-        save_operator(F, str(dest))
-        details["saved"] = dest.name
+    if cfg["operator", "save"]:
+        save_operator(F, str(out_dir / "operator.bin"))
+        details["saved"] = "operator.bin"
     return passed, details
 
 
 def _op_check_ffstar(cfg, ctx, out_dir: Path):
-    F = _operator(cfg, ctx)
-    ffstar = compose(F, adjoint(F))
-    raw = cfg.get("ffstar", "samples", fallback="0 0")
-    samples = []
-    for tok in raw.split(";"):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            x_s, t_s = tok.split()
-            samples.append((float(x_s), float(t_s)))
-        except ValueError as exc:
-            raise ScenarioError(f"bad ffstar sample {tok!r}") from exc
-    tol = cfg.getfloat("ffstar", "tol", fallback=0.05)
-    with _config_values("[ffstar]"):
-        est = compare_symbols(ctx["S"], ctx["a"], ffstar, samples,
-                              which=Which.FFSTAR)
+    F, tol = _operator(cfg, ctx), cfg["ffstar", "tol"]
+    est = compare_symbols(ctx["S"], cfg["symbol", "a"], compose(F, adjoint(F)),
+                          cfg["ffstar", "samples"], which=Which.FFSTAR)
     recorded = [s for s in est.samples if s.rel_error is not None]
     passed = all(s.rel_error <= tol for s in recorded)
-    rows = [(s.x, s.xi, float(np.real(s.extracted)), float(np.imag(s.extracted)),
-             s.predicted, "" if s.rel_error is None else repr(s.rel_error))
-            for s in est.samples]
     _write_csv(out_dir / "ffstar_samples.csv",
                ["x", "xi", "extracted_re", "extracted_im", "predicted",
-                "relative_error"], rows)
+                "relative_error"],
+               [(s.x, s.xi, float(np.real(s.extracted)),
+                 float(np.imag(s.extracted)), s.predicted,
+                 "" if s.rel_error is None else repr(s.rel_error))
+                for s in est.samples])
     _write_csv(out_dir / "ffstar_errors.csv",
                ["lambda_base", "relative_error"],
                [(float(np.sqrt(1.0 + s.x ** 2 + s.xi ** 2)),
@@ -300,47 +227,22 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path):
 
 
 def _op_spectrum(cfg, ctx, out_dir: Path):
-    F = _operator(cfg, ctx)
-    count = cfg.getint("spectrum", "count", fallback=0) or None
-    with _config_values("[spectrum]"):
-        s = singular_values(F, count)
+    s = singular_values(_operator(cfg, ctx), cfg["spectrum", "count"] or None)
     _write_csv(out_dir / "spectrum.csv", ["index", "singular_value"],
                enumerate(s.tolist()))
     return True, {"count": len(s), "top": float(s[0]) if len(s) else 0.0}
 
 
 def _op_oscint(cfg, ctx, out_dir: Path):
-    if not cfg.has_section("oscint"):
-        raise ScenarioError("missing [oscint] section")
-    phi = special_phase(ctx["S"])
-    a = _formula(cfg.get("oscint", "a", fallback="1"), phi.variables,
-                 "[oscint] a")
-    if not cfg.has_option("oscint", "f"):
-        raise ScenarioError("[oscint] needs f = <formula in y>")
-    f = _formula(cfg.get("oscint", "f"), phi.yvars, "[oscint] f")
-    x = cfg.getfloat("oscint", "x", fallback=0.0)
-    raw = cfg.get("oscint", "schedule", fallback="4,8,16,32,64")
+    kind = cfg["oscint", "cutoff"]
     try:
-        schedule = [float(t) for t in raw.split(",")]
-    except ValueError as exc:
-        raise ScenarioError(f"bad [oscint] schedule {raw!r}") from exc
-    if not all(0 < s < np.inf for s in schedule):
-        raise ScenarioError(
-            f"[oscint] schedule needs finite sigmas > 0: {raw!r}")
-    if any(s2 <= s1 for s1, s2 in zip(schedule, schedule[1:])):
-        raise ScenarioError(f"[oscint] schedule must be increasing: {raw!r}")
-    kind = cfg.get("oscint", "cutoff", fallback="gaussian").strip().upper()
-    try:
-        cutoff = CutoffSpec(CutoffKind[kind])
-    except KeyError as exc:
-        raise ScenarioError(f"unknown cutoff kind {kind!r}") from exc
-    try:
-        res = regularized_fio_apply(a, phi, f, x, schedule=schedule,
-                                    cutoff=cutoff)
-        converged = True
+        res = regularized_fio_apply(
+            cfg["oscint", "a"], special_phase(ctx["S"]), cfg["oscint", "f"],
+            cfg["oscint", "x"], schedule=cfg["oscint", "schedule"],
+            cutoff=CutoffSpec(CutoffKind[kind]))
+        passed = True
     except ConvergenceError as exc:
-        res, converged = exc.result, False
-    passed = converged
+        res, passed = exc.result, False
     details = {
         "value": _cfloat(res.value),
         "cutoff": kind,
@@ -352,83 +254,58 @@ def _op_oscint(cfg, ctx, out_dir: Path):
     }
     _write_csv(out_dir / "oscint_residuals.csv", ["sigma", "residual_abs"],
                details["sigma_residuals"])
-    expected = cfg.getfloat("oscint", "expected_re", fallback=None)
-    if expected is not None and converged:
-        rtol = cfg.getfloat("oscint", "rtol", fallback=1e-3)
+    expected = cfg["oscint", "expected_re"]
+    if expected is not None and passed:
         err = abs(res.value - expected) / max(abs(expected), 1e-300)
-        details["expected_re"] = expected
-        details["expected_rel_error"] = float(err)
-        passed = passed and err < rtol
+        details.update(expected_re=expected, expected_rel_error=float(err))
+        passed = err < cfg["oscint", "rtol"]
     return passed, details
 
 
 def _op_verify_phase(cfg, ctx, out_dir: Path):
-    S = ctx["S"]
-    phi = special_phase(S)
-    reports = {
-        "G2": verify_G2(S),
-        "G3": verify_G3(S),
-        "H2": verify_H2(phi),
-        "H3": verify_H3(phi),
-    }
-    expect_pass = cfg.getboolean("verify", "expect_pass", fallback=True)
+    S, phi = ctx["S"], special_phase(ctx["S"])
+    reports = {"G2": verify_G2(S), "G3": verify_G3(S),
+               "H2": verify_H2(phi), "H3": verify_H3(phi)}
     all_pass = all(r.passed for r in reports.values())
-    return all_pass == expect_pass, {name: r.to_dict()
-                                     for name, r in reports.items()}
+    return all_pass == cfg["verify", "expect_pass"], {
+        name: r.to_dict() for name, r in reports.items()}
 
 
 def _op_verify_symbol(cfg, ctx, out_dir: Path):
-    S = ctx["S"]
-    weight_tag = cfg.get("symbol", "weight", fallback="const:1")
-    rho = cfg.getfloat("symbol", "rho", fallback=0.0)
-    radius = cfg.getfloat("symbol", "check_radius", fallback=8.0)
-    points = cfg.getint("symbol", "check_points", fallback=17)
-    max_order = cfg.getint("symbol", "max_order", fallback=2)
-    estimates = {}
-    with _config_values("[symbol]"):
-        a_field = SymbolField.from_expr(ctx["a"], S.variables, rho=rho,
-                                        weight=parse_weight(weight_tag, 2))
-        grid = GridSpec(2, radius, points)
-        for alpha in multi_indices(2, max_order):
-            estimates["".join(map(str, alpha))] = \
-                seminorm_estimate(a_field, alpha, grid)
+    weight_tag, rho = cfg["symbol", "weight"], cfg["symbol", "rho"]
+    a_field = SymbolField.from_expr(cfg["symbol", "a"], ctx["S"].variables,
+                                    rho=rho,
+                                    weight=parse_weight(weight_tag, 2))
+    grid = GridSpec(2, cfg["symbol", "check_radius"],
+                    cfg["symbol", "check_points"])
+    estimates = {"".join(map(str, alpha)): seminorm_estimate(a_field, alpha,
+                                                             grid)
+                 for alpha in multi_indices(2, cfg["symbol", "max_order"])}
     finite = all(np.isfinite(c) for c in estimates.values())
     return finite, {"seminorms": estimates, "weight": weight_tag,
                     "rho": rho}
 
 
 def _op_cv_check(cfg, ctx, out_dir: Path):
-    if not cfg.has_section("cv") or not cfg.has_option("cv", "sigma"):
-        raise ScenarioError("missing [cv] sigma = <formula in x, xi>")
-    xxi = coord_symbols("x", 1) + (sympy.Symbol("xi", real=True),)
     sigma = SymbolField.from_expr(
-        _formula(cfg.get("cv", "sigma"), xxi, "[cv] sigma"), xxi)
-    k = cfg.getint("cv", "k", fallback=3)
-    gamma = cfg.getfloat("cv", "gamma", fallback=1.0)
-    radius = cfg.getfloat("cv", "radius", fallback=8.0)
-    points = cfg.getint("cv", "points", fallback=33)
-    with _config_values("[cv]"):
-        q = cv_seminorm(sigma, k, GridSpec(2, radius, points))
-    F = _operator(cfg, ctx)
-    with _config_values("[cv]"):
-        report = cv_bound_check(F, q, gamma=gamma)
-    return report.passed, {
-        "k": k, "gamma": gamma, "Q_k": q.Q_k,
-        "operator_norm": report.norm, "bound": report.bound,
-        "ratio": report.ratio,
-    }
+        cfg["cv", "sigma"], coord_symbols("x", 1) + coord_symbols("xi", 1))
+    k, gamma = cfg["cv", "k"], cfg["cv", "gamma"]
+    q = cv_seminorm(sigma, k, GridSpec(2, cfg["cv", "radius"],
+                                       cfg["cv", "points"]))
+    report = cv_bound_check(_operator(cfg, ctx), q, gamma=gamma)
+    return report.passed, {"k": k, "gamma": gamma, "Q_k": q.Q_k,
+                           "operator_norm": report.norm,
+                           "bound": report.bound, "ratio": report.ratio}
 
 
 def _op_compactness(cfg, ctx, out_dir: Path):
-    xg = ctx["grids"][0]
-    xf = GridSpec(1, xg.radius, 2 * xg.points, dft_aligned=True)
     coarse = _operator(cfg, ctx)
-    fine = _discretize(cfg, ctx, xf, xf, xf.dual())
-    tail_index = cfg.getint("compactness", "tail_index", fallback=0) or None
-    with _config_values("[compactness]"):
-        report = compactness_probe(coarse, fine, tail_index=tail_index)
-    expected = cfg.get("compactness", "expected", fallback=None)
-    passed = True if expected is None else (report.verdict == expected.strip())
+    fine = _operator(cfg, ctx, GridSpec(1, ctx["x"].radius,
+                                        2 * ctx["x"].points, dft_aligned=True))
+    report = compactness_probe(
+        coarse, fine, tail_index=cfg["compactness", "tail_index"] or None)
+    expected = cfg["compactness", "expected"]
+    passed = True if expected is None else report.verdict == expected
     for side, s in (("coarse", report.spectrum_coarse),
                     ("fine", report.spectrum_fine)):
         _write_csv(out_dir / f"spectrum_{side}.csv",
@@ -455,43 +332,165 @@ _DISPATCH = {
     "compactness": _op_compactness,
 }
 
+#: the scenario format; see "Scenario files" in README.md
+_SCHEMA = {
+    ("scenario", "name"): _Entry(str),  # default: the file name's stem
+    ("scenario", "operations"): _Entry(str, _REQUIRED, tuple(_DISPATCH),
+                                       many=True),
+    ("output", "dir"): _Entry(str),  # default: out_<name>
+    ("phase", "n"): _Entry(int, "1"),  # precedes the formulas it sizes
+    ("phase", "generating"): _Entry(_generating, _REQUIRED,
+                                    over=("x", "theta")),
+    ("phase", "coeffs"): _Entry(_coeffs, _REQUIRED),
+    ("symbol", "a"): _Entry(_formula, "1", over=("x", "theta")),
+    ("symbol", "weight"): _Entry(_weight, "const:1"),
+    ("symbol", "rho"): _Entry(_float, "0"),
+    ("symbol", "check_radius"): _Entry(_float, "8"),
+    ("symbol", "check_points"): _Entry(int, "17"),
+    ("symbol", "max_order"): _Entry(int, "2"),
+    ("grids", "M"): _Entry(int, "256"),
+    ("grids", "R"): _Entry(_float, "8"),
+    ("operator", "route"): _Entry(str.upper, "KERNEL",
+                                  tuple(Route.__members__)),
+    ("operator", "taper"): _Entry(_bool, "true"),
+    ("operator", "apply_check"): _Entry(_bool, "false"),
+    ("operator", "apply_rtol"): _Entry(_float, "1e-6"),
+    ("operator", "save"): _Entry(_bool, "false"),
+    ("ffstar", "samples"): _Entry(_samples, "0 0"),
+    ("ffstar", "tol"): _Entry(_float, "0.05"),
+    ("spectrum", "count"): _Entry(int, "0"),
+    ("oscint", "a"): _Entry(_formula, "1", over=("x", "y", "theta")),
+    ("oscint", "f"): _Entry(_formula, _REQUIRED, over=("y",)),
+    ("oscint", "x"): _Entry(_float, "0"),
+    ("oscint", "schedule"): _Entry(_float, "4, 8, 16, 32, 64", many=True),
+    ("oscint", "cutoff"): _Entry(str.upper, "GAUSSIAN",
+                                 tuple(CutoffKind.__members__)),
+    ("oscint", "expected_re"): _Entry(_float),
+    ("oscint", "rtol"): _Entry(_float, "1e-3"),
+    ("verify", "expect_pass"): _Entry(_bool, "true"),
+    ("cv", "sigma"): _Entry(_formula, _REQUIRED, over=("x", "xi")),
+    ("cv", "k"): _Entry(int, "3"),
+    ("cv", "gamma"): _Entry(_float, "1"),
+    ("cv", "radius"): _Entry(_float, "8"),
+    ("cv", "points"): _Entry(int, "33"),
+    ("compactness", "tail_index"): _Entry(int, "0"),
+    ("compactness", "expected"): _Entry(str, None, (
+        "COMPACT-CONSISTENT", "NONCOMPACT-CONSISTENT", "INCONCLUSIVE")),
+}
+
+
+class ScenarioConfig(dict):
+    """Typed values by (section, key); an omitted required one raises when
+    read.  `record` holds them by section, each non-JSON value as its text."""
+
+    def __missing__(self, entry):
+        raise ScenarioError(f"missing [{entry[0]}] {entry[1]}")
+
+
+def _convert(section: str, key: str, text, cfg: ScenarioConfig):
+    """`text` (None: no value) as the typed value of the `_SCHEMA` entry."""
+    entry = _SCHEMA[section, key]
+    if text is None:
+        return None
+    args = [[v for prefix in entry.over for v in coord_symbols(
+        prefix, cfg["phase", "n"])]] if entry.over else []
+    try:
+        values = [entry.convert(item, *args) for item in (
+            text.replace(",", " ").split() if entry.many else [text])]
+        for value in values:
+            if entry.choices and value not in entry.choices:
+                raise ValueError(f"{value!r} is not one of "
+                                 f"{', '.join(entry.choices)}")
+        if not values:
+            raise ValueError("names nothing")
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {key}: {exc}") from exc
+    return values if entry.many else values[0]
+
+
+def load_scenario(path, overrides: Sequence[str] = ()):
+    """Parse, override and convert every `_SCHEMA` entry; returns
+    (ScenarioConfig, scenario hash).  An unknown entry is a ScenarioError."""
+    path = Path(path)
+    if not path.exists():
+        raise ScenarioError(f"scenario file not found: {path}")
+    text = path.read_text()
+    # no section header can name the empty default section, so [DEFAULT]
+    # is an ordinary section here, and unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="",
+                                       inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ScenarioError(f"parse error in {path}: {exc}") from exc
+    given = {(section, key): value for section in parser.sections()
+             for key, value in parser[section].items()}
+    for item in overrides:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (eq and dot):
+            raise ScenarioError(
+                f"override must look like section.key=value: {item}")
+        given[section, key] = value.strip()
+    sections = {section for section, _ in _SCHEMA}
+    unknown = [f"{s}.{k}" for s, k in given if (s, k) not in _SCHEMA] + [
+        f"[{s}]" for s in parser.sections() if s not in sections]
+    if unknown:
+        nearest = max((f"{s}.{k}" for s, k in _SCHEMA), key=lambda known:
+                      difflib.SequenceMatcher(None, unknown[0].lower(),
+                                              known.lower()).ratio())
+        raise ScenarioError(f"unknown config entry {unknown[0]}; nearest "
+                            f"known: {nearest}")
+    given.setdefault(("scenario", "name"), path.stem)
+    given.setdefault(("output", "dir"), f"out_{given['scenario', 'name']}")
+    cfg = ScenarioConfig()
+    cfg.record = {section: {} for section, _ in _SCHEMA}
+    for (section, key), entry in _SCHEMA.items():
+        raw = given.pop((section, key), entry.default)
+        if raw is _REQUIRED:  # omitted: reading it raises
+            raw = value = None
+        else:
+            value = cfg[section, key] = _convert(section, key, raw, cfg)
+        cfg.record[section][key] = value if isinstance(
+            value, (bool, int, float, str, list)) else raw
+    digest = hashlib.sha256((text + "".join(sorted(overrides))).encode())
+    return cfg, digest.hexdigest()
+
 
 def run_scenario(path, out_dir: Optional[str] = None,
                  overrides: Sequence[str] = ()) -> RunManifest:
     """Execute a scenario file; returns the manifest (also written to disk)."""
     t0 = time.perf_counter()
     cfg, digest = load_scenario(path, overrides)
-    name = cfg.get("scenario", "name", fallback=Path(path).stem)
-    dest = Path(out_dir if out_dir is not None
-                else cfg.get("output", "dir", fallback=f"out_{name}"))
+    dest = Path(out_dir if out_dir is not None else cfg["output", "dir"])
     dest.mkdir(parents=True, exist_ok=True)
 
-    S = _build_generating(cfg)
-    a_raw = _amplitude_string(cfg) if cfg.has_section("symbol") else "1"
-    ctx = {"S": S, "a": _formula(a_raw, S.variables, "[symbol] a"),
-           "grids": _grids(cfg)}
-    xg, yg, tg = ctx["grids"]
+    with _config_values("[grids]"):
+        xg = GridSpec(1, cfg["grids", "R"], cfg["grids", "M"],
+                      dft_aligned=True)
+    S = cfg["phase", "generating"]
+    ctx = {"S": cfg["phase", "coeffs"] if S == "quadratic" else S, "x": xg}
     manifest = RunManifest(
         scenario_hash=digest,
         lambda_convention=DEFAULT_CONVENTION.value,
-        module_versions={
-            "fiolab": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "sympy": sympy.__version__,
-        },
-        grids={"x": xg.descriptor(), "y": yg.descriptor(),
-               "theta": tg.descriptor()},
+        module_versions={"fiolab": __version__, **{
+            m.__name__: m.__version__ for m in (np, scipy, sympy)}},
+        grids={"x": xg.descriptor(), "y": xg.descriptor(),
+               "theta": xg.dual().descriptor()},
+        config=cfg.record,
         out_dir=str(dest),
     )
-    for op in _operation_list(cfg):
+    for op in cfg["scenario", "operations"]:
         try:
-            passed, details = _DISPATCH[op](cfg, ctx, dest)
+            with _config_values(f"[{op}]"):
+                passed, details = _DISPATCH[op](cfg, ctx, dest)
         except (IterationError, NewtonError) as exc:
             # non-convergence is a failed check (exit 1), not an internal
             # error; the message goes into the operation's JSON
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-        _write_json(dest, op, {"passed": passed, **details})
+        (dest / f"{op}.json").write_text(json.dumps(
+            {"passed": passed, **details}, sort_keys=True, indent=2) + "\n")
         manifest.outcomes.append({"operation": op, "passed": passed,
                                   **details})
     manifest.wall_clock_s = time.perf_counter() - t0

@@ -1,10 +1,18 @@
 """Scenario runner and command-line interface: exit codes, artifacts,
 determinism of emitted files."""
+import ast
+import configparser
+import contextlib
 import csv
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fiolab import cli, operators, pdo, runner
 from fiolab.cli import bundled_scenarios, main
@@ -127,6 +135,14 @@ class TestCli:
           for op, o in (("spectrum", "spectrum.count=-1"),
                         ("compactness", "compactness.tail_index=-1"))],
         ("ffstar_gaussian", "grids.M=64 symbol.a=1e300"),
+        ("fourier_inversion", "grids.MM=64"),
+        ("fourier_inversion", "gridz.M=64"),
+        ("fourier_inversion", "DEFAULT.M=64"),
+        ("fourier_inversion",
+         "phase.n=2 phase.generating=expr:x0*theta0+x1*theta1"),
+        ("noncompact_identity", "compactness.expected=COMPACT"),
+        ("fourier_inversion", "scenario.operations="),
+        ("ffstar_gaussian", "ffstar.samples="),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
                                         overrides):
@@ -349,7 +365,7 @@ class TestVerifySymbol:
 class TestLoadScenario:
     def test_bundled_name_resolves(self):
         cfg, digest = load_scenario(cfg_path("oscint_gaussian"))
-        assert cfg.has_section("scenario")
+        assert cfg["scenario", "operations"] == ["oscint"]
         assert len(digest) == 64  # hex sha-256 of the resolved config
 
     def test_malformed_override_rejected(self):
@@ -365,3 +381,156 @@ class TestLoadScenario:
 def test_every_bundled_scenario_passes(name, tmp_path):
     m = run_scenario(cfg_path(name), out_dir=str(tmp_path / name))
     assert all(o["passed"] for o in m.outcomes)
+
+
+class TestSchema:
+    """`runner._SCHEMA` is the scenario format: every entry a run reads,
+    converted once when the scenario loads."""
+
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_bundled_keys_are_in_the_table(self, name):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read(cfg_path(name))
+        given = {(section, key) for section in parser.sections()
+                 for key in parser[section]}
+        assert given and given <= set(runner._SCHEMA)
+
+    def test_readme_lists_the_table(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        section = readme.read_text().split("## Scenario files")[1]
+        section = section.split("\n## ")[0]
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("|")]
+        assert rows[0] == ["section", "key", "type", "default", "choices"]
+
+        def row(section, key, entry):
+            kind = entry.convert.__name__.lstrip("_")
+            if entry.over:
+                kind += " in " + ", ".join(entry.over)
+            default = ("required" if entry.default is runner._REQUIRED
+                       else "—" if entry.default is None else entry.default)
+            return [section, key, kind + " list" * entry.many, default,
+                    ", ".join(entry.choices)]
+        assert rows[2:] == [row(*k, e) for k, e in runner._SCHEMA.items()]
+
+    def test_runner_reads_config_only_through_the_table(self):
+        """No configparser read (`get*`, `has_*`, `fallback=`) is left in
+        runner.py, and every `cfg[...]` read names a table entry."""
+        tree = ast.parse(Path(runner.__file__).read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert [node.func.attr for node in calls
+                if isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith(("get", "has_"))] == []
+        assert [kw.arg for node in calls for kw in node.keywords
+                if kw.arg == "fallback"] == []
+        reads = [ast.literal_eval(node.slice) for node in ast.walk(tree)
+                 if isinstance(node, ast.Subscript)
+                 and isinstance(node.ctx, ast.Load)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "cfg"]
+        assert reads and set(reads) <= set(runner._SCHEMA)
+
+    def test_manifest_records_effective_config(self, tmp_path):
+        run_scenario(cfg_path("ffstar_gaussian"), out_dir=str(tmp_path),
+                     overrides=["grids.M=64", "scenario.operations=spectrum"])
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert {(s, k) for s in config for k in config[s]} == \
+            set(runner._SCHEMA)
+        assert config["grids"] == {"M": 64, "R": 8.0}
+        assert config["scenario"] == {"name": "ffstar_gaussian",
+                                      "operations": ["spectrum"]}
+        assert config["output"] == {"dir": "out_ffstar_gaussian"}
+        assert config["symbol"]["a"] == "exp(-(x**2 + theta**2)/25)"
+        assert config["phase"]["generating"] == "expr:x*theta"
+        assert config["oscint"]["schedule"] == [4.0, 8.0, 16.0, 32.0, 64.0]
+        assert config["ffstar"]["samples"] == [[0.0, 0.0], [0.5, 0.5],
+                                               [1.0, 1.0]]
+        assert config["operator"]["route"] == "KERNEL"
+        assert config["oscint"]["f"] is None  # required, read by oscint only
+        assert config["compactness"]["expected"] is None
+
+    def test_default_block_in_a_file_is_an_unknown_section(self, tmp_path):
+        path = tmp_path / "default.cfg"
+        path.write_text("[DEFAULT]\nM = 64\n"
+                        + Path(cfg_path("fourier_inversion")).read_text())
+        with pytest.raises(ScenarioError, match="DEFAULT"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_percent_reaches_the_formula_parser(self, tmp_path, monkeypatch,
+                                                source):
+        seen = []
+        parse = runner.parse_scalar_expr
+
+        def recording(text, variables):
+            seen.append(text)
+            return parse(text, variables)
+        monkeypatch.setattr(runner, "parse_scalar_expr", recording)
+        path, overrides = cfg_path("oscint_gaussian"), ["oscint.f=y%2"]
+        if source == "file":
+            path, overrides = tmp_path / "percent.cfg", []
+            path.write_text(Path(cfg_path("oscint_gaussian")).read_text()
+                            .replace("f = exp(-y**2/2)", "f = y%2"))
+        cfg, _ = load_scenario(path, overrides)
+        assert "y%2" in seen
+        assert str(cfg["oscint", "f"]) == "Mod(y0, 2)"
+
+    def test_symbol_a_defaults_to_one_with_a_symbol_section(self, tmp_path):
+        """chirp_phase has no [symbol] section; an override that makes one
+        keeps a = 1."""
+        overrides = ["scenario.operations=verify-symbol", "symbol.rho=0.5"]
+        cfg, _ = load_scenario(cfg_path("chirp_phase"), overrides)
+        assert cfg["symbol", "a"] == 1
+        args = ["run", "chirp_phase", "--out-dir", str(tmp_path)]
+        for override in overrides:
+            args += ["--override", override]
+        assert main(args) == 0
+
+    def test_missing_required_entry_exits_two(self, tmp_path, capsys):
+        assert main(["run", "fourier_inversion", "--out-dir", str(tmp_path),
+                     "--override", "scenario.operations=oscint"]) == 2
+        assert "missing [oscint] f" in capsys.readouterr().err
+
+
+#: where each section is read: a bundled scenario and the overrides that
+#: select the operation reading it
+_READERS = {
+    "scenario": ("fourier_inversion", ()),
+    "output": ("fourier_inversion", ()),
+    "phase": ("chirp_phase", ()),
+    "symbol": ("ffstar_gaussian", (VERIFY_SYMBOL,)),
+    "grids": ("fourier_inversion", ()),
+    "operator": ("fourier_inversion", ()),
+    "ffstar": ("ffstar_gaussian", ()),
+    "spectrum": ("multiplier_norm", ("scenario.operations=spectrum",)),
+    "oscint": ("oscint_gaussian", ()),
+    "verify": ("chirp_phase", ()),
+    "cv": ("multiplier_norm", (CV_CHECK,)),
+    "compactness": ("compact_decay", ("compactness.tail_index=40",)),
+}
+
+#: malformed entry texts; none is large, so no size entry (M, points,
+#: count, tail_index, max_order, k) asks for a large dense matrix
+_MALFORMED = ("", "abc", "nan", "-inf", "-1", "0", "%")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entry=st.sampled_from(sorted(runner._SCHEMA)),
+       value=st.sampled_from(_MALFORMED))
+def test_malformed_override_never_exits_three(entry, value):
+    """One malformed override, at grids.M=64, on a scenario whose operation
+    reads it: a defined exit code, never an internal error or traceback."""
+    (section, key), (name, selected) = entry, _READERS[entry[0]]
+    args = ["run", name]
+    for override in ("grids.M=64", *selected, f"{section}.{key}={value}"):
+        args += ["--override", override]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(args + ["--out-dir", out])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    assert "Traceback" not in err.getvalue()
