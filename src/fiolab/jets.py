@@ -67,11 +67,11 @@ def from_values(values, size: int, order: int) -> np.ndarray:
     repeat = len(values) // len(jet_indices(order))
     lanes = 2 if any(np.iscomplexobj(v) for v in values) else 1
     out = np.empty((len(values), lanes, size))
-    for row, value in zip(out, values):
-        row[0] = np.real(value)
+    scales = np.repeat(_inverse_factorials(order), repeat)
+    for row, value, scale in zip(out, values, scales):
+        np.multiply(np.real(value), scale, out=row[0])
         if lanes == 2:
-            row[1] = np.imag(value)
-    out *= np.repeat(_inverse_factorials(order), repeat)[:, None, None]
+            np.multiply(np.imag(value), scale, out=row[1])
     return out
 
 

@@ -5,16 +5,27 @@ function:
 
 * `regularized_fio_apply` multiplies the amplitude by a scaled cutoff
   g(./sigma) with g(0) = 1 and follows the values along an increasing sigma
-  schedule; the limit must not depend on the cutoff shape.  When the phase
-  is special (phi = S(x, theta) - y theta, i.e. d phi/dy = -theta), the
-  amplitude does not depend on y and g is the Gaussian, the integrand
-  factors as e^{i S(theta)} a(theta) e^{-(x^2+theta^2)/(2 sigma^2)} times
-  f(y) e^{-y^2/(2 sigma^2)} e^{-i y theta}.  The tensor-trapezoid sum then
-  splits into a 1-D Fourier sum over y at each theta node (one complex
-  GEMM) and a sum over theta: the same grid, the same weights, the same
-  terms, only added in another order.  Every other case (the smooth bump,
-  a y-dependent amplitude, a non-special phase) is summed on the tensor
-  grid, which is also the reference the tests compare against.
+  schedule; the limit must not depend on the cutoff shape.  Each quadrature
+  sums one tensor-trapezoid grid by one of three routes:
+
+  - separable: when the phase is special (phi = S(x, theta) - y theta,
+    i.e. d phi/dy = -theta), the amplitude does not depend on y and g is
+    the Gaussian, the integrand factors as
+    e^{i S(theta)} a(theta) e^{-(x^2+theta^2)/(2 sigma^2)} times
+    f(y) e^{-y^2/(2 sigma^2)} e^{-i y theta}.  The sum then splits into a
+    1-D Fourier sum over y at each theta node (one complex GEMM) and a sum
+    over theta: the same grid, the same weights, the same terms, only
+    added in another order.
+  - split: the same phase and amplitude with the smooth bump, which is
+    radial and so not a product in (y, theta).  On a theta column where
+    the bump is exactly 1.0 at every y, each term is
+    e^{i S} a f(y) e^{-i y theta} times 1, so the column is the separable
+    route's Fourier sum without its Gaussian factor, again the same terms
+    in another order; a column where it is exactly 0.0 adds nothing; only
+    the transition columns between are summed point by point.
+  - tensor: every other case (a y-dependent amplitude, a non-special
+    phase) is summed on the tensor grid, which is also the reference the
+    tests compare the other two against.
 
 * `fio_apply_ibp` splits the domain with the smooth partition omega (built
   from the ratio (|grad_y phi|^2 + |grad_theta phi|^2) / lambda^2), treats
@@ -190,7 +201,9 @@ class OscIntegralResult:
     tail_mass: Optional[float] = None
     #: one record per regularized quadrature, in the order they ran (the
     #: sigma schedule, then the cutoff-gap pass): sigma, cutoff kind, grid
-    #: sizes ny x nt and the route ("separable" or "tensor") that summed it
+    #: sizes ny x nt and the route ("separable", "split" or "tensor") that
+    #: summed it; a "split" record also counts its theta columns by class
+    #: under "columns": "separable", "transition" and "zero"
     quadrature: List[dict] = field(default_factory=list)
 
 
@@ -365,7 +378,7 @@ def _fourier_sum(c, y_ax, t_ax) -> np.ndarray:
     B = int(np.ceil(np.sqrt(nt)))
     # linspace's own step: t_ax[1] - t_ax[0] carries the rounding of t_ax[0]
     # (about 2e-13 at |theta| = 2000), which b and y multiply into the phase
-    h = (t_ax[-1] - t_ax[0]) / (nt - 1)
+    h = (t_ax[-1] - t_ax[0]) / max(nt - 1, 1)
     head = np.exp(-1j * np.outer(t_ax[::B], y_ax)) * c
     step = np.exp(-1j * np.outer(np.arange(B) * h, y_ax))
     return (head @ step.T).ravel()[:nt]
@@ -389,6 +402,73 @@ def _separable_quadrature(theta_fn, f_fn, xv: float, sigma: float,
                                                                 t_ax)))
 
 
+def _bump_columns(cut: CutoffSpec, x2, sigma: float, y_ax, t_ax):
+    """Masks (ones, zeros) of the theta columns on which the cutoff
+    g(|(x, y, t)|/sigma), computed by the tensor integrand's own expression,
+    is exactly 1.0, resp. exactly 0.0, at every y of y_ax.  The squared
+    radius grows with |y| in rounded arithmetic too, and g does not grow
+    with it, so testing the largest |y| (for 1) and the smallest (for 0)
+    decides the whole column."""
+    absy = np.abs(y_ax)
+
+    def at(y):
+        return cut.at_r2(x2 + (np.full(t_ax.shape, y) / sigma) ** 2
+                         + (t_ax / sigma) ** 2)
+    return at(np.max(absy)) == 1.0, at(np.min(absy)) == 0.0
+
+
+def _split_bump_quadrature(theta_fn, f_fn, x2, sigma: float,
+                           cut: CutoffSpec, y_ax, t_ax):
+    """The tensor-trapezoid sum of e^{i S(t)} a(t) f(y) e^{-i y t}
+    g(|(x, y, t)|/sigma) over y_ax x t_ax for a cutoff g that is exactly 1
+    near the origin and exactly 0 far from it, summed by theta column:
+    where g is 1 on the whole column the column's term is
+    w_t e^{i S(t)} a(t) sum_j w_j f(y_j) e^{-i y_j t}, the `_fourier_sum` of
+    the Gaussian route without its factor; where g is 0 it is 0; only the
+    transition columns are summed point by point.  Returns the sum and the
+    column counts."""
+    wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
+    wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
+    ones, zeros = _bump_columns(cut, x2, sigma, y_ax, t_ax)
+    counts = {"separable": int(np.count_nonzero(ones)),
+              "zero": int(np.count_nonzero(zeros))}
+    counts["transition"] = len(t_ax) - counts["separable"] - counts["zero"]
+    if counts["zero"] == len(t_ax):
+        return 0j, counts
+    c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape)
+    w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape)
+    total = 0j
+    if counts["separable"]:
+        # the all-1 columns are those with |t| below a bound, one run of
+        # the linspace; the mask keeps the sum exact if they were not
+        first, last = np.flatnonzero(ones)[[0, -1]]
+        hull = slice(first, last + 1)
+        total += np.sum((w_theta[hull] * _fourier_sum(c, y_ax, t_ax[hull]))[
+            ones[hull]])
+    transition = np.flatnonzero(~(ones | zeros))
+    if len(transition):
+        # on a tile of consecutive columns, e^{-i y t_{k0+b}} =
+        # e^{-i y t_{k0}} e^{-i y b h}: one row of exponentials per tile and
+        # one (y, b) table for all of them replace an exponential per point
+        tile = 128
+        h = (t_ax[-1] - t_ax[0]) / (len(t_ax) - 1)  # as in _fourier_sum
+        step = np.exp(-1j * np.outer(y_ax, np.arange(tile) * h))
+        y_scaled2 = (y_ax[:, None] / sigma) ** 2
+        for k0, k1 in _tiles(transition, tile):
+            g = cut.at_r2(x2 + y_scaled2 + (t_ax[k0:k1] / sigma) ** 2)
+            head = c * np.exp(-1j * y_ax * t_ax[k0])
+            total += np.sum(w_theta[k0:k1] * (head @ (g * step[:, :k1 - k0])))
+    return complex(total), counts
+
+
+def _tiles(columns, tile: int):
+    """(start, stop) of the runs of consecutive indices in the sorted
+    `columns`, each cut into tiles of at most `tile` indices."""
+    for run in np.split(columns, np.flatnonzero(np.diff(columns) > 1) + 1):
+        for start in range(0, len(run), tile):
+            yield run[start], run[min(start + tile, len(run)) - 1] + 1
+
+
 def regularized_fio_apply(a, phi: PhaseField, f, x: float,
                           schedule: Sequence[float] = (4, 8, 16, 32, 64),
                           cutoff: CutoffSpec = CutoffSpec(CutoffKind.GAUSSIAN),
@@ -396,9 +476,13 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     """Cutoff-regularized oscillatory integral along an increasing sigma
     schedule, with extrapolated limit and cutoff-independence diagnostics.
 
-    A Gaussian-cutoff quadrature takes the separable route when the phase
-    is special (phi = S(x, theta) - y theta) and a does not depend on y;
-    every other quadrature takes the tensor route.  Both sum the same
+    When the phase is special (phi = S(x, theta) - y theta) and a does not
+    depend on y, a Gaussian-cutoff quadrature takes the separable route and
+    a smooth-bump one the split route: theta columns on which the bump is
+    exactly 1.0 take the separable route's Fourier sum, which then adds the
+    same terms as the tensor sum, columns on which it is exactly 0.0 are
+    skipped, and only the transition columns are summed point by point.
+    Every other quadrature takes the tensor route.  All three sum the same
     trapezoid grid, recorded in `OscIntegralResult.quadrature`."""
     _require_1d(phi)
     schedule = [float(s) for s in schedule]
@@ -454,14 +538,19 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
             vals = np.asarray(core_fn(Y, T), dtype=complex)
             return vals * cut.at_r2(x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
 
-        separable = theta_fn is not None and cut.kind is CutoffKind.GAUSSIAN
-        if separable:
-            val = _separable_quadrature(theta_fn, f_fn, xv, sigma, y_ax, t_ax)
-        else:
+        record = {"sigma": sigma, "cutoff": cut.kind.value,
+                  "ny": len(y_ax), "nt": len(t_ax)}
+        if theta_fn is None:
             val = _tiled_quadrature(integrand, y_ax, t_ax)
-        quadrature.append({"sigma": sigma, "cutoff": cut.kind.value,
-                           "ny": len(y_ax), "nt": len(t_ax),
-                           "route": "separable" if separable else "tensor"})
+            record["route"] = "tensor"
+        elif cut.kind is CutoffKind.GAUSSIAN:
+            val = _separable_quadrature(theta_fn, f_fn, xv, sigma, y_ax, t_ax)
+            record["route"] = "separable"
+        else:
+            val, record["columns"] = _split_bump_quadrature(
+                theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+            record["route"] = "split"
+        quadrature.append(record)
         return val / (2.0 * np.pi), rt
 
     values = []

@@ -86,6 +86,12 @@ def _bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+def _directory(text: str) -> str:
+    if not text:  # Path("") is the working directory
+        raise ValueError("must name a directory, not be empty")
+    return text
+
+
 def _samples(text: str) -> List[Tuple[float, float]]:
     pairs = [tok.split() for tok in text.split(";") if tok.strip()]
     if not pairs or any(len(pair) != 2 for pair in pairs):
@@ -337,7 +343,7 @@ _SCHEMA = {
     ("scenario", "name"): _Entry(str),  # default: the file name's stem
     ("scenario", "operations"): _Entry(str, _REQUIRED, tuple(_DISPATCH),
                                        many=True),
-    ("output", "dir"): _Entry(str),  # default: out_<name>
+    ("output", "dir"): _Entry(_directory),  # default: out_<name>
     ("phase", "n"): _Entry(int, "1"),  # precedes the formulas it sizes
     ("phase", "generating"): _Entry(_generating, _REQUIRED,
                                     over=("x", "theta")),
@@ -463,7 +469,8 @@ def run_scenario(path, out_dir: Optional[str] = None,
     """Execute a scenario file; returns the manifest (also written to disk)."""
     t0 = time.perf_counter()
     cfg, digest = load_scenario(path, overrides)
-    dest = Path(out_dir if out_dir is not None else cfg["output", "dir"])
+    dest = Path(cfg["output", "dir"] if out_dir is None
+                else _convert("output", "dir", out_dir, cfg))
     dest.mkdir(parents=True, exist_ok=True)
 
     with _config_values("[grids]"):

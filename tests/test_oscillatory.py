@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiolab import jets, oscillatory
@@ -125,13 +125,24 @@ class TestRegularizedApply:
                                   schedule=(0.5, 1, 2), compute_gap=False)
 
 
+#: (a, f, x) of the route-against-tensor-sum comparisons
+SEPARABLE_CASES = [(A_ONE, F_GAUSS, 1.0), ("exp(-theta**2/8)", "1", 0.0),
+                   ("exp(-theta**2/8)", "1", 1.0)]
+
+
+def _core(phi, a, f, x):
+    """e^{i phi} a f at x as a numpy function of (y, theta)."""
+    y, t = phi.yvars[0], phi.tvars[0]
+    return sp.lambdify((y, t), (
+        sp.exp(sp.I * phi.expr) * as_expr(a, phi.variables)
+        * as_expr(f, (y,))).subs(phi.xvars[0], x), "numpy")
+
+
 class TestSeparableRoute:
     """Special phase, y-free amplitude, Gaussian cutoff: the separable sum
     reorders the tensor-trapezoid sum on the same grids."""
 
-    @pytest.mark.parametrize("a, f, x", [(A_ONE, F_GAUSS, 1.0),
-                                         ("exp(-theta**2/8)", "1", 0.0),
-                                         ("exp(-theta**2/8)", "1", 1.0)])
+    @pytest.mark.parametrize("a, f, x", SEPARABLE_CASES)
     def test_matches_tensor_sum(self, phi_xt, monkeypatch, a, f, x):
         # theta reaches about 2000 at sigma = 256 with a = 1, where a step
         # rounded at that scale moves the sum by about 5e-12
@@ -147,10 +158,7 @@ class TestSeparableRoute:
         regularized_fio_apply(a, phi_xt, f, x, schedule=schedule,
                               compute_gap=False)
         assert [sigma for sigma, *_ in seen] == list(schedule)
-        y, t = phi_xt.yvars[0], phi_xt.tvars[0]
-        core = sp.lambdify((y, t), (
-            sp.exp(sp.I * phi_xt.expr) * as_expr(a, phi_xt.variables)
-            * as_expr(f, (y,))).subs(phi_xt.xvars[0], x), "numpy")
+        core = _core(phi_xt, a, f, x)
         for sigma, y_ax, t_ax, val in seen:
             ref = oscillatory._tiled_quadrature(
                 lambda Y, T: core(Y, T) * np.exp(
@@ -161,8 +169,9 @@ class TestSeparableRoute:
     @pytest.mark.parametrize("extra, a, kind, route", [
         ("0", A_ONE, CutoffKind.GAUSSIAN, "separable"),
         ("0", "exp(-y**2/8)", CutoffKind.GAUSSIAN, "tensor"),
-        ("0", A_ONE, CutoffKind.SMOOTH_BUMP, "tensor"),
-        ("y**2/8", A_ONE, CutoffKind.GAUSSIAN, "tensor")])
+        ("0", A_ONE, CutoffKind.SMOOTH_BUMP, "split"),
+        ("y**2/8", A_ONE, CutoffKind.GAUSSIAN, "tensor"),
+        ("y**2/8", A_ONE, CutoffKind.SMOOTH_BUMP, "tensor")])
     def test_route_chosen_by_input(self, phi_xt, monkeypatch, extra, a, kind,
                                    route):
         # extra is added to the phase; y**2/8 makes it non-special
@@ -180,6 +189,120 @@ class TestSeparableRoute:
                                     compute_gap=False)
         assert [q["route"] for q in res.quadrature] == [route, route]
         assert len(calls) == (2 if route == "tensor" else 0)
+
+
+class TestSplitBumpRoute:
+    """Special phase, y-free amplitude, smooth bump: the theta columns on
+    which the bump is exactly 1 take the separable sum, those on which it
+    is exactly 0 are skipped, and only the rest are summed point by point,
+    on the same grids as the tensor sum."""
+
+    @pytest.mark.parametrize("a, f, x", SEPARABLE_CASES)
+    def test_matches_tensor_sum(self, phi_xt, monkeypatch, a, f, x):
+        real = oscillatory._split_bump_quadrature
+        seen = []
+
+        def spy(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax):
+            val, counts = real(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+            seen.append((x2, sigma, cut, y_ax, t_ax, val, counts))
+            return val, counts
+        monkeypatch.setattr(oscillatory, "_split_bump_quadrature", spy)
+        schedule = (16, 32, 64, 128, 256)
+        res = regularized_fio_apply(a, phi_xt, f, x, schedule=schedule,
+                                    cutoff=CutoffSpec(CutoffKind.SMOOTH_BUMP),
+                                    compute_gap=False)
+        assert [sigma for _, sigma, *_ in seen] == list(schedule)
+        assert [q["columns"] for q in res.quadrature] == [
+            counts for *_, counts in seen]
+        # both summed column classes occur somewhere in the schedule
+        assert all(any(counts[name] for *_, counts in seen) for name in (
+            "separable", "transition"))
+        core = _core(phi_xt, a, f, x)
+        for x2, sigma, cut, y_ax, t_ax, val, counts in seen:
+            assert sum(counts.values()) == len(t_ax)
+            ref = oscillatory._tiled_quadrature(
+                lambda Y, T: core(Y, T) * cut.at_r2(
+                    x2 + (Y / sigma) ** 2 + (T / sigma) ** 2),
+                y_ax, t_ax)
+            assert abs(val - ref) <= 1e-12 * abs(ref), sigma
+
+    #: sigma, x, the y radius and the grid sizes; theta spans the bump's
+    #: support [-2 sigma, 2 sigma]
+    GRIDS = dict(sigma=st.floats(0.25, 512.0), x=st.floats(-1200.0, 1200.0),
+                 ry=st.floats(0.05, 1200.0), ny=st.integers(2, 65),
+                 nt=st.integers(2, 400))
+
+    @staticmethod
+    def _grid(sigma, x, ry, ny, nt):
+        """(cutoff, x2, y_ax, t_ax, cutoff on the tensor grid)."""
+        cut = CutoffSpec(CutoffKind.SMOOTH_BUMP)
+        x2 = np.square(x / sigma)
+        y_ax = np.linspace(-ry, ry, ny)
+        t_ax = np.linspace(-2.0 * sigma, 2.0 * sigma, nt)
+        Y, T = np.meshgrid(y_ax, t_ax, indexing="ij")
+        return cut, x2, y_ax, t_ax, cut.at_r2(
+            x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
+
+    @given(**GRIDS)
+    @settings(max_examples=150, deadline=None)
+    def test_column_classes_are_exact(self, sigma, x, ry, ny, nt):
+        # the whole column, evaluated as the tensor integrand does, is
+        # exactly 1.0 on an all-1 column and exactly 0.0 on an all-0 one
+        cut, x2, y_ax, t_ax, g = self._grid(sigma, x, ry, ny, nt)
+        ones, zeros = oscillatory._bump_columns(cut, x2, sigma, y_ax, t_ax)
+        assert not np.any(ones & zeros)
+        assert np.all(g[:, ones] == 1.0)
+        assert np.all(g[:, zeros] == 0.0)
+        # and a column left out of both is not constant at 1 or at 0
+        mixed = ~(ones | zeros)
+        assert not np.any(np.all(g[:, mixed] == 1.0, axis=0)
+                          | np.all(g[:, mixed] == 0.0, axis=0))
+
+    @given(**GRIDS)
+    @example(sigma=4.0, x=0.0, ry=1.0, ny=9, nt=3)  # one all-1 column
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tensor_sum_on_any_grid(self, sigma, x, ry, ny, nt):
+        # the routes round the phase y t differently, by a few ulp of
+        # max |y t| per term, and add the terms in another order
+        cut, x2, y_ax, t_ax, _ = self._grid(sigma, x, ry, ny, nt)
+
+        def theta_fn(t):
+            return np.exp(0.7j * t)
+
+        def f_fn(y):
+            return 1.0 / (1.0 + y * y)
+
+        def term(Y, T):
+            return theta_fn(T) * f_fn(Y) * np.exp(-1j * Y * T) * cut.at_r2(
+                x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
+        val, counts = oscillatory._split_bump_quadrature(
+            theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+        assert sum(counts.values()) == nt
+        ref = oscillatory._tiled_quadrature(term, y_ax, t_ax)
+        scale = oscillatory._tiled_quadrature(
+            lambda Y, T: np.abs(term(Y, T)), y_ax, t_ax).real
+        ulps = ry * 2.0 * sigma + ny + nt
+        assert abs(val - ref) <= 2 * np.finfo(float).eps * ulps * scale
+
+    def test_empty_transition_and_all_zero_grids(self):
+        # no transition column: the separable sum alone; x far outside
+        # the bump's support: every column is 0 and nothing is evaluated
+        cut = CutoffSpec(CutoffKind.SMOOTH_BUMP)
+        y_ax, t_ax = np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 11)
+
+        def never(_):
+            raise AssertionError("evaluated on an all-0 grid")
+        val, counts = oscillatory._split_bump_quadrature(
+            never, never, np.inf, 4.0, cut, y_ax, t_ax)
+        assert (val, counts) == (0j, {"separable": 0, "transition": 0,
+                                      "zero": 11})
+        val, counts = oscillatory._split_bump_quadrature(
+            lambda t: np.exp(1j * t), lambda y: np.exp(-y * y), 0.0, 4.0,
+            cut, y_ax, t_ax)
+        assert counts == {"separable": 11, "transition": 0, "zero": 0}
+        ref = oscillatory._tiled_quadrature(
+            lambda Y, T: np.exp(1j * T - Y * Y - 1j * Y * T), y_ax, t_ax)
+        assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
 class TestOmegaPartition:

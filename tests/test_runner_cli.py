@@ -57,12 +57,17 @@ class TestCli:
         assert {"oscint.json", "oscint_residuals.csv",
                 "manifest.json"} <= names
         # every quadrature's grid and route: the schedule 16, 32, 64 on the
-        # separable route, then the smooth-bump gap pass on the tensor route
+        # separable route, then the smooth-bump gap pass on the split route
+        # with its theta columns counted by class
         quadrature = json.loads((d / "oscint.json").read_text())["quadrature"]
         assert [(q["sigma"], q["cutoff"], q["route"]) for q in quadrature] == [
             (16.0, "gaussian", "separable"), (32.0, "gaussian", "separable"),
-            (64.0, "gaussian", "separable"), (64.0, "smooth_bump", "tensor")]
+            (64.0, "gaussian", "separable"), (64.0, "smooth_bump", "split")]
         assert all(q["ny"] > 1 and q["nt"] > 1 for q in quadrature)
+        assert ["columns" in q for q in quadrature] == [False] * 3 + [True]
+        columns = quadrature[-1]["columns"]
+        assert sum(columns.values()) == quadrature[-1]["nt"]
+        assert columns["separable"] > 0 and columns["transition"] > 0
 
     def test_spectrum_artifacts(self, tmp_path):
         d = tmp_path / "out"
@@ -143,6 +148,7 @@ class TestCli:
         ("noncompact_identity", "compactness.expected=COMPACT"),
         ("fourier_inversion", "scenario.operations="),
         ("ffstar_gaussian", "ffstar.samples="),
+        ("fourier_inversion", "output.dir="),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, name,
                                         overrides):
@@ -152,6 +158,16 @@ class TestCli:
             args += ["--override", override]
         assert main(args) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--override", "output.dir="], ["--out-dir", ""]])
+    def test_empty_output_dir_exits_two(self, tmp_path, capsys, monkeypatch,
+                                        args):
+        # Path("") is the working directory, which would get the artifacts
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "fourier_inversion", *args]) == 2
+        assert "[output] dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("sample", ["0 1e300", "1e300 0", "20 0"])
     def test_ffstar_sample_off_the_grid_exits_two(self, tmp_path, capsys,
