@@ -433,8 +433,6 @@ def _split_bump_quadrature(theta_fn, f_fn, x2, sigma: float,
     counts = {"separable": int(np.count_nonzero(ones)),
               "zero": int(np.count_nonzero(zeros))}
     counts["transition"] = len(t_ax) - counts["separable"] - counts["zero"]
-    if counts["zero"] == len(t_ax):
-        return 0j, counts
     c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape)
     w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape)
     total = 0j
