@@ -13,16 +13,22 @@ function:
     the Gaussian, the integrand factors as
     e^{i S(theta)} a(theta) e^{-(x^2+theta^2)/(2 sigma^2)} times
     f(y) e^{-y^2/(2 sigma^2)} e^{-i y theta}.  The sum then splits into a
-    1-D Fourier sum over y at each theta node (one complex GEMM) and a sum
+    1-D Fourier sum over y at each theta node (a complex GEMM) and a sum
     over theta: the same grid, the same weights, the same terms, only
-    added in another order.
+    added in another order.  Both linspace axes are split into about
+    sqrt(n) blocks, so the exponential tables of the GEMM are outer
+    products of short ones: a `regularized` pass of the bench (x = 1,
+    sigma up to 256) evaluates 72 k complex exponentials instead of
+    2.09 M (`_exp_table`, `_fourier_sum`).
   - split: the same phase and amplitude with the smooth bump, which is
     radial and so not a product in (y, theta).  On a theta column where
     the bump is exactly 1.0 at every y, each term is
     e^{i S} a f(y) e^{-i y theta} times 1, so the column is the separable
     route's Fourier sum without its Gaussian factor, again the same terms
     in another order; a column where it is exactly 0.0 adds nothing; only
-    the transition columns between are summed point by point.
+    the transition columns between are summed point by point, from one
+    (y, column) table of exponentials for all tiles of columns (11 k
+    exponentials at the bench's sigma = 256 instead of 223 k).
   - tensor: every other case (a y-dependent amplitude, a non-special
     phase) is summed on the tensor grid, which is also the reference the
     tests compare the other two against.
@@ -97,12 +103,15 @@ def _chi_taylor(t: np.ndarray, order: int) -> List[np.ndarray]:
     seeded from B_R/(B_L + B_R) and B_L/(B_L + B_R): the first is the
     profile's own formula, and the second keeps 1 - s accurate where s is
     close to 1."""
-    b_left = np.exp(-1 / (t - 1))
-    b_right = np.exp(-1 / (2 - t))
-    s = [b_right / (b_left + b_right)]
+    b_left, b_right = t - 1.0, 2.0 - t
+    for b in (b_left, b_right):  # B_L = e^{-1/(t-1)}, B_R = e^{-1/(2-t)}
+        np.divide(-1.0, b, out=b)
+        np.exp(b, out=b)
+    total = b_left + b_right
     if order == 0:
-        return s
-    s_bar = [b_left / (b_left + b_right)]
+        return [np.divide(b_right, total, out=total)]
+    s = [b_right / total]
+    s_bar = [b_left / total]
     # z' has coefficients (j+1) z_{j+1}, z_j = (-1)^j/(t-1)^{j+1} - 1/(2-t)^{j+1}
     inv_left, inv_right = 1 / (t - 1), 1 / (2 - t)
     pow_left, pow_right = inv_left, inv_right
@@ -117,14 +126,42 @@ def _chi_taylor(t: np.ndarray, order: int) -> List[np.ndarray]:
     return s
 
 
+#: transition points per block of `_chi_even`.  On a 1570 x 256 tile of
+#: the split route's transition columns (2 cores, min of 30 calls), the
+#: smooth bump's `CutoffSpec.at_r2` took 24-32 ns a point at 16384, against
+#: 37-42 ns with the whole tile in one block.
+_CHI_BLOCK = 16384
+
+
+def _chi_even(t) -> np.ndarray:
+    """chi at points t >= 0 (chi is even; callers pass the even argument):
+    1 where t <= 1, 0 where t >= 2 or t is NaN, and the transition
+    profile's own formula B_R/(B_L + B_R) between, which is finite there:
+    at most one of B_L and B_R underflows."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    out[t <= 1.0] = 1.0
+    mid = (t > 1.0) & (t < 2.0)
+    if np.any(mid):
+        # in blocks, so that the profile's temporaries stay in cache
+        values = t[mid]
+        with np.errstate(under="ignore"):
+            for start in range(0, values.size, _CHI_BLOCK):
+                block = values[start:start + _CHI_BLOCK]
+                block[...] = _chi_taylor(block, 0)[0]
+        out[mid] = values
+    return out
+
+
 def _chi_coefficients(t, order: int) -> np.ndarray:
     """Taylor coefficients s_m = chi^(m)(t)/m!, m = 0..order, at points
     t >= 0 (chi is even; callers pass the even argument), shape
     (order + 1,) + t.shape.
 
     By region: 1, 0, 0, ... where t <= 1; all 0 where t >= 2 or t is NaN;
-    `_chi_taylor` on the transition 1 < t < 2, where a coefficient that
-    over- or underflows to a non-finite value next to t = 1 or t = 2 is 0."""
+    `_chi_taylor` on the transition 1 < t < 2, where s_0 is finite (see
+    `_chi_even`) and a higher coefficient that over- or underflows to a
+    non-finite value next to t = 1 or t = 2 is 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros((order + 1,) + t.shape)
     out[0][t <= 1.0] = 1.0
@@ -133,7 +170,8 @@ def _chi_coefficients(t, order: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
             taylor = _chi_taylor(t[mid], order)
-        for row, coefficient in zip(out, taylor):
+        out[0][mid] = taylor[0]
+        for row, coefficient in zip(out[1:], taylor[1:]):
             row[mid] = np.nan_to_num(coefficient, copy=False, nan=0.0,
                                      posinf=0.0, neginf=0.0)
     return out
@@ -143,10 +181,11 @@ def chi_derivative(t, m: int = 0) -> np.ndarray:
     """chi^(m)(t) for t >= 0: m! times the m-th coefficient of
     `_chi_coefficients`, exact Taylor arithmetic, with chi^(0) computed by
     the transition profile's own formula."""
+    if m == 0:
+        out = _chi_even(t)
+        return out if out.ndim else out[()]
     t = np.asarray(t, dtype=float)
-    out = _chi_coefficients(np.atleast_1d(t), m)[m]
-    if m:
-        out *= math.factorial(m)
+    out = _chi_coefficients(np.atleast_1d(t), m)[m] * math.factorial(m)
     return out[0] if t.ndim == 0 else out
 
 
@@ -180,7 +219,7 @@ class CutoffSpec:
         """g at the squared radius r2 = |point|^2."""
         if self.kind is CutoffKind.GAUSSIAN:
             return np.exp(-r2 / 2.0)
-        return chi(np.sqrt(r2))
+        return _chi_even(np.sqrt(r2))
 
     def radius(self, sigma: float, tail: float = 1e-14) -> float:
         """Radius beyond which g(./sigma) is below `tail`."""
@@ -369,19 +408,82 @@ def _tiled_quadrature(fn, y_ax, t_ax):
     return total
 
 
+def _linspace_step(ax) -> float:
+    """The step of the linspace ax as linspace computes it: ax[1] - ax[0]
+    carries the rounding of ax[0] (about 2e-13 at |theta| = 2000), which
+    a multiple of the step and the other axis multiply into the phase."""
+    return (ax[-1] - ax[0]) / max(len(ax) - 1, 1)
+
+
+def _split_halves(a):
+    """(hi, lo) with hi + lo = a exactly and each half 26 bits wide
+    (Veltkamp), so that a product of two halves is exact."""
+    scaled = 134217729.0 * a  # 2^27 + 1
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+def _phase_exp(t, y) -> np.ndarray:
+    """e^{-i t_k y_j} on the outer grid of the 1-D arrays t and y, with the
+    product t_k y_j kept to twice double precision: p = fl(t y) rounds
+    by up to ulp(t y), about 1e-12 at |t y| = 2e4, and the exact
+    remainder e = t y - p (Dekker's two-product) goes back in as the
+    factor 1 - i e."""
+    p = np.outer(t, y)
+    t_hi, t_lo = _split_halves(t)
+    y_hi, y_lo = _split_halves(y)
+    e = ((np.outer(t_hi, y_hi) - p) + np.outer(t_hi, y_lo)
+         + np.outer(t_lo, y_hi)) + np.outer(t_lo, y_lo)
+    return np.exp(-1j * p) * (1.0 - 1j * e)
+
+
+def _exp_table(t, y_ax) -> Tuple[np.ndarray, np.ndarray]:
+    """(E, delta) with e^{-i t_k y_j} = E[k, j] (1 - i t_k delta_j) for
+    every t_k in t and every point y_j of the linspace y_ax, up to
+    (t_k delta_j)^2 / 2 (below 1e-22 here).
+
+    E, shape (len(t), ny), is built from the split index j = p*Q + q with
+    Q = ceil(sqrt(ny)): E[k, pQ + q] = e^{-i t_k y_{pQ}} e^{-i t_k q h_y},
+    so each row is the outer product of P + Q exponentials, P = ceil(ny/Q),
+    cut to ny, and (P + Q) exponentials replace ny.  The split grid
+    y_{pQ} + q h_y misses y_j by delta_j, an ulp or two of y_j in a
+    sawtooth that a sum over y would pick up coherently (1e-13 of the sum
+    at ny = 6191, |t| = 2000), so callers add the term -i t_k delta_j.
+    Each factor is shared by Q (or P) entries of a row, so `_phase_exp`
+    keeps its rounding at an ulp of the factor, not of the phase."""
+    t = np.asarray(t, dtype=float)
+    ny = len(y_ax)
+    Q = int(np.ceil(np.sqrt(ny)))
+    base = y_ax[::Q, None]
+    offset = np.arange(Q) * _linspace_step(y_ax)
+    table = _phase_exp(t, base[:, 0])[:, :, None] * _phase_exp(t, offset)[
+        :, None, :]
+    # y_j - (base + offset), exactly: the sum's rounding (Knuth's two-sum)
+    # and then the difference of two numbers an ulp apart
+    split = base + offset
+    late = split - base
+    rounding = (base - (split - late)) + (offset - late)
+    delta = (y_ax - split.ravel()[:ny]) - rounding.ravel()[:ny]
+    return table.reshape(len(t), -1)[:, :ny], delta
+
+
 def _fourier_sum(c, y_ax, t_ax) -> np.ndarray:
     """F_k = sum_j c_j e^{-i y_j t_k} at every point t_k of the linspace
     axis t_ax, as one complex GEMM over the split index k = a*B + b with
-    B = ceil(sqrt(nt)): e^{-i y t_k} = e^{-i y t_{aB}} e^{-i y b h}, so
-    (nt/B + B)*ny exponentials replace nt*ny."""
+    B = ceil(sqrt(nt)): e^{-i y t_k} = e^{-i y t_{aB}} e^{-i y b h}.  Its
+    two tables come from `_exp_table`, which splits y the same way, so
+    (nt/B + B)(ny/Q + Q) exponentials build them instead of (nt/B + B) ny:
+    28.8 k instead of 1.13 M at nt = 8192, ny = 6191.  A second GEMM, with
+    the head rows scaled by delta, sums the correction term of
+    `_exp_table`."""
     nt = len(t_ax)
     B = int(np.ceil(np.sqrt(nt)))
-    # linspace's own step: t_ax[1] - t_ax[0] carries the rounding of t_ax[0]
-    # (about 2e-13 at |theta| = 2000), which b and y multiply into the phase
-    h = (t_ax[-1] - t_ax[0]) / max(nt - 1, 1)
-    head = np.exp(-1j * np.outer(t_ax[::B], y_ax)) * c
-    step = np.exp(-1j * np.outer(np.arange(B) * h, y_ax))
-    return (head @ step.T).ravel()[:nt]
+    head, delta = _exp_table(t_ax[::B], y_ax)
+    step, _ = _exp_table(np.arange(B) * _linspace_step(t_ax), y_ax)
+    head *= c
+    plain = (head @ step.T).ravel()[:nt]
+    head *= delta
+    return plain - 1j * t_ax * (head @ step.T).ravel()[:nt]
 
 
 def _separable_quadrature(theta_fn, f_fn, xv: float, sigma: float,
@@ -449,13 +551,18 @@ def _split_bump_quadrature(theta_fn, f_fn, x2, sigma: float,
         # e^{-i y t_{k0}} e^{-i y b h}: one row of exponentials per tile and
         # one (y, b) table for all of them replace an exponential per point
         tile = 128
-        h = (t_ax[-1] - t_ax[0]) / (len(t_ax) - 1)  # as in _fourier_sum
-        step = np.exp(-1j * np.outer(y_ax, np.arange(tile) * h))
+        step, delta = _exp_table(np.arange(tile) * _linspace_step(t_ax),
+                                 y_ax)
+        tiles = list(_tiles(transition, tile))
+        heads, _ = _exp_table(t_ax[[k0 for k0, _ in tiles]], y_ax)
+        heads *= c
         y_scaled2 = (y_ax[:, None] / sigma) ** 2
-        for k0, k1 in _tiles(transition, tile):
+        for (k0, k1), head in zip(tiles, heads):
             g = cut.at_r2(x2 + y_scaled2 + (t_ax[k0:k1] / sigma) ** 2)
-            head = c * np.exp(-1j * y_ax * t_ax[k0])
-            total += np.sum(w_theta[k0:k1] * (head @ (g * step[:, :k1 - k0])))
+            plain, fix = np.stack([head, head * delta]) @ (
+                g * step.T[:, :k1 - k0])
+            total += np.sum(w_theta[k0:k1]
+                            * (plain - 1j * t_ax[k0:k1] * fix))
     return complex(total), counts
 
 
@@ -695,6 +802,8 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     psi > 0 and is an exact 0 on the corners, so every sum is the one the
     full grid gives.  A non-finite integrand there is still caught by the
     coarse grid, which covers those corners.
+    A k > 0 call whose psi support reaches the box (local radius
+    sqrt(2) s0 >= R) raises ValueError.
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.
@@ -746,7 +855,14 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     inside = np.nonzero(ray_ratio < 2.0)[0]
     s0 = float(probe[inside[-1]]) * 1.05 + 0.1 if len(inside) else 1.0
     local_radius = float(np.sqrt(2.0) * s0)  # psi support edge
-    use_split = k > 0 and local_radius < R
+    if k > 0 and local_radius >= R:
+        # without the split, the k-fold term's large chi-derivatives would
+        # be summed on the coarse grid alone: a wrong value, silently
+        raise ValueError(
+            f"k = {k} needs psi's support inside the box: the local radius "
+            f"sqrt(2) s0 = {local_radius:.6g} (s0 = {s0:.6g}) is not below "
+            f"R = {R:g}")
+    use_split = k > 0
 
     def psi(Y, T):
         return chi((Y * Y + T * T) / (s0 * s0))

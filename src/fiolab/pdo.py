@@ -218,13 +218,20 @@ def refinement_ratio(coarse: PdoSymbolEstimate,
 
 def cv_seminorm(sigma: SymbolField, k: int, grid: GridSpec) -> SeminormReport:
     """Q_k = sum over |alpha| <= k of the grid supremum of |d^alpha sigma|;
-    a negative k raises ValueError."""
+    a negative k raises ValueError, and so does a sigma that is negative
+    at a grid point: sigma stands for the symbol of F F*, which is >= 0."""
     k = int(k)
     points = grid.mesh()
     table = {}
     total = 0.0
     for alpha in multi_indices(sigma.dim, k):
-        sup = float(np.max(np.abs(sigma.derivative(alpha, points))))
+        values = sigma.derivative(alpha, points)
+        if not any(alpha) and np.any(np.real(values) < 0):
+            i = int(np.argmax(np.real(values) < 0))
+            raise ValueError(f"sigma must be >= 0, but it is "
+                             f"{np.real(values[i]):.6g} at the grid point "
+                             f"{points[i].tolist()}")
+        sup = float(np.max(np.abs(values)))
         table[tuple(alpha)] = sup
         total += float(sup)
     return SeminormReport(k=k, Q_k=total, table=table)

@@ -191,6 +191,64 @@ class TestSeparableRoute:
         assert len(calls) == (2 if route == "tensor" else 0)
 
 
+class TestExpTable:
+    """The factored tables of e^{-i t y} behind the separable and split
+    routes."""
+
+    @staticmethod
+    def _direct(table, delta, t):
+        return table * (1.0 - 1j * np.outer(t, delta))
+
+    @pytest.mark.parametrize("ny", [1, 2, 3, 7, 422, 6191])
+    def test_matches_direct_exponentials(self, ny):
+        # Q = ceil(sqrt(ny)) does not divide ny = 3, 7, 422 or 6191
+        y_ax = np.linspace(-9.4, 9.4, ny)
+        t = np.concatenate([np.linspace(-2055.5, 2055.5, 41), [1e-3]])
+        table, delta = oscillatory._exp_table(t, y_ax)
+        assert table.shape == (len(t), ny)
+        phase = np.outer(t, y_ax)
+        # np.exp first rounds the phase t y, by up to half an ulp of it
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(self._direct(table, delta, t)
+                             - np.exp(-1j * phase))
+                      <= 4 * eps * (1.0 + np.abs(phase)))
+
+    def test_few_ulp_of_the_exponential(self, rng):
+        # against 40-digit values, at phases up to 2e4: the tables round
+        # to a few ulp of e^{-i t y}, not of the phase t y
+        y_ax = np.linspace(-9.4, 9.4, 6191)
+        t = np.linspace(-2055.5, 2055.5, 97)
+        table, delta = oscillatory._exp_table(t, y_ax)
+        got = self._direct(table, delta, t)
+        for k, j in zip(rng.integers(0, len(t), 200),
+                        rng.integers(0, len(y_ax), 200)):
+            with mpmath.workdps(40):
+                want = mpmath.expj(-mpmath.mpf(t[k]) * mpmath.mpf(y_ax[j]))
+            err = abs(got[k, j] - complex(want))
+            assert err <= 8 * np.finfo(float).eps, (t[k], y_ax[j], err)
+
+    def test_fourier_sum_matches_direct_sum(self, rng):
+        # the sizes of the separable route's sigma = 256 quadrature in
+        # test_identity_off_origin, on 64 sampled columns
+        sigma = 256.0
+        y_ax = np.linspace(-9.404103566194431, 9.404103566194431, 6191)
+        t_ax = np.linspace(-2055.5442263120535, 2055.5442263120535, 8192)
+        c = oscillatory._trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0]) \
+            * np.exp(-y_ax ** 2 / 2.0) * np.exp(-(y_ax / sigma) ** 2 / 2.0)
+        got = oscillatory._fourier_sum(c, y_ax, t_ax)
+        cols = rng.choice(len(t_ax), 64, replace=False)
+        want = np.exp(-1j * np.outer(t_ax[cols], y_ax)) @ c
+        assert np.max(np.abs(got[cols] - want)) <= 1e-13 * np.sum(np.abs(c))
+        # against 30-digit sums, F is exact to about an ulp of sum |c_j|:
+        # the direct sum above rounds every phase t y and is not
+        for k in cols[:4]:
+            with mpmath.workdps(30):
+                exact = mpmath.fsum(mpmath.mpf(cj) * mpmath.expj(
+                    -mpmath.mpf(t_ax[k]) * mpmath.mpf(yj))
+                    for cj, yj in zip(c, y_ax))
+            assert abs(got[k] - complex(exact)) <= 1e-15 * np.sum(np.abs(c))
+
+
 class TestSplitBumpRoute:
     """Special phase, y-free amplitude, smooth bump: the theta columns on
     which the bump is exactly 1 take the separable sum, those on which it
@@ -395,6 +453,19 @@ class TestFioApplyIBP:
     def test_rejects_names_outside_the_variables(self, phi_xt):
         with pytest.raises(ValueError, match="y1"):
             fio_apply_ibp(A_ONE, phi_xt, "exp(-y1**2/2)", 0.0, k=0, R=8.0)
+
+    @pytest.mark.parametrize("R", [8.0, 10.0, 11.0])
+    def test_psi_support_reaching_the_box_raises(self, phi_xt, R):
+        # at x = 0.7, s0 is about 7.9 and psi's support radius about 11.2;
+        # without the split these calls returned 14.8, -8.54 and -31.0
+        # against the exact f(0.7) = 0.923
+        with pytest.raises(ValueError, match=rf"s0 = .*R = {R:g}"):
+            fio_apply_ibp(A_ONE, phi_xt, "exp(-(y-0.3)**2/2)", 0.7, k=4, R=R)
+
+    def test_k0_needs_no_psi_split(self, phi_xt):
+        res = fio_apply_ibp(A_ONE, phi_xt, "exp(-(y-0.3)**2/2)", 0.7, k=0,
+                            R=8.0)
+        assert abs(res.value - math.exp(-0.08)) < 1e-6
 
 
 def test_ibp_value_independent_of_blas_threads(tmp_path):

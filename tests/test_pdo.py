@@ -135,6 +135,14 @@ class TestCvSeminorm:
         q2 = cv_seminorm(sig, 2, grid).Q_k
         assert q0 <= q1 <= q2
 
+    def test_negative_sigma_raises(self):
+        x, xi = sp.symbols("x xi", real=True)
+        sig = SymbolField.from_expr(xi - 1, (x, xi))
+        # the first grid point is (-6, -6), where sigma = -7
+        with pytest.raises(ValueError, match=r"-7 at the grid point "
+                                             r"\[-6.0, -6.0\]"):
+            cv_seminorm(sig, 1, GridSpec(2, 6.0, 200))
+
     def test_gaussian_first_order_value(self):
         # Q_1 = sup(e^{-r^2}) + sup(2|x| e^{-r^2}) * 2 = 1 + 2 sqrt(2/e)
         x, xi = sp.symbols("x xi", real=True)

@@ -135,7 +135,7 @@ class TestCli:
             "symbol.weight=lambda:p=1e300")],
         *[("multiplier_norm", f"{CV_CHECK} {o}") for o in (
             "cv.points=1", "cv.radius=-2", "cv.radius=nan", "cv.k=-1",
-            "cv.gamma=-1")],
+            "cv.gamma=-1", "grids.M=64 cv.sigma=-1")],
         *[("multiplier_norm", f"scenario.operations={op} grids.M=64 {o}")
           for op, o in (("spectrum", "spectrum.count=-1"),
                         ("compactness", "compactness.tail_index=-1"))],
