@@ -440,7 +440,7 @@ def _phase_exp(t, y) -> np.ndarray:
 def _exp_table(t, y_ax) -> Tuple[np.ndarray, np.ndarray]:
     """(E, delta) with e^{-i t_k y_j} = E[k, j] (1 - i t_k delta_j) for
     every t_k in t and every point y_j of the linspace y_ax, up to
-    (t_k delta_j)^2 / 2 (below 1e-22 here).
+    (t_k delta_j)^2 / 2, about 1e-22 at |t y| = 2e4.
 
     E, shape (len(t), ny), is built from the split index j = p*Q + q with
     Q = ceil(sqrt(ny)): E[k, pQ + q] = e^{-i t_k y_{pQ}} e^{-i t_k q h_y},
@@ -469,7 +469,7 @@ def _exp_table(t, y_ax) -> Tuple[np.ndarray, np.ndarray]:
 
 def _fourier_sum(c, y_ax, t_ax) -> np.ndarray:
     """F_k = sum_j c_j e^{-i y_j t_k} at every point t_k of the linspace
-    axis t_ax, as one complex GEMM over the split index k = a*B + b with
+    axis t_ax, as a complex GEMM over the split index k = a*B + b with
     B = ceil(sqrt(nt)): e^{-i y t_k} = e^{-i y t_{aB}} e^{-i y b h}.  Its
     two tables come from `_exp_table`, which splits y the same way, so
     (nt/B + B)(ny/Q + Q) exponentials build them instead of (nt/B + B) ny:
@@ -548,8 +548,9 @@ def _split_bump_quadrature(theta_fn, f_fn, x2, sigma: float,
     transition = np.flatnonzero(~(ones | zeros))
     if len(transition):
         # on a tile of consecutive columns, e^{-i y t_{k0+b}} =
-        # e^{-i y t_{k0}} e^{-i y b h}: one row of exponentials per tile and
-        # one (y, b) table for all of them replace an exponential per point
+        # e^{-i y t_{k0}} e^{-i y b h}: one head row per tile and one (b, y)
+        # table for all of them replace an exponential per point; the
+        # correction term of `_exp_table` rides as a second row
         tile = 128
         step, delta = _exp_table(np.arange(tile) * _linspace_step(t_ax),
                                  y_ax)
