@@ -126,31 +126,11 @@ def _chi_taylor(t: np.ndarray, order: int) -> List[np.ndarray]:
     return s
 
 
-#: transition points per block of `_chi_even`.  On a 1570 x 256 tile of
-#: the split route's transition columns (2 cores, min of 30 calls), the
-#: smooth bump's `CutoffSpec.at_r2` took 24-32 ns a point at 16384, against
-#: 37-42 ns with the whole tile in one block.
+#: transition points per block of `_chi_coefficients`.  On a 1570 x 256
+#: tile of the split route's transition columns (2 cores, min of 30 calls),
+#: the smooth bump's `CutoffSpec.at_r2` took 24-32 ns a point at 16384,
+#: against 37-42 ns with the whole tile in one block.
 _CHI_BLOCK = 16384
-
-
-def _chi_even(t) -> np.ndarray:
-    """chi at points t >= 0 (chi is even; callers pass the even argument):
-    1 where t <= 1, 0 where t >= 2 or t is NaN, and the transition
-    profile's own formula B_R/(B_L + B_R) between, which is finite there:
-    at most one of B_L and B_R underflows."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    out[t <= 1.0] = 1.0
-    mid = (t > 1.0) & (t < 2.0)
-    if np.any(mid):
-        # in blocks, so that the profile's temporaries stay in cache
-        values = t[mid]
-        with np.errstate(under="ignore"):
-            for start in range(0, values.size, _CHI_BLOCK):
-                block = values[start:start + _CHI_BLOCK]
-                block[...] = _chi_taylor(block, 0)[0]
-        out[mid] = values
-    return out
 
 
 def _chi_coefficients(t, order: int) -> np.ndarray:
@@ -159,19 +139,27 @@ def _chi_coefficients(t, order: int) -> np.ndarray:
     (order + 1,) + t.shape.
 
     By region: 1, 0, 0, ... where t <= 1; all 0 where t >= 2 or t is NaN;
-    `_chi_taylor` on the transition 1 < t < 2, where s_0 is finite (see
-    `_chi_even`) and a higher coefficient that over- or underflows to a
-    non-finite value next to t = 1 or t = 2 is 0."""
+    `_chi_taylor` on the transition 1 < t < 2, in blocks so that its
+    temporaries stay in cache.  There s_0 = B_R/(B_L + B_R) is finite (at
+    most one of B_L and B_R underflows), and a higher coefficient that
+    over- or underflows to a non-finite value next to t = 1 or t = 2 is 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros((order + 1,) + t.shape)
     out[0][t <= 1.0] = 1.0
     mid = (t > 1.0) & (t < 2.0)
     if np.any(mid):
+        values = t[mid]
+        higher = np.empty((order, values.size))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
-            taylor = _chi_taylor(t[mid], order)
-        out[0][mid] = taylor[0]
-        for row, coefficient in zip(out[1:], taylor[1:]):
+            for start in range(0, values.size, _CHI_BLOCK):
+                block = slice(start, start + _CHI_BLOCK)
+                taylor = _chi_taylor(values[block], order)
+                values[block] = taylor[0]  # s_0 replaces the points it used
+                for row, coefficient in zip(higher[:, block], taylor[1:]):
+                    row[...] = coefficient
+        out[0][mid] = values
+        for row, coefficient in zip(out[1:], higher):
             row[mid] = np.nan_to_num(coefficient, copy=False, nan=0.0,
                                      posinf=0.0, neginf=0.0)
     return out
@@ -181,11 +169,10 @@ def chi_derivative(t, m: int = 0) -> np.ndarray:
     """chi^(m)(t) for t >= 0: m! times the m-th coefficient of
     `_chi_coefficients`, exact Taylor arithmetic, with chi^(0) computed by
     the transition profile's own formula."""
-    if m == 0:
-        out = _chi_even(t)
-        return out if out.ndim else out[()]
     t = np.asarray(t, dtype=float)
-    out = _chi_coefficients(np.atleast_1d(t), m)[m] * math.factorial(m)
+    out = _chi_coefficients(np.atleast_1d(t), m)[m]
+    if m:
+        out *= math.factorial(m)
     return out[0] if t.ndim == 0 else out
 
 
@@ -219,7 +206,7 @@ class CutoffSpec:
         """g at the squared radius r2 = |point|^2."""
         if self.kind is CutoffKind.GAUSSIAN:
             return np.exp(-r2 / 2.0)
-        return _chi_even(np.sqrt(r2))
+        return chi_derivative(np.sqrt(r2))
 
     def radius(self, sigma: float, tail: float = 1e-14) -> float:
         """Radius beyond which g(./sigma) is below `tail`."""
@@ -415,28 +402,6 @@ def _linspace_step(ax) -> float:
     return (ax[-1] - ax[0]) / max(len(ax) - 1, 1)
 
 
-def _split_halves(a):
-    """(hi, lo) with hi + lo = a exactly and each half 26 bits wide
-    (Veltkamp), so that a product of two halves is exact."""
-    scaled = 134217729.0 * a  # 2^27 + 1
-    hi = scaled - (scaled - a)
-    return hi, a - hi
-
-
-def _phase_exp(t, y) -> np.ndarray:
-    """e^{-i t_k y_j} on the outer grid of the 1-D arrays t and y, with the
-    product t_k y_j kept to twice double precision: p = fl(t y) rounds
-    by up to ulp(t y), about 1e-12 at |t y| = 2e4, and the exact
-    remainder e = t y - p (Dekker's two-product) goes back in as the
-    factor 1 - i e."""
-    p = np.outer(t, y)
-    t_hi, t_lo = _split_halves(t)
-    y_hi, y_lo = _split_halves(y)
-    e = ((np.outer(t_hi, y_hi) - p) + np.outer(t_hi, y_lo)
-         + np.outer(t_lo, y_hi)) + np.outer(t_lo, y_lo)
-    return np.exp(-1j * p) * (1.0 - 1j * e)
-
-
 def _exp_table(t, y_ax) -> Tuple[np.ndarray, np.ndarray]:
     """(E, delta) with e^{-i t_k y_j} = E[k, j] (1 - i t_k delta_j) for
     every t_k in t and every point y_j of the linspace y_ax, up to
@@ -448,16 +413,14 @@ def _exp_table(t, y_ax) -> Tuple[np.ndarray, np.ndarray]:
     cut to ny, and (P + Q) exponentials replace ny.  The split grid
     y_{pQ} + q h_y misses y_j by delta_j, an ulp or two of y_j in a
     sawtooth that a sum over y would pick up coherently (1e-13 of the sum
-    at ny = 6191, |t| = 2000), so callers add the term -i t_k delta_j.
-    Each factor is shared by Q (or P) entries of a row, so `_phase_exp`
-    keeps its rounding at an ulp of the factor, not of the phase."""
+    at ny = 6191, |t| = 2000), so callers add the term -i t_k delta_j."""
     t = np.asarray(t, dtype=float)
     ny = len(y_ax)
     Q = int(np.ceil(np.sqrt(ny)))
     base = y_ax[::Q, None]
     offset = np.arange(Q) * _linspace_step(y_ax)
-    table = _phase_exp(t, base[:, 0])[:, :, None] * _phase_exp(t, offset)[
-        :, None, :]
+    table = np.exp(-1j * np.outer(t, base))[:, :, None] * np.exp(
+        -1j * np.outer(t, offset))[:, None, :]
     # y_j - (base + offset), exactly: the sum's rounding (Knuth's two-sum)
     # and then the difference of two numbers an ulp apart
     split = base + offset
@@ -863,7 +826,6 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
             f"k = {k} needs psi's support inside the box: the local radius "
             f"sqrt(2) s0 = {local_radius:.6g} (s0 = {s0:.6g}) is not below "
             f"R = {R:g}")
-    use_split = k > 0
 
     def psi(Y, T):
         return chi((Y * Y + T * T) / (s0 * s0))
@@ -884,13 +846,13 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         vals = integrand_values(Y, T)
         shell = np.maximum(np.abs(Y), np.abs(T)) >= R / 2.0
         tail_acc[0] += float(np.sum(np.abs(vals[shell]))) * hy * ht
-        if use_split:
+        if k > 0:
             vals = vals * (1.0 - psi(Y, T))
         return vals * phase_factor(Y, T)
 
     val = _tiled_quadrature(coarse_integrand, y_ax, t_ax)
 
-    if use_split:
+    if k > 0:
         h_loc = min(float(np.sqrt(eps0)) / 128.0,
                     2.0 * np.pi / (max(freq_y, freq_t) + margin))
         npts = int(np.ceil(2.0 * local_radius / h_loc)) + 1
