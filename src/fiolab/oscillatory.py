@@ -54,6 +54,11 @@ function:
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin), which gives
 super-algebraic accuracy for smooth integrands that decay inside the box.
+Every tensor grid (the tensor route, and both grids of `fio_apply_ibp`) is
+evaluated by `_tiled_quadrature`, whose tiles of 256 theta columns are
+dealt round-robin to the calling process and to `os.fork()`ed children, one
+process per allowed CPU (`shares`); the tile sums are added in tile order,
+so the results are bit-identical to one process.
 Only n = N = 1 is supported here.
 """
 from __future__ import annotations
@@ -67,7 +72,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import sympy as sp
 
-from . import jets
+from . import jets, shares
 from .expressions import evaluate, lambdify
 from .phases import PhaseField
 from .symbols import as_expr
@@ -231,6 +236,13 @@ class OscIntegralResult:
     #: summed it; a "split" record also counts its theta columns by class
     #: under "columns": "separable", "transition" and "zero"
     quadrature: List[dict] = field(default_factory=list)
+    #: the choices `fio_apply_ibp` made for the caller: the partition
+    #: threshold "eps0", psi's radius "s0" and support edge "local_radius"
+    #: (sqrt(2) s0), "psi_split" (k > 0), and for the local grid the step
+    #: asked for ("local_step_asked"), the step of the grid used
+    #: ("local_step") and whether the point cap widened it
+    #: ("local_cap_hit"); the three local entries are None without a split
+    decisions: dict = field(default_factory=dict)
 
 
 def _require_1d(phi: PhaseField):
@@ -381,18 +393,33 @@ def _axis(radius: float, freq: float, margin: float):
 
 
 def _tiled_quadrature(fn, y_ax, t_ax):
-    """Accumulate sum w_y w_t fn(y, t) over the tensor grid, in tiles of 256
-    theta columns."""
+    """sum w_y w_t fn(y, t) over the tensor grid, in tiles of 256 theta
+    columns.  fn(Y, T) returns the integrand on one tile, or a pair
+    (values, tail) with a float tail that is summed over the tiles too; the
+    result is then the pair of the two sums.
+
+    The tiles are dealt round-robin to the calling process and to forked
+    children (`shares.in_shares`), and their sums are added here in tile
+    order, so every sum is the one a single process gives, bit for bit."""
     tile = 256
     wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
-    total = 0.0 + 0.0j
-    for start in range(0, len(t_ax), tile):
-        tt = t_ax[start:start + tile]
-        Y, T = np.meshgrid(y_ax, tt, indexing="ij")
-        vals = fn(Y, T)
-        total += np.einsum("i,ij,j->", wy, vals, wt[start:start + tile])
-    return total
+    starts = range(0, len(t_ax), tile)
+
+    def tile_sum(i):
+        cols = slice(starts[i], starts[i] + tile)
+        Y, T = np.meshgrid(y_ax, t_ax[cols], indexing="ij")
+        out = fn(Y, T)
+        vals, tail = out if isinstance(out, tuple) else (out, None)
+        return np.einsum("i,ij,j->", wy, vals, wt[cols]), tail
+
+    total, tail_total, paired = 0.0 + 0.0j, 0.0, False
+    for part, tail in shares.in_shares(tile_sum, len(starts)):
+        total += part
+        if tail is not None:
+            tail_total += tail
+            paired = True
+    return (total, tail_total) if paired else total
 
 
 def _linspace_step(ax) -> float:
@@ -687,6 +714,10 @@ def _on_support(integrand, weight, phase):
 #: 4096, 1.34-1.53 s at 8192, 1.54-1.57 s at 16384 and 1.87 s at 32768.
 _JET_CHUNK = 8192
 
+#: points per axis of `fio_apply_ibp`'s local grid at most; a radius that
+#: needs more widens the step (recorded as "local_cap_hit")
+_LOCAL_CAP = 4096
+
 
 @functools.lru_cache(maxsize=8)
 def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
@@ -770,7 +801,11 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     sqrt(2) s0 >= R) raises ValueError.
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
-    the quantity whose decay order improves with k.
+    the quantity whose decay order improves with k.  `decisions` records
+    eps0, s0, the local radius and the local grid's step.
+    Both grids are summed by `_tiled_quadrature` in forked tile shares on
+    every allowed CPU; the value and `tail_mass` are the ones a single
+    process gives, bit for bit.
     """
     _require_1d(phi)
     k = int(k)
@@ -838,25 +873,31 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     y_ax = _axis(R, freq_y, margin)
     t_ax = _axis(R, freq_t, margin)
 
-    tail_acc = [0.0]
     hy = y_ax[1] - y_ax[0]
     ht = t_ax[1] - t_ax[0]
 
     def coarse_integrand(Y, T):
         vals = integrand_values(Y, T)
         shell = np.maximum(np.abs(Y), np.abs(T)) >= R / 2.0
-        tail_acc[0] += float(np.sum(np.abs(vals[shell]))) * hy * ht
+        tail = float(np.sum(np.abs(vals[shell]))) * hy * ht
         if k > 0:
             vals = vals * (1.0 - psi(Y, T))
-        return vals * phase_factor(Y, T)
+        return vals * phase_factor(Y, T), tail
 
-    val = _tiled_quadrature(coarse_integrand, y_ax, t_ax)
+    val, tail = _tiled_quadrature(coarse_integrand, y_ax, t_ax)
 
+    decisions = {"eps0": float(eps0), "s0": s0, "local_radius": local_radius,
+                 "psi_split": k > 0, "local_step_asked": None,
+                 "local_step": None, "local_cap_hit": None}
     if k > 0:
         h_loc = min(float(np.sqrt(eps0)) / 128.0,
                     2.0 * np.pi / (max(freq_y, freq_t) + margin))
         npts = int(np.ceil(2.0 * local_radius / h_loc)) + 1
-        loc_ax = np.linspace(-local_radius, local_radius, min(npts, 4096))
+        loc_ax = np.linspace(-local_radius, local_radius,
+                             min(npts, _LOCAL_CAP))
+        decisions.update(local_step_asked=h_loc,
+                         local_step=float(loc_ax[1] - loc_ax[0]),
+                         local_cap_hit=npts > _LOCAL_CAP)
 
         val = val + _tiled_quadrature(
             _on_support(integrand_values, psi, phase_factor), loc_ax, loc_ax)
@@ -864,4 +905,5 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     val = val / (2.0 * np.pi)
     return OscIntegralResult(value=complex(val), ibp_order=k,
                              truncation_radius=float(R),
-                             tail_mass=tail_acc[0] / (2.0 * np.pi))
+                             tail_mass=tail / (2.0 * np.pi),
+                             decisions=decisions)

@@ -100,3 +100,23 @@ def test_divergence_power_matches_taylor_coefficients(k, w_re, w_im, c_y,
     got = jets.divergence_power(c, as_jet(w, k, lanes), k)
     assert got.shape == (lanes, len(POINTS))
     assert_matches(got, taylor(want, 0)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=orders, seed=st.integers(0, 2 ** 32 - 1),
+       lanes=st.sampled_from([1, 2]))
+def test_compose_equals_full_product_horner(order, seed, lanes):
+    # compose skips the product pairs of d's constant term; Horner's rule
+    # with the full product of d = g - g_0 adds only exact zeros more
+    rng = np.random.default_rng(seed)
+    ncoef = len(jets.jet_indices(order))
+    g = rng.standard_normal((ncoef, lanes, 64))
+    s = rng.standard_normal((order + 1, 64))
+    d = g.copy()
+    d[0] = 0.0
+    p = np.zeros_like(d)
+    p[0] = s[order]
+    for m in range(order - 1, -1, -1):
+        p[:len(jets.jet_indices(order - m))] = jets.multiply(d, p, order - m)
+        p[0] += s[m]
+    assert np.array_equal(jets.compose(s, g, order), p)

@@ -1,12 +1,16 @@
 """Discretized operators: kernel evaluation, routes, algebra, norms, I/O."""
+import functools
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fiolab.grids import GridSpec
 from fiolab.operators import (AlignmentError, DiscreteOperator,
@@ -269,3 +273,63 @@ class TestGaussianSamples:
     def test_width_floor_enforced(self, grid256):
         with pytest.raises(ValueError):
             gaussian_samples(grid256, 0.0, 1e-9)
+
+
+@functools.cache
+def chirp(c: str) -> GeneratingFunction:
+    """S = x*theta + c*theta^2/2 (built once per c)."""
+    return GeneratingFunction.from_expr(f"x*theta + ({c})*theta**2/2", 1)
+
+
+def complex_vectors(size):
+    return hnp.arrays(np.complex128, size, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+class TestProperties:
+    """Contracts over drawn inputs: the adjoint identity and the binary
+    format's round trip."""
+
+    @given(c=st.sampled_from(["0", "1/4", "1/2", "1", "-3/4"]),
+           a=st.sampled_from(["1", A_GAUSS]), route=st.sampled_from(Route),
+           points=st.sampled_from([8, 16, 32]),
+           radius=st.floats(2.0, 8.0), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_adjoint_identity(self, c, a, route, points, radius, data):
+        # <F u, v> = <u, F* v> up to rounding of the two sums: a few ulp of
+        # h sum_ij |v_i| |M_ij| |u_j| per term
+        grid = GridSpec(1, radius, points, dft_aligned=True)
+        F = discretize_fio(chirp(c), a, grid, grid, grid.dual(), route)
+        u = data.draw(complex_vectors(points))
+        v = data.draw(complex_vectors(points))
+        lhs = F.inner(apply(F, u), v)
+        rhs = F.inner(u, apply(adjoint(F), v))
+        bound = grid.spacing * (np.abs(v) @ np.abs(F.matrix) @ np.abs(u))
+        assert abs(lhs - rhs) <= 8 * points * np.finfo(float).eps * bound
+
+    @given(rows=st.integers(2, 6), cols=st.integers(2, 6),
+           radii=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+           aligned=st.tuples(st.booleans(), st.booleans()),
+           provenance=st.dictionaries(st.text(max_size=8), st.one_of(
+               st.text(max_size=8), st.integers(), st.booleans(),
+               st.floats(allow_nan=False))), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_round_trip_is_bit_exact(self, rows, cols, radii,
+                                               aligned, provenance, data):
+        # every matrix entry, NaN payloads, infinities, signed zeros and
+        # subnormals included, and the grids and provenance come back
+        matrix = data.draw(hnp.arrays(np.complex128, (rows, cols)))
+        F = DiscreteOperator(matrix, GridSpec(1, radii[0], rows, aligned[0]),
+                             GridSpec(1, radii[1], cols, aligned[1]),
+                             provenance)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = (os.path.join(tmp, n) for n in ("a", "b"))
+            save_operator(F, first)
+            back = load_operator(first)
+            save_operator(back, second)
+            with open(first, "rb") as fa, open(second, "rb") as fb:
+                assert fa.read() == fb.read()
+        assert back.matrix.tobytes() == F.matrix.tobytes()
+        assert back.matrix.shape == F.matrix.shape
+        assert (back.row_grid, back.col_grid) == (F.row_grid, F.col_grid)
+        assert back.provenance == provenance

@@ -2,6 +2,7 @@
 by parts with the exact transpose operator."""
 import dataclasses
 import functools
+import json
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiolab import jets, oscillatory
+from fiolab import jets, oscillatory, shares
 from fiolab.expressions import lambdify
 from fiolab.oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                                 IBPOperator, OutsideDomainError, chi,
@@ -446,6 +447,31 @@ class TestFioApplyIBP:
         res = fio_apply_ibp(A_ONE, phi_xt, "exp(-(y-0.3)**2/2)", 0.7, k=0,
                             R=8.0)
         assert abs(res.value - math.exp(-0.08)) < 1e-6
+        assert res.decisions["psi_split"] is False
+        assert res.decisions["local_radius"] >= 8.0
+        assert all(res.decisions[name] is None for name in (
+            "local_step_asked", "local_step", "local_cap_hit"))
+
+    def test_off_origin_value_and_decisions(self, phi_xt):
+        # exact value f(0.7) = exp(-0.08); psi's disk at x = 0.7 needs more
+        # than 4096 local points per axis, so the cap widens the step
+        res = fio_apply_ibp(A_ONE, phi_xt, "exp(-(y-0.3)**2/2)", 0.7, k=2,
+                            R=24.0)
+        assert abs(res.value - math.exp(-0.08)) < 1e-6
+        d = res.decisions
+        assert d["eps0"] == choose_eps0(phi_xt, 0.7)
+        assert d["psi_split"] is True and d["local_cap_hit"] is True
+        assert d["local_radius"] == math.sqrt(2.0) * d["s0"] < 24.0
+        assert d["local_step"] > d["local_step_asked"]
+        assert d["local_step"] == pytest.approx(
+            2.0 * d["local_radius"] / 4095, rel=1e-12)
+        # the record holds plain numbers only: it reads the same in JSON
+        assert json.loads(json.dumps(d)) == d
+
+    def test_decisions_without_the_cap(self, phi_xt):
+        d = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=6.0).decisions
+        assert d["local_cap_hit"] is False
+        assert d["local_step"] <= d["local_step_asked"]
 
 
 def test_ibp_value_independent_of_blas_threads(tmp_path):
@@ -500,6 +526,9 @@ class TestIBPRegions:
         R = 12.0
         real = oscillatory._ibp_callables
         seen = []
+        # the spy appends inside the integrand: a forked share's appends
+        # would never reach this process
+        monkeypatch.setattr(shares, "cpu_count", lambda: 1)
 
         def patched(*args):
             u_fn, phase_fn, ratio_fn, kfold = real(*args)
@@ -544,6 +573,9 @@ class TestIBPSupport:
         real_on_support = oscillatory._on_support
         real_quadrature = oscillatory._tiled_quadrature
         state = {"local": False, "points": [], "psi": None, "axes": []}
+        # the spy records inside the integrand: a forked share's points
+        # would never reach this process
+        monkeypatch.setattr(shares, "cpu_count", lambda: 1)
 
         def callables(*args):
             u_fn, phase_fn, ratio_fn, kfold = real_callables(*args)
@@ -581,6 +613,64 @@ class TestIBPSupport:
         loc_ax = state["axes"][-1]
         grid_y, grid_t = np.meshgrid(loc_ax, loc_ax, indexing="ij")
         assert np.mean(state["psi"](grid_y, grid_t) == 0.0) > 0.15
+
+
+
+class TestTileShares:
+    """`_tiled_quadrature` deals its tiles to forked shares and adds the
+    tile sums in tile order: the same sums as one process, bit for bit."""
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_two_shares_equal_one(self, phi_xt, monkeypatch, k):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            forks.append(pid)  # the child's append never reaches the test
+            return pid
+        monkeypatch.setattr(os, "fork", counting_fork)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(shares, "cpu_count", lambda: cpus)
+            results.append(fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=k,
+                                         R=6.0))
+        one, two = results
+        assert two.value == one.value and two.tail_mass == one.tail_mass
+        # at R = 6 the coarse grid is one tile; the local grid of k > 0
+        # (1260 columns, five tiles) is the one that forks
+        assert len(forks) == (1 if k else 0)
+
+    def test_error_in_a_child_tile_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(shares, "cpu_count", lambda: 2)
+        parent = os.getpid()
+        t_ax = np.linspace(-1.0, 1.0, 600)  # tiles 0 and 2 here, 1 forked
+
+        def integrand(Y, T):
+            if os.getpid() != parent:
+                raise FloatingPointError(
+                    "non-finite integrand away from the guard")
+            return np.ones(Y.shape, dtype=complex)
+        with pytest.raises(FloatingPointError, match="non-finite integrand"):
+            oscillatory._tiled_quadrature(integrand, t_ax[:7], t_ax)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_tail_pairs_are_summed_in_tile_order(self, monkeypatch):
+        y_ax, t_ax = np.linspace(-1.0, 1.0, 5), np.linspace(-3.0, 3.0, 900)
+
+        def integrand(Y, T):
+            return np.exp(1j * Y * T), float(np.sum(np.sin(T) ** 2)) * 0.1
+        got = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(shares, "cpu_count", lambda: cpus)
+            got.append(oscillatory._tiled_quadrature(integrand, y_ax, t_ax))
+        assert got[1] == got[0] and got[2] == got[0]
+        tail = 0.0
+        for start in range(0, 900, 256):
+            tail += integrand(*np.meshgrid(y_ax, t_ax[start:start + 256],
+                                           indexing="ij"))[1]
+        assert got[0][1] == tail
 
 
 @functools.cache
