@@ -1,7 +1,11 @@
-"""Shared fixtures: canonical generating functions, phases and grids."""
+"""Shared fixtures: canonical generating functions, phases and grids, and
+the processes of the forked tile shares."""
+import os
+
 import numpy as np
 import pytest
 
+from fiolab import shares
 from fiolab.grids import GridSpec
 from fiolab.phases import GeneratingFunction, special_phase
 
@@ -32,3 +36,26 @@ def grid256():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs `fiolab.shares` deals tasks to."""
+    def set_cpus(n):
+        monkeypatch.setattr(shares, "cpu_count", lambda: n)
+    return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children `os.fork` made during the test."""
+    made = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting)
+    return made

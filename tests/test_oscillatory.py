@@ -16,7 +16,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiolab import jets, oscillatory, shares
+from fiolab import jets, oscillatory
 from fiolab.expressions import lambdify
 from fiolab.oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                                 IBPOperator, OutsideDomainError, chi,
@@ -518,7 +518,8 @@ class TestIBPRegions:
         short = kfold(Y[outer], T[outer], False)
         assert np.all(np.abs(short - full) <= 1e-10 * np.abs(full))
 
-    def test_nan_ratio_reaches_full_expression(self, phi_xt, monkeypatch):
+    def test_nan_ratio_reaches_full_expression(self, phi_xt, monkeypatch,
+                                               cpus):
         # a NaN ratio at the grid edge y = -R, where the true ratio is >= 2:
         # it must go to the evaluation with omega (NaN there, as omega's jet
         # reads the ratio), not to the omega-free one, so the finiteness
@@ -528,7 +529,7 @@ class TestIBPRegions:
         seen = []
         # the spy appends inside the integrand: a forked share's appends
         # would never reach this process
-        monkeypatch.setattr(shares, "cpu_count", lambda: 1)
+        cpus(1)
 
         def patched(*args):
             u_fn, phase_fn, ratio_fn, kfold = real(*args)
@@ -568,14 +569,14 @@ class TestIBPSupport:
         assert masked.tail_mass == full.tail_mass
 
     def test_no_point_outside_psi_reaches_the_kfold_term(self, phi_xt,
-                                                          monkeypatch):
+                                                          monkeypatch, cpus):
         real_callables = oscillatory._ibp_callables
         real_on_support = oscillatory._on_support
         real_quadrature = oscillatory._tiled_quadrature
         state = {"local": False, "points": [], "psi": None, "axes": []}
         # the spy records inside the integrand: a forked share's points
         # would never reach this process
-        monkeypatch.setattr(shares, "cpu_count", lambda: 1)
+        cpus(1)
 
         def callables(*args):
             u_fn, phase_fn, ratio_fn, kfold = real_callables(*args)
@@ -615,24 +616,15 @@ class TestIBPSupport:
         assert np.mean(state["psi"](grid_y, grid_t) == 0.0) > 0.15
 
 
-
 class TestTileShares:
     """`_tiled_quadrature` deals its tiles to forked shares and adds the
     tile sums in tile order: the same sums as one process, bit for bit."""
 
     @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_two_shares_equal_one(self, phi_xt, monkeypatch, k):
-        forks = []
-        real_fork = os.fork
-
-        def counting_fork():
-            pid = real_fork()
-            forks.append(pid)  # the child's append never reaches the test
-            return pid
-        monkeypatch.setattr(os, "fork", counting_fork)
+    def test_two_shares_equal_one(self, phi_xt, cpus, forks, k):
         results = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(shares, "cpu_count", lambda: cpus)
+        for n in (1, 2):
+            cpus(n)
             results.append(fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=k,
                                          R=6.0))
         one, two = results
@@ -641,8 +633,8 @@ class TestTileShares:
         # (1260 columns, five tiles) is the one that forks
         assert len(forks) == (1 if k else 0)
 
-    def test_error_in_a_child_tile_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(shares, "cpu_count", lambda: 2)
+    def test_error_in_a_child_tile_reaches_the_caller(self, cpus):
+        cpus(2)
         parent = os.getpid()
         t_ax = np.linspace(-1.0, 1.0, 600)  # tiles 0 and 2 here, 1 forked
 
@@ -656,14 +648,14 @@ class TestTileShares:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_tail_pairs_are_summed_in_tile_order(self, monkeypatch):
+    def test_tail_pairs_are_summed_in_tile_order(self, cpus):
         y_ax, t_ax = np.linspace(-1.0, 1.0, 5), np.linspace(-3.0, 3.0, 900)
 
         def integrand(Y, T):
             return np.exp(1j * Y * T), float(np.sum(np.sin(T) ** 2)) * 0.1
         got = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(shares, "cpu_count", lambda: cpus)
+        for n in (1, 2, 3):
+            cpus(n)
             got.append(oscillatory._tiled_quadrature(integrand, y_ax, t_ax))
         assert got[1] == got[0] and got[2] == got[0]
         tail = 0.0

@@ -8,29 +8,6 @@ import pytest
 from fiolab import shares
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of CPUs `shares` deals tasks to."""
-    def set_cpus(n):
-        monkeypatch.setattr(shares, "cpu_count", lambda: n)
-    return set_cpus
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children `os.fork` made during the test."""
-    made = []
-    real = os.fork
-
-    def counting():
-        pid = real()
-        if pid:
-            made.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counting)
-    return made
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
