@@ -6,32 +6,26 @@ function:
 * `regularized_fio_apply` multiplies the amplitude by a scaled cutoff
   g(./sigma) with g(0) = 1 and follows the values along an increasing sigma
   schedule; the limit must not depend on the cutoff shape.  Each quadrature
-  sums one tensor-trapezoid grid by one of three routes:
+  sums one tensor-trapezoid grid by one of two routes:
 
-  - separable: when the phase is special (phi = S(x, theta) - y theta,
-    i.e. d phi/dy = -theta), the amplitude does not depend on y and g is
-    the Gaussian, the integrand factors as
-    e^{i S(theta)} a(theta) e^{-(x^2+theta^2)/(2 sigma^2)} times
-    f(y) e^{-y^2/(2 sigma^2)} e^{-i y theta}.  The sum then splits into a
-    1-D Fourier sum over y at each theta node (a complex GEMM) and a sum
-    over theta: the same grid, the same weights, the same terms, only
-    added in another order.  Both linspace axes are split into about
-    sqrt(n) blocks, so the exponential tables of the GEMM are outer
-    products of short ones: a `regularized` pass of the bench (x = 1,
-    sigma up to 256) evaluates 72 k complex exponentials instead of
-    2.09 M (`_exp_table`, `_fourier_sum`).
-  - split: the same phase and amplitude with the smooth bump, which is
-    radial and so not a product in (y, theta).  On a theta column where
-    the bump is exactly 1.0 at every y, each term is
-    e^{i S} a f(y) e^{-i y theta} times 1, so the column is the separable
-    route's Fourier sum without its Gaussian factor, again the same terms
-    in another order; a column where it is exactly 0.0 adds nothing; only
-    the transition columns between are summed point by point, from one
-    (y, column) table of exponentials for all tiles of columns (11 k
-    exponentials at the bench's sigma = 256 instead of 223 k).
+  - special: when the phase is special (phi = S(x, theta) - y theta,
+    i.e. d phi/dy = -theta) and the amplitude does not depend on y, each
+    term is e^{i S(theta)} a(theta) f(y) e^{-i y theta} times the cutoff.
+    On a theta column where the cutoff is g_y(y) g_t(theta), the column is
+    w_theta g_t e^{i S} a times a Fourier sum over y of w_y f g_y: the same
+    terms, added in another order.  The Gaussian factors so on every
+    column (record route "separable"); the radial bump only where it is
+    exactly 1.0 at every y, a column where it is exactly 0.0 adds nothing,
+    and the transition columns between are summed point by point (route
+    "split").  The Fourier sums are one complex GEMM whose exponential
+    tables are outer products of short ones: a `regularized` pass of the
+    bench (x = 1, sigma up to 256) evaluates 72 k complex exponentials
+    instead of 2.09 M (`_exp_table`, `_fourier_sum`); the transition
+    columns share one (y, column) table (11 k exponentials at sigma = 256
+    instead of 223 k).
   - tensor: every other case (a y-dependent amplitude, a non-special
     phase) is summed on the tensor grid, which is also the reference the
-    tests compare the other two against.
+    tests compare the special route against.
 
 * `fio_apply_ibp` splits the domain with the smooth partition omega (built
   from the ratio (|grad_y phi|^2 + |grad_theta phi|^2) / lambda^2), treats
@@ -132,7 +126,7 @@ def _chi_taylor(t: np.ndarray, order: int) -> List[np.ndarray]:
 
 
 #: transition points per block of `_chi_coefficients`.  On a 1570 x 256
-#: tile of the split route's transition columns (2 cores, min of 30 calls),
+#: tile of the bump's transition columns (2 cores, min of 30 calls),
 #: the smooth bump's `CutoffSpec.at_r2` took 24-32 ns a point at 16384,
 #: against 37-42 ns with the whole tile in one block.
 _CHI_BLOCK = 16384
@@ -219,6 +213,25 @@ class CutoffSpec:
             return 2.0 * sigma
         return sigma * float(np.sqrt(-2.0 * np.log(tail)))
 
+    def special_factors(self, x2, sigma: float, y_ax, t_ax):
+        """g(|(x, y, t)|/sigma), x2 = (x/sigma)^2, on the special route's
+        grid y_ax x t_ax as (g_y, g_t, ones, zeros, entries): g is
+        g_y(y) g_t(t) on the theta columns of the mask `ones`, 0 on those of
+        `zeros`, and is evaluated point by point on the rest; `entries` are
+        the route's fields of the quadrature record.  The Gaussian factors
+        on every column; the bump is 1 times 1 where it is exactly 1.0
+        (`_bump_columns`)."""
+        if self.kind is CutoffKind.GAUSSIAN:
+            every = np.ones(len(t_ax), dtype=bool)
+            return (np.exp(-(y_ax / sigma) ** 2 / 2.0),
+                    np.exp(-(x2 + (t_ax / sigma) ** 2) / 2.0), every, ~every,
+                    {"route": "separable"})
+        ones, zeros = _bump_columns(self, x2, sigma, y_ax, t_ax)
+        counts = {"separable": int(np.count_nonzero(ones)),
+                  "zero": int(np.count_nonzero(zeros))}
+        counts["transition"] = len(t_ax) - counts["separable"] - counts["zero"]
+        return 1.0, 1.0, ones, zeros, {"columns": counts, "route": "split"}
+
 
 @dataclass
 class OscIntegralResult:
@@ -232,9 +245,10 @@ class OscIntegralResult:
     tail_mass: Optional[float] = None
     #: one record per regularized quadrature, in the order they ran (the
     #: sigma schedule, then the cutoff-gap pass): sigma, cutoff kind, grid
-    #: sizes ny x nt and the route ("separable", "split" or "tensor") that
-    #: summed it; a "split" record also counts its theta columns by class
-    #: under "columns": "separable", "transition" and "zero"
+    #: sizes ny x nt and the route that summed it: "tensor", or on the
+    #: special route "separable" (Gaussian cutoff, every column factored)
+    #: or "split" (smooth bump), whose record also counts its theta columns
+    #: by class under "columns": "separable", "transition" and "zero"
     quadrature: List[dict] = field(default_factory=list)
     #: the choices `fio_apply_ibp` made for the caller: the partition
     #: threshold "eps0", psi's radius "s0" and support edge "local_radius"
@@ -368,7 +382,10 @@ def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
     """Radius beyond which the 1-D profile, sampled at 2048 points of
     [0, start], stays below 1e-14 * max."""
     r = np.linspace(0.0, start, 2048)
-    v = np.abs(profile(r))
+    # a sample where f or a is not finite (1/y at 0) finds no edge; the
+    # quadrature's value reports it
+    with np.errstate(all="ignore"):
+        v = np.abs(profile(r))
     peak = float(np.max(v))
     if peak == 0.0:
         return 1.0
@@ -476,24 +493,6 @@ def _fourier_sum(c, y_ax, t_ax) -> np.ndarray:
     return plain - 1j * t_ax * (head @ step.T).ravel()[:nt]
 
 
-def _separable_quadrature(theta_fn, f_fn, xv: float, sigma: float,
-                          y_ax, t_ax) -> complex:
-    """The tensor-trapezoid sum of e^{i S(t)} a(t) f(y) e^{-i y t}
-    e^{-(x^2+y^2+t^2)/(2 sigma^2)} over y_ax x t_ax, where theta_fn(t) =
-    e^{i S(t)} a(t): the same discrete sum as `_tiled_quadrature` with the
-    Gaussian cutoff, summed over y first by `_fourier_sum`."""
-    wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
-    wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
-    c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape) \
-        * np.exp(-(y_ax / sigma) ** 2 / 2.0)
-    with np.errstate(over="ignore"):  # a huge x saturates the cutoff to 0
-        x2 = np.square(xv / sigma)
-    g_t = np.exp(-(x2 + (t_ax / sigma) ** 2) / 2.0)
-    theta_vals = np.broadcast_to(theta_fn(t_ax), t_ax.shape)
-    return complex(np.sum(wt * theta_vals * g_t * _fourier_sum(c, y_ax,
-                                                                t_ax)))
-
-
 def _bump_columns(cut: CutoffSpec, x2, sigma: float, y_ax, t_ax):
     """Masks (ones, zeros) of the theta columns on which the cutoff
     g(|(x, y, t)|/sigma), computed by the tensor integrand's own expression,
@@ -509,27 +508,23 @@ def _bump_columns(cut: CutoffSpec, x2, sigma: float, y_ax, t_ax):
     return at(np.max(absy)) == 1.0, at(np.min(absy)) == 0.0
 
 
-def _split_bump_quadrature(theta_fn, f_fn, x2, sigma: float,
-                           cut: CutoffSpec, y_ax, t_ax):
+def _special_quadrature(theta_fn, f_fn, x2, sigma: float, cut: CutoffSpec,
+                        y_ax, t_ax):
     """The tensor-trapezoid sum of e^{i S(t)} a(t) f(y) e^{-i y t}
-    g(|(x, y, t)|/sigma) over y_ax x t_ax for a cutoff g that is exactly 1
-    near the origin and exactly 0 far from it, summed by theta column:
-    where g is 1 on the whole column the column's term is
-    w_t e^{i S(t)} a(t) sum_j w_j f(y_j) e^{-i y_j t}, the `_fourier_sum` of
-    the Gaussian route without its factor; where g is 0 it is 0; only the
-    transition columns are summed point by point.  Returns the sum and the
-    column counts."""
+    g(|(x, y, t)|/sigma) over y_ax x t_ax, theta_fn(t) = e^{i S(t)} a(t),
+    by theta column as `CutoffSpec.special_factors` classes them: a
+    factored column is w_t g_t(t) theta_fn(t) times the `_fourier_sum` of
+    w_y f(y) g_y(y), a zero column adds nothing, and a transition column is
+    summed point by point.  Returns the sum and the record's fields."""
     wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
-    ones, zeros = _bump_columns(cut, x2, sigma, y_ax, t_ax)
-    counts = {"separable": int(np.count_nonzero(ones)),
-              "zero": int(np.count_nonzero(zeros))}
-    counts["transition"] = len(t_ax) - counts["separable"] - counts["zero"]
-    c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape)
-    w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape)
+    g_y, g_t, ones, zeros, entries = cut.special_factors(x2, sigma, y_ax,
+                                                         t_ax)
+    c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape) * g_y
+    w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape) * g_t
     total = 0j
-    if counts["separable"]:
-        # the all-1 columns are those with |t| below a bound, one run of
+    if np.any(ones):
+        # the factored columns are those with |t| below a bound, one run of
         # the linspace; the mask keeps the sum exact if they were not
         first, last = np.flatnonzero(ones)[[0, -1]]
         hull = slice(first, last + 1)
@@ -554,7 +549,7 @@ def _split_bump_quadrature(theta_fn, f_fn, x2, sigma: float,
                 g * step.T[:, :k1 - k0])
             total += np.sum(w_theta[k0:k1]
                             * (plain - 1j * t_ax[k0:k1] * fix))
-    return complex(total), counts
+    return complex(total), entries
 
 
 def _tiles(columns, tile: int):
@@ -572,14 +567,12 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     """Cutoff-regularized oscillatory integral along an increasing sigma
     schedule, with extrapolated limit and cutoff-independence diagnostics.
 
-    When the phase is special (phi = S(x, theta) - y theta) and a does not
-    depend on y, a Gaussian-cutoff quadrature takes the separable route and
-    a smooth-bump one the split route: theta columns on which the bump is
-    exactly 1.0 take the separable route's Fourier sum, which then adds the
-    same terms as the tensor sum, columns on which it is exactly 0.0 are
-    skipped, and only the transition columns are summed point by point.
-    Every other quadrature takes the tensor route.  All three sum the same
-    trapezoid grid, recorded in `OscIntegralResult.quadrature`."""
+    A quadrature takes the special route (see the module docstring) when
+    the phase is special (phi = S(x, theta) - y theta) and a does not
+    depend on y, and the tensor route otherwise; both sum the same
+    trapezoid grid, recorded in `OscIntegralResult.quadrature`.  A
+    quadrature whose value is not finite (an f or a that is not finite on
+    the grid) raises ValueError."""
     _require_1d(phi)
     schedule = [float(s) for s in schedule]
     if not all(s1 < s2 for s1, s2 in zip([0.0] + schedule, schedule)):
@@ -627,25 +620,26 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
         y_ax = _axis(ry, max(freq_y, rt), 12.0)
         t_ax = _axis(rt, freq_t, 12.0)
 
-        with np.errstate(over="ignore"):  # as in _separable_quadrature
-            x2 = np.square(xv / sigma)
-
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
             return vals * cut.at_r2(x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
 
         record = {"sigma": sigma, "cutoff": cut.kind.value,
                   "ny": len(y_ax), "nt": len(t_ax)}
-        if theta_fn is None:
-            val = _tiled_quadrature(integrand, y_ax, t_ax)
-            record["route"] = "tensor"
-        elif cut.kind is CutoffKind.GAUSSIAN:
-            val = _separable_quadrature(theta_fn, f_fn, xv, sigma, y_ax, t_ax)
-            record["route"] = "separable"
-        else:
-            val, record["columns"] = _split_bump_quadrature(
-                theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
-            record["route"] = "split"
+        # a huge x saturates the cutoff to 0; a non-finite integrand is
+        # caught below, by the value it gives
+        with np.errstate(all="ignore"):
+            x2 = np.square(xv / sigma)
+            if theta_fn is None:
+                val = _tiled_quadrature(integrand, y_ax, t_ax)
+                record["route"] = "tensor"
+            else:
+                val, entries = _special_quadrature(theta_fn, f_fn, x2, sigma,
+                                                   cut, y_ax, t_ax)
+                record.update(entries)
+        if not np.isfinite(val):
+            raise ValueError(f"the {cut.kind.value} cutoff's quadrature at "
+                             f"sigma = {sigma:g} is not finite: {val}")
         quadrature.append(record)
         return val / (2.0 * np.pi), rt
 

@@ -70,3 +70,39 @@ def test_run_imports_no_numpy_star(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def _private_definitions(tree):
+    """(name, node) of each private name a module defines at its top level:
+    a function, a class or an assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if _is_private(name))
+
+
+def test_no_dead_private_names():
+    """Every module-level private name of fiolab is read somewhere in
+    fiolab outside its own definition: code kept alive for tests alone is
+    dead."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)]
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(getattr(node, "id", getattr(node, "attr", None)) == name
+                       and id(node) not in inside for node in reads):
+                dead.append(f"{module}.{name}")
+    assert dead == []

@@ -79,6 +79,18 @@ class TestRoutes:
                             Route.SPECTRAL)
         assert np.max(np.abs(Fk.matrix - Fs.matrix)) < 1e-12
 
+    @given(c=st.sampled_from(["0", "1"]),
+           a=st.sampled_from(["1", A_GAUSS, "1/(1+theta**2)"]),
+           M=st.sampled_from([64, 128, 256]))
+    @settings(max_examples=12, deadline=None)
+    def test_kernel_and_spectral_agree_on_any_input(self, c, a, M):
+        # the identity (c = 0) and chirp (c = 1) phases, amplitudes from
+        # constant to Gaussian decay, and three grid sizes
+        grid = GridSpec(1, 8.0, M, dft_aligned=True)
+        Fk, Fs = (discretize_fio(chirp(c), a, grid, grid, grid.dual(),
+                                 route) for route in Route)
+        assert np.max(np.abs(Fk.matrix - Fs.matrix)) < 1e-12
+
     def test_spectral_requires_aligned_grids(self, S_chirp, grid256):
         with pytest.raises(AlignmentError):
             discretize_fio(S_chirp, "1", grid256, grid256,

@@ -131,6 +131,24 @@ SEPARABLE_CASES = [(A_ONE, F_GAUSS, 1.0), ("exp(-theta**2/8)", "1", 0.0),
                    ("exp(-theta**2/8)", "1", 1.0)]
 
 
+#: sigma, x, the y radius and the grid sizes of the special route's
+#: property tests; theta spans the bump's support [-2 sigma, 2 sigma]
+SPECIAL_GRIDS = dict(sigma=st.floats(0.25, 512.0),
+                     x=st.floats(-1200.0, 1200.0), ry=st.floats(0.05, 1200.0),
+                     ny=st.integers(2, 65), nt=st.integers(2, 400))
+
+
+def _special_grid(kind, sigma, x, ry, ny, nt):
+    """(cutoff, x2, y_ax, t_ax, cutoff on the tensor grid)."""
+    cut = CutoffSpec(kind)
+    x2 = np.square(x / sigma)
+    y_ax = np.linspace(-ry, ry, ny)
+    t_ax = np.linspace(-2.0 * sigma, 2.0 * sigma, nt)
+    Y, T = np.meshgrid(y_ax, t_ax, indexing="ij")
+    return cut, x2, y_ax, t_ax, cut.at_r2(
+        x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
+
+
 def _core(phi, a, f, x):
     """e^{i phi} a f at x as a numpy function of (y, theta)."""
     y, t = phi.yvars[0], phi.tvars[0]
@@ -139,31 +157,48 @@ def _core(phi, a, f, x):
         * as_expr(f, (y,))).subs(phi.xvars[0], x), "numpy")
 
 
-class TestSeparableRoute:
-    """Special phase, y-free amplitude, Gaussian cutoff: the separable sum
-    reorders the tensor-trapezoid sum on the same grids."""
+class TestSpecialRoute:
+    """Special phase, y-free amplitude: for either cutoff, the special route
+    sums the tensor-trapezoid grid by theta column, a Fourier sum over y on
+    each factored column (every column of the Gaussian, the all-1 columns
+    of the bump), nothing on an all-0 column and point by point on the
+    bump's transition columns."""
 
     @pytest.mark.parametrize("a, f, x", SEPARABLE_CASES)
-    def test_matches_tensor_sum(self, phi_xt, monkeypatch, a, f, x):
+    @pytest.mark.parametrize("kind", list(CutoffKind))
+    def test_matches_tensor_sum(self, phi_xt, monkeypatch, kind, a, f, x):
         # theta reaches about 2000 at sigma = 256 with a = 1, where a step
         # rounded at that scale moves the sum by about 5e-12
-        real = oscillatory._separable_quadrature
+        real = oscillatory._special_quadrature
         seen = []
 
-        def spy(theta_fn, f_fn, xv, sigma, y_ax, t_ax):
-            val = real(theta_fn, f_fn, xv, sigma, y_ax, t_ax)
-            seen.append((sigma, y_ax, t_ax, val))
-            return val
-        monkeypatch.setattr(oscillatory, "_separable_quadrature", spy)
+        def spy(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax):
+            val, entries = real(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+            seen.append((x2, sigma, cut, y_ax, t_ax, val, entries))
+            return val, entries
+        monkeypatch.setattr(oscillatory, "_special_quadrature", spy)
         schedule = (16, 32, 64, 128, 256)
-        regularized_fio_apply(a, phi_xt, f, x, schedule=schedule,
-                              compute_gap=False)
-        assert [sigma for sigma, *_ in seen] == list(schedule)
+        res = regularized_fio_apply(a, phi_xt, f, x, schedule=schedule,
+                                    cutoff=CutoffSpec(kind),
+                                    compute_gap=False)
+        assert [sigma for _, sigma, *_ in seen] == list(schedule)
+        assert res.quadrature == [
+            {"sigma": sigma, "cutoff": kind.value, "ny": len(y_ax),
+             "nt": len(t_ax), **entries}
+            for _, sigma, _, y_ax, t_ax, _, entries in seen]
+        if kind is CutoffKind.SMOOTH_BUMP:
+            # the classes cover the grid, and both summed classes occur
+            # somewhere in the schedule
+            counts = [entries["columns"] for *_, entries in seen]
+            assert [sum(c.values()) for c in counts] == [
+                len(t_ax) for *_, t_ax, _, _ in seen]
+            assert all(any(c[name] for c in counts)
+                       for name in ("separable", "transition"))
         core = _core(phi_xt, a, f, x)
-        for sigma, y_ax, t_ax, val in seen:
+        for x2, sigma, cut, y_ax, t_ax, val, _ in seen:
             ref = oscillatory._tiled_quadrature(
-                lambda Y, T: core(Y, T) * np.exp(
-                    -(x * x + Y * Y + T * T) / (2.0 * sigma ** 2)),
+                lambda Y, T: core(Y, T) * cut.at_r2(
+                    x2 + (Y / sigma) ** 2 + (T / sigma) ** 2),
                 y_ax, t_ax)
             assert abs(val - ref) <= 1e-12 * abs(ref), sigma
 
@@ -191,10 +226,83 @@ class TestSeparableRoute:
         assert [q["route"] for q in res.quadrature] == [route, route]
         assert len(calls) == (2 if route == "tensor" else 0)
 
+    @given(kind=st.sampled_from(CutoffKind), **SPECIAL_GRIDS)
+    @example(kind=CutoffKind.SMOOTH_BUMP, sigma=4.0, x=0.0, ry=1.0, ny=9,
+             nt=3)  # one all-1 column
+    @example(kind=CutoffKind.GAUSSIAN, sigma=0.25, x=8.0, ry=0.05, ny=2,
+             nt=2)  # the exponent's rounding, 19 eps ulps scale
+    @example(kind=CutoffKind.GAUSSIAN, sigma=31.5, x=1200.0, ry=763.0,
+             ny=5, nt=7)  # a subnormal sum, 370 eps ulps scale
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tensor_sum_on_any_grid(self, kind, sigma, x, ry, ny,
+                                            nt):
+        # the routes round the phase y t differently, by a few ulp of
+        # max |y t| per term, and add the terms in another order
+        cut, x2, y_ax, t_ax, _ = _special_grid(kind, sigma, x, ry, ny, nt)
+
+        def r2(Y, T):
+            return x2 + (Y / sigma) ** 2 + (T / sigma) ** 2
+
+        def theta_fn(t):
+            return np.exp(0.7j * t)
+
+        def f_fn(y):
+            return 1.0 / (1.0 + y * y)
+
+        def term(Y, T):
+            return theta_fn(T) * f_fn(Y) * np.exp(-1j * Y * T) * cut.at_r2(
+                r2(Y, T))
+        val, entries = oscillatory._special_quadrature(
+            theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+        if "columns" in entries:
+            assert sum(entries["columns"].values()) == nt
+        ref = oscillatory._tiled_quadrature(term, y_ax, t_ax)
+        scale = oscillatory._tiled_quadrature(
+            lambda Y, T: np.abs(term(Y, T)), y_ax, t_ax).real
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        ulps = ry * 2.0 * sigma + ny + nt
+        bound = 2 * eps * ulps * scale
+        if kind is CutoffKind.GAUSSIAN:
+            # the bump's factored columns are exactly 1.0; the Gaussian's
+            # factors e^{-y^2/(2 sigma^2)} e^{-(x^2+t^2)/(2 sigma^2)} round
+            # the exponent apart from the tensor integrand's e^{-r2/2}, a
+            # few ulp of r2 per term, and where a factor or a term is
+            # subnormal it rounds by up to half the smallest subnormal,
+            # which the weights (summing to 2 ry and 4 sigma) then scale
+            bound += 2 * eps * oscillatory._tiled_quadrature(
+                lambda Y, T: np.abs(term(Y, T)) * r2(Y, T), y_ax, t_ax).real \
+                + 2 * tiny * (ny + 2.0 * ry) * (nt + 4.0 * sigma)
+        assert abs(val - ref) <= bound
+
+    @pytest.mark.parametrize("kind, zero, whole", [
+        (CutoffKind.GAUSSIAN, {"route": "separable"}, {"route": "separable"}),
+        (CutoffKind.SMOOTH_BUMP,
+         {"columns": {"separable": 0, "zero": 11, "transition": 0},
+          "route": "split"},
+         {"columns": {"separable": 11, "zero": 0, "transition": 0},
+          "route": "split"})])
+    def test_empty_transition_and_all_zero_grids(self, kind, zero, whole):
+        # x far outside the cutoff's support: the sum is 0 (the bump's
+        # columns are all 0); no transition column: the Fourier sum alone
+        cut = CutoffSpec(kind)
+        y_ax, t_ax = np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 11)
+        val, entries = oscillatory._special_quadrature(
+            lambda t: np.exp(1j * t), lambda y: np.exp(-y * y), np.inf, 4.0,
+            cut, y_ax, t_ax)
+        assert (val, entries) == (0j, zero)
+        val, entries = oscillatory._special_quadrature(
+            lambda t: np.exp(1j * t), lambda y: np.exp(-y * y), 0.0, 4.0,
+            cut, y_ax, t_ax)
+        assert entries == whole
+        ref = oscillatory._tiled_quadrature(
+            lambda Y, T: np.exp(1j * T - Y * Y - 1j * Y * T) * cut.at_r2(
+                (Y / 4.0) ** 2 + (T / 4.0) ** 2), y_ax, t_ax)
+        assert abs(val - ref) <= 1e-14 * abs(ref)
+
 
 class TestExpTable:
-    """The factored tables of e^{-i t y} behind the separable and split
-    routes."""
+    """The factored tables of e^{-i t y} behind the special route's
+    Fourier sums and transition tiles."""
 
     @staticmethod
     def _direct(table, delta, t):
@@ -217,7 +325,7 @@ class TestExpTable:
                       <= 4 * eps * (1.0 + row_phase))
 
     def test_fourier_sum_matches_direct_sum(self, rng):
-        # the sizes of the separable route's sigma = 256 quadrature in
+        # the sizes of the Gaussian's sigma = 256 special quadrature in
         # test_identity_off_origin, on 64 sampled columns
         sigma = 256.0
         y_ax = np.linspace(-9.404103566194431, 9.404103566194431, 6191)
@@ -231,63 +339,17 @@ class TestExpTable:
 
 
 class TestSplitBumpRoute:
-    """Special phase, y-free amplitude, smooth bump: the theta columns on
-    which the bump is exactly 1 take the separable sum, those on which it
-    is exactly 0 are skipped, and only the rest are summed point by point,
-    on the same grids as the tensor sum."""
+    """The smooth bump's column classes on the special route: a column is
+    taken as all-1 or all-0 only if the tensor integrand's own cutoff
+    values are."""
 
-    @pytest.mark.parametrize("a, f, x", SEPARABLE_CASES)
-    def test_matches_tensor_sum(self, phi_xt, monkeypatch, a, f, x):
-        real = oscillatory._split_bump_quadrature
-        seen = []
-
-        def spy(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax):
-            val, counts = real(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
-            seen.append((x2, sigma, cut, y_ax, t_ax, val, counts))
-            return val, counts
-        monkeypatch.setattr(oscillatory, "_split_bump_quadrature", spy)
-        schedule = (16, 32, 64, 128, 256)
-        res = regularized_fio_apply(a, phi_xt, f, x, schedule=schedule,
-                                    cutoff=CutoffSpec(CutoffKind.SMOOTH_BUMP),
-                                    compute_gap=False)
-        assert [sigma for _, sigma, *_ in seen] == list(schedule)
-        assert [q["columns"] for q in res.quadrature] == [
-            counts for *_, counts in seen]
-        # both summed column classes occur somewhere in the schedule
-        assert all(any(counts[name] for *_, counts in seen) for name in (
-            "separable", "transition"))
-        core = _core(phi_xt, a, f, x)
-        for x2, sigma, cut, y_ax, t_ax, val, counts in seen:
-            assert sum(counts.values()) == len(t_ax)
-            ref = oscillatory._tiled_quadrature(
-                lambda Y, T: core(Y, T) * cut.at_r2(
-                    x2 + (Y / sigma) ** 2 + (T / sigma) ** 2),
-                y_ax, t_ax)
-            assert abs(val - ref) <= 1e-12 * abs(ref), sigma
-
-    #: sigma, x, the y radius and the grid sizes; theta spans the bump's
-    #: support [-2 sigma, 2 sigma]
-    GRIDS = dict(sigma=st.floats(0.25, 512.0), x=st.floats(-1200.0, 1200.0),
-                 ry=st.floats(0.05, 1200.0), ny=st.integers(2, 65),
-                 nt=st.integers(2, 400))
-
-    @staticmethod
-    def _grid(sigma, x, ry, ny, nt):
-        """(cutoff, x2, y_ax, t_ax, cutoff on the tensor grid)."""
-        cut = CutoffSpec(CutoffKind.SMOOTH_BUMP)
-        x2 = np.square(x / sigma)
-        y_ax = np.linspace(-ry, ry, ny)
-        t_ax = np.linspace(-2.0 * sigma, 2.0 * sigma, nt)
-        Y, T = np.meshgrid(y_ax, t_ax, indexing="ij")
-        return cut, x2, y_ax, t_ax, cut.at_r2(
-            x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
-
-    @given(**GRIDS)
+    @given(**SPECIAL_GRIDS)
     @settings(max_examples=150, deadline=None)
     def test_column_classes_are_exact(self, sigma, x, ry, ny, nt):
         # the whole column, evaluated as the tensor integrand does, is
         # exactly 1.0 on an all-1 column and exactly 0.0 on an all-0 one
-        cut, x2, y_ax, t_ax, g = self._grid(sigma, x, ry, ny, nt)
+        cut, x2, y_ax, t_ax, g = _special_grid(CutoffKind.SMOOTH_BUMP, sigma,
+                                               x, ry, ny, nt)
         ones, zeros = oscillatory._bump_columns(cut, x2, sigma, y_ax, t_ax)
         assert not np.any(ones & zeros)
         assert np.all(g[:, ones] == 1.0)
@@ -296,50 +358,6 @@ class TestSplitBumpRoute:
         mixed = ~(ones | zeros)
         assert not np.any(np.all(g[:, mixed] == 1.0, axis=0)
                           | np.all(g[:, mixed] == 0.0, axis=0))
-
-    @given(**GRIDS)
-    @example(sigma=4.0, x=0.0, ry=1.0, ny=9, nt=3)  # one all-1 column
-    @settings(max_examples=60, deadline=None)
-    def test_matches_tensor_sum_on_any_grid(self, sigma, x, ry, ny, nt):
-        # the routes round the phase y t differently, by a few ulp of
-        # max |y t| per term, and add the terms in another order
-        cut, x2, y_ax, t_ax, _ = self._grid(sigma, x, ry, ny, nt)
-
-        def theta_fn(t):
-            return np.exp(0.7j * t)
-
-        def f_fn(y):
-            return 1.0 / (1.0 + y * y)
-
-        def term(Y, T):
-            return theta_fn(T) * f_fn(Y) * np.exp(-1j * Y * T) * cut.at_r2(
-                x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
-        val, counts = oscillatory._split_bump_quadrature(
-            theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
-        assert sum(counts.values()) == nt
-        ref = oscillatory._tiled_quadrature(term, y_ax, t_ax)
-        scale = oscillatory._tiled_quadrature(
-            lambda Y, T: np.abs(term(Y, T)), y_ax, t_ax).real
-        ulps = ry * 2.0 * sigma + ny + nt
-        assert abs(val - ref) <= 2 * np.finfo(float).eps * ulps * scale
-
-    def test_empty_transition_and_all_zero_grids(self):
-        # x far outside the bump's support: every column is 0; no
-        # transition column: the separable sum alone
-        cut = CutoffSpec(CutoffKind.SMOOTH_BUMP)
-        y_ax, t_ax = np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 11)
-        val, counts = oscillatory._split_bump_quadrature(
-            lambda t: np.exp(1j * t), lambda y: np.exp(-y * y), np.inf, 4.0,
-            cut, y_ax, t_ax)
-        assert (val, counts) == (0j, {"separable": 0, "transition": 0,
-                                      "zero": 11})
-        val, counts = oscillatory._split_bump_quadrature(
-            lambda t: np.exp(1j * t), lambda y: np.exp(-y * y), 0.0, 4.0,
-            cut, y_ax, t_ax)
-        assert counts == {"separable": 11, "transition": 0, "zero": 0}
-        ref = oscillatory._tiled_quadrature(
-            lambda Y, T: np.exp(1j * T - Y * Y - 1j * Y * T), y_ax, t_ax)
-        assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
 class TestOmegaPartition:

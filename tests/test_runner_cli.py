@@ -200,11 +200,17 @@ class TestCli:
     @pytest.mark.parametrize("name, overrides, code", [
         ("multiplier_norm", f"grids.M=64 symbol.a=1e300 {CV_CHECK}", 1),
         ("ffstar_gaussian", "grids.M=64 symbol.a=1e300", 2),
-    ], ids=["operator_norm", "compose"])
+        ("oscint_gaussian", "oscint.f=1/y", 2),
+        ("oscint_gaussian", "oscint.f=log(y)", 2),
+        ("oscint_gaussian", "oscint.f=y**y", 2),
+        ("oscint_gaussian", "oscint.f=log(y) oscint.cutoff=SMOOTH_BUMP", 2),
+    ], ids=["operator_norm", "compose", "oscint_f_reciprocal", "oscint_f_log",
+            "oscint_f_power", "oscint_f_log_bump"])
     def test_overflowing_operator_emits_no_runtime_warning(
             self, tmp_path, capsys, name, overrides, code):
-        # the power iteration's IterationError (exit 1) and the non-finite
-        # predicted symbol's config error (exit 2) report the overflow
+        # the power iteration's IterationError (exit 1), the non-finite
+        # predicted symbol's and the non-finite oscillatory quadrature's
+        # config errors (exit 2) report the overflow
         args = ["run", name, "--out-dir", str(tmp_path / "out")]
         for override in overrides.split():
             args += ["--override", override]
@@ -213,7 +219,9 @@ class TestCli:
             assert main(args) == code
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
-        assert "RuntimeWarning" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert ("config error:" in err) == (code == 2)
 
     def test_single_operation_writes_only_its_artifacts(self, tmp_path):
         # the operator spectrum needs is built without the build-operator
