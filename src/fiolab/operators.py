@@ -25,6 +25,8 @@ from .phases import GeneratingFunction
 from .symbols import as_expr
 
 MAGIC = b"FIOLAB01"
+#: the header's "format" field; a header without one is read as this format
+FORMAT = 1
 
 
 class Route(Enum):
@@ -114,19 +116,29 @@ def _theta_taper(theta_grid: GridSpec, enabled: bool) -> np.ndarray:
 
 def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
                       theta_grid: GridSpec, taper: bool) -> np.ndarray:
-    """E[i, k] = e^{i S(x_i, theta_k)} a(x_i, theta_k) tau_k w_k / (2 pi)^n."""
+    """E[i, k] = e^{i S(x_i, theta_k)} a(x_i, theta_k) tau_k w_k / (2 pi)^n.
+
+    The (x, theta) point list lives only while S and a are evaluated on it,
+    and E is scaled in place: a real amplitude stays real, and numpy casts
+    it to complex inside the multiply, so the bits are those of a complex
+    one."""
     th = theta_grid.mesh()
-    nx, nth = len(x_points), len(th)
-    xt = np.concatenate([
-        np.repeat(x_points, nth, axis=0),
-        np.tile(th, (nx, 1)),
-    ], axis=-1)
-    svals = evaluate(S.expr, S.xvars + S.tvars, xt).reshape(nx, nth)
-    avals = np.asarray(evaluate(as_expr(a, S.variables), S.variables, xt),
-                       dtype=complex).reshape(nx, nth)
+    n = S.n
+    xt = np.empty((len(x_points), len(th), 2 * n))
+    xt[..., :n] = x_points[:, None, :]
+    xt[..., n:] = th[None, :, :]
+    svals = evaluate(S.expr, S.variables, xt)
+    avals = evaluate(as_expr(a, S.variables), S.variables, xt)
+    del xt
+    e = 1j * svals
+    del svals
+    np.exp(e, out=e)
+    e *= avals
+    del avals
     tau = _theta_taper(theta_grid, taper)
     w = theta_grid.spacing ** theta_grid.dim / (2.0 * np.pi) ** theta_grid.dim
-    return np.exp(1j * svals) * avals * (tau * w)[None, :]
+    e *= (tau * w)[None, :]
+    return e
 
 
 def kernel_eval(S: GeneratingFunction, a, x, y, theta_grid: GridSpec,
@@ -145,9 +157,22 @@ def _dft_synthesis_matrix(y_grid: GridSpec, theta_grid: GridSpec) -> np.ndarray:
     dy, dth = y_grid.spacing, theta_grid.spacing
     r, big = y_grid.radius, theta_grid.radius
     col = np.exp(1j * big * dy * np.arange(m))
-    p = np.fft.fft(np.eye(m) * col[None, :], axis=0)
+    p = np.eye(m, dtype=complex)
+    p *= col[None, :]
+    p = np.fft.fft(p, axis=0)
     row = np.exp(1j * dth * r * np.arange(m)) * np.exp(-1j * big * r)
-    return dy * row[:, None] * p
+    # the row factor stays the left operand: numpy's complex multiply is
+    # not commutative bit for bit
+    return np.multiply(dy * row[:, None], p, out=p)
+
+
+def _quadrature_synthesis_matrix(y_grid: GridSpec,
+                                 theta_grid: GridSpec) -> np.ndarray:
+    """P[k, j] = e^{-i theta_k . y_j} dy^n, entry by entry."""
+    p = -1j * (theta_grid.mesh() @ y_grid.mesh().T)
+    np.exp(p, out=p)
+    p *= y_grid.spacing ** y_grid.dim
+    return p
 
 
 def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
@@ -157,7 +182,6 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
     """Dense matrix of the operator, by the requested build route."""
     if x_grid.dim != S.n or y_grid.dim != S.n or theta_grid.dim != S.n:
         raise GridMismatchError("grid dimensions must match the phase")
-    e = _phase_amp_matrix(S, a, x_grid.mesh(), theta_grid, taper)
     if route is Route.SPECTRAL:
         if S.n != 1:
             raise NotImplementedError("SPECTRAL route supports n = 1")
@@ -167,15 +191,18 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                 abs(y_grid.spacing * theta_grid.spacing
                     - 2.0 * np.pi / y_grid.points) > 1e-12:
             raise AlignmentError("y and theta grids are not a DFT pair")
+    # at its peak a build holds three M x M arrays: E, P and their product;
+    # E comes first, so that P never meets the point list
+    e = _phase_amp_matrix(S, a, x_grid.mesh(), theta_grid, taper)
+    if route is Route.SPECTRAL:
         p = _dft_synthesis_matrix(y_grid, theta_grid)
     else:
-        th = theta_grid.mesh()
-        p = np.exp(-1j * (th @ y_grid.mesh().T)) * \
-            y_grid.spacing ** y_grid.dim
-    kernel = e @ p / y_grid.spacing ** y_grid.dim  # drop dy: folded below
-    wr = np.sqrt(x_grid.spacing ** x_grid.dim)
-    wc = np.sqrt(y_grid.spacing ** y_grid.dim)
-    matrix = wr * kernel * wc
+        p = _quadrature_synthesis_matrix(y_grid, theta_grid)
+    matrix = e @ p
+    del e, p
+    matrix /= y_grid.spacing ** y_grid.dim  # drop dy: folded below
+    matrix *= np.sqrt(x_grid.spacing ** x_grid.dim)
+    matrix *= np.sqrt(y_grid.spacing ** y_grid.dim)
     prov = {
         "route": route.value,
         "config": _config_hash({
@@ -234,7 +261,8 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
     prev_inc = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, 10_001):
-            w = a.conj().T @ (a @ v)
+            # a^H (a v) without a conjugated copy of a; the same bits
+            w = ((a @ v).conj() @ a).conj()
             lam = float(np.real(np.vdot(v, w)))
             nw = np.linalg.norm(w)
             if not np.isfinite(nw):
@@ -272,9 +300,10 @@ def singular_values(F: DiscreteOperator,
 
 
 def save_operator(F: DiscreteOperator, path: str) -> None:
-    """Binary layout: magic, u64 header length, JSON header, row-major
-    complex128 little-endian matrix."""
+    """Binary layout: magic, u64 header length, JSON header (with the
+    format version), row-major complex128 little-endian matrix."""
     header = json.dumps({
+        "format": FORMAT,
         "row_grid": F.row_grid.descriptor(),
         "col_grid": F.col_grid.descriptor(),
         "provenance": F.provenance,
@@ -289,8 +318,10 @@ def save_operator(F: DiscreteOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> DiscreteOperator:
-    """Read a file written by `save_operator`; OperatorFormatError when the
-    file is truncated, extended or its header is incomplete."""
+    """Read a file written by `save_operator`, or a versionless one from
+    before the header had a format field; OperatorFormatError when the file
+    is truncated, extended, its header is incomplete or names another
+    format."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(MAGIC)] != MAGIC:
@@ -305,8 +336,12 @@ def load_operator(path: str) -> DiscreteOperator:
         rg = GridSpec(**header["row_grid"])
         cg = GridSpec(**header["col_grid"])
         provenance = header["provenance"]
+        version = header.get("format", FORMAT)
     except (ValueError, KeyError, TypeError) as exc:
         raise OperatorFormatError(f"bad operator header: {exc!r}") from exc
+    if type(version) is not int or version != FORMAT:
+        raise OperatorFormatError(
+            f"operator format {version!r}, this reader knows {FORMAT}")
     payload = blob[start + hlen:]
     if len(payload) != 16 * rows * cols:
         raise OperatorFormatError(

@@ -378,14 +378,18 @@ def choose_eps0(phi: PhaseField, x: float = 0.0) -> float:
 
 
 def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
-                  start: float) -> float:
+                  start: float, name: str, var: str) -> float:
     """Radius beyond which the 1-D profile, sampled at 2048 points of
-    [0, start], stays below 1e-14 * max."""
+    [0, start], stays below 1e-14 * max.  A sample where the profile is not
+    finite (f = 1/y at 0) leaves no edge to find: ValueError naming the
+    profile and the sample point."""
     r = np.linspace(0.0, start, 2048)
-    # a sample where f or a is not finite (1/y at 0) finds no edge; the
-    # quadrature's value reports it
     with np.errstate(all="ignore"):
         v = np.abs(profile(r))
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        raise ValueError(f"{name} is not finite at {var} = "
+                         f"{float(r[bad[0]])!r}, so it has no decay radius")
     peak = float(np.max(v))
     if peak == 0.0:
         return 1.0
@@ -596,7 +600,7 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     quadrature = []
 
     f_rad = _decay_radius(lambda r: np.abs(np.broadcast_to(f_fn(r), r.shape)),
-                          start=64.0)
+                          start=64.0, name="f", var="y")
 
     def one_sigma(sigma: float, cut: CutoffSpec) -> Tuple[complex, float]:
         ry = min(f_rad, cut.radius(sigma))
@@ -610,7 +614,9 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
                 env = np.maximum(env, np.abs(np.broadcast_to(
                     aenv_fn(np.full_like(r, yv_), r), r.shape)))
             return env * np.abs(cut(r[:, None] / sigma))
-        rt = _decay_radius(envelope, start=rt0)
+        rt = _decay_radius(
+            envelope, start=rt0, var="theta",
+            name="the a-envelope (max over y of |a| times the cutoff)")
 
         pts = np.stack([np.full(441, xv),
                         np.repeat(np.linspace(-ry, ry, 21), 21),

@@ -7,7 +7,8 @@ values and returns (passed, details); `run_scenario` alone writes them, as
 as the manifest outcome {"operation": op, "passed": passed, **details}.  An
 operation may also write plot-ready CSVs.  Rerunning a scenario
 byte-reproduces every JSON/CSV; the manifest, which ties them to the
-scenario hash and the effective config, also carries wall-clock time.
+scenario hash and the effective config, also carries wall-clock time and
+the process's peak resident set size.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import difflib
 import hashlib
 import json
 import math
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -26,6 +28,11 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 import scipy
 import sympy
+
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # Windows has no getrusage
+    getrusage = None
 
 from . import __version__
 from .grids import GridSpec
@@ -57,6 +64,7 @@ class RunManifest:
     config: dict
     outcomes: List[dict] = field(default_factory=list)
     wall_clock_s: float = 0.0
+    peak_rss_mb: Optional[float] = None
     out_dir: str = ""
 
     @property
@@ -65,6 +73,16 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
+
+
+def _peak_rss_mb() -> Optional[float]:
+    """The process's peak resident set size in MB (2^20 bytes), None where
+    the `resource` module is missing."""
+    if getrusage is None:
+        return None
+    peak = getrusage(RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB on Linux
+    return peak / 2.0 ** 20 if sys.platform == "darwin" else peak / 2.0 ** 10
 
 
 def _cfloat(z) -> dict:
@@ -501,5 +519,6 @@ def run_scenario(path, out_dir: Optional[str] = None,
         manifest.outcomes.append({"operation": op, "passed": passed,
                                   **details})
     manifest.wall_clock_s = time.perf_counter() - t0
+    manifest.peak_rss_mb = _peak_rss_mb()
     (dest / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

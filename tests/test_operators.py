@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fiolab.expressions import evaluate
 from fiolab.grids import GridSpec
 from fiolab.operators import (AlignmentError, DiscreteOperator,
                               GridMismatchError, IterationError,
@@ -22,7 +24,7 @@ from fiolab.operators import (AlignmentError, DiscreteOperator,
 from fiolab.oscillatory import fio_apply_ibp
 from fiolab.pdo import predicted_symbol
 from fiolab.phases import GeneratingFunction, special_phase
-from fiolab.symbols import SymbolField
+from fiolab.symbols import SymbolField, as_expr
 
 A_GAUSS = "exp(-theta**2/4)"
 
@@ -109,6 +111,64 @@ class TestRoutes:
             np.sum(np.exp(1j * (x * th + th ** 2 / 2)) * fhat)
             * tg.spacing / (2 * np.pi) for x in xs])
         assert np.max(np.abs(apply(chirp_op, f) - direct)) < 1e-12
+
+
+def point_list_matrix(S, a, grid, route):
+    """The weighted operator matrix by the point-list formula: S and a
+    evaluated on every (x, theta) pair of one (M^2, 2) array, and every
+    factor applied out of place; the reference of the in-place build."""
+    xs, th, tg = grid.mesh(), grid.dual().mesh(), grid.dual()
+    xt = np.concatenate([np.repeat(xs, len(th), axis=0),
+                         np.tile(th, (len(xs), 1))], axis=-1)
+    svals = evaluate(S.expr, S.variables, xt).reshape(len(xs), len(th))
+    avals = np.asarray(evaluate(as_expr(a, S.variables), S.variables, xt),
+                       dtype=complex).reshape(len(xs), len(th))
+    edge = 0.9 * tg.radius
+    tau = np.ones(tg.points)
+    outer = np.abs(tg.axis()) > edge
+    u = (np.abs(tg.axis()[outer]) - edge) / (tg.radius - edge)
+    tau[outer] = 0.5 * (1.0 + np.cos(np.pi * np.clip(u, 0.0, 1.0)))
+    e = np.exp(1j * svals) * avals * (tau * (tg.spacing / (2.0 * np.pi)))
+    m, dy = grid.points, grid.spacing
+    if route is Route.SPECTRAL:
+        col = np.exp(1j * tg.radius * dy * np.arange(m))
+        p = np.fft.fft(np.eye(m) * col[None, :], axis=0)
+        row = np.exp(1j * tg.spacing * grid.radius * np.arange(m)) \
+            * np.exp(-1j * tg.radius * grid.radius)
+        p = dy * row[:, None] * p
+    else:
+        p = np.exp(-1j * (th @ xs.T)) * dy
+    return np.sqrt(dy) * (e @ p / dy) * np.sqrt(dy)
+
+
+class TestInPlaceBuild:
+    """The build holds E, P and their product at its peak, and gives the
+    bits of the point-list formula."""
+
+    @pytest.mark.parametrize("M", [64, 256])
+    @pytest.mark.parametrize("a", ["1", "1/lam", "exp(-theta**2)",
+                                   "exp(-(x**2+theta**2)/25)"])
+    @pytest.mark.parametrize("c", ["0", "1"], ids=["xtheta", "chirp"])
+    @pytest.mark.parametrize("route", Route)
+    def test_bits_of_the_point_list_formula(self, route, c, a, M):
+        grid = GridSpec(1, 8.0, M, dft_aligned=True)
+        F = discretize_fio(chirp(c), a, grid, grid, grid.dual(), route)
+        ref = point_list_matrix(chirp(c), a, grid, route)
+        assert F.matrix.dtype == ref.dtype
+        assert F.matrix.tobytes() == ref.tobytes()
+
+    def test_kernel_build_peak_is_three_matrices(self, S_xt):
+        # E, P and E @ P: 3.00 times the matrix's bytes; the point-list
+        # build peaked at 4.54 times
+        grid = GridSpec(1, 4.0, 512, dft_aligned=True)
+        discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())  # warm
+        tracemalloc.start()
+        try:
+            F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * F.matrix.nbytes
 
 
 class TestAlgebra:
@@ -262,17 +322,46 @@ class TestPersistence:
         with pytest.raises(OperatorFormatError):
             load_operator(str(p))
 
-    def test_header_missing_key_rejected(self, chirp_op, tmp_path):
-        p = tmp_path / "op.fop"
-        save_operator(chirp_op, str(p))
-        blob = p.read_bytes()
+    @staticmethod
+    def saved_with_header(F, path, edit):
+        """Save F, then rewrite the file's JSON header by `edit`."""
+        save_operator(F, str(path))
+        blob = path.read_bytes()
         (hlen,) = struct.unpack("<Q", blob[8:16])
         header = json.loads(blob[16:16 + hlen])
-        del header["shape"]
+        edit(header)
         new = json.dumps(header).encode()
-        p.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new
-                      + blob[16 + hlen:])
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new
+                         + blob[16 + hlen:])
+        return header
+
+    def test_header_missing_key_rejected(self, chirp_op, tmp_path):
+        p = tmp_path / "op.fop"
+        self.saved_with_header(chirp_op, p, lambda h: h.pop("shape"))
         with pytest.raises(OperatorFormatError):
+            load_operator(str(p))
+
+    def test_header_records_format_version(self, chirp_op, tmp_path):
+        header = self.saved_with_header(chirp_op, tmp_path / "op.fop",
+                                        lambda h: None)
+        assert header["format"] == 1
+
+    def test_versionless_file_loads_bit_exact(self, chirp_op, tmp_path):
+        # files written before the header had a format field
+        p = tmp_path / "op.fop"
+        header = self.saved_with_header(chirp_op, p, lambda h: h.pop("format"))
+        assert "format" not in header
+        back = load_operator(str(p))
+        assert back.matrix.tobytes() == chirp_op.matrix.tobytes()
+        assert (back.row_grid, back.col_grid, back.provenance) == (
+            chirp_op.row_grid, chirp_op.col_grid, chirp_op.provenance)
+
+    @pytest.mark.parametrize("version", [0, 2, 1.0, "1", True, None, [1]])
+    def test_other_format_rejected(self, chirp_op, tmp_path, version):
+        p = tmp_path / "op.fop"
+        self.saved_with_header(chirp_op, p,
+                               lambda h: h.update(format=version))
+        with pytest.raises(OperatorFormatError, match="format"):
             load_operator(str(p))
 
 

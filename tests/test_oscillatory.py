@@ -118,6 +118,16 @@ class TestRegularizedApply:
         sigmas = [s for s, _ in res.sigma_residuals]
         assert sigmas == sorted(sigmas) and len(sigmas) >= 3
 
+    @pytest.mark.parametrize("a, f, message", [
+        (A_ONE, "1/y", "f is not finite at y = 0.0"),
+        ("1/y", F_GAUSS, r"a-envelope .* is not finite at theta = 0.0"),
+    ], ids=["f", "a"])
+    def test_non_finite_profile_raises(self, phi_xt, a, f, message):
+        # a profile with no decay radius used to get radius 1: a = 1/y on
+        # the tensor route then summed a 40 x 8 (y, theta) grid to 5e-15
+        with pytest.raises(ValueError, match=message):
+            regularized_fio_apply(a, phi_xt, f, 0.0, compute_gap=False)
+
     def test_divergent_schedule_raises(self, phi_xt):
         # the theta**2 amplitude makes the sigma values diverge, so the
         # residuals of the three-entry schedule cannot decrease

@@ -204,8 +204,9 @@ class TestCli:
         ("oscint_gaussian", "oscint.f=log(y)", 2),
         ("oscint_gaussian", "oscint.f=y**y", 2),
         ("oscint_gaussian", "oscint.f=log(y) oscint.cutoff=SMOOTH_BUMP", 2),
+        ("oscint_gaussian", "oscint.a=1/y", 2),
     ], ids=["operator_norm", "compose", "oscint_f_reciprocal", "oscint_f_log",
-            "oscint_f_power", "oscint_f_log_bump"])
+            "oscint_f_power", "oscint_f_log_bump", "oscint_a_reciprocal"])
     def test_overflowing_operator_emits_no_runtime_warning(
             self, tmp_path, capsys, name, overrides, code):
         # the power iteration's IterationError (exit 1), the non-finite
@@ -306,9 +307,19 @@ class TestDeterminism:
         m = run_scenario(cfg_path("fourier_inversion"), out_dir=str(tmp_path / "out"))
         data = json.loads((tmp_path / "out" / "manifest.json").read_text())
         for key in ("grids", "lambda_convention", "module_versions",
-                    "outcomes", "scenario_hash", "wall_clock_s"):
+                    "outcomes", "scenario_hash", "wall_clock_s",
+                    "peak_rss_mb"):
             assert key in data
         assert data["scenario_hash"] == m.scenario_hash
+        assert data["peak_rss_mb"] > 0
+
+    def test_manifest_peak_rss_is_null_without_resource(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(runner, "getrusage", None)
+        run_scenario(cfg_path("fourier_inversion"),
+                     out_dir=str(tmp_path / "out"))
+        data = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert data["peak_rss_mb"] is None
 
     def test_override_changes_scenario_hash(self, tmp_path):
         _, h1 = load_scenario(cfg_path("fourier_inversion"))
