@@ -60,6 +60,8 @@ def evaluate(expr: sp.Expr, variables: Sequence[sp.Symbol], points) -> np.ndarra
     """Evaluate `expr` on points of shape (..., len(variables)).
 
     Returns an array of shape points.shape[:-1]; complex iff the result is.
+    A constant expression comes back as a read-only broadcast view of its
+    one value, which holds no buffer of that shape.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1 and len(variables) == 1:
@@ -74,7 +76,7 @@ def evaluate(expr: sp.Expr, variables: Sequence[sp.Symbol], points) -> np.ndarra
         out = fn(*cols)
     out = np.asarray(out)
     if out.shape != points.shape[:-1]:
-        out = np.broadcast_to(out, points.shape[:-1]).copy()
+        out = np.broadcast_to(out, points.shape[:-1])
     return out
 
 

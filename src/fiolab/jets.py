@@ -79,15 +79,26 @@ def _accumulate(left: np.ndarray, right: np.ndarray, plan,
                 rows: int) -> np.ndarray:
     """The jet whose row r is the sum of weight * left[a] * right[b] over
     the plan's pairs (a, b, r, weight), per lane and point; a one-lane jet
-    multiplies each lane of a two-lane one."""
+    multiplies each lane of a two-lane one.  Each row's first product is
+    written in place, and a row no pair reaches is 0."""
     shape = np.broadcast_shapes(left.shape[1:], right.shape[1:])
-    out = np.zeros((rows, *shape))
+    out = np.empty((rows, *shape))
     tmp = np.empty(shape)
+    written = [False] * rows
     for a, b, row, weight in plan:
-        np.multiply(left[a], right[b], out=tmp)
-        if weight != 1.0:
-            tmp *= weight
-        out[row] += tmp
+        if written[row]:
+            np.multiply(left[a], right[b], out=tmp)
+            if weight != 1.0:
+                tmp *= weight
+            out[row] += tmp
+        else:
+            np.multiply(left[a], right[b], out=out[row])
+            if weight != 1.0:
+                out[row] *= weight
+            written[row] = True
+    for row, done in enumerate(written):
+        if not done:
+            out[row] = 0.0
     return out
 
 
@@ -135,10 +146,11 @@ def compose(s, g: np.ndarray, order: int) -> np.ndarray:
 
 
 @functools.cache
-def _divergence_table(order: int):
+def _divergence_table(order: int, zero: frozenset = frozenset()):
     """Pairs and weights of w -> d_y(c_y w) + d_t(c_t w), from a jet of
     `order` to one of order - 1; c_y and c_t are read interleaved (row
-    2i is coefficient i of c_y, row 2i + 1 that of c_t)."""
+    2i is coefficient i of c_y, row 2i + 1 that of c_t).  The pairs that
+    read a row of w listed in `zero` are left out."""
     index = jet_indices(order)
     lower = {ab: i for i, ab in enumerate(jet_indices(order - 1))}
     plan = []
@@ -146,7 +158,7 @@ def _divergence_table(order: int):
         for i, alpha in enumerate(index):
             for j, beta in enumerate(index):
                 gamma = [alpha[0] + beta[0], alpha[1] + beta[1]]
-                if sum(gamma) > order or gamma[axis] == 0:
+                if sum(gamma) > order or gamma[axis] == 0 or j in zero:
                     continue
                 # d/d axis of the monomial: gamma[axis] times one degree less
                 weight = float(gamma[axis])
@@ -155,14 +167,18 @@ def _divergence_table(order: int):
     return tuple(plan)
 
 
-def divergence_power(c: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+def divergence_power(c: np.ndarray, w: np.ndarray, k: int,
+                     zero: frozenset = frozenset()) -> np.ndarray:
     """T^k w at the expansion points, shape (lanes, points), where
     T w = d_y(c_y w) + d_t(c_t w): w is a jet of order k and c the
     interleaved jets of (c_y, c_t) of order at least k.  Each step costs
-    one order of the jet."""
+    one order of the jet.  `zero` lists rows of w that are 0 at every
+    point (a derivative sympy returned as 0): the first step skips the
+    pairs that read them, which would only add products with 0."""
     for order in range(k, 0, -1):
-        w = _accumulate(c, w, _divergence_table(order),
+        w = _accumulate(c, w, _divergence_table(order, zero),
                         len(jet_indices(order - 1)))
+        zero = frozenset()
     return w[0]
 
 

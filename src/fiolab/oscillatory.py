@@ -43,7 +43,11 @@ function:
   <= 1, the omega-free (tL)^k u where it is >= 2 (omega vanishes
   identically there), and only on the annulus between needs omega's jet.
   The local grid around the critical set evaluates the integrand only on
-  the support of its radial weight psi.
+  the support of its radial weight psi.  Its sum does not read R, so it is
+  kept for the process (`_local_sum`): criterion 3's calls at R = 12 and
+  R = 24, which share s0 and the grid, sum it once.  Where the k-fold term
+  reads u's own jet, sympy's identically-zero derivatives of u (every
+  theta derivative of a theta-free u) are left out of the first transpose.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin), which gives
@@ -733,10 +737,14 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     is `jets.compose` of chi's Taylor coefficients at r_0, which the
     ratio's lambdified jet returns first (`_chi_coefficients` bound to the
     undefined function chi0), with the ratio's jet.  with_omega=False
-    drops omega, which vanishes with all its derivatives where r >= 2.
+    drops omega, which vanishes with all its derivatives where r >= 2;
+    there the jet is u's own, and the first T skips its rows that sympy
+    found identically 0 (for a theta-free u, every row with a theta
+    derivative).
 
     None of them depends on the truncation radius, so calls that differ
-    only in R share one symbolic build.
+    only in R share one symbolic build (and, through `_local_sum`, one sum
+    of the local grid).
     """
     denom, h_y, h_t = _ibp_coefficients(phi_yt, yv, tv)
     lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
@@ -745,7 +753,9 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     u_fn = lambdify((yv, tv), u)
     phase_fn = lambdify((yv, tv), phi_yt)
     ratio_fn = lambdify((yv, tv), t_ratio)
-    u_jet = lambdify((yv, tv), jets.derivatives(u, yv, tv, k))
+    u_derivatives = jets.derivatives(u, yv, tv, k)
+    u_zero = frozenset(i for i, d in enumerate(u_derivatives) if d == 0)
+    u_jet = lambdify((yv, tv), u_derivatives)
     # k = 0 takes no transpose step, so it needs no jet of h
     h_jet = None if k == 0 else lambdify((yv, tv), [
         d for pair in zip(jets.derivatives(h_y, yv, tv, k),
@@ -759,6 +769,8 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
 
     def kfold(Y, T, with_omega: bool) -> np.ndarray:
         out = np.empty(Y.shape, dtype=complex)
+        # (1 - omega) u has no row that is 0 by structure
+        zero = frozenset() if with_omega else u_zero
         for start in range(0, Y.size, _JET_CHUNK):
             y, t = Y[start:start + _JET_CHUNK], T[start:start + _JET_CHUNK]
             w = jets.evaluate(u_jet, y, t, k)
@@ -768,11 +780,65 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
                     s, jets.from_values(ratio, y.size, k), k)
                 one_minus[0] += 1.0
                 w = jets.multiply(one_minus, w, k)
-            w = (jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k)
-                 if k else w[0])
+            w = (jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k,
+                                       zero) if k else w[0])
             out[start:start + _JET_CHUNK] = rotation * jets.as_complex(w)
         return out
     return u_fn, phase_fn, ratio_fn, kfold
+
+
+def _ibp_integrand(u_fn, phase_fn, ratio_fn, kfold):
+    """From `_ibp_callables`' functions, the integrand of `fio_apply_ibp`
+    without the e^{i phi} factor, omega*u + (tL)^k[(1-omega)*u] with the
+    k-fold term evaluated by region of the ratio, and that factor."""
+    def values(Y, T):
+        with np.errstate(all="ignore"):
+            ratio = np.broadcast_to(
+                np.asarray(ratio_fn(Y, T), dtype=float), Y.shape)
+            vals = np.where(ratio < 2.0, chi(ratio), 0.0) \
+                * np.asarray(u_fn(Y, T), dtype=complex)
+            outer = ratio >= 2.0
+            annulus = ~(outer | (ratio <= 1.0))
+            for m, with_omega in ((outer, False), (annulus, True)):
+                if np.any(m):
+                    vals[m] += kfold(Y[m], T[m], with_omega)
+        if not np.all(np.isfinite(vals)):
+            raise FloatingPointError("non-finite integrand away from the guard")
+        return vals
+
+    def phase_factor(Y, T):
+        return np.exp(1j * np.asarray(phase_fn(Y, T), dtype=float))
+    return values, phase_factor
+
+
+def _psi(s0: float):
+    """The radial partition psi = chi(rho^2 / s0^2) as a function of
+    (Y, T); its support is the disk of radius sqrt(2) s0."""
+    def psi(Y, T):
+        return chi((Y * Y + T * T) / (s0 * s0))
+    return psi
+
+
+@functools.lru_cache(maxsize=8)
+def _local_sum(u, phi_yt, yv, tv, xv: float, eps0: float, k: int,
+               s0: float, npts: int) -> complex:
+    """The sum of psi times the integrand of `fio_apply_ibp` (the
+    `_ibp_callables` build of the first seven arguments) over the local
+    grid: the square [-sqrt(2) s0, sqrt(2) s0]^2 with npts points per axis,
+    evaluated only where psi > 0 (`_on_support`).
+
+    Those are all the sum reads, so the calls of one process that differ
+    only in R (criterion 3's R = 12 and R = 24, where s0 and the grid are
+    the same) sum it once; a call whose s0 or point count differs gets its
+    own sum.  An exception is not cached.  The build, `_on_support` and
+    `_tiled_quadrature` are looked up at each call, so every sum that is
+    not a repeat evaluates them as they stand."""
+    values, phase_factor = _ibp_integrand(
+        *_ibp_callables(u, phi_yt, yv, tv, xv, eps0, k))
+    local_radius = float(np.sqrt(2.0) * s0)
+    loc_ax = np.linspace(-local_radius, local_radius, npts)
+    return _tiled_quadrature(
+        _on_support(values, _psi(s0), phase_factor), loc_ax, loc_ax)
 
 
 def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
@@ -796,7 +862,10 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     a square around psi's disk: the integrand is evaluated only where
     psi > 0 and is an exact 0 on the corners, so every sum is the one the
     full grid gives.  A non-finite integrand there is still caught by the
-    coarse grid, which covers those corners.
+    coarse grid, which covers those corners.  The local grid does not
+    depend on R, so its sum is kept for the process (`_local_sum`): calls
+    that differ only in R share one symbolic build and one local sum, and
+    only their coarse grids are summed apart.
     A k > 0 call whose psi support reaches the box (local radius
     sqrt(2) s0 >= R) raises ValueError.
     The partition threshold eps0 is `choose_eps0(phi, x)`.
@@ -817,29 +886,11 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     phi_yt = phi.expr.subs(phi.xvars[0], xv)
     a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
     f_expr = as_expr(f, (yv,))
-    u_fn, phase_fn, ratio_fn, kfold = _ibp_callables(
-        a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
+    build = (a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
+    callables = _ibp_callables(*build)
+    ratio_fn = callables[2]
+    integrand_values, phase_factor = _ibp_integrand(*callables)
     margin = 64.0
-
-    def integrand_values(Y, T):
-        """omega*u + (tL)^k[(1-omega)*u], without the e^{i phi} factor,
-        with the k-fold term evaluated by region of the ratio."""
-        with np.errstate(all="ignore"):
-            ratio = np.broadcast_to(
-                np.asarray(ratio_fn(Y, T), dtype=float), Y.shape)
-            vals = np.where(ratio < 2.0, chi(ratio), 0.0) \
-                * np.asarray(u_fn(Y, T), dtype=complex)
-            outer = ratio >= 2.0
-            annulus = ~(outer | (ratio <= 1.0))
-            for m, with_omega in ((outer, False), (annulus, True)):
-                if np.any(m):
-                    vals[m] += kfold(Y[m], T[m], with_omega)
-        if not np.all(np.isfinite(vals)):
-            raise FloatingPointError("non-finite integrand away from the guard")
-        return vals
-
-    def phase_factor(Y, T):
-        return np.exp(1j * np.asarray(phase_fn(Y, T), dtype=float))
 
     # The chi-transition annulus (1 < ratio < 2) carries very large
     # chi-derivatives after k transposes.  Split the integral with a smooth
@@ -861,9 +912,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
             f"k = {k} needs psi's support inside the box: the local radius "
             f"sqrt(2) s0 = {local_radius:.6g} (s0 = {s0:.6g}) is not below "
             f"R = {R:g}")
-
-    def psi(Y, T):
-        return chi((Y * Y + T * T) / (s0 * s0))
+    psi = _psi(s0)
 
     pts = np.stack([np.full(441, xv),
                     np.repeat(np.linspace(-R, R, 21), 21),
@@ -898,9 +947,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         decisions.update(local_step_asked=h_loc,
                          local_step=float(loc_ax[1] - loc_ax[0]),
                          local_cap_hit=npts > _LOCAL_CAP)
-
-        val = val + _tiled_quadrature(
-            _on_support(integrand_values, psi, phase_factor), loc_ax, loc_ax)
+        val = val + _local_sum(*build, s0, len(loc_ax))
 
     val = val / (2.0 * np.pi)
     return OscIntegralResult(value=complex(val), ibp_order=k,

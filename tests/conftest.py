@@ -1,11 +1,11 @@
-"""Shared fixtures: canonical generating functions, phases and grids, and
-the processes of the forked tile shares."""
+"""Shared fixtures: canonical generating functions, phases and grids, the
+processes of the forked tile shares, and a fresh memo of IBP local sums."""
 import os
 
 import numpy as np
 import pytest
 
-from fiolab import shares
+from fiolab import oscillatory, shares
 from fiolab.grids import GridSpec
 from fiolab.phases import GeneratingFunction, special_phase
 
@@ -59,3 +59,11 @@ def forks(monkeypatch):
         return pid
     monkeypatch.setattr(os, "fork", counting)
     return made
+
+
+@pytest.fixture(autouse=True)
+def fresh_local_sums():
+    """Clear `fio_apply_ibp`'s memo of local psi-grid sums before each
+    test: a sum kept from an earlier test would skip the evaluation a test
+    spies on or patches."""
+    oscillatory._local_sum.cache_clear()

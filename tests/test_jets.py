@@ -120,3 +120,24 @@ def test_compose_equals_full_product_horner(order, seed, lanes):
         p[:len(jets.jet_indices(order - m))] = jets.multiply(d, p, order - m)
         p[0] += s[m]
     assert np.array_equal(jets.compose(s, g, order), p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       lanes=st.sampled_from([1, 2]), theta_free=st.booleans())
+def test_divergence_power_skipping_zero_rows_equals_full(k, seed, lanes,
+                                                         theta_free):
+    # the rows of w listed as zero are 0 at every point: leaving out the
+    # first step's pairs that read them changes no value
+    rng = np.random.default_rng(seed)
+    index = jets.jet_indices(k)
+    if theta_free:  # a theta-free w, as sympy's derivatives give it
+        zero = frozenset(i for i, (_, b) in enumerate(index) if b)
+    else:
+        zero = frozenset(int(i) for i in rng.choice(
+            len(index), size=rng.integers(0, len(index) + 1), replace=False))
+    c = rng.standard_normal((2 * len(index), 1, 64))
+    w = rng.standard_normal((len(index), lanes, 64))
+    w[sorted(zero)] = 0.0
+    assert np.array_equal(jets.divergence_power(c, w, k, zero),
+                          jets.divergence_power(c, w, k))

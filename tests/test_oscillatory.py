@@ -588,6 +588,7 @@ class TestIBPSupport:
                                                    monkeypatch):
         R = 6.0
         masked = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=R)
+        oscillatory._local_sum.cache_clear()
 
         def full_grid(integrand, weight, phase):
             return lambda Y, T: integrand(Y, T) * weight(Y, T) * phase(Y, T)
@@ -644,6 +645,63 @@ class TestIBPSupport:
         assert np.mean(state["psi"](grid_y, grid_t) == 0.0) > 0.15
 
 
+class TestLocalSumMemo:
+    """`fio_apply_ibp` sums each local psi-grid once per process: calls
+    that differ only in R share the sum, calls whose grid differs do not."""
+
+    @staticmethod
+    def spy(monkeypatch, local=None):
+        """Record the last point of each axis `_tiled_quadrature` sums
+        over; the local grids (radius below R) go to `local` if given."""
+        real = oscillatory._tiled_quadrature
+        ends = []
+
+        def recording(fn, y_ax, t_ax):
+            ends.append(float(y_ax[-1]))
+            if local is not None and ends[-1] not in (12.0, 24.0):
+                return local(fn, y_ax, t_ax)
+            return real(fn, y_ax, t_ax)
+        monkeypatch.setattr(oscillatory, "_tiled_quadrature", recording)
+        return ends
+
+    def test_R24_reuses_the_R12_local_sum(self, phi_xt, monkeypatch):
+        ends = self.spy(monkeypatch)
+        first = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
+        second = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=24.0)
+        radius = first.decisions["local_radius"]
+        assert second.decisions["local_radius"] == radius
+        assert ends == [12.0, radius, 24.0]
+        oscillatory._local_sum.cache_clear()
+        fresh = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=24.0)
+        assert ends[3:] == [24.0, radius]
+        assert repr(second.value) == repr(fresh.value)
+        assert repr(second.tail_mass) == repr(fresh.tail_mass)
+
+    def test_a_different_s0_gets_its_own_local_sum(self, phi_xt,
+                                                   monkeypatch):
+        # at x = 0.7, s0 reads 7.943077 at R = 12 and 7.94 at R = 24; the
+        # local grids (16.8 M points each) are recorded, not summed
+        ends = self.spy(monkeypatch, local=lambda fn, y_ax, t_ax: 0j)
+        f = "exp(-(y-0.3)**2/2)"
+        radii = [fio_apply_ibp(A_ONE, phi_xt, f, 0.7, k=2, R=R).decisions[
+            "local_radius"] for R in (12.0, 24.0)]
+        assert radii[0] != radii[1]
+        assert ends == [12.0, radii[0], 24.0, radii[1]]
+
+    def test_a_raising_local_grid_caches_nothing(self, phi_xt, monkeypatch):
+        def failing(fn, y_ax, t_ax):
+            raise FloatingPointError("non-finite integrand away from the guard")
+        ends = self.spy(monkeypatch, local=failing)
+        with pytest.raises(FloatingPointError, match="non-finite integrand"):
+            fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
+        assert oscillatory._local_sum.cache_info().currsize == 0
+        monkeypatch.undo()
+        ends = self.spy(monkeypatch)
+        res = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
+        assert ends == [12.0, res.decisions["local_radius"]]
+        assert abs(res.value - 1.0) < 1e-6
+
+
 class TestTileShares:
     """`_tiled_quadrature` deals its tiles to forked shares and adds the
     tile sums in tile order: the same sums as one process, bit for bit."""
@@ -653,6 +711,7 @@ class TestTileShares:
         results = []
         for n in (1, 2):
             cpus(n)
+            oscillatory._local_sum.cache_clear()
             results.append(fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=k,
                                          R=6.0))
         one, two = results

@@ -5,7 +5,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiolab.expressions import coord_symbols, parse_scalar_expr
+from fiolab.expressions import coord_symbols, evaluate, parse_scalar_expr
 from fiolab.grids import GridSpec
 from fiolab.symbols import (LowerBoundError, SymbolField, as_expr,
                             derivative_symbol, product_symbol,
@@ -29,6 +29,14 @@ class TestEvalDerivative:
     def test_first_derivative_value(self):
         v = gaussian_field().derivative((1,), [1.0])[0]
         assert v == pytest.approx(-2.0 * np.exp(-1.0), abs=1e-12)
+
+    def test_constant_holds_no_full_size_buffer(self):
+        # a = 1 over the (x, theta) points of an M = 1024 operator build
+        points = np.zeros((1024, 1024, 2))
+        out = evaluate(sp.Integer(1), coord_symbols("v", 2), points)
+        assert out.shape == (1024, 1024) and out.dtype == np.int64
+        assert np.array_equal(out, np.ones((1024, 1024), dtype=np.int64))
+        assert out.strides == (0, 0) and not out.flags.writeable
 
 
 class TestSeminormEstimate:
