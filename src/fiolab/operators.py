@@ -175,6 +175,11 @@ def _quadrature_synthesis_matrix(y_grid: GridSpec,
     return p
 
 
+#: x rows of E per block of `discretize_fio`.  Each block is one GEMM into
+#: its rows of the result, with the bits of one GEMM over all rows.
+_BUILD_ROWS = 128
+
+
 def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                    y_grid: GridSpec, theta_grid: GridSpec,
                    route: Route = Route.KERNEL,
@@ -191,14 +196,19 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                 abs(y_grid.spacing * theta_grid.spacing
                     - 2.0 * np.pi / y_grid.points) > 1e-12:
             raise AlignmentError("y and theta grids are not a DFT pair")
-    # at its peak a build holds three M x M arrays: E, P and their product;
-    # E comes first, so that P never meets the point list
-    e = _phase_amp_matrix(S, a, x_grid.mesh(), theta_grid, taper)
+    # P first, then E on a block of x rows at a time, its product written
+    # into those rows of the result: at its peak a build holds P, the
+    # result and one block of E with its point list
     if route is Route.SPECTRAL:
         p = _dft_synthesis_matrix(y_grid, theta_grid)
     else:
         p = _quadrature_synthesis_matrix(y_grid, theta_grid)
-    matrix = e @ p
+    x_points = x_grid.mesh()
+    matrix = np.empty((len(x_points), p.shape[1]), dtype=complex)
+    for start in range(0, len(x_points), _BUILD_ROWS):
+        rows = slice(start, start + _BUILD_ROWS)
+        e = _phase_amp_matrix(S, a, x_points[rows], theta_grid, taper)
+        np.matmul(e, p, out=matrix[rows])
     del e, p
     matrix /= y_grid.spacing ** y_grid.dim  # drop dy: folded below
     matrix *= np.sqrt(x_grid.spacing ** x_grid.dim)

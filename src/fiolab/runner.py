@@ -30,7 +30,7 @@ import scipy
 import sympy
 
 try:
-    from resource import RUSAGE_SELF, getrusage
+    from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 except ImportError:  # Windows has no getrusage
     getrusage = None
 
@@ -65,6 +65,7 @@ class RunManifest:
     outcomes: List[dict] = field(default_factory=list)
     wall_clock_s: float = 0.0
     peak_rss_mb: Optional[float] = None
+    children_peak_rss_mb: Optional[float] = None
     out_dir: str = ""
 
     @property
@@ -75,12 +76,13 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-def _peak_rss_mb() -> Optional[float]:
-    """The process's peak resident set size in MB (2^20 bytes), None where
-    the `resource` module is missing."""
+def _peak_rss_mb(children: bool = False) -> Optional[float]:
+    """The peak resident set size in MB (2^20 bytes) of this process, or
+    with children=True of its largest reaped child (0 when it forked none);
+    None where the `resource` module is missing."""
     if getrusage is None:
         return None
-    peak = getrusage(RUSAGE_SELF).ru_maxrss
+    peak = getrusage(RUSAGE_CHILDREN if children else RUSAGE_SELF).ru_maxrss
     # ru_maxrss counts bytes on macOS and KiB on Linux
     return peak / 2.0 ** 20 if sys.platform == "darwin" else peak / 2.0 ** 10
 
@@ -520,5 +522,6 @@ def run_scenario(path, out_dir: Optional[str] = None,
                                   **details})
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.peak_rss_mb = _peak_rss_mb()
+    manifest.children_peak_rss_mb = _peak_rss_mb(children=True)
     (dest / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

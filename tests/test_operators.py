@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fiolab import operators
 from fiolab.expressions import evaluate
 from fiolab.grids import GridSpec
 from fiolab.operators import (AlignmentError, DiscreteOperator,
@@ -142,8 +143,8 @@ def point_list_matrix(S, a, grid, route):
 
 
 class TestInPlaceBuild:
-    """The build holds E, P and their product at its peak, and gives the
-    bits of the point-list formula."""
+    """The build holds P, the result and one row block of E at its peak,
+    and gives the bits of the point-list formula."""
 
     @pytest.mark.parametrize("M", [64, 256])
     @pytest.mark.parametrize("a", ["1", "1/lam", "exp(-theta**2)",
@@ -157,9 +158,20 @@ class TestInPlaceBuild:
         assert F.matrix.dtype == ref.dtype
         assert F.matrix.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("a", ["1", "exp(-(x**2+theta**2)/25)"])
+    @pytest.mark.parametrize("route", Route)
+    def test_row_blocks_equal_one_gemm(self, route, a):
+        # three blocks of x rows, the last one short; the point-list
+        # formula multiplies all rows in one GEMM
+        M = 2 * operators._BUILD_ROWS + 44
+        grid = GridSpec(1, 8.0, M, dft_aligned=True)
+        F = discretize_fio(chirp("1"), a, grid, grid, grid.dual(), route)
+        ref = point_list_matrix(chirp("1"), a, grid, route)
+        assert F.matrix.tobytes() == ref.tobytes()
+
     def test_kernel_build_peak_is_three_matrices(self, S_xt):
-        # E, P and E @ P: 3.00 times the matrix's bytes; the point-list
-        # build peaked at 4.54 times
+        # P, the result and one 128-row block of E: 2.88 times the
+        # matrix's bytes; the point-list build peaked at 4.54 times
         grid = GridSpec(1, 4.0, 512, dft_aligned=True)
         discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())  # warm
         tracemalloc.start()

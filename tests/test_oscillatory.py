@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -127,6 +128,15 @@ class TestRegularizedApply:
         # the tensor route then summed a 40 x 8 (y, theta) grid to 5e-15
         with pytest.raises(ValueError, match=message):
             regularized_fio_apply(a, phi_xt, f, 0.0, compute_gap=False)
+
+    @pytest.mark.parametrize("schedule", [(), (8, 4), (0, 4), (-4, 8)])
+    def test_rejects_a_schedule_that_is_empty_or_not_increasing(
+            self, phi_xt, schedule):
+        with pytest.raises(ValueError,
+                           match="schedule must be non-empty, positive and "
+                                 "increasing"):
+            regularized_fio_apply(A_ONE, phi_xt, F_GAUSS, 0.0,
+                                  schedule=schedule)
 
     def test_divergent_schedule_raises(self, phi_xt):
         # the theta**2 amplitude makes the sigma values diverge, so the
@@ -463,6 +473,12 @@ class TestFioApplyIBP:
         with pytest.raises(ValueError, match="y1"):
             fio_apply_ibp(A_ONE, phi_xt, "exp(-y1**2/2)", 0.0, k=0, R=8.0)
 
+    @pytest.mark.parametrize("R", [0.0, -3.0, math.nan, math.inf])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_rejects_R_that_is_not_finite_and_positive(self, phi_xt, k, R):
+        with pytest.raises(ValueError, match=r"R must be finite and > 0"):
+            fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=k, R=R)
+
     @pytest.mark.parametrize("R", [8.0, 10.0, 11.0])
     def test_psi_support_reaching_the_box_raises(self, phi_xt, R):
         # at x = 0.7, s0 is about 7.9 and psi's support radius about 11.2;
@@ -739,17 +755,106 @@ class TestTileShares:
         y_ax, t_ax = np.linspace(-1.0, 1.0, 5), np.linspace(-3.0, 3.0, 900)
 
         def integrand(Y, T):
-            return np.exp(1j * Y * T), float(np.sum(np.sin(T) ** 2)) * 0.1
+            return np.exp(1j * Y * T), np.ravel(np.sin(T) ** 2)
         got = []
         for n in (1, 2, 3):
             cpus(n)
             got.append(oscillatory._tiled_quadrature(integrand, y_ax, t_ax))
         assert got[1] == got[0] and got[2] == got[0]
+        hy, ht = y_ax[1] - y_ax[0], t_ax[1] - t_ax[0]
         tail = 0.0
         for start in range(0, 900, 256):
-            tail += integrand(*np.meshgrid(y_ax, t_ax[start:start + 256],
+            terms = integrand(*np.meshgrid(y_ax, t_ax[start:start + 256],
                                            indexing="ij"))[1]
+            tail += float(np.sum(terms)) * hy * ht
         assert got[0][1] == tail
+
+
+def whole_tiles(fn, y_ax, t_ax):
+    """`_tiled_quadrature`'s sums with each tile evaluated in one piece, in
+    one process: the reference of its row blocks."""
+    hy, ht = y_ax[1] - y_ax[0], t_ax[1] - t_ax[0]
+    wy = oscillatory._trapezoid_weights(len(y_ax), hy)
+    wt = oscillatory._trapezoid_weights(len(t_ax), ht)
+    total, tail, paired = 0.0 + 0.0j, 0.0, False
+    for start in range(0, len(t_ax), 256):
+        cols = slice(start, start + 256)
+        out = fn(*np.meshgrid(y_ax, t_ax[cols], indexing="ij"))
+        if isinstance(out, tuple):
+            out, terms = out
+            tail += float(np.sum(terms)) * hy * ht
+            paired = True
+        total += np.einsum("i,ij,j->", wy, out, wt[cols])
+    return (total, tail) if paired else total
+
+
+class TestRowBlocks:
+    """`_tiled_quadrature` evaluates each tile in blocks of `_BLOCK_ROWS` y
+    rows: the sums are those of whole tiles, bit for bit, and no integrand
+    call sees more than one block."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (fn, y_ax, t_ax) of every grid `_tiled_quadrature` sums,
+        and the shape of every (Y, T) block fn is called on."""
+        real = oscillatory._tiled_quadrature
+        grids, blocks = [], []
+
+        def recording(fn, y_ax, t_ax):
+            grids.append((fn, y_ax, t_ax))
+
+            def spied(Y, T):
+                blocks.append((len(grids) - 1, Y.shape))
+                return fn(Y, T)
+            return real(spied, y_ax, t_ax)
+        monkeypatch.setattr(oscillatory, "_tiled_quadrature", recording)
+        return real, grids, blocks
+
+    def test_blocks_equal_whole_tiles(self, phi_xt, monkeypatch):
+        real, grids, _ = self.spy(monkeypatch)
+        fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
+        (coarse, y_ax, t_ax), (local, loc_ax, _) = grids
+        rows = oscillatory._BLOCK_ROWS
+        # 292 and 1260 rows: neither is a multiple of a block
+        assert len(y_ax) % rows and len(loc_ax) % rows
+        mid = len(loc_ax) // 2
+        cases = [(coarse, y_ax, t_ax),
+                 (coarse, y_ax[:rows // 2 + 3], t_ax),
+                 (local, loc_ax, loc_ax[mid - 300:mid + 300]),
+                 (local, loc_ax[mid - 20:mid + rows - 21], loc_ax)]
+        for fn, ys, ts in cases:
+            got, ref = real(fn, ys, ts), whole_tiles(fn, ys, ts)
+            assert repr(got) == repr(ref)
+        assert isinstance(got, complex) and len(real(*cases[1])) == 2
+
+    def test_no_call_sees_more_than_one_block(self, phi_xt, monkeypatch,
+                                              cpus):
+        # the spy records inside the integrand: a forked share's blocks
+        # would never reach this process
+        cpus(1)
+        _, grids, blocks = self.spy(monkeypatch)
+        fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
+        rows = oscillatory._BLOCK_ROWS
+        assert len(grids) == 2
+        for i, (_, y_ax, t_ax) in enumerate(grids):
+            shapes = [shape for grid, shape in blocks if grid == i]
+            assert max(r for r, _ in shapes) == rows
+            assert all(r <= rows and c <= 256 for r, c in shapes)
+            assert sum(r * c for r, c in shapes) == len(y_ax) * len(t_ax)
+
+    def test_traced_peak_of_a_k4_call(self, phi_xt, cpus):
+        # 34.1 MB with whole tiles, 14.7 MB in blocks of 64 rows; the
+        # symbolic build is made first, as criterion 3's R = 12 call finds
+        # it after the k = 2 ones
+        cpus(1)
+        ibp_callables(phi_xt, 4)
+        tracemalloc.start()
+        try:
+            fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=4, R=12.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
 
 @functools.cache

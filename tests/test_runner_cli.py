@@ -6,6 +6,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fiolab import cli, operators, pdo, runner
+from fiolab import cli, operators, pdo, runner, shares
 from fiolab.cli import bundled_scenarios, main
 from fiolab.expressions import multi_indices
 from fiolab.grids import GridSpec
@@ -308,7 +311,7 @@ class TestDeterminism:
         data = json.loads((tmp_path / "out" / "manifest.json").read_text())
         for key in ("grids", "lambda_convention", "module_versions",
                     "outcomes", "scenario_hash", "wall_clock_s",
-                    "peak_rss_mb"):
+                    "peak_rss_mb", "children_peak_rss_mb"):
             assert key in data
         assert data["scenario_hash"] == m.scenario_hash
         assert data["peak_rss_mb"] > 0
@@ -320,6 +323,27 @@ class TestDeterminism:
                      out_dir=str(tmp_path / "out"))
         data = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert data["peak_rss_mb"] is None
+        assert data["children_peak_rss_mb"] is None
+
+    @pytest.mark.parametrize("a, forks", [("exp(-y**2)", True), ("1", False)],
+                             ids=["tensor", "special"])
+    def test_manifest_records_the_forked_shares_peak_rss(self, tmp_path, a,
+                                                         forks):
+        # in a fresh interpreter, whose only children are the tile shares:
+        # the tensor route sums its grids in forked shares, the special
+        # route forks none
+        src = str(Path(runner.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "fiolab.cli", "oscint", "oscint_gaussian",
+             "--override", f"oscint.a={a}", "--out-dir", str(tmp_path)],
+            env=env, cwd=tmp_path, capture_output=True, check=True)
+        data = json.loads((tmp_path / "manifest.json").read_text())
+        if forks and shares.cpu_count() > 1:
+            assert data["children_peak_rss_mb"] > 0
+        else:
+            assert data["children_peak_rss_mb"] == 0
 
     def test_override_changes_scenario_hash(self, tmp_path):
         _, h1 = load_scenario(cfg_path("fourier_inversion"))
