@@ -50,7 +50,7 @@ function:
   theta derivative of a theta-free u) are left out of the first transpose.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
-phase gradients (Nyquist plus a smoothness margin), which gives
+phase gradients (Nyquist plus a smoothness margin, `_grid`), which gives
 super-algebraic accuracy for smooth integrands that decay inside the box.
 Every tensor grid (the tensor route, and both grids of `fio_apply_ibp`) is
 evaluated by `_tiled_quadrature`, whose tiles of 256 theta columns are
@@ -274,6 +274,25 @@ def _require_1d(phi: PhaseField):
         raise NotImplementedError("oscillatory quadrature supports n = N = 1")
 
 
+def _at_point(a, phi: PhaseField, f, x: float):
+    """(x, phi and a restricted to the point x, f over y), the setup of both
+    routes.  A phase with n or N other than 1 raises NotImplementedError,
+    an x that is not finite ValueError."""
+    _require_1d(phi)
+    xv = float(x)
+    if not math.isfinite(xv):
+        raise ValueError(f"x must be finite: {xv}")
+    return (xv, phi.expr.subs(phi.xvars[0], xv),
+            as_expr(a, phi.variables).subs(phi.xvars[0], xv),
+            as_expr(f, phi.yvars))
+
+
+def _grad_norm2(phi: PhaseField, points) -> np.ndarray:
+    """|grad_y phi|^2 + |grad_theta phi|^2 at the points (..., 3)."""
+    gy, gt = phi.grad_y(points), phi.grad_theta(points)
+    return np.sum(gy * gy, axis=-1) + np.sum(gt * gt, axis=-1)
+
+
 def omega_partition(phi: PhaseField, eps: float, points) -> np.ndarray:
     """The partition value chi((|grad_y phi|^2+|grad_theta phi|^2)/(eps*lambda^2)).
 
@@ -282,10 +301,7 @@ def omega_partition(phi: PhaseField, eps: float, points) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    gy = phi.grad_y(points)
-    gt = phi.grad_theta(points)
-    d = np.sum(gy * gy, axis=-1) + np.sum(gt * gt, axis=-1)
-    quot = d / (eps * bracket(points) ** 2)
+    quot = _grad_norm2(phi, points) / (eps * bracket(points) ** 2)
     out = chi(quot)
     return out if out.shape else float(out)
 
@@ -343,11 +359,9 @@ class IBPOperator:
     def identity_residual(self, points) -> float:
         """max |L e^{i phi} / e^{i phi} - 1| over the given Omega_0 points."""
         points = self._guard(points)
-        gy = self.phi.grad_y(points)[..., 0]
-        gt = self.phi.grad_theta(points)[..., 0]
         d = evaluate(self.denom, self.phi.variables, points).real
         # L e^{i phi} = e^{i phi} * (i gy * c_y + i gt * c_t)
-        val = (gy * gy + gt * gt) / d
+        val = _grad_norm2(self.phi, points) / d
         return float(np.max(np.abs(val - 1.0)))
 
 
@@ -368,9 +382,7 @@ def choose_eps0(phi: PhaseField, x: float = 0.0) -> float:
     ax = np.linspace(-8.0, 8.0, 81)
     yy, tt = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([np.full(yy.size, x), yy.ravel(), tt.ravel()], axis=-1)
-    gy = phi.grad_y(pts)[..., 0]
-    gt = phi.grad_theta(pts)[..., 0]
-    d = gy * gy + gt * gt
+    d = _grad_norm2(phi, pts)
     lam2 = bracket(pts) ** 2
     absy = np.abs(pts[:, 1])
     for eps in candidates:
@@ -415,12 +427,27 @@ def _trapezoid_weights(npts: int, spacing: float) -> np.ndarray:
     return w
 
 
-def _axis(radius: float, freq: float, margin: float):
-    """Linspace of [-radius, radius] with step <= 2 pi / (freq + margin),
-    capped at 8192 points."""
-    h = 2.0 * np.pi / (freq + margin)
-    npts = int(np.ceil(2.0 * radius / h)) + 1
-    return np.linspace(-radius, radius, min(npts, 8192))
+def _axis(radius: float, step: float, cap: int = 8192):
+    """(linspace of [-radius, radius] with step <= `step`, whether the cap
+    on its points widened the step)."""
+    npts = int(np.ceil(2.0 * radius / step)) + 1
+    return np.linspace(-radius, radius, min(npts, cap)), npts > cap
+
+
+def _grid(phi: PhaseField, xv: float, ry: float, rt: float, margin: float,
+          y_floor: float = 0.0):
+    """The trapezoid axes of the box [-ry, ry] x [-rt, rt] at x, and the
+    step for the larger of their frequencies.  An axis's step is
+    2 pi / (freq + margin) with freq the largest |d phi| in its variable on
+    a 21 x 21 grid of the box (on y at least y_floor)."""
+    pts = np.stack([np.full(441, xv),
+                    np.repeat(np.linspace(-ry, ry, 21), 21),
+                    np.tile(np.linspace(-rt, rt, 21), 21)], axis=-1)
+    freq_y = float(np.max(np.abs(phi.grad_y(pts))))
+    freq_t = float(np.max(np.abs(phi.grad_theta(pts))))
+    y_ax, _ = _axis(ry, 2.0 * np.pi / (max(freq_y, y_floor) + margin))
+    t_ax, _ = _axis(rt, 2.0 * np.pi / (freq_t + margin))
+    return y_ax, t_ax, 2.0 * np.pi / (max(freq_y, freq_t) + margin)
 
 
 def _tiled_quadrature(fn, y_ax, t_ax):
@@ -604,18 +631,14 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     depend on y, and the tensor route otherwise; both sum the same
     trapezoid grid, recorded in `OscIntegralResult.quadrature`.  A
     quadrature whose value is not finite (an f or a that is not finite on
-    the grid) raises ValueError."""
-    _require_1d(phi)
+    the grid) and an x that is not finite raise ValueError."""
     schedule = [float(s) for s in schedule]
     if not schedule or not all(
             s1 < s2 for s1, s2 in zip([0.0] + schedule, schedule)):
         raise ValueError(f"schedule must be non-empty, positive and "
                          f"increasing: {schedule}")
-    xv = float(x)
+    xv, phi_yt, a_yt, f_expr = _at_point(a, phi, f, x)
     yv, tv = phi.yvars[0], phi.tvars[0]
-    phi_yt = phi.expr.subs(phi.xvars[0], xv)
-    a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
-    f_expr = as_expr(f, (yv,))
 
     core = sp.exp(sp.I * phi_yt) * a_yt * f_expr
     core_fn = lambdify((yv, tv), core)
@@ -647,13 +670,7 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
             envelope, start=rt0, var="theta",
             name="the a-envelope (max over y of |a| times the cutoff)")
 
-        pts = np.stack([np.full(441, xv),
-                        np.repeat(np.linspace(-ry, ry, 21), 21),
-                        np.tile(np.linspace(-rt, rt, 21), 21)], axis=-1)
-        freq_y = float(np.max(np.abs(phi.grad_y(pts)))) + 0.0
-        freq_t = float(np.max(np.abs(phi.grad_theta(pts))))
-        y_ax = _axis(ry, max(freq_y, rt), 12.0)
-        t_ax = _axis(rt, freq_t, 12.0)
+        y_ax, t_ax, _ = _grid(phi, xv, ry, rt, 12.0, y_floor=rt)
 
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
@@ -899,9 +916,9 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     depend on R, so its sum is kept for the process (`_local_sum`): calls
     that differ only in R share one symbolic build and one local sum, and
     only their coarse grids are summed apart.
-    A k < 0, an R that is not finite and > 0, and a k > 0 call whose psi
-    support reaches the box (local radius sqrt(2) s0 >= R) raise
-    ValueError.
+    A k that is not an integer >= 0, an x that is not finite, an R that is
+    not finite and > 0, and a k > 0 call whose psi support reaches the box
+    (local radius sqrt(2) s0 >= R) raise ValueError.
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.  `decisions` records
@@ -910,24 +927,19 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     every allowed CPU; the value and `tail_mass` are the ones a single
     process gives, bit for bit.
     """
-    _require_1d(phi)
+    if not (float(k).is_integer() and k >= 0):
+        raise ValueError(f"k must be an integer >= 0: {k}")
     k = int(k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
     R = float(R)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"R must be finite and > 0: {R}")
-    xv = float(x)
+    xv, phi_yt, a_yt, f_expr = _at_point(a, phi, f, x)
     eps0 = choose_eps0(phi, xv)
-    yv, tv = phi.yvars[0], phi.tvars[0]
-    phi_yt = phi.expr.subs(phi.xvars[0], xv)
-    a_yt = as_expr(a, phi.variables).subs(phi.xvars[0], xv)
-    f_expr = as_expr(f, (yv,))
-    build = (a_yt * f_expr, phi_yt, yv, tv, xv, float(eps0), k)
+    build = (a_yt * f_expr, phi_yt, phi.yvars[0], phi.tvars[0], xv,
+             float(eps0), k)
     callables = _ibp_callables(*build)
     ratio_fn = callables[2]
     integrand_values, phase_factor = _ibp_integrand(*callables)
-    margin = 64.0
 
     # The chi-transition annulus (1 < ratio < 2) carries very large
     # chi-derivatives after k transposes.  Split the integral with a smooth
@@ -951,13 +963,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
             f"R = {R:g}")
     psi = _psi(s0)
 
-    pts = np.stack([np.full(441, xv),
-                    np.repeat(np.linspace(-R, R, 21), 21),
-                    np.tile(np.linspace(-R, R, 21), 21)], axis=-1)
-    freq_y = float(np.max(np.abs(phi.grad_y(pts))))
-    freq_t = float(np.max(np.abs(phi.grad_theta(pts))))
-    y_ax = _axis(R, freq_y, margin)
-    t_ax = _axis(R, freq_t, margin)
+    y_ax, t_ax, h_fine = _grid(phi, xv, R, R, 64.0)
 
     def coarse_integrand(Y, T):
         vals = integrand_values(Y, T)
@@ -973,14 +979,11 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
                  "psi_split": k > 0, "local_step_asked": None,
                  "local_step": None, "local_cap_hit": None}
     if k > 0:
-        h_loc = min(float(np.sqrt(eps0)) / 128.0,
-                    2.0 * np.pi / (max(freq_y, freq_t) + margin))
-        npts = int(np.ceil(2.0 * local_radius / h_loc)) + 1
-        loc_ax = np.linspace(-local_radius, local_radius,
-                             min(npts, _LOCAL_CAP))
+        h_loc = min(float(np.sqrt(eps0)) / 128.0, h_fine)
+        loc_ax, capped = _axis(local_radius, h_loc, _LOCAL_CAP)
         decisions.update(local_step_asked=h_loc,
                          local_step=float(loc_ax[1] - loc_ax[0]),
-                         local_cap_hit=npts > _LOCAL_CAP)
+                         local_cap_hit=capped)
         val = val + _local_sum(*build, s0, len(loc_ax))
 
     val = val / (2.0 * np.pi)

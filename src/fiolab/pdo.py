@@ -21,7 +21,6 @@ from .grids import GridSpec
 from .operators import DiscreteOperator, operator_norm, singular_values
 from .phases import GeneratingFunction
 from .symbols import SymbolField, as_expr
-from .weights import bracket
 
 DEFAULT_DELTA_FLOOR = 1e-8
 DEFAULT_PREDICTED_FLOOR = 1e-3
@@ -294,7 +293,3 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
                              plateau_coarse=pc, plateau_fine=pf,
                              spectrum_coarse=sc, spectrum_fine=sf)
 
-
-def lambda_at(x: float, theta: float) -> float:
-    """Convenience: bracket weight of the stacked point (x, theta)."""
-    return float(bracket(np.array([[x, theta]]))[0])

@@ -167,14 +167,14 @@ def quadratic_generating(coeffs: dict, n: int) -> GeneratingFunction:
     return GeneratingFunction(n=n, expr=expr, xvars=xvars, tvars=tvars)
 
 
-def _grids(dim: int, radii, points_per_axis: int):
+def _grids(dim: int, radii):
     # Closed boxes sampled with an axis containing 0 and +-r: ratios that
     # degenerate along a coordinate axis (e.g. at large x with y = theta = 0)
     # must be seen exactly, not at a grid offset that scales with r.
     for r in radii:
-        axis = np.linspace(-r, r, points_per_axis)
+        axis = np.linspace(-r, r, _default_ppa(dim))
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        yield r, np.stack([m.ravel() for m in mesh], axis=-1)
+        yield np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _default_ppa(dim: int) -> int:
@@ -198,7 +198,7 @@ def _verify_growth(name, expr, variables) -> HypothesisReport:
         order = sum(alpha)
         d = diff_multi(expr, variables, alpha)
         seq = []
-        for r, pts in _grids(dim, DEFAULT_RADII, _default_ppa(dim)):
+        for pts in _grids(dim, DEFAULT_RADII):
             vals = np.abs(evaluate(d, variables, pts))
             ratio = vals / bracket(pts) ** (2 - order)
             i = int(np.argmax(ratio))
@@ -219,21 +219,31 @@ def verify_H2(phi: PhaseField) -> HypothesisReport:
     return _verify_growth("H2", phi.expr, phi.variables)
 
 
+def _lower_scan(values_fn, dim: int, radii):
+    """values_fn(pts) over the `_grids` boxes of the radii: the per-radius
+    minima and maxima, the point of the minimum at the largest radius, and
+    whether that minimum decays (falls below DECAY_TOL times the one
+    before)."""
+    mins, maxs, witness = [], [], None
+    for pts in _grids(dim, radii):
+        values = values_fn(pts)
+        i = int(np.argmin(values))
+        mins.append(float(values[i]))
+        maxs.append(float(np.max(values)))
+        witness = tuple(pts[i])
+    decays = (len(mins) >= 2 and mins[-2] > 0
+              and mins[-1] < DECAY_TOL * mins[-2])
+    return mins, maxs, witness, decays
+
+
 def _verify_equivalence(phi: PhaseField, name: str, image_fn, radii):
     """K1 is the min of the ratio at the largest radius: it fails at or
     below DEFAULT_FLOOR or when it shrinks below DECAY_TOL times its value
     at the previous radius."""
-    dim = phi.n + phi.n + phi.N
-    k1s, k2s = [], []
-    worst_pt = None
-    for r, pts in _grids(dim, radii, _default_ppa(dim)):
-        ratio = bracket(image_fn(pts)) / bracket(pts)
-        i = int(np.argmin(ratio))
-        k1s.append(float(ratio[i]))
-        k2s.append(float(np.max(ratio)))
-        worst_pt = tuple(pts[i])
+    k1s, k2s, worst_pt, decays = _lower_scan(
+        lambda pts: bracket(image_fn(pts)) / bracket(pts),
+        phi.n + phi.n + phi.N, radii)
     k1, k2 = k1s[-1], max(k2s)
-    decays = len(k1s) >= 2 and k1s[-2] > 0 and k1 < DECAY_TOL * k1s[-2]
     passed = bool(k1 > DEFAULT_FLOOR and not decays)
     return HypothesisReport(
         name=name, constants={"K1": k1, "K2": k2}, passed=passed,
@@ -262,16 +272,10 @@ def verify_H3star(phi: PhaseField, radii=DEFAULT_RADII) -> HypothesisReport:
 def verify_G2(S: GeneratingFunction) -> HypothesisReport:
     """delta0 = inf |det d2S/dx dtheta| over the DEFAULT_RADII boxes; fails
     below DEFAULT_FLOOR or when the box minimum shrinks by DECAY_TOL."""
-    dim = 2 * S.n
-    mins = []
-    worst_pt = None
-    for r, pts in _grids(dim, DEFAULT_RADII, _default_ppa(dim)):
-        dets = np.abs(np.linalg.det(S.mixed_hess(pts)))
-        i = int(np.argmin(dets))
-        mins.append(float(dets[i]))
-        worst_pt = tuple(pts[i])
+    mins, _, worst_pt, decays = _lower_scan(
+        lambda pts: np.abs(np.linalg.det(S.mixed_hess(pts))), 2 * S.n,
+        DEFAULT_RADII)
     delta0 = min(mins)
-    decays = mins[-2] > 0 and mins[-1] < DECAY_TOL * mins[-2]
     passed = bool(delta0 >= DEFAULT_FLOOR and not decays)
     return HypothesisReport(name="G2", constants={"delta0": delta0},
                             passed=passed,

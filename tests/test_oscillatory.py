@@ -138,6 +138,11 @@ class TestRegularizedApply:
             regularized_fio_apply(A_ONE, phi_xt, F_GAUSS, 0.0,
                                   schedule=schedule)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_x_that_is_not_finite(self, phi_xt, x):
+        with pytest.raises(ValueError, match=rf"x must be finite: {x}"):
+            regularized_fio_apply(A_ONE, phi_xt, F_GAUSS, x)
+
     def test_divergent_schedule_raises(self, phi_xt):
         # the theta**2 amplitude makes the sigma values diverge, so the
         # residuals of the three-entry schedule cannot decrease
@@ -478,6 +483,16 @@ class TestFioApplyIBP:
     def test_rejects_R_that_is_not_finite_and_positive(self, phi_xt, k, R):
         with pytest.raises(ValueError, match=r"R must be finite and > 0"):
             fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=k, R=R)
+
+    @pytest.mark.parametrize("k", [2.5, -1, math.nan])
+    def test_rejects_k_that_is_not_a_non_negative_integer(self, phi_xt, k):
+        with pytest.raises(ValueError, match=r"k must be an integer >= 0"):
+            fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=k, R=6.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_x_that_is_not_finite(self, phi_xt, x):
+        with pytest.raises(ValueError, match=rf"x must be finite: {x}"):
+            fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, x, k=2, R=6.0)
 
     @pytest.mark.parametrize("R", [8.0, 10.0, 11.0])
     def test_psi_support_reaching_the_box_raises(self, phi_xt, R):

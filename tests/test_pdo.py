@@ -9,10 +9,11 @@ from fiolab.operators import Route, adjoint, compose, discretize_fio
 from fiolab.pdo import (DeterminantFloorError, NewtonError, OutOfBandError,
                         Which, compactness_probe,
                         compare_symbols, cv_bound_check, cv_seminorm,
-                        extract_symbol, lambda_at, predicted_symbol,
+                        extract_symbol, predicted_symbol,
                         refinement_ratio, theta_inverse)
 from fiolab.phases import GeneratingFunction
 from fiolab.symbols import SymbolField
+from fiolab.weights import bracket
 
 WIDE_GAUSS = "exp(-(x**2+theta**2)/25)"
 
@@ -23,11 +24,14 @@ def ffstar(S, amp, grid, route=Route.KERNEL):
 
 
 class TestLambdaAt:
+    """The bracket weight lambda(x, theta) of a stacked point."""
+
     def test_origin(self):
-        assert lambda_at(0.0, 0.0) == 1.0
+        assert bracket(np.array([[0.0, 0.0]]))[0] == 1.0
 
     def test_three_four(self):
-        assert lambda_at(3.0, 4.0) == pytest.approx(np.sqrt(26.0))
+        assert bracket(np.array([[3.0, 4.0]]))[0] == pytest.approx(
+            np.sqrt(26.0))
 
 
 class TestThetaInverse:
