@@ -16,16 +16,21 @@ adds it in place to the output row, so each pair costs one product of
 (Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13),
 not a difference quotient.  The input jets are values of the symbolic
 derivatives listed by `derivatives`, turned into one numpy function by
-`expressions.lambdify`.
+`expressions.lambdify`.  `multiply_rows` and `divide` take jets as lists of
+rows instead (`lambdify_rows`): a row sympy found constant is a Python
+number, multiplied as a scalar, and a row it found 0 is skipped.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import List, Tuple
+import operator
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+
+from .expressions import lambdify
 
 
 @functools.cache
@@ -46,6 +51,36 @@ def derivatives(expr: sp.Expr, y: sp.Symbol, t: sp.Symbol,
     return [out[ab] for ab in jet_indices(order)]
 
 
+def coefficients(expr: sp.Expr, y: sp.Symbol, t: sp.Symbol,
+                 order: int) -> List[sp.Expr]:
+    """The Taylor coefficients d_y^a d_t^b expr / (a! b!) of
+    `jet_indices(order)`, as sympy expressions."""
+    return [d / (math.factorial(a) * math.factorial(b))
+            for d, (a, b) in zip(derivatives(expr, y, t, order),
+                                 jet_indices(order))]
+
+
+def lambdify_rows(coefs: Sequence[sp.Expr], y: sp.Symbol, t: sp.Symbol):
+    """The function (Y, T) -> rows of the jet whose coefficients are the
+    sympy expressions `coefs` (`coefficients`).  A row free of y and t
+    other than row 0 is its Python number (a float for a real one, else a
+    complex; 0.0 where sympy found it 0), so that `multiply_rows` and
+    `divide` multiply it as a scalar or skip it; the other rows, arrays of
+    Y's shape, come from one lambdified function."""
+    varying = [i for i, c in enumerate(coefs)
+               if i == 0 or c.free_symbols & {y, t}]
+    fn = lambdify((y, t), [coefs[i] for i in varying])
+    numbers = [None if i in varying else float(c) if c.is_real
+               else complex(c) for i, c in enumerate(coefs)]
+
+    def rows(Y, T) -> list:
+        out = list(numbers)
+        for i, value in zip(varying, fn(Y, T)):
+            out[i] = np.broadcast_to(value, np.shape(Y))
+        return out
+    return rows
+
+
 @functools.cache
 def _inverse_factorials(order: int) -> np.ndarray:
     return np.array([1.0 / (math.factorial(a) * math.factorial(b))
@@ -53,22 +88,13 @@ def _inverse_factorials(order: int) -> np.ndarray:
 
 
 def evaluate(fn, y: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
-    """The jets, shape (ncoef, lanes, points), of a function that
+    """The jet, shape (ncoef, lanes, points), of a function that
     `expressions.lambdify` built from `derivatives(..., order)`: each
-    derivative is scaled by 1/(a! b!).  When fn returns r derivative lists
-    interleaved (the i-th derivative of each, in turn), row r*i + j of the
-    result is coefficient i of the j-th function."""
-    return from_values(fn(y, t), y.size, order)
-
-
-def from_values(values, size: int, order: int) -> np.ndarray:
-    """`evaluate` of the derivative values such a function returned at
-    `size` points."""
-    repeat = len(values) // len(jet_indices(order))
+    derivative is scaled by 1/(a! b!)."""
+    values = fn(y, t)
     lanes = 2 if any(np.iscomplexobj(v) for v in values) else 1
-    out = np.empty((len(values), lanes, size))
-    scales = np.repeat(_inverse_factorials(order), repeat)
-    for row, value, scale in zip(out, values, scales):
+    out = np.empty((len(values), lanes, y.size))
+    for row, value, scale in zip(out, values, _inverse_factorials(order)):
         np.multiply(np.real(value), scale, out=row[0])
         if lanes == 2:
             np.multiply(np.imag(value), scale, out=row[1])
@@ -143,6 +169,76 @@ def compose(s, g: np.ndarray, order: int) -> np.ndarray:
         p[:rows] = _accumulate(g, p, _shift_table(order - m), rows)
         p[0] += s[m]
     return p
+
+
+@functools.cache
+def _row_pairs(order: int, skip_left: frozenset, skip_right: frozenset):
+    """For each row of a product jet to `order`, the pairs (i, j) of
+    `_product_table` whose left row i is not in skip_left and whose right
+    row j is not in skip_right, in the table's order."""
+    rows = [[] for _ in jet_indices(order)]
+    for i, j, row, _ in _product_table(order):
+        if i not in skip_left and j not in skip_right:
+            rows[row].append((i, j))
+    return tuple(map(tuple, rows))
+
+
+def _is_zero(row) -> bool:
+    return np.ndim(row) == 0 and row == 0
+
+
+def _total(terms: list):
+    """The sum of the terms, added in order in place into the first; the
+    number 0 for none."""
+    return functools.reduce(operator.iadd, terms[1:], terms[0]) if terms \
+        else 0.0
+
+
+def multiply_rows(f: Sequence, g: Sequence, order: int) -> list:
+    """The rows of the product jet f g to `order`, from the rows of two
+    real jets (as `lambdify_rows` returns them: arrays over the points or
+    Python floats).  A pair with a row that is the number 0 is left out,
+    and a row that is a number multiplies as a scalar, so a row of the
+    product all of whose pairs read numbers is a number; every row equals
+    that from dense rows, bit for bit."""
+    rows = len(jet_indices(order))
+    zero_f = frozenset(i for i in range(rows) if _is_zero(f[i]))
+    zero_g = frozenset(j for j in range(rows) if _is_zero(g[j]))
+    return [_total([f[i] * g[j] for i, j in pairs])
+            for pairs in _row_pairs(order, zero_f, zero_g)]
+
+
+def divide(f: Sequence, z: Sequence, order: int) -> list:
+    """The rows of the jet of f/z to `order`, from the rows of f and z, real
+    or complex (as `lambdify_rows` returns them: arrays over the points or
+    Python numbers, z's row 0 an array).
+
+    z q = f gives q_0 = f_0/z_0 and, row by row in graded order,
+    q_r = (f_r - sum z_i q_j) / z_0 over the product's pairs (i, j) with
+    i >= 1, whose q_j is an earlier row (Griewank and Walther, ch. 13).  As
+    in `multiply_rows`, a 0 row of z adds no pair and a number multiplies
+    as a scalar: each product is the one a full array of that row gives,
+    in the same order, so the rows equal those from dense rows of f and z.
+    A row of q that is 0 by structure is the number 0."""
+    rows = len(jet_indices(order))
+    # every row of q, and so every product, has the type of the quotient
+    inverse = np.divide(1.0, z[0],
+                        dtype=np.result_type(*f[:rows], *z[:rows]))
+    minus_inverse = -inverse
+    q = [f[0] * inverse]
+    skip = frozenset(i for i in range(rows) if i == 0 or _is_zero(z[i]))
+    for f_r, pairs in zip(f[1:rows], _row_pairs(order, skip,
+                                                frozenset())[1:]):
+        total = _total([z[i] * q[j] for i, j in pairs if not _is_zero(q[j])])
+        if _is_zero(total):
+            q.append(0.0 if _is_zero(f_r) else f_r * inverse)
+            continue
+        # (f_r - total) / z_0, as (total - f_r) * (-1/z_0) in place
+        if not _is_zero(f_r):
+            total -= f_r
+        total *= minus_inverse
+        q.append(total)
+    return q
 
 
 @functools.cache

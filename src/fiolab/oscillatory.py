@@ -33,10 +33,12 @@ function:
   the transpose of the first-order operator L (with L e^{i phi} = e^{i phi})
   to the rest.  The iterated transpose is evaluated on Taylor jets in
   (y, theta) (`jets`): sympy differentiates only the amplitude, the two
-  coefficients of L and the partition ratio, each up to order k; omega's
-  jet is composed from the bump's Taylor coefficients and the ratio's jet,
-  and every transpose is exact jet arithmetic, never nested numerical
-  differentiation.
+  components of grad phi and lambda^2, each up to order k.  The jets of
+  L's coefficients and of the partition ratio are Taylor arithmetic on
+  those, a quotient by z = d_y phi - i d_theta phi (`_coefficient_jets`);
+  omega's jet is composed from the bump's Taylor coefficients and the
+  ratio's jet, and every transpose is exact jet arithmetic, never nested
+  numerical differentiation.
   `IBPOperator.apply_transpose` keeps the symbolic product-rule expansion
   as the reference the tests compare against.  The k-fold term is
   evaluated by region of the partition ratio: it is 0 where the ratio is
@@ -781,24 +783,25 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
 
     With h = grad phi / D real, tL w = i (d_y(h_y w) + d_t(h_t w)), so the
     term is i^k T^k[(1-omega)u] with T w = d_y(h_y w) + d_t(h_t w).  It is
-    evaluated on Taylor jets of order k: sympy differentiates only u, h_y,
-    h_t and the ratio r, each up to order k, and every T costs one order of
-    the jet.  omega = chi(r) is never differentiated symbolically: its jet
-    is `jets.compose` of chi's Taylor coefficients at r_0, which the
-    ratio's lambdified jet returns first (`_chi_coefficients` bound to the
-    undefined function chi0), with the ratio's jet.  with_omega=False
-    drops omega, which vanishes with all its derivatives where r >= 2;
-    there the jet is u's own, and the first T skips its rows that sympy
-    found identically 0 (for a theta-free u, every row with a theta
-    derivative).
+    evaluated on Taylor jets of order k: sympy differentiates only u, the
+    two components of grad phi and lambda^2, each up to order k, and every
+    T costs one order of the jet.  The coefficient jets are Taylor
+    arithmetic on those (`_coefficient_jets`), and omega = chi(r) is never
+    differentiated symbolically: its jet is `jets.compose` of chi's Taylor
+    coefficients at r_0, which a lambdified function of the ratio returns
+    (`_chi_coefficients` bound to the undefined function chi0), with the
+    ratio's jet.  with_omega=False drops omega, which vanishes with all
+    its derivatives where r >= 2; there the jet is u's own, and the first
+    T skips its rows that sympy found identically 0 (for a theta-free u,
+    every row with a theta derivative).
 
     None of them depends on the truncation radius, so calls that differ
     only in R share one symbolic build (and, through `_local_sum`, one sum
     of the local grid).
     """
-    denom, h_y, h_t = _ibp_coefficients(phi_yt, yv, tv)
+    dy, dt = sp.diff(phi_yt, yv), sp.diff(phi_yt, tv)
     lam2 = 1 + sp.Float(xv) ** 2 + yv ** 2 + tv ** 2
-    t_ratio = denom / (eps0 * lam2)
+    t_ratio = (dy ** 2 + dt ** 2) / (eps0 * lam2)
 
     u_fn = lambdify((yv, tv), u)
     phase_fn = lambdify((yv, tv), phi_yt)
@@ -806,14 +809,13 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     u_derivatives = jets.derivatives(u, yv, tv, k)
     u_zero = frozenset(i for i, d in enumerate(u_derivatives) if d == 0)
     u_jet = lambdify((yv, tv), u_derivatives)
-    # k = 0 takes no transpose step, so it needs no jet of h
-    h_jet = None if k == 0 else lambdify((yv, tv), [
-        d for pair in zip(jets.derivatives(h_y, yv, tv, k),
-                          jets.derivatives(h_t, yv, tv, k)) for d in pair])
+    # k = 0 takes no transpose step, so it needs no coefficient jets
+    if k:
+        z_rows, h_jet, ratio_jet = _coefficient_jets(dy, dt, lam2, yv, tv,
+                                                     eps0, k)
     # chi0(r): chi's Taylor coefficients at r_0, shape (k + 1, points)
     omega_parts = lambdify(
-        (yv, tv), [sp.Function("chi0")(t_ratio),
-                   *jets.derivatives(t_ratio, yv, tv, k)],
+        (yv, tv), [sp.Function("chi0")(t_ratio), t_ratio],
         {"chi0": lambda r: _chi_coefficients(r, k)})
     rotation = 1j ** k
 
@@ -824,17 +826,61 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
         for start in range(0, Y.size, _JET_CHUNK):
             y, t = Y[start:start + _JET_CHUNK], T[start:start + _JET_CHUNK]
             w = jets.evaluate(u_jet, y, t, k)
+            z = z_rows(y, t) if k else None
             if with_omega:
-                s, *ratio = omega_parts(y, t)
-                one_minus = -jets.compose(
-                    s, jets.from_values(ratio, y.size, k), k)
+                s, r0 = omega_parts(y, t)
+                ratio = ratio_jet(z, y, t) if k else np.empty((1, 1, y.size))
+                ratio[0, 0] = r0
+                one_minus = -jets.compose(s, ratio, k)
                 one_minus[0] += 1.0
                 w = jets.multiply(one_minus, w, k)
-            w = (jets.divergence_power(jets.evaluate(h_jet, y, t, k), w, k,
-                                       zero) if k else w[0])
+            w = jets.divergence_power(h_jet(z), w, k, zero) if k else w[0]
             out[start:start + _JET_CHUNK] = rotation * jets.as_complex(w)
         return out
     return u_fn, phase_fn, ratio_fn, kfold
+
+
+def _coefficient_jets(dy, dt, lam2, yv, tv, eps0: float, k: int):
+    """(z_rows, h_jet, ratio_jet): the jets of order k of L's coefficients
+    h = grad phi / D and of the partition ratio r = D / (eps0 lambda^2),
+    by Taylor arithmetic from the sympy components dy, dt of grad phi and
+    from lambda^2.  z_rows(y, t) returns the rows of the jet of
+    z = dy - i dt (`jets.lambdify_rows`), h_jet(z) the jets of (h_y, h_t)
+    interleaved as `jets.divergence_power` reads them (shape
+    (2 ncoef, 1, points)), and ratio_jet(z, y, t) r's jet (shape
+    (ncoef, 1, points)), whose row 0 the caller replaces with r_0 from its
+    own lambdified ratio.
+
+    For a real phase D = z conj(z) and h_y + i h_t = 1/z, so h's jet is
+    `jets.divide` of 1 by z's, and r's jet is `jets.divide` of z conj(z)
+    by eps0 lambda^2.  On a special phase, phi = S(x, theta) - y theta,
+    z's row d_y z = i is a constant that sympy finds exactly, and so is
+    its row d_theta z = -1 at S = x theta, whose rows of order 2 and above
+    are 0: the constants multiply as scalars and the 0 rows are skipped."""
+    z_rows = jets.lambdify_rows(
+        [c_y - sp.I * c_t for c_y, c_t in zip(
+            jets.coefficients(dy, yv, tv, k),
+            jets.coefficients(dt, yv, tv, k))], yv, tv)
+    scale_rows = jets.lambdify_rows(
+        jets.coefficients(eps0 * lam2, yv, tv, k), yv, tv)
+    rows = len(jets.jet_indices(k))
+    one = [1.0] + [0.0] * (rows - 1)
+
+    def h_jet(z):
+        h = np.empty((2 * rows, 1, z[0].size))
+        for i, q in enumerate(jets.divide(one, z, k)):
+            h[2 * i, 0], h[2 * i + 1, 0] = np.real(q), np.imag(q)
+        return h
+
+    def ratio_jet(z, y, t):
+        re, im = [np.real(row) for row in z], [np.imag(row) for row in z]
+        d = [a + b for a, b in zip(jets.multiply_rows(re, re, k),
+                                   jets.multiply_rows(im, im, k))]
+        ratio = np.empty((rows, 1, y.size))
+        for out, value in zip(ratio, jets.divide(d, scale_rows(y, t), k)):
+            out[0] = value
+        return ratio
+    return z_rows, h_jet, ratio_jet
 
 
 def _ibp_integrand(u_fn, phase_fn, ratio_fn, kfold):

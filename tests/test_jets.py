@@ -1,10 +1,11 @@
 """Truncated Taylor jet arithmetic against sympy's exact Taylor coefficients
-of random polynomials: products, composition and the transpose step T."""
+of random polynomials: products, quotients, composition and the transpose
+step T."""
 import math
 
 import numpy as np
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fiolab import jets
@@ -141,3 +142,95 @@ def test_divergence_power_skipping_zero_rows_equals_full(k, seed, lanes,
     w[sorted(zero)] = 0.0
     assert np.array_equal(jets.divergence_power(c, w, k, zero),
                           jets.divergence_power(c, w, k))
+
+
+def row_values(expr, order):
+    """The rows of expr's jet at POINTS from `jets.lambdify_rows`: arrays,
+    and Python numbers where sympy found a coefficient constant."""
+    ys, ts = (np.array([float(point[axis]) for point in POINTS])
+              for axis in (0, 1))
+    return jets.lambdify_rows(jets.coefficients(expr, Y, T, order), Y, T)(
+        ys, ts)
+
+
+def dense(rows):
+    """The rows as one complex array of shape (ncoef, points)."""
+    return np.array([np.broadcast_to(row, len(POINTS)) for row in rows],
+                    dtype=complex)
+
+
+def assert_rows_match(rows, want):
+    """Rows equal the complex coefficients `want` up to rounding, in the
+    scale of `assert_matches`."""
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(dense(rows) - want)) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=orders, f=polynomials(), g=polynomials())
+def test_multiply_rows_matches_taylor_coefficients(order, f, g):
+    got = jets.multiply_rows(row_values(f.as_expr(), order),
+                             row_values(g.as_expr(), order), order)
+    assert_rows_match(got, taylor(f * g, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=orders, p_re=polynomials(degree=2), p_im=polynomials(degree=2),
+       f_re=st.one_of(st.none(), polynomials()), f_im=polynomials(),
+       parts=st.sampled_from(["real", "complex p", "complex f", "both"]))
+def test_divide_matches_taylor_coefficients(order, p_re, p_im, f_re, f_im,
+                                            parts):
+    # the jet of f/p (1/p when f_re is None), real or complex, for a random
+    # polynomial p with p != 0 at the expansion points, against the exact
+    # derivatives of the quotient
+    p = p_re.as_expr() + (sp.I * p_im.as_expr()
+                          if parts in ("complex p", "both") else 0)
+    assume(all(p.xreplace({Y: y, T: t}) != 0 for y, t in POINTS))
+    f = None if f_re is None else f_re.as_expr() + (
+        sp.I * f_im.as_expr() if parts in ("complex f", "both") else 0)
+    numerator = 1 if f is None else f
+    want = np.array([[complex(d.xreplace({Y: y, T: t})) for y, t in POINTS]
+                     for d in jets.coefficients(numerator / p, Y, T, order)])
+    f_rows = ([1.0] + [0.0] * (len(want) - 1) if f is None
+              else row_values(numerator, order))
+    got = jets.divide(f_rows, row_values(p, order), order)
+    assert len(got) == len(want)
+    assert_rows_match(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=orders, seed=st.integers(0, 2 ** 32 - 1),
+       parts=st.sampled_from([(False, False), (False, True), (True, False),
+                              (True, True)]))
+def test_sparse_rows_equal_dense_rows(order, seed, parts):
+    # rows given as the number 0 are skipped and numbers multiply as
+    # scalars: the same jets, bit for bit, as full arrays of those rows
+    # (`multiply_rows` takes real jets, `divide` real or complex ones)
+    rng = np.random.default_rng(seed)
+    ncoef = len(jets.jet_indices(order))
+
+    def random_rows(is_complex):
+        rows = []
+        for i in range(ncoef):
+            value = rng.standard_normal(64)
+            if is_complex:
+                value = value + 1j * rng.standard_normal(64)
+            kind = 2 if i == 0 else rng.integers(3)
+            rows.append(value if kind == 2 else 0.0 if kind == 0
+                        else value[0].item())
+        rows[0] = rows[0] + 4.0  # a denominator away from 0
+        return rows
+
+    def full(rows):
+        return [np.full(64, row) if np.ndim(row) == 0 else row
+                for row in rows]
+
+    f, z = random_rows(parts[0]), random_rows(parts[1])
+    real_f, real_z = random_rows(False), random_rows(False)
+    for sparse, dense_rows in (
+            (jets.divide(f, z, order), jets.divide(full(f), full(z), order)),
+            (jets.multiply_rows(real_f, real_z, order),
+             jets.multiply_rows(full(real_f), full(real_z), order))):
+        assert len(sparse) == len(dense_rows) == ncoef
+        for got, want in zip(sparse, dense_rows):
+            assert np.array_equal(np.broadcast_to(got, (64,)), want)

@@ -925,6 +925,55 @@ class TestIBPJets:
             err = np.max(np.abs(got - want))
             assert err <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    @pytest.mark.parametrize("S, extra", [
+        ("x*theta", None),
+        ("x*theta + theta**2/2", None),
+        ("x*theta + theta**3/6", None),
+        ("x*theta", "y**2*theta/4"),
+    ], ids=["xt", "chirp", "cubic", "not-special"])
+    def test_coefficient_jets_match_symbolic_derivatives(self, S, extra, x):
+        # h's and the ratio's jets by Taylor arithmetic from grad phi and
+        # lambda^2, against the symbolic derivatives of h = grad phi / D
+        # and of the ratio D / (eps0 lambda^2) (their build before the
+        # Taylor arithmetic); the not-special phase gives z varying mixed
+        # rows
+        k = 4
+        phi = special_phase(GeneratingFunction.from_expr(S, 1))
+        if extra is not None:
+            phi = dataclasses.replace(
+                phi, expr=phi.expr + as_expr(extra, phi.variables))
+        xs, yv, tv = phi.variables
+        eps0 = float(choose_eps0(phi, x))
+        phase = phi.expr.subs(xs, x)
+        denom, h_y, h_t = oscillatory._ibp_coefficients(phase, yv, tv)
+        lam2 = 1 + sp.Float(x) ** 2 + yv ** 2 + tv ** 2
+        t_ratio = denom / (eps0 * lam2)
+        h_references = [lambdify((yv, tv), jets.derivatives(h, yv, tv, k))
+                        for h in (h_y, h_t)]
+        ratio_reference = lambdify((yv, tv),
+                                   jets.derivatives(t_ratio, yv, tv, k))
+        z_rows, h_jet, ratio_jet = oscillatory._coefficient_jets(
+            sp.diff(phase, yv), sp.diff(phase, tv), lam2, yv, tv, eps0, k)
+
+        Y, T = np.random.default_rng(7).uniform(-6.0, 6.0, (2, 20000))
+        r = lambdify((yv, tv), t_ratio)(Y, T)
+        annulus, outer = (r > 1.0) & (r < 2.0), r >= 2.0
+        assert annulus.sum() > 200 and outer.sum() > 200
+        for m in (annulus, outer):
+            y, t = Y[m], T[m]
+            z = z_rows(y, t)
+            # interleaved: row 2i is coefficient i of h_y, 2i + 1 of h_t
+            h_want = np.stack([jets.evaluate(h, y, t, k)
+                               for h in h_references], axis=1)
+            pairs = [(h_jet(z), h_want.reshape(-1, 1, y.size)),
+                     (ratio_jet(z, y, t)[1:],
+                      jets.evaluate(ratio_reference, y, t, k)[1:])]
+            for got, want in pairs:
+                scale = np.max(np.abs(want), axis=(1, 2))
+                err = np.max(np.abs(got - want), axis=(1, 2))
+                assert np.all(err <= 1e-13 * scale), np.max(err / scale)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_compose_matches_symbolic_derivatives(self, k):
         # the jet of f(g) from f's Taylor coefficients at g_0 and g's jet,
