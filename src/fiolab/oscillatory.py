@@ -32,12 +32,15 @@ function:
   the near-critical part by direct quadrature, and applies the k-th power of
   the transpose of the first-order operator L (with L e^{i phi} = e^{i phi})
   to the rest.  The iterated transpose is evaluated on Taylor jets in
-  (y, theta) (`jets`): sympy differentiates only the amplitude, the two
-  components of grad phi and lambda^2, each up to order k.  The jets of
-  L's coefficients and of the partition ratio are Taylor arithmetic on
-  those, a quotient by z = d_y phi - i d_theta phi (`_coefficient_jets`);
-  omega's jet is composed from the bump's Taylor coefficients and the
-  ratio's jet, and every transpose is exact jet arithmetic, never nested
+  (y, theta) (`jets`), each a list of rows that are arrays over the points
+  or Python numbers: sympy differentiates only the amplitude, the two
+  components of grad phi and lambda^2, each up to order k, and a
+  derivative it finds constant is a number row, multiplied as a scalar
+  (skipped where it is 0) by the one jet kernel.  The jets of L's
+  coefficients and of the partition ratio are Taylor arithmetic on those,
+  a quotient by z = d_y phi - i d_theta phi (`_coefficient_jets`); omega's
+  jet is composed from the bump's Taylor coefficients and the ratio's
+  jet, and every transpose is exact jet arithmetic, never nested
   numerical differentiation.
   `IBPOperator.apply_transpose` keeps the symbolic product-rule expansion
   as the reference the tests compare against.  The k-fold term is
@@ -49,7 +52,8 @@ function:
   kept for the process (`_local_sum`): criterion 3's calls at R = 12 and
   R = 24, which share s0 and the grid, sum it once.  Where the k-fold term
   reads u's own jet, sympy's identically-zero derivatives of u (every
-  theta derivative of a theta-free u) are left out of the first transpose.
+  theta derivative of a theta-free u) are number-0 rows, which every
+  transpose skips.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin, `_grid`), which gives
@@ -635,10 +639,10 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     quadrature whose value is not finite (an f or a that is not finite on
     the grid) and an x that is not finite raise ValueError."""
     schedule = [float(s) for s in schedule]
-    if not schedule or not all(
+    if not schedule or not math.isfinite(schedule[-1]) or not all(
             s1 < s2 for s1, s2 in zip([0.0] + schedule, schedule)):
-        raise ValueError(f"schedule must be non-empty, positive and "
-                         f"increasing: {schedule}")
+        raise ValueError(f"schedule must be non-empty, positive, finite "
+                         f"and increasing: {schedule}")
     xv, phi_yt, a_yt, f_expr = _at_point(a, phi, f, x)
     yv, tv = phi.yvars[0], phi.tvars[0]
 
@@ -755,11 +759,12 @@ def _on_support(integrand, weight, phase):
 
 
 #: points per block of the jet evaluation.  The jet kernel makes a few numpy
-#: calls per coefficient pair, each on one (lanes, points) row of at most
-#: 128 KB here, so larger blocks spend less per point on call overhead until
-#: the jets leave the cache.  Warm k = 4, R = 12 calls of criterion 3, median
-#: of four alternated calls on 2 cores: 1.86 s at 2048 points, 1.50-1.69 s at
-#: 4096, 1.34-1.53 s at 8192, 1.54-1.57 s at 16384 and 1.87 s at 32768.
+#: calls per coefficient pair, each on one row of at most 128 KB here (8192
+#: complex values), so larger blocks spend less per point on call overhead
+#: until the jets leave the cache.  Warm k = 4, R = 12 calls of criterion 3,
+#: median of four alternated calls on 2 cores: 1.86 s at 2048 points,
+#: 1.50-1.69 s at 4096, 1.34-1.53 s at 8192, 1.54-1.57 s at 16384 and
+#: 1.87 s at 32768.
 _JET_CHUNK = 8192
 
 #: y rows per block of a `_tiled_quadrature` tile: every integrand
@@ -783,7 +788,8 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
 
     With h = grad phi / D real, tL w = i (d_y(h_y w) + d_t(h_t w)), so the
     term is i^k T^k[(1-omega)u] with T w = d_y(h_y w) + d_t(h_t w).  It is
-    evaluated on Taylor jets of order k: sympy differentiates only u, the
+    evaluated on Taylor jets of order k, lists of rows that are arrays over
+    the points or Python numbers (`jets`): sympy differentiates only u, the
     two components of grad phi and lambda^2, each up to order k, and every
     T costs one order of the jet.  The coefficient jets are Taylor
     arithmetic on those (`_coefficient_jets`), and omega = chi(r) is never
@@ -791,9 +797,9 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     coefficients at r_0, which a lambdified function of the ratio returns
     (`_chi_coefficients` bound to the undefined function chi0), with the
     ratio's jet.  with_omega=False drops omega, which vanishes with all
-    its derivatives where r >= 2; there the jet is u's own, and the first
-    T skips its rows that sympy found identically 0 (for a theta-free u,
-    every row with a theta derivative).
+    its derivatives where r >= 2; there the jet is u's own, in which a
+    row that sympy found identically 0 (for a theta-free u, every row with
+    a theta derivative) is the number 0, which every T skips.
 
     None of them depends on the truncation radius, so calls that differ
     only in R share one symbolic build (and, through `_local_sum`, one sum
@@ -806,9 +812,7 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
     u_fn = lambdify((yv, tv), u)
     phase_fn = lambdify((yv, tv), phi_yt)
     ratio_fn = lambdify((yv, tv), t_ratio)
-    u_derivatives = jets.derivatives(u, yv, tv, k)
-    u_zero = frozenset(i for i, d in enumerate(u_derivatives) if d == 0)
-    u_jet = lambdify((yv, tv), u_derivatives)
+    u_rows = jets.lambdify_rows(u, yv, tv, k)
     # k = 0 takes no transpose step, so it needs no coefficient jets
     if k:
         z_rows, h_jet, ratio_jet = _coefficient_jets(dy, dt, lam2, yv, tv,
@@ -821,21 +825,18 @@ def _ibp_callables(u, phi_yt, yv, tv, xv: float, eps0: float, k: int):
 
     def kfold(Y, T, with_omega: bool) -> np.ndarray:
         out = np.empty(Y.shape, dtype=complex)
-        # (1 - omega) u has no row that is 0 by structure
-        zero = frozenset() if with_omega else u_zero
         for start in range(0, Y.size, _JET_CHUNK):
             y, t = Y[start:start + _JET_CHUNK], T[start:start + _JET_CHUNK]
-            w = jets.evaluate(u_jet, y, t, k)
+            w = u_rows(y, t)
             z = z_rows(y, t) if k else None
             if with_omega:
                 s, r0 = omega_parts(y, t)
-                ratio = ratio_jet(z, y, t) if k else np.empty((1, 1, y.size))
-                ratio[0, 0] = r0
-                one_minus = -jets.compose(s, ratio, k)
-                one_minus[0] += 1.0
-                w = jets.multiply(one_minus, w, k)
-            w = jets.divergence_power(h_jet(z), w, k, zero) if k else w[0]
-            out[start:start + _JET_CHUNK] = rotation * jets.as_complex(w)
+                ratio = [r0, *ratio_jet(z, y, t)[1:]] if k else [r0]
+                omega = jets.compose(s, ratio, k)
+                w = jets.multiply([1.0 - omega[0], *(-c for c in omega[1:])],
+                                  w, k)
+            w = jets.divergence_power(h_jet(z), w, k) if k else w[0]
+            out[start:start + _JET_CHUNK] = rotation * w
         return out
     return u_fn, phase_fn, ratio_fn, kfold
 
@@ -844,42 +845,33 @@ def _coefficient_jets(dy, dt, lam2, yv, tv, eps0: float, k: int):
     """(z_rows, h_jet, ratio_jet): the jets of order k of L's coefficients
     h = grad phi / D and of the partition ratio r = D / (eps0 lambda^2),
     by Taylor arithmetic from the sympy components dy, dt of grad phi and
-    from lambda^2.  z_rows(y, t) returns the rows of the jet of
-    z = dy - i dt (`jets.lambdify_rows`), h_jet(z) the jets of (h_y, h_t)
-    interleaved as `jets.divergence_power` reads them (shape
-    (2 ncoef, 1, points)), and ratio_jet(z, y, t) r's jet (shape
-    (ncoef, 1, points)), whose row 0 the caller replaces with r_0 from its
-    own lambdified ratio.
+    from lambda^2.  z_rows(y, t) returns the jet of z = dy - i dt
+    (`jets.lambdify_rows`), h_jet(z) the jets of (h_y, h_t) interleaved as
+    `jets.divergence_power` reads them (row 2i is coefficient i of h_y,
+    2i + 1 that of h_t), and ratio_jet(z, y, t) r's jet, whose row 0 the
+    caller replaces with r_0 from its own lambdified ratio.  Every jet is a
+    list of rows, arrays over the points or Python numbers.
 
-    For a real phase D = z conj(z) and h_y + i h_t = 1/z, so h's jet is
-    `jets.divide` of 1 by z's, and r's jet is `jets.divide` of z conj(z)
-    by eps0 lambda^2.  On a special phase, phi = S(x, theta) - y theta,
-    z's row d_y z = i is a constant that sympy finds exactly, and so is
-    its row d_theta z = -1 at S = x theta, whose rows of order 2 and above
-    are 0: the constants multiply as scalars and the 0 rows are skipped."""
-    z_rows = jets.lambdify_rows(
-        [c_y - sp.I * c_t for c_y, c_t in zip(
-            jets.coefficients(dy, yv, tv, k),
-            jets.coefficients(dt, yv, tv, k))], yv, tv)
-    scale_rows = jets.lambdify_rows(
-        jets.coefficients(eps0 * lam2, yv, tv, k), yv, tv)
-    rows = len(jets.jet_indices(k))
-    one = [1.0] + [0.0] * (rows - 1)
+    For a real phase D = z conj(z) and h_y + i h_t = 1/z, so h's rows are
+    the real and imaginary parts of `jets.divide` of 1 by z, and r's jet
+    is `jets.divide` of z conj(z) by eps0 lambda^2.  On a special phase,
+    phi = S(x, theta) - y theta, z's row d_y z = i is a constant that
+    sympy finds exactly, and so is its row d_theta z = -1 at S = x theta,
+    whose rows of order 2 and above are 0: the constants multiply as
+    scalars and the 0 rows are skipped."""
+    z_rows = jets.lambdify_rows(dy - sp.I * dt, yv, tv, k)
+    scale_rows = jets.lambdify_rows(eps0 * lam2, yv, tv, k)
+    one = [1.0] + [0.0] * (len(jets.jet_indices(k)) - 1)
 
     def h_jet(z):
-        h = np.empty((2 * rows, 1, z[0].size))
-        for i, q in enumerate(jets.divide(one, z, k)):
-            h[2 * i, 0], h[2 * i + 1, 0] = np.real(q), np.imag(q)
-        return h
+        return [part for q in jets.divide(one, z, k)
+                for part in (q.real, q.imag)]
 
     def ratio_jet(z, y, t):
-        re, im = [np.real(row) for row in z], [np.imag(row) for row in z]
-        d = [a + b for a, b in zip(jets.multiply_rows(re, re, k),
-                                   jets.multiply_rows(im, im, k))]
-        ratio = np.empty((rows, 1, y.size))
-        for out, value in zip(ratio, jets.divide(d, scale_rows(y, t), k)):
-            out[0] = value
-        return ratio
+        re, im = [row.real for row in z], [row.imag for row in z]
+        d = [a + b for a, b in zip(jets.multiply(re, re, k),
+                                   jets.multiply(im, im, k))]
+        return jets.divide(d, scale_rows(y, t), k)
     return z_rows, h_jet, ratio_jet
 
 

@@ -72,9 +72,9 @@ def test_run_imports_no_numpy_star(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
-def _private_definitions(tree):
-    """(name, node) of each private name a module defines at its top level:
-    a function, a class or an assignment target."""
+def _definitions(tree):
+    """(name, node) of each name a module defines at its top level: a
+    function, a class or an assignment target."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -86,11 +86,12 @@ def _private_definitions(tree):
                      if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names if _is_private(name))
+        yield from ((name, node) for name in names)
 
 
 def test_no_dead_private_names():
-    """Every module-level private name of fiolab is read somewhere in
+    """Every module-level private name of fiolab, and every public one of a
+    module that fiolab/__init__.py does not re-export, is read somewhere in
     fiolab outside its own definition: code kept alive for tests alone is
     dead."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -98,9 +99,14 @@ def test_no_dead_private_names():
     reads = [node for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
              or isinstance(node, ast.Attribute)]
+    reexported = {node.module for node in ast.walk(trees["__init__"])
+                  if isinstance(node, ast.ImportFrom) and node.level == 1}
     dead = []
     for module, tree in trees.items():
-        for name, definition in _private_definitions(tree):
+        for name, definition in _definitions(tree):
+            public = not name.startswith("_")
+            if not (_is_private(name) or public and module not in reexported):
+                continue
             inside = {id(node) for node in ast.walk(definition)}
             if not any(getattr(node, "id", getattr(node, "attr", None)) == name
                        and id(node) not in inside for node in reads):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -129,14 +130,20 @@ class TestRegularizedApply:
         with pytest.raises(ValueError, match=message):
             regularized_fio_apply(a, phi_xt, f, 0.0, compute_gap=False)
 
-    @pytest.mark.parametrize("schedule", [(), (8, 4), (0, 4), (-4, 8)])
+    @pytest.mark.parametrize("schedule", [(), (8, 4), (0, 4), (-4, 8),
+                                          (4, 8, math.inf), (4, math.nan, 8)])
     def test_rejects_a_schedule_that_is_empty_or_not_increasing(
             self, phi_xt, schedule):
-        with pytest.raises(ValueError,
-                           match="schedule must be non-empty, positive and "
-                                 "increasing"):
-            regularized_fio_apply(A_ONE, phi_xt, F_GAUSS, 0.0,
-                                  schedule=schedule)
+        # a sigma that is not finite is rejected too: an infinite one used
+        # to reach np.linspace, which warned, and then failed on the
+        # a-envelope at theta = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="schedule must be non-empty, positive, "
+                                     "finite and increasing"):
+                regularized_fio_apply(A_ONE, phi_xt, F_GAUSS, 0.0,
+                                      schedule=schedule)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_rejects_x_that_is_not_finite(self, phi_xt, x):
@@ -949,10 +956,8 @@ class TestIBPJets:
         denom, h_y, h_t = oscillatory._ibp_coefficients(phase, yv, tv)
         lam2 = 1 + sp.Float(x) ** 2 + yv ** 2 + tv ** 2
         t_ratio = denom / (eps0 * lam2)
-        h_references = [lambdify((yv, tv), jets.derivatives(h, yv, tv, k))
-                        for h in (h_y, h_t)]
-        ratio_reference = lambdify((yv, tv),
-                                   jets.derivatives(t_ratio, yv, tv, k))
+        h_references = [jets.lambdify_rows(h, yv, tv, k) for h in (h_y, h_t)]
+        ratio_reference = jets.lambdify_rows(t_ratio, yv, tv, k)
         z_rows, h_jet, ratio_jet = oscillatory._coefficient_jets(
             sp.diff(phase, yv), sp.diff(phase, tv), lam2, yv, tv, eps0, k)
 
@@ -964,14 +969,16 @@ class TestIBPJets:
             y, t = Y[m], T[m]
             z = z_rows(y, t)
             # interleaved: row 2i is coefficient i of h_y, 2i + 1 of h_t
-            h_want = np.stack([jets.evaluate(h, y, t, k)
-                               for h in h_references], axis=1)
-            pairs = [(h_jet(z), h_want.reshape(-1, 1, y.size)),
-                     (ratio_jet(z, y, t)[1:],
-                      jets.evaluate(ratio_reference, y, t, k)[1:])]
+            h_want = [row for pair in zip(*(h(y, t) for h in h_references))
+                      for row in pair]
+            pairs = [(h_jet(z), h_want),
+                     (ratio_jet(z, y, t)[1:], ratio_reference(y, t)[1:])]
             for got, want in pairs:
-                scale = np.max(np.abs(want), axis=(1, 2))
-                err = np.max(np.abs(got - want), axis=(1, 2))
+                got, want = (
+                    np.array([np.broadcast_to(row, y.shape) for row in rows])
+                    for rows in (got, want))
+                scale = np.max(np.abs(want), axis=1)
+                err = np.max(np.abs(got - want), axis=1)
                 assert np.all(err <= 1e-13 * scale), np.max(err / scale)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -982,15 +989,15 @@ class TestIBPJets:
         g = y * sp.sin(t) + 1 / (1 + y ** 2)
         f = sp.exp(-z) * sp.cos(3 * z)
         Y, T = np.random.default_rng(k).uniform(-2.0, 2.0, (2, 500))
-        g_jet = jets.evaluate(lambdify((y, t), jets.derivatives(g, y, t, k)),
-                              Y, T, k)
+        g_jet = jets.lambdify_rows(g, y, t, k)(Y, T)
         s = [np.broadcast_to(lambdify(z, sp.diff(f, z, m)
-                                      / math.factorial(m))(g_jet[0, 0]),
+                                      / math.factorial(m))(g_jet[0]),
                              Y.shape) for m in range(k + 1)]
-        want = jets.evaluate(lambdify((y, t), jets.derivatives(
-            f.subs(z, g), y, t, k)), Y, T, k)
-        got = jets.compose(s, g_jet, k)
-        scale = np.max(np.abs(want), axis=(0, 1))
+        want = np.array([np.broadcast_to(row, Y.shape) for row in
+                         jets.lambdify_rows(f.subs(z, g), y, t, k)(Y, T)])
+        got = np.array([np.broadcast_to(row, Y.shape)
+                        for row in jets.compose(s, g_jet, k)])
+        scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("k", [2, 4])
