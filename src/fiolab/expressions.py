@@ -6,6 +6,8 @@ numpy.f2py and numpy.testing.
 """
 from __future__ import annotations
 
+import io
+import tokenize
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,28 +83,58 @@ def evaluate(expr: sp.Expr, variables: Sequence[sp.Symbol], points) -> np.ndarra
 
 
 def parse_scalar_expr(formula: str, variables: Sequence[sp.Symbol]) -> sp.Expr:
-    """Parse a formula over the given coordinate symbols.
+    """Parse a formula over the given coordinate symbols: fiolab's one path
+    from formula text to a sympy expression.
 
-    Allowed besides the coordinates: exp, sin, cos, sqrt, pi, I, and `lam`
-    (the smooth bracket over all coordinates).  A bare prefix stands for the
-    one coordinate that carries it: over (x0, y0, theta0) a formula may write
-    x, y and theta, while over (x0, x1) a bare x stays undefined.
+    Python's arithmetic operators, numbers and these names are allowed: the
+    coordinates, exp, log, sin, cos, sqrt, pi, I, `lam` (the smooth bracket
+    over all coordinates) and `r` (their Euclidean norm).  A bare prefix
+    stands for the one coordinate that carries it: over (x0, y0, theta0) a
+    formula may write x, y and theta, while over (x0, x1) a bare x is
+    undefined.  The names are read from the formula's tokens before sympy
+    evaluates it, so any other name, a string literal or a factorial `!`
+    raises ValueError naming it, as does text that does not parse or a
+    result that is not a finite expression.
     """
     local = {str(v): v for v in variables}
     prefixes = [str(v).rstrip("0123456789") for v in variables]
     for prefix, v in zip(prefixes, variables):
         if prefix != str(v) and prefixes.count(prefix) == 1:
             local.setdefault(prefix, v)
-    local["lam"] = sp.sqrt(1 + sum(v ** 2 for v in variables))
-    local.update({"exp": sp.exp, "sin": sp.sin, "cos": sp.cos,
-                  "sqrt": sp.sqrt, "pi": sp.pi, "I": sp.I})
-    return sp.sympify(formula, locals=local)
+    norm2 = sum(v ** 2 for v in variables)
+    local.update(lam=sp.sqrt(1 + norm2), r=sp.sqrt(norm2), exp=sp.exp,
+                 log=sp.log, sin=sp.sin, cos=sp.cos, sqrt=sp.sqrt, pi=sp.pi,
+                 I=sp.I)
+    formula = formula.replace("\n", "")  # as sympify does before it parses
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(formula).readline))
+        undefined = sorted({tok.string for tok in tokens
+                            if tok.type == tokenize.NAME} - set(local))
+        if undefined:
+            raise ValueError(f"names undefined {', '.join(undefined)}")
+        for tok in tokens:
+            if tok.type == tokenize.STRING or tok.string == "!":
+                raise ValueError(f"{tok.string!r} is not allowed")
+        expr = sp.sympify(formula, locals=local)
+    except (tokenize.TokenError, SyntaxError, sp.SympifyError, TypeError,
+            AttributeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"bad formula {formula!r}: {exc}") from exc
+    if not isinstance(expr, sp.Expr):
+        raise ValueError(f"formula {formula!r} is not an expression")
+    if expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+        raise ValueError(f"formula {formula!r} is not finite")
+    return expr
 
 
-def check_names(expr, variables: Sequence[sp.Symbol]):
-    """`expr`, after checking that every symbol it names is one of
-    `variables`; ValueError naming the others."""
-    stray = sp.sympify(expr).free_symbols - set(variables)
+def check_names(expr, variables: Sequence[sp.Symbol]) -> sp.Expr:
+    """`expr` as a sympy expression that names no symbol outside
+    `variables`.  Text goes through `parse_scalar_expr`; a sympy expression
+    or a number through sympify in strict mode, which reads no text, and a
+    symbol outside `variables` raises ValueError naming it."""
+    if isinstance(expr, str):
+        return parse_scalar_expr(expr, variables)
+    expr = sp.sympify(expr, strict=True)
+    stray = expr.free_symbols - set(variables)
     if stray:
         raise ValueError(
             f"{expr} names {', '.join(sorted(map(str, stray)))}, not among "

@@ -646,15 +646,15 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     xv, phi_yt, a_yt, f_expr = _at_point(a, phi, f, x)
     yv, tv = phi.yvars[0], phi.tvars[0]
 
-    core = sp.exp(sp.I * phi_yt) * a_yt * f_expr
-    core_fn = lambdify((yv, tv), core)
     f_fn = lambdify(yv, f_expr)
     aenv_fn = lambdify((yv, tv), sp.Abs(a_yt))
     # S(theta) = phi + y theta; y-free exactly when d phi / dy = -theta
     s_t = sp.expand(phi_yt + yv * tv)
-    theta_fn = None
+    theta_fn = core_fn = None
     if yv not in s_t.free_symbols | a_yt.free_symbols:
         theta_fn = lambdify(tv, sp.exp(sp.I * s_t) * a_yt)
+    else:  # the tensor route's integrand
+        core_fn = lambdify((yv, tv), sp.exp(sp.I * phi_yt) * a_yt * f_expr)
     quadrature = []
 
     f_rad = _decay_radius(lambda r: np.abs(np.broadcast_to(f_fn(r), r.shape)),
@@ -883,8 +883,8 @@ def _ibp_integrand(u_fn, phase_fn, ratio_fn, kfold):
         with np.errstate(all="ignore"):
             ratio = np.broadcast_to(
                 np.asarray(ratio_fn(Y, T), dtype=float), Y.shape)
-            vals = np.where(ratio < 2.0, chi(ratio), 0.0) \
-                * np.asarray(u_fn(Y, T), dtype=complex)
+            # chi is exactly 0 where the ratio is >= 2 or NaN
+            vals = chi(ratio) * np.asarray(u_fn(Y, T), dtype=complex)
             outer = ratio >= 2.0
             annulus = ~(outer | (ratio <= 1.0))
             for m, with_omega in ((outer, False), (annulus, True)):

@@ -17,7 +17,7 @@ import numpy as np
 import sympy as sp
 
 from .expressions import (check_names, coord_symbols, diff_multi, evaluate,
-                          multi_indices, parse_scalar_expr)
+                          multi_indices)
 from .grids import GridSpec
 from .weights import bracket
 
@@ -97,10 +97,8 @@ class GeneratingFunction:
         symbol raises ValueError."""
         xvars = coord_symbols("x", n)
         tvars = coord_symbols("theta", n)
-        if isinstance(expr, str):
-            expr = parse_scalar_expr(expr, xvars + tvars)
-        expr = check_names(sp.sympify(expr), xvars + tvars)
-        return cls(n=n, expr=expr, xvars=xvars, tvars=tvars)
+        return cls(n=n, expr=check_names(expr, xvars + tvars), xvars=xvars,
+                   tvars=tvars)
 
 
 @dataclass

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 import sympy
 
 try:
@@ -47,8 +46,7 @@ from .phases import (GeneratingFunction, quadratic_generating, special_phase,
                      verify_G2, verify_G3, verify_H2, verify_H3)
 from .symbols import SymbolField, seminorm_estimate
 from .weights import DEFAULT_CONVENTION, parse_weight
-from .expressions import (check_names, coord_symbols, multi_indices,
-                          parse_scalar_expr)
+from .expressions import coord_symbols, multi_indices, parse_scalar_expr
 
 
 class ScenarioError(Exception):
@@ -136,15 +134,7 @@ def _weight(text: str) -> str:
 
 
 def _formula(text: str, variables) -> sympy.Expr:
-    try:
-        expr = parse_scalar_expr(text, variables)
-    except (sympy.SympifyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"bad formula {text!r}: {exc}") from exc
-    if not isinstance(expr, sympy.Expr):
-        raise ValueError(f"formula {text!r} is not an expression")
-    if expr.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
-        raise ValueError(f"formula {text!r} is not finite")
-    return check_names(expr, variables)
+    return parse_scalar_expr(text, variables)
 
 
 def _generating(text: str, variables):
@@ -502,7 +492,7 @@ def run_scenario(path, out_dir: Optional[str] = None,
         scenario_hash=digest,
         lambda_convention=DEFAULT_CONVENTION.value,
         module_versions={"fiolab": __version__, **{
-            m.__name__: m.__version__ for m in (np, scipy, sympy)}},
+            m.__name__: m.__version__ for m in (np, sympy)}},
         grids={"x": xg.descriptor(), "y": xg.descriptor(),
                "theta": xg.dual().descriptor()},
         config=cfg.record,

@@ -12,8 +12,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import sympy as sp
 
-from .expressions import (check_names, coord_symbols, diff_multi, evaluate,
-                          parse_scalar_expr)
+from .expressions import check_names, coord_symbols, diff_multi, evaluate
 from .grids import GridSpec
 from .weights import (WeightSpec, bracket, constant_weight, lambda_weight,
                       weight_product)
@@ -58,12 +57,10 @@ class SymbolField:
     @classmethod
     def from_expr(cls, expr, variables, weight=None, rho=0.0):
         variables = tuple(variables)
-        if isinstance(expr, str):
-            expr = parse_scalar_expr(expr, variables)
         if weight is None:
             weight = constant_weight(1.0, len(variables))
         return cls(variables=variables, weight=weight, rho=rho,
-                   expr=sp.sympify(expr))
+                   expr=check_names(expr, variables))
 
     @classmethod
     def constant(cls, value, dim, weight=None):
@@ -71,29 +68,26 @@ class SymbolField:
         if weight is None:
             weight = constant_weight(1.0, dim)
         return cls(variables=variables, weight=weight, rho=0.0,
-                   expr=sp.sympify(value))
+                   expr=check_names(value, variables))
 
 
 def as_expr(a, variables: Sequence[sp.Symbol]) -> sp.Expr:
     """`a` as a sympy expression over the caller's `variables`.
 
     `a` is a formula string, a sympy expression, a SymbolField on as many
-    coordinates (renamed to `variables`) or a number.  A number is parsed
-    from its repr: sympify(0.1 + 0.2) would keep only 15 digits and
-    lambdify to 0.3.  A symbol outside `variables` raises ValueError.
+    coordinates (renamed to `variables`) or a number.  A string, or a
+    number as its repr, goes through `parse_scalar_expr`: sympify(0.1 + 0.2)
+    would keep only 15 digits and lambdify to 0.3, and the repr of inf or
+    nan is rejected.  A symbol outside `variables` raises ValueError.
     """
-    if isinstance(a, str):
-        expr = parse_scalar_expr(a, variables)
-    elif isinstance(a, SymbolField):
+    if isinstance(a, SymbolField):
         if a.dim != len(variables):
             raise ValueError(
                 f"field must live on {len(variables)} coordinates")
-        expr = a.expr.xreplace(dict(zip(a.variables, variables)))
-    elif isinstance(a, sp.Expr):
-        expr = a
-    else:
-        return sp.sympify(repr(complex(a)))
-    return check_names(expr, variables)
+        a = a.expr.xreplace(dict(zip(a.variables, variables)))
+    elif not isinstance(a, (str, sp.Expr)):
+        a = repr(complex(a))
+    return check_names(a, variables)
 
 
 def seminorm_estimate(a: SymbolField, alpha, grid: GridSpec) -> float:

@@ -6,7 +6,6 @@ explicit cap on the estimated C0.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -14,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 import sympy as sp
 
-from .expressions import evaluate
+from .expressions import evaluate, parse_scalar_expr
 
 
 class LambdaConvention(Enum):
@@ -161,10 +160,10 @@ def weight_product(w1: WeightSpec, w2: WeightSpec) -> WeightSpec:
 def parse_weight(tag: str, dim: int) -> WeightSpec:
     """Parse a config weight tag: `lambda:p=2`, `const:1`, `expr:<formula>`.
 
-    Expression formulas may use the components v1..vd, `r` (= |v|), `lam`
-    (the smooth bracket weight), `exp`, `sqrt` and arithmetic.  A formula
-    that does not parse, names anything else or is not a finite real
-    expression raises ValueError.
+    An `expr:` formula is read by `expressions.parse_scalar_expr` over the
+    components v1..vd, so it has the names and checks of every fiolab
+    formula (`r` is |v| and `lam` the smooth bracket weight); a formula
+    that fails them or is not real raises ValueError.
     """
     tag = tag.strip()
     if tag.startswith("lambda:"):
@@ -175,25 +174,10 @@ def parse_weight(tag: str, dim: int) -> WeightSpec:
     if tag.startswith("const:"):
         return constant_weight(float(tag[len("const:"):]), dim)
     if tag.startswith("expr:"):
-        formula = tag[len("expr:"):]
         comps = sp.symbols(f"v1:{dim + 1}")
-        r = sp.sqrt(sum(c ** 2 for c in comps))
-        lam = sp.sqrt(1 + sum(c ** 2 for c in comps))
-        local = {f"v{i + 1}": comps[i] for i in range(dim)}
-        local.update({"r": r, "lam": lam, "exp": sp.exp, "sqrt": sp.sqrt})
-        # identifiers only: the exponent of a literal such as 1e-3 is skipped
-        unknown = set(re.findall(r"\b[A-Za-z_]\w*", formula)) - set(local)
-        if unknown:
-            raise ValueError(f"weight formula {formula!r} names undefined "
-                             f"{sorted(unknown)}")
-        try:
-            expr = sp.sympify(formula, locals=local)
-        except (sp.SympifyError, TypeError) as exc:
-            raise ValueError(f"bad weight formula {formula!r}: {exc}") from exc
-        if (not isinstance(expr, sp.Expr) or expr.is_extended_real is False
-                or expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan)):
-            raise ValueError(
-                f"weight formula {formula!r} is not a finite real expression")
+        expr = parse_scalar_expr(tag[len("expr:"):], comps)
+        if expr.is_extended_real is False or expr.has(sp.I):
+            raise ValueError(f"weight {tag!r} is not real")
         return WeightSpec(dim=dim,
                           fn=lambda pts: evaluate(expr, comps, pts),
                           C0=None, l=None, tag=tag)

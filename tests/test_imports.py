@@ -89,16 +89,41 @@ def _definitions(tree):
         yield from ((name, node) for name in names)
 
 
+def _reads(module, tree):
+    """((module, name), node) of each read in `module` of a top-level name
+    of a fiolab module: a bare name, resolved through the module's
+    `from .m import name [as alias]` imports and otherwise its own, or
+    `m.name` on a module bound by `from . import m [as alias]`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = (node.module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield names.get(node.id, (module, node.id)), node
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            yield (modules[node.value.id], node.attr), node
+
+
 def test_no_dead_private_names():
     """Every module-level private name of fiolab, and every public one of a
-    module that fiolab/__init__.py does not re-export, is read somewhere in
-    fiolab outside its own definition: code kept alive for tests alone is
-    dead."""
+    module that fiolab/__init__.py does not re-export, is read in fiolab
+    outside its own definition: by its own module, or by another through
+    `from .module import name` or as `module.name`.  Code kept alive for
+    tests alone is dead."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in MODULES}
-    reads = [node for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-             or isinstance(node, ast.Attribute)]
+    reads = {}
+    for module, tree in trees.items():
+        for target, node in _reads(module, tree):
+            reads.setdefault(target, []).append(node)
     reexported = {node.module for node in ast.walk(trees["__init__"])
                   if isinstance(node, ast.ImportFrom) and node.level == 1}
     dead = []
@@ -108,7 +133,7 @@ def test_no_dead_private_names():
             if not (_is_private(name) or public and module not in reexported):
                 continue
             inside = {id(node) for node in ast.walk(definition)}
-            if not any(getattr(node, "id", getattr(node, "attr", None)) == name
-                       and id(node) not in inside for node in reads):
+            if all(id(node) in inside
+                   for node in reads.get((module, name), [])):
                 dead.append(f"{module}.{name}")
     assert dead == []

@@ -14,6 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -134,7 +135,8 @@ class TestCli:
             "symbol.weight=expr:q*v1", "symbol.weight=expr:v3",
             "symbol.weight=expr:v1.z", "symbol.weight=expr:1/0",
             "symbol.weight=expr:v1/0",
-            "symbol.weight=expr:I", "symbol.weight=expr:-1",
+            "symbol.weight=expr:I", "symbol.weight=expr:I*v1+2",
+            "symbol.weight=expr:-1",
             "symbol.weight=lambda:p=1e300")],
         *[("multiplier_norm", f"{CV_CHECK} {o}") for o in (
             "cv.points=1", "cv.radius=-2", "cv.radius=nan", "cv.k=-1",
@@ -535,6 +537,48 @@ class TestSchema:
         assert "y%2" in seen
         assert str(cfg["oscint", "f"]) == "Mod(y0, 2)"
 
+    @pytest.mark.parametrize("formula", ["foo({0})", "gamma({1})", "{0}!"])
+    @pytest.mark.parametrize("entry, prefix, names", [
+        ("symbol.a", "", "x theta"),
+        ("oscint.a", "", "y theta"),
+        ("oscint.f", "", "y y"),
+        ("cv.sigma", "", "x xi"),
+        ("phase.generating", "expr:", "x theta"),
+        ("symbol.weight", "expr:", "v1 v2"),
+    ])
+    def test_formula_outside_the_language_exits_two(self, tmp_path, capsys,
+                                                    formula, entry, prefix,
+                                                    names):
+        """An undefined function, a sympy name outside the name list and a
+        factorial, in each formula entry's own coordinates."""
+        name, selected = _READERS[entry.partition(".")[0]]
+        args = ["run", name, "--out-dir", str(tmp_path)]
+        for override in (*selected,
+                         f"{entry}={prefix}{formula.format(*names.split())}"):
+            args += ["--override", override]
+        assert main(args) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_formula_is_not_run_as_python(self, tmp_path, capsys):
+        ran = tmp_path / "ran"
+        formula = f'__import__("pathlib").Path("{ran}").touch()'
+        assert main(["run", "multiplier_norm", "--out-dir",
+                     str(tmp_path / "out"), "--override",
+                     f"symbol.a={formula}"]) == 2
+        assert "names undefined Path, __import__, touch" in \
+            capsys.readouterr().err
+        assert not ran.exists()
+
+    def test_one_formula_language(self):
+        """An `expr:` weight and a formula entry accept the same names."""
+        cfg, _ = load_scenario(cfg_path("ffstar_gaussian"), [
+            "symbol.weight=expr:sin(v1)+2", "symbol.a=1/(1+r)",
+            "oscint.f=y%2"])
+        x, theta = GeneratingFunction.from_expr("x*theta", 1).variables
+        assert cfg["symbol", "a"] == 1 / (1 + sympy.sqrt(x ** 2 + theta ** 2))
+        assert str(cfg["oscint", "f"]) == "Mod(y0, 2)"
+        assert cfg["symbol", "weight"] == "expr:sin(v1)+2"
+
     def test_symbol_a_defaults_to_one_with_a_symbol_section(self, tmp_path):
         """chirp_phase has no [symbol] section; an override that makes one
         keeps a = 1."""
@@ -571,7 +615,7 @@ _READERS = {
 
 #: malformed entry texts; none is large, so no size entry (M, points,
 #: count, tail_index, max_order, k) asks for a large dense matrix
-_MALFORMED = ("", "abc", "nan", "-inf", "-1", "0", "%")
+_MALFORMED = ("", "abc", "nan", "-inf", "-1", "0", "%", "foo(x)", "x!")
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,

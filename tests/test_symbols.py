@@ -172,6 +172,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="x1"):
             as_expr(a, (x0,))
 
+    @pytest.mark.parametrize("a", [
+        "x1*xi", sp.Symbol("x1") * sp.Symbol("xi0", real=True)])
+    def test_from_expr_rejects_names_outside_its_variables(self, a):
+        with pytest.raises(ValueError, match="x1"):
+            SymbolField.from_expr(a, coord_symbols("x", 1)
+                                  + coord_symbols("xi", 1))
+
+    @pytest.mark.parametrize("a", [float("inf"), float("nan")])
+    def test_as_expr_rejects_a_number_that_is_not_finite(self, a):
+        with pytest.raises(ValueError, match="names undefined"):
+            as_expr(a, coord_symbols("x", 1))
+
 
 class TestParsePrefixes:
     def test_bare_prefix_names_the_single_coordinate(self):
@@ -180,5 +192,5 @@ class TestParsePrefixes:
 
     def test_shared_prefix_stays_undefined(self):
         xs = coord_symbols("x", 2)
-        expr = parse_scalar_expr("x + x1", xs)
-        assert expr.free_symbols - set(xs)
+        with pytest.raises(ValueError, match="names undefined x$"):
+            parse_scalar_expr("x + x1", xs)
