@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import sympy as sp
@@ -121,20 +122,30 @@ def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
     The (x, theta) point list lives only while S and a are evaluated on it,
     and E is scaled in place: a real amplitude stays real, and numpy casts
     it to complex inside the multiply, so the bits are those of a complex
-    one."""
+    one.  A value of e^{iS} a that is not finite raises ValueError naming
+    the amplitude and the first (x, theta) node where it is, without a
+    numpy warning."""
     th = theta_grid.mesh()
     n = S.n
     xt = np.empty((len(x_points), len(th), 2 * n))
     xt[..., :n] = x_points[:, None, :]
     xt[..., n:] = th[None, :, :]
     svals = evaluate(S.expr, S.variables, xt)
-    avals = evaluate(as_expr(a, S.variables), S.variables, xt)
+    a_expr = as_expr(a, S.variables)
+    avals = evaluate(a_expr, S.variables, xt)
     del xt
     e = 1j * svals
     del svals
-    np.exp(e, out=e)
-    e *= avals
+    with np.errstate(all="ignore"):
+        np.exp(e, out=e)
+        e *= avals
     del avals
+    if not np.isfinite(e).all():
+        i, k = np.argwhere(~np.isfinite(e))[0]
+        raise ValueError(
+            f"the amplitude a = {a_expr} gives e^(iS) a = {e[i, k]} at x = "
+            f"{x_points[i].tolist()}, theta = {th[k].tolist()}, which is "
+            f"not finite")
     tau = _theta_taper(theta_grid, taper)
     w = theta_grid.spacing ** theta_grid.dim / (2.0 * np.pi) ** theta_grid.dim
     e *= (tau * w)[None, :]
@@ -184,7 +195,9 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                    y_grid: GridSpec, theta_grid: GridSpec,
                    route: Route = Route.KERNEL,
                    taper: bool = True) -> DiscreteOperator:
-    """Dense matrix of the operator, by the requested build route."""
+    """Dense matrix of the operator, by the requested build route.  An
+    e^{iS} a that is not finite at a node, or a matrix entry that
+    overflows, raises ValueError without a numpy warning."""
     if x_grid.dim != S.n or y_grid.dim != S.n or theta_grid.dim != S.n:
         raise GridMismatchError("grid dimensions must match the phase")
     if route is Route.SPECTRAL:
@@ -205,14 +218,22 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
         p = _quadrature_synthesis_matrix(y_grid, theta_grid)
     x_points = x_grid.mesh()
     matrix = np.empty((len(x_points), p.shape[1]), dtype=complex)
-    for start in range(0, len(x_points), _BUILD_ROWS):
-        rows = slice(start, start + _BUILD_ROWS)
-        e = _phase_amp_matrix(S, a, x_points[rows], theta_grid, taper)
-        np.matmul(e, p, out=matrix[rows])
-    del e, p
-    matrix /= y_grid.spacing ** y_grid.dim  # drop dy: folded below
-    matrix *= np.sqrt(x_grid.spacing ** x_grid.dim)
-    matrix *= np.sqrt(y_grid.spacing ** y_grid.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(x_points), _BUILD_ROWS):
+            rows = slice(start, start + _BUILD_ROWS)
+            e = _phase_amp_matrix(S, a, x_points[rows], theta_grid, taper)
+            np.matmul(e, p, out=matrix[rows])
+        del e, p
+        matrix /= y_grid.spacing ** y_grid.dim  # drop dy: folded below
+        matrix *= np.sqrt(x_grid.spacing ** x_grid.dim)
+        matrix *= np.sqrt(y_grid.spacing ** y_grid.dim)
+    # a finite E can still overflow in the sums over theta
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        raise ValueError(
+            f"the operator matrix overflows: its entry at x = "
+            f"{x_points[i].tolist()}, y = {y_grid.mesh()[j].tolist()} is "
+            f"{matrix[i, j]}")
     prov = {
         "route": route.value,
         "config": _config_hash({
@@ -297,16 +318,67 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
     raise IterationError("power iteration did not converge in 10000 steps")
 
 
+#: `singular_values` drops Im K when ||Im K||_F <= _REAL_SVD_TOL ||K||_F /
+#: sqrt(min(m, n)); since ||K||_F <= sqrt(min(m, n)) sigma_max, that moves
+#: no singular value by more than _REAL_SVD_TOL sigma_max
+_REAL_SVD_TOL = 1e-12
+
+
+def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
+    """(whether Im K is below the `_REAL_SVD_TOL` rule, max|K|,
+    ||Im K||_F / max|K|).
+
+    Both Frobenius norms are taken of K / max|K|, whose entries are at most
+    1, so neither overflows nor underflows, and summed by numpy rather than
+    BLAS, so they do not depend on the BLAS thread count.  A K with an
+    entry that is not finite is never below the rule, and its ratio is
+    nan."""
+    def frobenius(part):
+        return math.sqrt(float(np.einsum("ij,ij->", part, part)))
+
+    magnitude = np.abs(matrix)
+    scale = float(np.max(magnitude))
+    if not np.isfinite(scale):
+        return False, scale, float("nan")
+    if scale == 0.0:
+        return True, 0.0, 0.0
+    magnitude /= scale
+    imag = frobenius(matrix.imag / scale)
+    return (imag <= _REAL_SVD_TOL * frobenius(magnitude)
+            / math.sqrt(min(matrix.shape))), scale, imag
+
+
 def singular_values(F: DiscreteOperator,
                     count: Optional[int] = None) -> np.ndarray:
     """The singular values in decreasing order, the first `count` of them
-    when count is given (a negative count raises ValueError)."""
+    when count is given (a negative count raises ValueError).
+
+    A kernel that is real up to rounding, ||Im K||_F <= 1e-12 ||K||_F /
+    sqrt(min(m, n)), has its SVD taken in real arithmetic, at about half
+    the cost: by Weyl's inequality for singular values (Golub and Van Loan,
+    Matrix Computations, 4th ed., Cor. 8.6.2), |sigma_j(K) - sigma_j(Re K)|
+    <= ||Im K||_2 <= 1e-12 sigma_max.  Any other kernel, and one with an
+    entry that is not finite, is decomposed as it is.  `svd_record` says
+    which arithmetic was used and what it can have cost."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
     if max(F.matrix.shape) > 4096:
         raise ValueError("dense decomposition capped at 4096")
-    s = np.linalg.svd(F.matrix, compute_uv=False)
+    real = _imag_part(F.matrix)[0]
+    s = np.linalg.svd(F.matrix.real if real else F.matrix, compute_uv=False)
     return s[:count] if count is not None else s
+
+
+def svd_record(F: DiscreteOperator, sigma_max: float) -> dict:
+    """How `singular_values` decomposed F, given its largest singular value:
+    "arithmetic", "real" or "complex", and "imag_bound" = ||Im K||_F /
+    sigma_max, which bounds by how much of sigma_max dropping Im K can
+    have moved any singular value (recorded for both arithmetics; 0 for a
+    zero matrix)."""
+    real, scale, imag = _imag_part(F.matrix)
+    return {"arithmetic": "real" if real else "complex",
+            "imag_bound": imag * (scale / sigma_max) if sigma_max > 0.0
+            else 0.0}
 
 
 def save_operator(F: DiscreteOperator, path: str) -> None:

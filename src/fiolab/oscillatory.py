@@ -261,15 +261,17 @@ class OscIntegralResult:
     tail_mass: Optional[float] = None
     #: one record per regularized quadrature, in the order they ran (the
     #: sigma schedule, then the cutoff-gap pass): sigma, cutoff kind, grid
-    #: sizes ny x nt and the route that summed it: "tensor", or on the
+    #: sizes ny x nt, whether the point cap on an axis widened its step
+    #: ("capped") and the route that summed it: "tensor", or on the
     #: special route "separable" (Gaussian cutoff, every column factored)
     #: or "split" (smooth bump), whose record also counts its theta columns
     #: by class under "columns": "separable", "transition" and "zero"
     quadrature: List[dict] = field(default_factory=list)
     #: the choices `fio_apply_ibp` made for the caller: the partition
     #: threshold "eps0", psi's radius "s0" and support edge "local_radius"
-    #: (sqrt(2) s0), "psi_split" (k > 0), and for the local grid the step
-    #: asked for ("local_step_asked"), the step of the grid used
+    #: (sqrt(2) s0), "psi_split" (k > 0), whether the point cap widened a
+    #: step of the coarse grid ("coarse_cap_hit"), and for the local grid
+    #: the step asked for ("local_step_asked"), the step of the grid used
     #: ("local_step") and whether the point cap widened it
     #: ("local_cap_hit"); the three local entries are None without a split
     decisions: dict = field(default_factory=dict)
@@ -442,18 +444,20 @@ def _axis(radius: float, step: float, cap: int = 8192):
 
 def _grid(phi: PhaseField, xv: float, ry: float, rt: float, margin: float,
           y_floor: float = 0.0):
-    """The trapezoid axes of the box [-ry, ry] x [-rt, rt] at x, and the
-    step for the larger of their frequencies.  An axis's step is
-    2 pi / (freq + margin) with freq the largest |d phi| in its variable on
-    a 21 x 21 grid of the box (on y at least y_floor)."""
+    """The trapezoid axes of the box [-ry, ry] x [-rt, rt] at x, the step
+    for the larger of their frequencies, and whether `_axis`'s point cap
+    widened either axis's step.  An axis's step is 2 pi / (freq + margin)
+    with freq the largest |d phi| in its variable on a 21 x 21 grid of the
+    box (on y at least y_floor)."""
     pts = np.stack([np.full(441, xv),
                     np.repeat(np.linspace(-ry, ry, 21), 21),
                     np.tile(np.linspace(-rt, rt, 21), 21)], axis=-1)
     freq_y = float(np.max(np.abs(phi.grad_y(pts))))
     freq_t = float(np.max(np.abs(phi.grad_theta(pts))))
-    y_ax, _ = _axis(ry, 2.0 * np.pi / (max(freq_y, y_floor) + margin))
-    t_ax, _ = _axis(rt, 2.0 * np.pi / (freq_t + margin))
-    return y_ax, t_ax, 2.0 * np.pi / (max(freq_y, freq_t) + margin)
+    y_ax, y_capped = _axis(ry, 2.0 * np.pi / (max(freq_y, y_floor) + margin))
+    t_ax, t_capped = _axis(rt, 2.0 * np.pi / (freq_t + margin))
+    return (y_ax, t_ax, 2.0 * np.pi / (max(freq_y, freq_t) + margin),
+            y_capped or t_capped)
 
 
 def _tiled_quadrature(fn, y_ax, t_ax):
@@ -676,14 +680,14 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
             envelope, start=rt0, var="theta",
             name="the a-envelope (max over y of |a| times the cutoff)")
 
-        y_ax, t_ax, _ = _grid(phi, xv, ry, rt, 12.0, y_floor=rt)
+        y_ax, t_ax, _, capped = _grid(phi, xv, ry, rt, 12.0, y_floor=rt)
 
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
             return vals * cut.at_r2(x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
 
         record = {"sigma": sigma, "cutoff": cut.kind.value,
-                  "ny": len(y_ax), "nt": len(t_ax)}
+                  "ny": len(y_ax), "nt": len(t_ax), "capped": capped}
         # a huge x saturates the cutoff to 0; a non-finite integrand is
         # caught below, by the value it gives
         with np.errstate(all="ignore"):
@@ -960,7 +964,8 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
     the quantity whose decay order improves with k.  `decisions` records
-    eps0, s0, the local radius and the local grid's step.
+    eps0, s0, the local radius, whether the point cap widened the coarse
+    grid's step and the local grid's step.
     Both grids are summed by `_tiled_quadrature` in forked tile shares on
     every allowed CPU; the value and `tail_mass` are the ones a single
     process gives, bit for bit.
@@ -1001,7 +1006,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
             f"R = {R:g}")
     psi = _psi(s0)
 
-    y_ax, t_ax, h_fine = _grid(phi, xv, R, R, 64.0)
+    y_ax, t_ax, h_fine, coarse_capped = _grid(phi, xv, R, R, 64.0)
 
     def coarse_integrand(Y, T):
         vals = integrand_values(Y, T)
@@ -1014,7 +1019,8 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     val, tail = _tiled_quadrature(coarse_integrand, y_ax, t_ax)
 
     decisions = {"eps0": float(eps0), "s0": s0, "local_radius": local_radius,
-                 "psi_split": k > 0, "local_step_asked": None,
+                 "psi_split": k > 0, "coarse_cap_hit": coarse_capped,
+                 "local_step_asked": None,
                  "local_step": None, "local_cap_hit": None}
     if k > 0:
         h_loc = min(float(np.sqrt(eps0)) / 128.0, h_fine)

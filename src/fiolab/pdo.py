@@ -18,7 +18,8 @@ import numpy as np
 
 from .expressions import evaluate, multi_indices
 from .grids import GridSpec
-from .operators import DiscreteOperator, operator_norm, singular_values
+from .operators import (DiscreteOperator, operator_norm, singular_values,
+                        svd_record)
 from .phases import GeneratingFunction
 from .symbols import SymbolField, as_expr
 
@@ -80,6 +81,9 @@ class CompactnessReport:
     plateau_fine: int
     spectrum_coarse: np.ndarray
     spectrum_fine: np.ndarray
+    #: `svd_record` of each side's SVD
+    svd_coarse: dict
+    svd_fine: dict
 
 
 def predicted_symbol(S: GeneratingFunction, a, x, theta,
@@ -264,10 +268,16 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     NONCOMPACT-CONSISTENT: the plateau count (s_j >= 0.5 * s_max) grows by
     a factor >= 1.3 under refinement.  COMPACT-CONSISTENT: the value at a
     fixed tail index is < 0.01 at both resolutions and stable within 10%.
-    Anything else: INCONCLUSIVE.  The report carries both spectra.
+    Anything else: INCONCLUSIVE.  The report carries both spectra and how
+    each SVD was taken: `singular_values` decomposes a kernel that is real
+    up to rounding in real arithmetic, which moves each singular value by
+    at most ||Im K||_F (Weyl's inequality), recorded relative to sigma_max
+    as "imag_bound" and at most 1e-12 on that path.
     """
     sc = singular_values(F_coarse)
     sf = singular_values(F_fine)
+    records = (svd_record(F_coarse, float(sc[0])),
+               svd_record(F_fine, float(sf[0])))
     if tail_index is None:
         tail_index = int(0.8 * len(sc))
     if not 0 <= tail_index < len(sc):
@@ -276,7 +286,7 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     smax = max(float(sc[0]), float(sf[0]))
     if smax == 0.0:
         return CompactnessReport("COMPACT-CONSISTENT", tail_index,
-                                 0.0, 0.0, 0, 0, sc, sf)
+                                 0.0, 0.0, 0, 0, sc, sf, *records)
     pc = int(np.sum(sc >= 0.5 * smax))
     pf = int(np.sum(sf >= 0.5 * smax))
     tc = float(sc[tail_index])
@@ -291,5 +301,6 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     return CompactnessReport(verdict=verdict, tail_index=tail_index,
                              tail_coarse=tc, tail_fine=tf,
                              plateau_coarse=pc, plateau_fine=pf,
-                             spectrum_coarse=sc, spectrum_fine=sf)
+                             spectrum_coarse=sc, spectrum_fine=sf,
+                             svd_coarse=records[0], svd_fine=records[1])
 

@@ -39,7 +39,8 @@ from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                           regularized_fio_apply)
 from .operators import (DiscreteOperator, IterationError, Route, adjoint,
                         apply, compose, discretize_fio, gaussian_samples,
-                        operator_norm, save_operator, singular_values)
+                        operator_norm, save_operator, singular_values,
+                        svd_record)
 from .pdo import (NewtonError, Which, compactness_probe, compare_symbols,
                   cv_bound_check, cv_seminorm)
 from .phases import (GeneratingFunction, quadratic_generating, special_phase,
@@ -243,10 +244,12 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path):
 
 
 def _op_spectrum(cfg, ctx, out_dir: Path):
-    s = singular_values(_operator(cfg, ctx), cfg["spectrum", "count"] or None)
+    F = _operator(cfg, ctx)
+    s = singular_values(F, cfg["spectrum", "count"] or None)
     _write_csv(out_dir / "spectrum.csv", ["index", "singular_value"],
                enumerate(s.tolist()))
-    return True, {"count": len(s), "top": float(s[0]) if len(s) else 0.0}
+    return True, {"count": len(s), "top": float(s[0]),
+                  "svd": svd_record(F, float(s[0]))}
 
 
 def _op_oscint(cfg, ctx, out_dir: Path):
@@ -334,6 +337,8 @@ def _op_compactness(cfg, ctx, out_dir: Path):
         "tail_fine": report.tail_fine,
         "plateau_coarse": report.plateau_coarse,
         "plateau_fine": report.plateau_fine,
+        "svd_coarse": report.svd_coarse,
+        "svd_fine": report.svd_fine,
     }
 
 

@@ -1,6 +1,8 @@
-"""Truncated Taylor jet arithmetic against sympy's exact Taylor coefficients
-of random polynomials: products, quotients, composition and the transpose
-step T, on jets whose rows are arrays over the points or Python numbers."""
+"""Truncated Taylor jet arithmetic against the exact Taylor coefficients of
+random polynomials and their quotients, from exact polynomial arithmetic
+over the Gaussian rationals: products, quotients, composition and the
+transpose step T, on jets whose rows are arrays over the points or Python
+numbers."""
 import math
 
 import numpy as np
@@ -30,17 +32,29 @@ def polynomials(draw, degree=3):
                     for d in range(degree + 1) for a in range(d + 1)))
 
 
-def taylor(expr, order):
-    """d_y^a d_t^b expr / (a! b!) at each of POINTS, for (a, b) in
-    `jet_indices(order)`: shape (ncoef, points), complex."""
-    derivative = {(0, 0): sp.sympify(expr)}
+def poly(expr):
+    """expr as an exact polynomial in (y, t) over the Gaussian rationals."""
+    return sp.Poly(expr, Y, T, domain=sp.QQ_I)
+
+
+def taylor(num, order, den=1):
+    """d_y^a d_t^b (num/den) / (a! b!) at each of POINTS, for (a, b) in
+    `jet_indices(order)`: shape (ncoef, points), complex.  num and den are
+    polynomials, and each derivative of the quotient is held exactly as a
+    polynomial N over a power den^m, from num/den^1 by
+    d(N/D^m) = (dN D - m N dD)/D^(m+1) (for den = 1 the derivatives of
+    num)."""
+    num, den = poly(num), poly(den)
+    derivative = {(0, 0): (num, 1)}
     for a, b in jets.jet_indices(order)[1:]:
-        derivative[a, b] = (derivative[a, b - 1].diff(T) if b
-                            else derivative[a - 1, 0].diff(Y))
-    return np.array([[complex(derivative[a, b].xreplace({Y: y, T: t})
+        var = T if b else Y
+        n, m = derivative[a, b - 1] if b else derivative[a - 1, 0]
+        derivative[a, b] = (n.diff(var) * den - m * n * den.diff(var), m + 1)
+    return np.array([[complex(n(y, t) / den(y, t) ** m
                               / (math.factorial(a) * math.factorial(b)))
                       for y, t in POINTS]
-                     for a, b in jets.jet_indices(order)])
+                     for (n, m), (a, b) in zip(derivative.values(),
+                                               jets.jet_indices(order))])
 
 
 def rows(expr, order):
@@ -91,7 +105,7 @@ def test_multiply_matches_taylor_coefficients(order, f_re, f_im, g_re, g_im,
     g = with_imaginary(g_re, g_im, parts[1])
     got = jets.multiply(rows(f, order), rows(g, order), order)
     assert len(got) == len(jets.jet_indices(order))
-    assert_matches(got, taylor(f * g, order))
+    assert_matches(got, taylor(poly(f) * poly(g), order))
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,9 +131,9 @@ def test_divergence_power_matches_taylor_coefficients(k, w_re, w_im, c_y,
     # T w = d_y(c_y w) + d_t(c_t w), applied k times; c is read interleaved
     w = with_imaginary(w_re, w_im, is_complex)
     c = [row for pair in zip(rows(c_y, k), rows(c_t, k)) for row in pair]
-    want = w
+    want, cy, ct = poly(w), poly(c_y), poly(c_t)
     for _ in range(k):
-        want = (c_y * want).diff(Y) + (c_t * want).diff(T)
+        want = (cy * want).diff(Y) + (ct * want).diff(T)
     assert_matches(jets.divergence_power(c, rows(w, k), k),
                    taylor(want, 0)[0])
 
@@ -137,7 +151,7 @@ def test_divide_matches_taylor_coefficients(order, p_re, p_im, f_re, f_im,
     assume(all(p.xreplace({Y: y, T: t}) != 0 for y, t in POINTS))
     f = None if f_re is None else with_imaginary(
         f_re, f_im, parts in ("complex f", "both"))
-    want = taylor((1 if f is None else f) / p, order)
+    want = taylor(1 if f is None else f, order, den=p)
     f_rows = ([1.0] + [0.0] * (len(want) - 1) if f is None
               else rows(f, order))
     got = jets.divide(f_rows, rows(p, order), order)

@@ -1,15 +1,17 @@
 """Discretized operators: kernel evaluation, routes, algebra, norms, I/O."""
+import contextlib
 import functools
 import json
 import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +23,7 @@ from fiolab.operators import (AlignmentError, DiscreteOperator,
                               OperatorFormatError, Route, adjoint, apply,
                               compose, discretize_fio, gaussian_samples,
                               kernel_eval, load_operator, operator_norm,
-                              save_operator, singular_values)
+                              save_operator, singular_values, svd_record)
 from fiolab.oscillatory import fio_apply_ibp
 from fiolab.pdo import predicted_symbol
 from fiolab.phases import GeneratingFunction, special_phase
@@ -140,6 +142,33 @@ def point_list_matrix(S, a, grid, route):
     else:
         p = np.exp(-1j * (th @ xs.T)) * dy
     return np.sqrt(dy) * (e @ p / dy) * np.sqrt(dy)
+
+
+class TestNonFiniteAmplitude:
+    """e^{iS} a that is not finite at a node: a ValueError naming the
+    amplitude and the first such node, and no numpy warning."""
+
+    @pytest.mark.parametrize("route", Route)
+    def test_build_names_the_first_node(self, S_xt, grid256, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"amplitude a = 1/x0 gives e\^\(iS\) a = .* at x = "
+                    r"\[0\.0\], theta = \[-50\.26.*\], which is not finite")):
+                discretize_fio(S_xt, "1/x", grid256, grid256, grid256.dual(),
+                               route)
+
+    @pytest.mark.parametrize("route", Route)
+    def test_overflowing_matrix_names_its_first_entry(self, S_xt, grid256,
+                                                       route):
+        # e^{iS} a is finite, the sums over theta overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"operator matrix overflows: its entry at x = \[-8\.0\], "
+                    r"y = \[-8\.0\] is ")):
+                discretize_fio(S_xt, "1e308", grid256, grid256,
+                               grid256.dual(), route)
 
 
 class TestInPlaceBuild:
@@ -265,6 +294,117 @@ class TestNorms:
                                 grid256.dual(), Route.SPECTRAL)
         assert operator_norm(scaled) == pytest.approx(
             c * operator_norm(F), rel=1e-6)
+
+
+def svd_rounding(matrix) -> float:
+    """A bound on LAPACK's own error in one singular value, relative to
+    sigma_max: a small multiple of n eps."""
+    return 8.0 * max(matrix.shape) * np.finfo(float).eps
+
+
+class TestRealArithmeticSvd:
+    """A kernel that is real up to rounding has its SVD taken of Re K: each
+    singular value moves by at most ||Im K||_2 (Weyl), which the record
+    bounds by ||Im K||_F / sigma_max; any other kernel keeps its bits."""
+
+    @pytest.mark.parametrize("a, R", [("1/lam", 4.0), ("1", 8.0)],
+                             ids=["compact_decay", "noncompact_identity"])
+    @pytest.mark.parametrize("M", [64, 128])
+    def test_bundled_kernels_within_the_recorded_bound(self, S_xt, a, R, M):
+        # the kernels of compact_decay and noncompact_identity, as the
+        # runner builds them, at small M
+        grid = GridSpec(1, R, M, dft_aligned=True)
+        F = discretize_fio(S_xt, a, grid, grid, grid.dual())
+        want = np.linalg.svd(F.matrix, compute_uv=False)
+        got = singular_values(F)
+        record = svd_record(F, float(got[0]))
+        assert record["arithmetic"] == "real"
+        assert record["imag_bound"] <= 1e-12
+        assert np.max(np.abs(got - want)) <= (
+            record["imag_bound"] + svd_rounding(F.matrix)) * want[0]
+
+    def test_complex_kernel_keeps_its_bits(self, chirp_op):
+        assert np.array_equal(
+            singular_values(chirp_op),
+            np.linalg.svd(chirp_op.matrix, compute_uv=False))
+        assert svd_record(chirp_op, 1.0)["arithmetic"] == "complex"
+
+    def test_huge_kernel_keeps_its_relative_spectrum(self, S_xt):
+        # ||K||_F of K * 1e300 overflows unless K is scaled first
+        grid = GridSpec(1, 4.0, 64, dft_aligned=True)
+        F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
+        huge = DiscreteOperator(1e300 * F.matrix, F.row_grid, F.col_grid,
+                                F.provenance)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(np.abs(huge.matrix) ** 2))
+        got = singular_values(huge)
+        record = svd_record(huge, float(got[0]))
+        assert record["arithmetic"] == "real"
+        assert record["imag_bound"] == pytest.approx(
+            svd_record(F, float(singular_values(F)[0]))["imag_bound"],
+            rel=1e-12)
+        want = np.linalg.svd(F.matrix, compute_uv=False)
+        assert np.max(np.abs(got / got[0] - want / want[0])) <= \
+            record["imag_bound"] + svd_rounding(F.matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
+    def test_non_finite_kernel_never_takes_the_real_path(self, monkeypatch,
+                                                         bad):
+        matrix = np.zeros((8, 8), dtype=complex)
+        matrix[3, 5] = bad
+        grid = GridSpec(1, 1.0, 8)
+        F = DiscreteOperator(matrix, grid, grid, {})
+        given = []
+        svd = np.linalg.svd
+
+        def spy(m, **kwargs):
+            given.append(m.dtype)
+            return svd(m, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        # LAPACK may fail to converge or return non-finite values
+        with np.errstate(all="ignore"), \
+                contextlib.suppress(np.linalg.LinAlgError):
+            singular_values(F)
+        assert given == [np.dtype(complex)]
+        assert svd_record(F, 1.0)["arithmetic"] == "complex"
+
+    def test_zero_kernel(self):
+        grid = GridSpec(1, 1.0, 8)
+        F = DiscreteOperator(np.zeros((8, 8), dtype=complex), grid, grid, {})
+        assert np.array_equal(singular_values(F), np.zeros(8))
+        assert svd_record(F, 0.0) == {"arithmetic": "real",
+                                      "imag_bound": 0.0}
+
+    @settings(max_examples=60, deadline=None)
+    @example(m=6, n=4, seed=0, log_delta=None)
+    @example(m=6, n=4, seed=0, log_delta=-16.0)
+    @example(m=6, n=4, seed=0, log_delta=-10.0)
+    @given(m=st.integers(2, 12), n=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 32 - 1),
+           log_delta=st.one_of(st.just(None), st.floats(-18.0, -8.0)))
+    def test_within_the_perturbation_on_either_side(self, m, n, seed,
+                                                    log_delta):
+        # K = A + i delta B with A and B real: the real path (||delta B||_F
+        # below 1e-12 ||K||_F / sqrt(min(m, n))) moves each singular value
+        # by at most ||delta B||_2 <= ||delta B||_F; the complex path gives
+        # np.linalg.svd's own bits
+        rng = np.random.default_rng(seed)
+        delta = 0.0 if log_delta is None else 10.0 ** log_delta
+        imag = delta * rng.standard_normal((m, n))
+        matrix = rng.standard_normal((m, n)) + 1j * imag
+        F = DiscreteOperator(matrix, GridSpec(1, 1.0, m), GridSpec(1, 1.0, n),
+                             {})
+        want = np.linalg.svd(matrix, compute_uv=False)
+        got = singular_values(F)
+        real = np.linalg.norm(imag) <= 1e-12 * np.linalg.norm(matrix) \
+            / np.sqrt(min(m, n))
+        assert svd_record(F, float(got[0]))["arithmetic"] == (
+            "real" if real else "complex")
+        if real:
+            assert np.max(np.abs(got - want)) <= np.linalg.norm(imag) + \
+                svd_rounding(matrix) * want[0]
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestAmplitudeForms:

@@ -214,9 +214,11 @@ class TestSpecialRoute:
                                     cutoff=CutoffSpec(kind),
                                     compute_gap=False)
         assert [sigma for _, sigma, *_ in seen] == list(schedule)
+        # an axis that the point cap widened has exactly 8192 points
         assert res.quadrature == [
             {"sigma": sigma, "cutoff": kind.value, "ny": len(y_ax),
-             "nt": len(t_ax), **entries}
+             "nt": len(t_ax), "capped": 8192 in (len(y_ax), len(t_ax)),
+             **entries}
             for _, sigma, _, y_ax, t_ax, _, entries in seen]
         if kind is CutoffKind.SMOOTH_BUMP:
             # the classes cover the grid, and both summed classes occur
@@ -256,6 +258,7 @@ class TestSpecialRoute:
                                     cutoff=CutoffSpec(kind),
                                     compute_gap=False)
         assert [q["route"] for q in res.quadrature] == [route, route]
+        assert [q["capped"] for q in res.quadrature] == [False, False]
         assert len(calls) == (2 if route == "tensor" else 0)
 
     @given(kind=st.sampled_from(CutoffKind), **SPECIAL_GRIDS)
@@ -536,8 +539,21 @@ class TestFioApplyIBP:
 
     def test_decisions_without_the_cap(self, phi_xt):
         d = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=6.0).decisions
-        assert d["local_cap_hit"] is False
+        assert d["local_cap_hit"] is False and d["coarse_cap_hit"] is False
         assert d["local_step"] <= d["local_step_asked"]
+
+
+def test_grid_reports_the_point_cap(phi_xt):
+    # at x = 0, d phi / d theta = -y and d phi / d y = -theta: a y radius of
+    # 3000 asks for about 21 000 points at step 2 pi / 22, more than the
+    # cap of 8192, and a radius of 30 for about 212 of them
+    y_ax, t_ax, _, capped = oscillatory._grid(phi_xt, 0.0, 3000.0, 10.0, 12.0)
+    assert capped is True and len(y_ax) == 8192
+    assert y_ax[1] - y_ax[0] > 2.0 * np.pi / 22.0
+    y_ax, t_ax, step, capped = oscillatory._grid(phi_xt, 0.0, 30.0, 10.0, 12.0)
+    assert capped is False
+    assert y_ax[1] - y_ax[0] <= 2.0 * np.pi / 22.0
+    assert t_ax[1] - t_ax[0] <= step == 2.0 * np.pi / 42.0
 
 
 def test_ibp_value_independent_of_blas_threads(tmp_path):

@@ -68,6 +68,7 @@ class TestCli:
             (16.0, "gaussian", "separable"), (32.0, "gaussian", "separable"),
             (64.0, "gaussian", "separable"), (64.0, "smooth_bump", "split")]
         assert all(q["ny"] > 1 and q["nt"] > 1 for q in quadrature)
+        assert [q["capped"] for q in quadrature] == [False] * 4
         assert ["columns" in q for q in quadrature] == [False] * 3 + [True]
         columns = quadrature[-1]["columns"]
         assert sum(columns.values()) == quadrature[-1]["nt"]
@@ -210,13 +211,22 @@ class TestCli:
         ("oscint_gaussian", "oscint.f=y**y", 2),
         ("oscint_gaussian", "oscint.f=log(y) oscint.cutoff=SMOOTH_BUMP", 2),
         ("oscint_gaussian", "oscint.a=1/y", 2),
-    ], ids=["operator_norm", "compose", "oscint_f_reciprocal", "oscint_f_log",
-            "oscint_f_power", "oscint_f_log_bump", "oscint_a_reciprocal"])
+        ("multiplier_norm",
+         "grids.M=64 scenario.operations=spectrum symbol.a=1e308", 2),
+    ] + [("multiplier_norm", f"grids.M=64 scenario.operations={op} "
+          f"symbol.a=1/x", 2)
+         for op in ("spectrum", "compactness", "build-operator")],
+        ids=["operator_norm", "compose", "oscint_f_reciprocal", "oscint_f_log",
+             "oscint_f_power", "oscint_f_log_bump", "oscint_a_reciprocal",
+             "build_overflow", "spectrum_a_reciprocal",
+             "compactness_a_reciprocal", "build_a_reciprocal"])
     def test_overflowing_operator_emits_no_runtime_warning(
             self, tmp_path, capsys, name, overrides, code):
         # the power iteration's IterationError (exit 1), the non-finite
-        # predicted symbol's and the non-finite oscillatory quadrature's
-        # config errors (exit 2) report the overflow
+        # predicted symbol's, the non-finite oscillatory quadrature's and
+        # the operator build's config errors (exit 2) report the overflow;
+        # the build names the amplitude and the first node, x = 0, or the
+        # first matrix entry that overflows
         args = ["run", name, "--out-dir", str(tmp_path / "out")]
         for override in overrides.split():
             args += ["--override", override]
@@ -228,6 +238,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err
         assert ("config error:" in err) == (code == 2)
+        if "symbol.a=1/x" in overrides:
+            assert "the amplitude a = 1/x0 gives e^(iS) a = " in err
+            assert "at x = [0.0], theta = " in err
+        if "symbol.a=1e308" in overrides:
+            assert "the operator matrix overflows: its entry at x = " in err
 
     def test_single_operation_writes_only_its_artifacts(self, tmp_path):
         # the operator spectrum needs is built without the build-operator
