@@ -116,8 +116,8 @@ def _theta_taper(theta_grid: GridSpec, enabled: bool) -> np.ndarray:
 
 
 def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
-                      theta_grid: GridSpec, taper: bool) -> np.ndarray:
-    """E[i, k] = e^{i S(x_i, theta_k)} a(x_i, theta_k) tau_k w_k / (2 pi)^n.
+                      th: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E[i, k] = e^{i S(x_i, th_k)} a(x_i, th_k) weights_k.
 
     The (x, theta) point list lives only while S and a are evaluated on it,
     and E is scaled in place: a real amplitude stays real, and numpy casts
@@ -125,7 +125,6 @@ def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
     one.  A value of e^{iS} a that is not finite raises ValueError naming
     the amplitude and the first (x, theta) node where it is, without a
     numpy warning."""
-    th = theta_grid.mesh()
     n = S.n
     xt = np.empty((len(x_points), len(th), 2 * n))
     xt[..., :n] = x_points[:, None, :]
@@ -146,10 +145,14 @@ def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
             f"the amplitude a = {a_expr} gives e^(iS) a = {e[i, k]} at x = "
             f"{x_points[i].tolist()}, theta = {th[k].tolist()}, which is "
             f"not finite")
-    tau = _theta_taper(theta_grid, taper)
-    w = theta_grid.spacing ** theta_grid.dim / (2.0 * np.pi) ** theta_grid.dim
-    e *= (tau * w)[None, :]
+    e *= weights[None, :]
     return e
+
+
+def _theta_weights(theta_grid: GridSpec, taper: bool) -> np.ndarray:
+    """tau_k w_k / (2 pi)^n: the taper times the trapezoid weight."""
+    w = theta_grid.spacing ** theta_grid.dim / (2.0 * np.pi) ** theta_grid.dim
+    return _theta_taper(theta_grid, taper) * w
 
 
 def kernel_eval(S: GeneratingFunction, a, x, y, theta_grid: GridSpec,
@@ -157,8 +160,8 @@ def kernel_eval(S: GeneratingFunction, a, x, y, theta_grid: GridSpec,
     """Pointwise kernel value by tapered trapezoid quadrature in theta."""
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    e = _phase_amp_matrix(S, a, x, theta_grid, taper)[0]
     th = theta_grid.mesh()
+    e = _phase_amp_matrix(S, a, x, th, _theta_weights(theta_grid, taper))[0]
     return complex(np.sum(e * np.exp(-1j * (th @ y))))
 
 
@@ -186,8 +189,47 @@ def _quadrature_synthesis_matrix(y_grid: GridSpec,
     return p
 
 
+def _mirror_synthesis_table(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T[2k] = cos(theta_k y), T[2k + 1] = sin(theta_k y), built in place.
+
+    Against E viewed as interleaved (Re E_k, Im E_k) pairs, one real GEMM
+    gives sum_k Re(E_k e^{-i theta_k y})."""
+    table = np.empty((len(theta), 2, len(y)))
+    np.multiply.outer(theta, y, out=table[:, 1])
+    np.cos(table[:, 1], out=table[:, 0])
+    np.sin(table[:, 1], out=table[:, 1])
+    return table.reshape(2 * len(theta), len(y))
+
+
+def _real_by_mirror(S: GeneratingFunction, a, weights: np.ndarray) -> bool:
+    """Whether the KERNEL route's kernel is real by mirror symmetry: n = 1,
+    sympy proves S(x, -theta) = -conj S(x, theta) (-S for a real phase)
+    and a(x, -theta) = conj a(x, theta) (each difference expands to 0; one
+    it cannot decide is not taken), and the one node without a mirror,
+    -Theta, has weight 0.  Then the theta and -theta terms of each entry
+    are complex conjugates."""
+    if S.n != 1 or weights[0] != 0.0:
+        return False
+    flip = {S.tvars[0]: -S.tvars[0]}
+    a_expr = as_expr(a, S.variables)
+    return all(sp.expand(f.xreplace(flip) + sign * sp.conjugate(f)) == 0
+               for f, sign in ((S.expr, 1), (a_expr, -1)))
+
+
+def _mirror_nodes(points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(node indices, multiplicities) of the real build: node 0 (-Theta,
+    weight 0, evaluated only for the finiteness check), then every node
+    theta >= 0.  Node j >= 1 mirrors node points - j, so a node theta > 0
+    stands for the pair +-theta (2) and the node at 0, for even points,
+    for itself (1)."""
+    nodes = np.r_[0, (points + 1) // 2:points]
+    return nodes, np.where(2 * nodes == points, 1.0, 2.0)
+
+
 #: x rows of E per block of `discretize_fio`.  Each block is one GEMM into
-#: its rows of the result, with the bits of one GEMM over all rows.
+#: its rows of the result; a complex build has the bits of one GEMM over
+#: all rows, while OpenBLAS's real dgemm can round a block apart from that
+#: (at M = 300, not at 256, 512 or 1024).
 _BUILD_ROWS = 128
 
 
@@ -197,7 +239,13 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                    taper: bool = True) -> DiscreteOperator:
     """Dense matrix of the operator, by the requested build route.  An
     e^{iS} a that is not finite at a node, or a matrix entry that
-    overflows, raises ValueError without a numpy warning."""
+    overflows, raises ValueError without a numpy warning.
+
+    A KERNEL build whose kernel is real by mirror symmetry (see
+    `_real_by_mirror`) is summed in real arithmetic over the nodes
+    theta >= 0, each theta > 0 counted twice, and stored as float64; any
+    other build is complex128.  A KERNEL build's provenance records which
+    as "arithmetic"."""
     if x_grid.dim != S.n or y_grid.dim != S.n or theta_grid.dim != S.n:
         raise GridMismatchError("grid dimensions must match the phase")
     if route is Route.SPECTRAL:
@@ -209,22 +257,39 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                 abs(y_grid.spacing * theta_grid.spacing
                     - 2.0 * np.pi / y_grid.points) > 1e-12:
             raise AlignmentError("y and theta grids are not a DFT pair")
-    # P first, then E on a block of x rows at a time, its product written
-    # into those rows of the result: at its peak a build holds P, the
-    # result and one block of E with its point list
+    th = theta_grid.mesh()
+    weights = _theta_weights(theta_grid, taper)
+    real = route is Route.KERNEL and _real_by_mirror(S, a, weights)
+    # P (or the real table) first, then E on a block of x rows at a time,
+    # its product written into those rows of the result: at its peak a
+    # build holds P, the result and one block of E with its point list
     if route is Route.SPECTRAL:
         p = _dft_synthesis_matrix(y_grid, theta_grid)
+    elif real:
+        nodes, multiplicity = _mirror_nodes(theta_grid.points)
+        th, weights = th[nodes], weights[nodes] * multiplicity
+        p = _mirror_synthesis_table(th[1:, 0], y_grid.axis())
     else:
         p = _quadrature_synthesis_matrix(y_grid, theta_grid)
     x_points = x_grid.mesh()
-    matrix = np.empty((len(x_points), p.shape[1]), dtype=complex)
+    matrix = np.empty((len(x_points), p.shape[1]),
+                      dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(x_points), _BUILD_ROWS):
             rows = slice(start, start + _BUILD_ROWS)
-            e = _phase_amp_matrix(S, a, x_points[rows], theta_grid, taper)
-            np.matmul(e, p, out=matrix[rows])
+            try:
+                e = _phase_amp_matrix(S, a, x_points[rows], th, weights)
+            except ValueError:
+                if real:  # name the first such node in full-grid order
+                    full = theta_grid.mesh()
+                    _phase_amp_matrix(S, a, x_points[rows], full,
+                                      np.ones(len(full)))
+                raise
+            np.matmul(e[:, 1:].view(float) if real else e, p,
+                      out=matrix[rows])
         del e, p
-        matrix /= y_grid.spacing ** y_grid.dim  # drop dy: folded below
+        if not real:
+            matrix /= y_grid.spacing ** y_grid.dim  # drop P's dy: folded below
         matrix *= np.sqrt(x_grid.spacing ** x_grid.dim)
         matrix *= np.sqrt(y_grid.spacing ** y_grid.dim)
     # a finite E can still overflow in the sums over theta
@@ -244,6 +309,8 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
             "taper": taper,
         }),
     }
+    if route is Route.KERNEL:
+        prov["arithmetic"] = "real" if real else "complex"
     return DiscreteOperator(matrix=matrix, row_grid=x_grid, col_grid=y_grid,
                             provenance=prov)
 
@@ -292,8 +359,14 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
     prev_inc = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, 10_001):
-            # a^H (a v) without a conjugated copy of a; the same bits
-            w = ((a @ v).conj() @ a).conj()
+            if np.iscomplexobj(a):
+                # a^H (a v) without a conjugated copy of a; the same bits
+                w = ((a @ v).conj() @ a).conj()
+            else:
+                # a^T (a v) on v's (re, im) columns: real products, and
+                # no complex copy of a
+                w = (a.T @ (a @ v.view(float).reshape(-1, 2))).view(
+                    complex).ravel()
             lam = float(np.real(np.vdot(v, w)))
             nw = np.linalg.norm(w)
             if not np.isfinite(nw):
@@ -317,6 +390,9 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
             prev = lam
     raise IterationError("power iteration did not converge in 10000 steps")
 
+
+#: the largest row or column count `singular_values` decomposes
+SVD_CAP = 4096
 
 #: `singular_values` drops Im K when ||Im K||_F <= _REAL_SVD_TOL ||K||_F /
 #: sqrt(min(m, n)); since ||K||_F <= sqrt(min(m, n)) sigma_max, that moves
@@ -353,18 +429,20 @@ def singular_values(F: DiscreteOperator,
     """The singular values in decreasing order, the first `count` of them
     when count is given (a negative count raises ValueError).
 
-    A kernel that is real up to rounding, ||Im K||_F <= 1e-12 ||K||_F /
-    sqrt(min(m, n)), has its SVD taken in real arithmetic, at about half
-    the cost: by Weyl's inequality for singular values (Golub and Van Loan,
-    Matrix Computations, 4th ed., Cor. 8.6.2), |sigma_j(K) - sigma_j(Re K)|
-    <= ||Im K||_2 <= 1e-12 sigma_max.  Any other kernel, and one with an
-    entry that is not finite, is decomposed as it is.  `svd_record` says
-    which arithmetic was used and what it can have cost."""
+    A real matrix (a KERNEL build that is real by mirror symmetry) is
+    decomposed as it is.  A complex kernel that is real up to rounding,
+    ||Im K||_F <= 1e-12 ||K||_F / sqrt(min(m, n)), has its SVD taken in
+    real arithmetic, at about half the cost: by Weyl's inequality for
+    singular values (Golub and Van Loan, Matrix Computations, 4th ed., Cor.
+    8.6.2), |sigma_j(K) - sigma_j(Re K)| <= ||Im K||_2 <= 1e-12 sigma_max.
+    Any other kernel, and one with an entry that is not finite, is
+    decomposed as it is.  `svd_record` says which arithmetic was used and
+    what it can have cost."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
-    if max(F.matrix.shape) > 4096:
-        raise ValueError("dense decomposition capped at 4096")
-    real = _imag_part(F.matrix)[0]
+    if max(F.matrix.shape) > SVD_CAP:
+        raise ValueError(f"dense decomposition capped at {SVD_CAP}")
+    real = not np.iscomplexobj(F.matrix) or _imag_part(F.matrix)[0]
     s = np.linalg.svd(F.matrix.real if real else F.matrix, compute_uv=False)
     return s[:count] if count is not None else s
 
@@ -374,7 +452,9 @@ def svd_record(F: DiscreteOperator, sigma_max: float) -> dict:
     "arithmetic", "real" or "complex", and "imag_bound" = ||Im K||_F /
     sigma_max, which bounds by how much of sigma_max dropping Im K can
     have moved any singular value (recorded for both arithmetics; 0 for a
-    zero matrix)."""
+    zero matrix and for a real one)."""
+    if not np.iscomplexobj(F.matrix):
+        return {"arithmetic": "real", "imag_bound": 0.0}
     real, scale, imag = _imag_part(F.matrix)
     return {"arithmetic": "real" if real else "complex",
             "imag_bound": imag * (scale / sigma_max) if sigma_max > 0.0

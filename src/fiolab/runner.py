@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import ctypes
 import difflib
 import hashlib
 import json
@@ -37,10 +38,10 @@ from . import __version__
 from .grids import GridSpec
 from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                           regularized_fio_apply)
-from .operators import (DiscreteOperator, IterationError, Route, adjoint,
-                        apply, compose, discretize_fio, gaussian_samples,
-                        operator_norm, save_operator, singular_values,
-                        svd_record)
+from .operators import (SVD_CAP, DiscreteOperator, IterationError, Route,
+                        adjoint, apply, compose, discretize_fio,
+                        gaussian_samples, operator_norm, save_operator,
+                        singular_values, svd_record)
 from .pdo import (NewtonError, Which, compactness_probe, compare_symbols,
                   cv_bound_check, cv_seminorm)
 from .phases import (GeneratingFunction, quadratic_generating, special_phase,
@@ -59,6 +60,8 @@ class RunManifest:
     scenario_hash: str
     lambda_convention: str
     module_versions: dict
+    #: numpy's BLAS: name, version and thread count (`_blas_facts`)
+    blas: dict
     grids: dict
     config: dict
     outcomes: List[dict] = field(default_factory=list)
@@ -84,6 +87,33 @@ def _peak_rss_mb(children: bool = False) -> Optional[float]:
     peak = getrusage(RUSAGE_CHILDREN if children else RUSAGE_SELF).ru_maxrss
     # ru_maxrss counts bytes on macOS and KiB on Linux
     return peak / 2.0 ** 20 if sys.platform == "darwin" else peak / 2.0 ** 10
+
+
+def _blas_facts() -> dict:
+    """numpy's BLAS: "name" and "version" from numpy's build configuration,
+    and "threads", the thread count of the OpenBLAS library this process
+    has loaded, asked through ctypes; each None where unknown (no
+    /proc/self/maps, no OpenBLAS, no such symbol)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name, version = blas["name"], blas["version"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode
+        name = version = None
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+        library = ctypes.CDLL(next(line.split()[-1] for line in maps
+                                   if "openblas" in line))
+    except (OSError, StopIteration):
+        library = None
+    threads = None
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(library, symbol):
+            get = getattr(library, symbol)
+            get.argtypes, get.restype = [], ctypes.c_int
+            threads = int(get())
+            break
+    return {"name": name, "version": version, "threads": threads}
 
 
 def _cfloat(z) -> dict:
@@ -243,7 +273,18 @@ def _op_check_ffstar(cfg, ctx, out_dir: Path):
     }
 
 
+def _check_svd_cap(points: int, factor: int):
+    """ValueError, before any build, when the SVD of a factor * M operator
+    would pass `singular_values`' cap; the message names the largest M."""
+    size = factor * points
+    if size > SVD_CAP:
+        raise ValueError(f"dense decomposition capped at {SVD_CAP}: "
+                         f"grids.M = {points} needs a {size} x {size} SVD; "
+                         f"the largest grids.M is {SVD_CAP // factor}")
+
+
 def _op_spectrum(cfg, ctx, out_dir: Path):
+    _check_svd_cap(ctx["x"].points, 1)
     F = _operator(cfg, ctx)
     s = singular_values(F, cfg["spectrum", "count"] or None)
     _write_csv(out_dir / "spectrum.csv", ["index", "singular_value"],
@@ -318,6 +359,7 @@ def _op_cv_check(cfg, ctx, out_dir: Path):
 
 
 def _op_compactness(cfg, ctx, out_dir: Path):
+    _check_svd_cap(ctx["x"].points, 2)
     coarse = _operator(cfg, ctx)
     fine = _operator(cfg, ctx, GridSpec(1, ctx["x"].radius,
                                         2 * ctx["x"].points, dft_aligned=True))
@@ -498,6 +540,7 @@ def run_scenario(path, out_dir: Optional[str] = None,
         lambda_convention=DEFAULT_CONVENTION.value,
         module_versions={"fiolab": __version__, **{
             m.__name__: m.__version__ for m in (np, sympy)}},
+        blas=_blas_facts(),
         grids={"x": xg.descriptor(), "y": xg.descriptor(),
                "theta": xg.dual().descriptor()},
         config=cfg.record,

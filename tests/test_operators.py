@@ -116,23 +116,43 @@ class TestRoutes:
         assert np.max(np.abs(apply(chirp_op, f) - direct)) < 1e-12
 
 
-def point_list_matrix(S, a, grid, route):
+def point_list_matrix(S, a, grid, route, real=False):
     """The weighted operator matrix by the point-list formula: S and a
     evaluated on every (x, theta) pair of one (M^2, 2) array, and every
-    factor applied out of place; the reference of the in-place build."""
+    factor applied out of place; the reference of the in-place build.
+
+    With real=True, the formula of a kernel that is real by mirror
+    symmetry: the pairs with theta >= 0 only, each theta > 0 weighted
+    twice, and E as interleaved (Re, Im) columns against the rows
+    cos(theta y), sin(theta y) of a real GEMM.  That GEMM runs on the
+    build's blocks of x rows: OpenBLAS's dgemm can round a row block apart
+    from one product over all rows (M = 300), where its zgemm does not."""
     xs, th, tg = grid.mesh(), grid.dual().mesh(), grid.dual()
-    xt = np.concatenate([np.repeat(xs, len(th), axis=0),
-                         np.tile(th, (len(xs), 1))], axis=-1)
-    svals = evaluate(S.expr, S.variables, xt).reshape(len(xs), len(th))
-    avals = np.asarray(evaluate(as_expr(a, S.variables), S.variables, xt),
-                       dtype=complex).reshape(len(xs), len(th))
     edge = 0.9 * tg.radius
     tau = np.ones(tg.points)
     outer = np.abs(tg.axis()) > edge
     u = (np.abs(tg.axis()[outer]) - edge) / (tg.radius - edge)
     tau[outer] = 0.5 * (1.0 + np.cos(np.pi * np.clip(u, 0.0, 1.0)))
-    e = np.exp(1j * svals) * avals * (tau * (tg.spacing / (2.0 * np.pi)))
+    weight = tau * (tg.spacing / (2.0 * np.pi))
+    if real:
+        nodes = np.arange((tg.points + 1) // 2, tg.points)
+        th = th[nodes]
+        weight = weight[nodes] * np.where(2 * nodes == tg.points, 1.0, 2.0)
+    xt = np.concatenate([np.repeat(xs, len(th), axis=0),
+                         np.tile(th, (len(xs), 1))], axis=-1)
+    svals = evaluate(S.expr, S.variables, xt).reshape(len(xs), len(th))
+    avals = np.asarray(evaluate(as_expr(a, S.variables), S.variables, xt),
+                       dtype=complex).reshape(len(xs), len(th))
+    e = np.exp(1j * svals) * avals * weight
     m, dy = grid.points, grid.spacing
+    if real:
+        angle = np.outer(th[:, 0], grid.axis())
+        table = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        e, table = e.view(float), table.reshape(-1, m)
+        blocks = range(0, len(xs), operators._BUILD_ROWS)
+        product = np.concatenate([e[i:i + operators._BUILD_ROWS] @ table
+                                  for i in blocks])
+        return np.sqrt(dy) * product * np.sqrt(dy)
     if route is Route.SPECTRAL:
         col = np.exp(1j * tg.radius * dy * np.arange(m))
         p = np.fft.fft(np.eye(m) * col[None, :], axis=0)
@@ -181,9 +201,12 @@ class TestInPlaceBuild:
     @pytest.mark.parametrize("c", ["0", "1"], ids=["xtheta", "chirp"])
     @pytest.mark.parametrize("route", Route)
     def test_bits_of_the_point_list_formula(self, route, c, a, M):
+        # S = x theta with these amplitudes is mirror-symmetric: its KERNEL
+        # build is real
         grid = GridSpec(1, 8.0, M, dft_aligned=True)
         F = discretize_fio(chirp(c), a, grid, grid, grid.dual(), route)
-        ref = point_list_matrix(chirp(c), a, grid, route)
+        ref = point_list_matrix(chirp(c), a, grid, route,
+                                real=route is Route.KERNEL and c == "0")
         assert F.matrix.dtype == ref.dtype
         assert F.matrix.tobytes() == ref.tobytes()
 
@@ -210,6 +233,210 @@ class TestInPlaceBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 3.25 * F.matrix.nbytes
+
+
+def mirror_bound(S, a, grid):
+    """A bound, entry by entry, on |K - K_c| for the real build K of a
+    mirror-symmetric kernel and the complex point-list formula K_c.
+
+    Both sum the terms T_j(x, y) = e^{i(S(x, theta_j) - theta_j y)}
+    a(x, theta_j) tau_j w dy of every node j >= 1 (scaled by sqrt(dx dy)).
+    K_c takes the term of node M - j at theta_{M-j} = -theta_j + d_j; K takes
+    conj T_j instead.  The mirror node's rounding d_j (at most one ulp of
+    Theta, and 0 for most nodes) moves the term by its theta-derivative,
+    (|d_theta S - y| + |d_theta a / a|) d_j |T_j|; the two paths round the
+    phase products S(x, theta) and theta y apart, 2u (|S| + |theta y|)
+    |T_j|; and exp, cos, sin, the amplitude and the products add a few u
+    |T_j|, taken as 8u |T_j|.  With |d_theta S - y| <= |d_theta S| + |y|
+    that is eps_j(x, y) = alpha_j(x) + beta_j(x) |y| per term.
+
+    These per-term differences are rounding errors whose signs vary with
+    the node, so the sum of M of them grows like their root sum of
+    squares (the probabilistic rounding error analysis of Higham and
+    Mary, SIAM J. Sci. Comput. 41 (2019) A2815): the bound is
+    4 sqrt(sum_j eps_j^2), a deviation exceeded with probability below
+    2 e^{-8} per entry, plus sqrt(M) u sum_j |T_j| for the two sums' own
+    rounding.  The worst case sum_j eps_j, all signs aligned, would be
+    4.8e-13 max|K| for a = 1 at M = 1024; this bound stays below 1e-13
+    max|K| for S = x theta at M <= 1024 (7.7e-14 for a = 1, the
+    largest), and the largest measured difference is 3.3e-14."""
+    u = np.finfo(float).eps / 2
+    tg, x = grid.dual(), grid.axis()
+    th, points = tg.axis(), tg.points
+    d = np.zeros(points)
+    d[1:] = np.abs(th[1:] + th[:0:-1])
+    xt = np.stack(np.broadcast_arrays(x[:, None], th[None, :]), axis=-1)
+    a_expr, t = as_expr(a, S.variables), S.tvars[0]
+
+    def size(expr):
+        return np.abs(evaluate(expr, S.variables, xt))
+    terms = size(a_expr) * operators._theta_weights(tg, True) * grid.spacing
+    alpha = terms * ((size(sp.diff(S.expr, t))
+                      + size(sp.diff(a_expr, t) / a_expr)) * d
+                     + 2 * u * size(S.expr) + 8 * u)
+    beta = terms * (d + 2 * u * np.abs(th))
+    y = np.abs(x)[None, :]
+    rss = np.sqrt(np.sum(alpha ** 2, axis=1)[:, None]
+                  + 2 * y * np.sum(alpha * beta, axis=1)[:, None]
+                  + y ** 2 * np.sum(beta ** 2, axis=1)[:, None])
+    return 4 * rss + np.sqrt(points) * u * np.sum(terms, axis=1)[:, None]
+
+
+MIRROR_AMPLITUDES = ["1", "1/lam", "exp(-theta**2)", "exp(-(x**2+theta**2)/25)"]
+
+
+class TestMirrorBuild:
+    """A KERNEL kernel that is real by mirror symmetry (n = 1, S odd and a
+    conjugate-even in theta, the unmirrored node -Theta tapered to 0) is
+    built in real arithmetic over theta >= 0 and stored as float64; every
+    other build keeps its complex bits."""
+
+    @pytest.mark.parametrize("s, a", [
+        *[("x*theta", a) for a in MIRROR_AMPLITUDES],
+        ("x*theta + theta**3/6", "1/lam"),
+        ("x*theta", "exp(I*theta - theta**2)")])  # complex, conjugate-even
+    def test_real_when_mirror_symmetric(self, s, a):
+        grid = GridSpec(1, 8.0, 64, dft_aligned=True)
+        F = discretize_fio(GeneratingFunction.from_expr(s, 1), a, grid, grid,
+                           grid.dual())
+        assert F.matrix.dtype == np.float64
+        assert F.provenance["arithmetic"] == "real"
+
+    @pytest.mark.parametrize("s, a, taper", [
+        ("x*theta + theta**2/2", "1", True),   # the chirp
+        ("x*theta", "1", False),               # -Theta keeps weight 1
+        ("x**2 + x*theta", "1", True),         # S not odd in theta
+        ("x*theta", "theta", True),            # a not conjugate-even
+        ("x*theta", "I*exp(-theta**2)", True),  # even, not conjugate-even
+        ("I*x*theta", "1", True),              # odd, e^{iS} not conj-even
+    ], ids=["chirp", "untapered", "S-not-odd", "a-odd", "a-imaginary",
+            "S-imaginary"])
+    def test_complex_otherwise(self, s, a, taper):
+        grid = GridSpec(1, 8.0, 64, dft_aligned=True)
+        S = GeneratingFunction.from_expr(s, 1)
+        F = discretize_fio(S, a, grid, grid, grid.dual(), taper=taper)
+        assert F.matrix.dtype == np.complex128
+        assert F.provenance["arithmetic"] == "complex"
+        if taper:  # the complex point-list formula, bit for bit
+            ref = point_list_matrix(S, a, grid, Route.KERNEL)
+            assert F.matrix.tobytes() == ref.tobytes()
+
+    def test_complex_in_two_dimensions(self):
+        grid = GridSpec(2, 4.0, 8, dft_aligned=True)
+        S = GeneratingFunction.from_expr("x0*theta0 + x1*theta1", 2)
+        F = discretize_fio(S, "1", grid, grid, grid.dual())
+        assert F.matrix.dtype == np.complex128
+        assert F.provenance["arithmetic"] == "complex"
+
+    def test_spectral_route_stays_complex(self, S_xt, grid256):
+        # and decides nothing, so its provenance does not change
+        F = discretize_fio(S_xt, "1", grid256, grid256, grid256.dual(),
+                           Route.SPECTRAL)
+        assert F.matrix.dtype == np.complex128
+        assert set(F.provenance) == {"route", "config"}
+
+    @pytest.mark.parametrize("M, R", [(64, 8.0), (255, 8.0), (300, 8.0),
+                                      (512, 4.0), (1024, 4.0)])
+    @pytest.mark.parametrize("a", MIRROR_AMPLITUDES)
+    def test_close_to_the_complex_formula(self, S_xt, a, M, R):
+        grid = GridSpec(1, R, M, dft_aligned=True)
+        F = discretize_fio(S_xt, a, grid, grid, grid.dual())
+        ref = point_list_matrix(S_xt, a, grid, Route.KERNEL)
+        bound = mirror_bound(S_xt, a, grid)
+        assert np.max(bound) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(np.abs(F.matrix - ref) <= bound)
+
+    def test_cubic_phase_within_its_bound(self):
+        # d_theta S = x + theta^2 / 2 is large at the band's edge: the
+        # bound grows with it, and still holds
+        S = GeneratingFunction.from_expr("x*theta + theta**3/6", 1)
+        grid = GridSpec(1, 8.0, 256, dft_aligned=True)
+        F = discretize_fio(S, "1/lam", grid, grid, grid.dual())
+        ref = point_list_matrix(S, "1/lam", grid, Route.KERNEL)
+        assert np.all(np.abs(F.matrix - ref) <= mirror_bound(S, "1/lam", grid))
+
+    @pytest.mark.parametrize("a, R", [("1/lam", 4.0), ("1", 8.0)],
+                             ids=["compact_decay", "noncompact_identity"])
+    @pytest.mark.parametrize("M", [256, 512])
+    def test_singular_values_of_the_complex_build(self, S_xt, a, R, M):
+        # Weyl: |sigma_j(K) - sigma_j(K_c)| <= ||K - K_c||_2 <= ||K - K_c||_F
+        grid = GridSpec(1, R, M, dft_aligned=True)
+        F = discretize_fio(S_xt, a, grid, grid, grid.dual())
+        ref = point_list_matrix(S_xt, a, grid, Route.KERNEL)
+        got = singular_values(F)
+        want = np.linalg.svd(ref, compute_uv=False)
+        assert np.max(np.abs(got - want)) <= np.linalg.norm(F.matrix - ref) \
+            + svd_rounding(ref) * want[0]
+
+    @pytest.mark.parametrize("a", ["1", "exp(-(x**2+theta**2)/25)"])
+    def test_three_row_blocks(self, S_xt, a):
+        # the last one short
+        M = 2 * operators._BUILD_ROWS + 44
+        grid = GridSpec(1, 8.0, M, dft_aligned=True)
+        F = discretize_fio(S_xt, a, grid, grid, grid.dual())
+        ref = point_list_matrix(S_xt, a, grid, Route.KERNEL, real=True)
+        assert F.matrix.tobytes() == ref.tobytes()
+
+    def test_save_and_load(self, S_xt, tmp_path):
+        grid = GridSpec(1, 4.0, 128, dft_aligned=True)
+        F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
+        save_operator(F, str(tmp_path / "op.fop"))
+        back = load_operator(str(tmp_path / "op.fop"))
+        assert back.matrix.dtype == np.complex128
+        assert np.array_equal(back.matrix, F.matrix)
+        assert back.provenance == F.provenance
+        assert singular_values(back).tobytes() == \
+            singular_values(F).tobytes()
+
+    def test_svd_takes_the_real_matrix_as_it_is(self, S_xt, monkeypatch):
+        grid = GridSpec(1, 4.0, 64, dft_aligned=True)
+        F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
+
+        def fail(matrix):
+            raise AssertionError("_imag_part of a real matrix")
+        monkeypatch.setattr(operators, "_imag_part", fail)
+        s = singular_values(F)
+        assert s.tobytes() == np.linalg.svd(F.matrix,
+                                            compute_uv=False).tobytes()
+        assert svd_record(F, float(s[0])) == {"arithmetic": "real",
+                                              "imag_bound": 0.0}
+
+    def test_algebra_on_the_real_matrix(self, S_xt):
+        # apply, adjoint, compose and the norm give the values of the same
+        # matrix held as complex
+        grid = GridSpec(1, 8.0, 128, dft_aligned=True)
+        F = discretize_fio(S_xt, "exp(-(x**2+theta**2)/25)", grid, grid,
+                           grid.dual())
+        assert not np.array_equal(F.matrix, F.matrix.T)
+        Fc = DiscreteOperator(F.matrix.astype(complex), F.row_grid,
+                              F.col_grid, F.provenance)
+        u = gaussian_samples(grid, 0.5, 1.0) * (1 + 2j)
+        assert np.allclose(apply(F, u), apply(Fc, u), rtol=0, atol=1e-15)
+        assert adjoint(F).matrix.dtype == np.float64
+        assert np.allclose(compose(F, adjoint(F)).matrix,
+                           compose(Fc, adjoint(Fc)).matrix, rtol=0,
+                           atol=1e-15)
+        assert operator_norm(F) == pytest.approx(operator_norm(Fc),
+                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("node", [40, 0], ids=["mirrored", "-Theta"])
+    def test_names_the_first_non_finite_node_as_complex(self, S_xt, node):
+        # a = 1/(theta^2 - theta_node^2) is infinite at theta_node and at
+        # its mirror: the message names the first in full-grid order, as
+        # the complex SPECTRAL build on the same nodes does.  -Theta is not
+        # in the real sum but is checked
+        grid = GridSpec(1, 8.0, 64, dft_aligned=True)
+        theta = float(grid.dual().axis()[node])
+        a = f"1/(theta**2 - {theta ** 2!r})"
+        assert operators._real_by_mirror(
+            S_xt, a, operators._theta_weights(grid.dual(), True))
+        messages = []
+        for route in Route:
+            with pytest.raises(ValueError) as info:
+                discretize_fio(S_xt, a, grid, grid, grid.dual(), route)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert f"theta = [{-abs(theta)!r}]" in messages[0]
 
 
 class TestAlgebra:

@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
@@ -327,7 +328,7 @@ class TestDeterminism:
         m = run_scenario(cfg_path("fourier_inversion"), out_dir=str(tmp_path / "out"))
         data = json.loads((tmp_path / "out" / "manifest.json").read_text())
         for key in ("grids", "lambda_convention", "module_versions",
-                    "outcomes", "scenario_hash", "wall_clock_s",
+                    "blas", "outcomes", "scenario_hash", "wall_clock_s",
                     "peak_rss_mb", "children_peak_rss_mb"):
             assert key in data
         assert data["scenario_hash"] == m.scenario_hash
@@ -415,6 +416,75 @@ class TestCompactness:
                                 "scenario.operations=build-operator "
                                 "compactness"])
         assert calls == [64, 128]
+
+
+    @pytest.mark.parametrize("op, M, largest", [
+        ("compactness", 2100, 2048), ("spectrum", 4097, 4096)])
+    def test_svd_cap_checked_before_any_build(self, tmp_path, capsys,
+                                              monkeypatch, op, M, largest):
+        # compactness decomposes a 2M x 2M operator, spectrum an M x M one
+        def build(*args, **kwargs):
+            raise AssertionError("an operator was built")
+        monkeypatch.setattr(runner, "discretize_fio", build)
+        assert main(["run", "compact_decay", "--out-dir", str(tmp_path),
+                     "--override", f"grids.M={M}",
+                     "--override", f"scenario.operations={op}"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [{op}] dense decomposition capped at " \
+            f"{operators.SVD_CAP}" in err
+        assert f"the largest grids.M is {largest}" in err
+
+    @pytest.mark.parametrize("op, factor", [("compactness", 2),
+                                            ("spectrum", 1)])
+    def test_svd_cap_boundary(self, tmp_path, monkeypatch, op, factor):
+        # with the cap lowered to 128: the largest M runs (its verdict
+        # aside), one more is a config error
+        monkeypatch.setattr(runner, "SVD_CAP", 128)
+        largest = 128 // factor
+        codes = [main(["run", "compact_decay", "--out-dir", str(tmp_path),
+                       "--override", f"grids.M={M}",
+                       "--override", "compactness.tail_index=10",
+                       "--override", f"scenario.operations={op}"])
+                 for M in (largest, largest + 1)]
+        assert codes[0] in (0, 1) and codes[1] == 2
+
+
+class TestBlasFacts:
+    """manifest.json records numpy's BLAS: name, version, thread count."""
+
+    def test_manifest_records_numpy_blas(self, tmp_path):
+        run_scenario(cfg_path("chirp_phase"), out_dir=str(tmp_path))
+        blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (blas["name"], blas["version"]) == (config["name"],
+                                                   config["version"])
+        assert blas["threads"] is None or blas["threads"] >= 1
+
+    def test_thread_count_follows_the_environment(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads
+        if runner._blas_facts()["threads"] is None:
+            pytest.skip("no OpenBLAS thread count in this process")
+        src = str(Path(runner.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "fiolab.cli", "run", "chirp_phase",
+             "--out-dir", str(tmp_path)],
+            env=env, cwd=tmp_path, capture_output=True, check=True)
+        blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
+        assert blas["threads"] == 1
+
+    def test_null_where_unknown(self, monkeypatch):
+        def no_config(*args, **kwargs):
+            raise TypeError("no mode")
+
+        def no_library(path):
+            raise OSError(path)
+        monkeypatch.setattr(runner.np, "show_config", no_config)
+        monkeypatch.setattr(runner.ctypes, "CDLL", no_library)
+        assert runner._blas_facts() == {"name": None, "version": None,
+                                        "threads": None}
 
 
 class TestVerifySymbol:
