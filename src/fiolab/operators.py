@@ -115,9 +115,11 @@ def _theta_taper(theta_grid: GridSpec, enabled: bool) -> np.ndarray:
     return out.ravel()
 
 
-def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
-                      th: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """E[i, k] = e^{i S(x_i, th_k)} a(x_i, th_k) weights_k.
+def _phase_amp_matrix(S: GeneratingFunction, a_expr: sp.Expr,
+                      x_points: np.ndarray, th: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """E[i, k] = e^{i S(x_i, th_k)} a(x_i, th_k) weights_k, for the
+    amplitude a already parsed by `as_expr`.
 
     The (x, theta) point list lives only while S and a are evaluated on it,
     and E is scaled in place: a real amplitude stays real, and numpy casts
@@ -130,7 +132,6 @@ def _phase_amp_matrix(S: GeneratingFunction, a, x_points: np.ndarray,
     xt[..., :n] = x_points[:, None, :]
     xt[..., n:] = th[None, :, :]
     svals = evaluate(S.expr, S.variables, xt)
-    a_expr = as_expr(a, S.variables)
     avals = evaluate(a_expr, S.variables, xt)
     del xt
     e = 1j * svals
@@ -161,7 +162,8 @@ def kernel_eval(S: GeneratingFunction, a, x, y, theta_grid: GridSpec,
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     y = np.atleast_1d(np.asarray(y, dtype=float))
     th = theta_grid.mesh()
-    e = _phase_amp_matrix(S, a, x, th, _theta_weights(theta_grid, taper))[0]
+    e = _phase_amp_matrix(S, as_expr(a, S.variables), x, th,
+                          _theta_weights(theta_grid, taper))[0]
     return complex(np.sum(e * np.exp(-1j * (th @ y))))
 
 
@@ -201,7 +203,8 @@ def _mirror_synthesis_table(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     return table.reshape(2 * len(theta), len(y))
 
 
-def _real_by_mirror(S: GeneratingFunction, a, weights: np.ndarray) -> bool:
+def _real_by_mirror(S: GeneratingFunction, a_expr: sp.Expr,
+                    weights: np.ndarray) -> bool:
     """Whether the KERNEL route's kernel is real by mirror symmetry: n = 1,
     sympy proves S(x, -theta) = -conj S(x, theta) (-S for a real phase)
     and a(x, -theta) = conj a(x, theta) (each difference expands to 0; one
@@ -211,7 +214,6 @@ def _real_by_mirror(S: GeneratingFunction, a, weights: np.ndarray) -> bool:
     if S.n != 1 or weights[0] != 0.0:
         return False
     flip = {S.tvars[0]: -S.tvars[0]}
-    a_expr = as_expr(a, S.variables)
     return all(sp.expand(f.xreplace(flip) + sign * sp.conjugate(f)) == 0
                for f, sign in ((S.expr, 1), (a_expr, -1)))
 
@@ -257,6 +259,7 @@ def discretize_fio(S: GeneratingFunction, a, x_grid: GridSpec,
                 abs(y_grid.spacing * theta_grid.spacing
                     - 2.0 * np.pi / y_grid.points) > 1e-12:
             raise AlignmentError("y and theta grids are not a DFT pair")
+    a = as_expr(a, S.variables)  # parsed once: every row block reuses it
     th = theta_grid.mesh()
     weights = _theta_weights(theta_grid, taper)
     real = route is Route.KERNEL and _real_by_mirror(S, a, weights)
@@ -323,6 +326,12 @@ def apply(F: DiscreteOperator, u) -> np.ndarray:
             f"expected {F.col_grid.size} samples, got {u.shape}")
     wc = np.sqrt(F.quad_weights)
     wr = np.sqrt(F.row_weights)
+    if np.iscomplexobj(u) and not np.iscomplexobj(F.matrix):
+        # the real matrix against u's (re, im) columns: real products, and
+        # no complex copy of the matrix
+        v = np.ascontiguousarray(wc * u, dtype=complex)
+        return (F.matrix @ v.view(float).reshape(-1, 2)).view(
+            complex).ravel() / wr
     return (F.matrix @ (wc * u)) / wr
 
 
@@ -395,9 +404,18 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
 SVD_CAP = 4096
 
 #: `singular_values` drops Im K when ||Im K||_F <= _REAL_SVD_TOL ||K||_F /
-#: sqrt(min(m, n)); since ||K||_F <= sqrt(min(m, n)) sigma_max, that moves
-#: no singular value by more than _REAL_SVD_TOL sigma_max
+#: sqrt(min(m, n)), and splits K by the grid reflection P when
+#: ||K - PKP||_F / 2 is below the same rule; since ||K||_F <= sqrt(min(m,
+#: n)) sigma_max, neither moves a singular value by more than
+#: _REAL_SVD_TOL sigma_max
 _REAL_SVD_TOL = 1e-12
+
+
+def _frobenius(part: np.ndarray) -> float:
+    """||part||_F of a 2-D array, summed by numpy rather than BLAS, so that
+    it does not depend on the BLAS thread count."""
+    parts = (part.real, part.imag) if np.iscomplexobj(part) else (part,)
+    return math.sqrt(sum(float(np.einsum("ij,ij->", p, p)) for p in parts))
 
 
 def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
@@ -405,13 +423,8 @@ def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
     ||Im K||_F / max|K|).
 
     Both Frobenius norms are taken of K / max|K|, whose entries are at most
-    1, so neither overflows nor underflows, and summed by numpy rather than
-    BLAS, so they do not depend on the BLAS thread count.  A K with an
-    entry that is not finite is never below the rule, and its ratio is
-    nan."""
-    def frobenius(part):
-        return math.sqrt(float(np.einsum("ij,ij->", part, part)))
-
+    1, so neither overflows nor underflows.  A K with an entry that is not
+    finite is never below the rule, and its ratio is nan."""
     magnitude = np.abs(matrix)
     scale = float(np.max(magnitude))
     if not np.isfinite(scale):
@@ -419,9 +432,93 @@ def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
     if scale == 0.0:
         return True, 0.0, 0.0
     magnitude /= scale
-    imag = frobenius(matrix.imag / scale)
-    return (imag <= _REAL_SVD_TOL * frobenius(magnitude)
+    imag = _frobenius(matrix.imag / scale)
+    return (imag <= _REAL_SVD_TOL * _frobenius(magnitude)
             / math.sqrt(min(matrix.shape))), scale, imag
+
+
+def _axis_reflection(m: int) -> Tuple[slice, slice, slice]:
+    """(fixed, pairs, mirrors): the indices of an axis of length m that the
+    reflection i -> -i mod m fixes (0, and m/2 for even m), the pairs
+    i = 1 .. ceil(m/2) - 1, and their mirrors m - i in the same order."""
+    h = (m - 1) // 2
+    fixed = slice(0, m // 2 + 1, m // 2) if m % 2 == 0 else slice(0, 1)
+    return fixed, slice(1, h + 1), slice(m - 1, m - h - 1, -1)
+
+
+def _reflection_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
+    """(whether ||K - PKP||_F / 2 is below the `_REAL_SVD_TOL` rule,
+    max|K|, ||K - PKP||_F / (2 max|K|)), where P reflects the row index i
+    to -i mod m and the column index j to -j mod n.
+
+    K - PKP is 0 where both indices are fixed; every other entry has a
+    mirror entry of the same size, so half of them, taken as differences
+    of strided views (`_axis_reflection`), give the norm.  Both norms are
+    taken of blocks divided by max|K|, as in `_imag_part`.  A K with an
+    entry that is not finite, and a zero K, are never below the rule."""
+    magnitude = np.abs(matrix)
+    scale = float(np.max(magnitude))
+    if not np.isfinite(scale) or scale == 0.0:
+        return False, scale, float("nan") if scale else 0.0
+    magnitude /= scale
+    total = _frobenius(magnitude)
+    del magnitude
+    fr, pr, mr = _axis_reflection(matrix.shape[0])
+    fc, pc, mc = _axis_reflection(matrix.shape[1])
+    squares = 0.0
+    with np.errstate(over="ignore"):
+        for rows, cols, mirror_rows, mirror_cols in (
+                (fr, pc, fr, mc), (pr, fc, mr, fc), (pr, pc, mr, mc),
+                (pr, mc, mr, pc)):
+            part = matrix[rows, cols] - matrix[mirror_rows, mirror_cols]
+            part /= scale
+            squares += _frobenius(part) ** 2
+    asym = math.sqrt(squares / 2.0)  # each difference stands for two
+    return (asym <= _REAL_SVD_TOL * total / math.sqrt(min(matrix.shape)),
+            scale, asym)
+
+
+def _block_shapes(m: int, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The shapes of the even and odd blocks of an m x n matrix."""
+    return (m // 2 + 1, n // 2 + 1), ((m - 1) // 2, (n - 1) // 2)
+
+
+def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of the symmetric part (K + PKP) / 2.
+
+    On an axis, each fixed index i gives the unit vector e_i, and each pair
+    i, m - i the vectors (e_i + e_{m-i}) / sqrt 2 (even) and
+    (e_i - e_{m-i}) / sqrt 2 (odd).  In that orthonormal basis
+    (K + PKP) / 2 is block diagonal, the even vectors against the even and
+    the odd against the odd, so its singular values are those of the two
+    blocks together (A. Cantoni and P. Butler, Linear Algebra Appl. 13
+    (1976), for the eigenvalues of centrosymmetric matrices).
+
+    With i, j fixed and p, q paired indices, the even block holds K[i, j],
+    (K[i, q] + K[i, -q]) / sqrt 2, (K[p, j] + K[-p, j]) / sqrt 2 and
+    (K[p, q] + K[p, -q] + K[-p, q] + K[-p, -q]) / 2, at K's own row and
+    column indices 0 .. m // 2 and 0 .. n // 2; the odd block holds
+    (K[p, q] - K[p, -q] - K[-p, q] + K[-p, -q]) / 2.  Each is written in
+    place from strided views of K, without a copy of it."""
+    fr, pr, mr = _axis_reflection(matrix.shape[0])
+    fc, pc, mc = _axis_reflection(matrix.shape[1])
+    even = np.empty(_block_shapes(*matrix.shape)[0], dtype=matrix.dtype)
+    even[fr, fc] = matrix[fr, fc]
+    for rows, cols, a, b in ((fr, pc, matrix[fr, pc], matrix[fr, mc]),
+                             (pr, fc, matrix[pr, fc], matrix[mr, fc])):
+        np.add(a, b, out=even[rows, cols])
+        even[rows, cols] *= math.sqrt(0.5)
+    quarters = (matrix[pr, pc], matrix[pr, mc], matrix[mr, pc],
+                matrix[mr, mc])
+    inner = np.add(quarters[0], quarters[1], out=even[pr, pc])
+    inner += quarters[2]
+    inner += quarters[3]
+    inner *= 0.5
+    odd = np.subtract(quarters[0], quarters[1])
+    odd -= quarters[2]
+    odd += quarters[3]
+    odd *= 0.5
+    return even, odd
 
 
 def singular_values(F: DiscreteOperator,
@@ -430,35 +527,65 @@ def singular_values(F: DiscreteOperator,
     when count is given (a negative count raises ValueError).
 
     A real matrix (a KERNEL build that is real by mirror symmetry) is
-    decomposed as it is.  A complex kernel that is real up to rounding,
-    ||Im K||_F <= 1e-12 ||K||_F / sqrt(min(m, n)), has its SVD taken in
-    real arithmetic, at about half the cost: by Weyl's inequality for
-    singular values (Golub and Van Loan, Matrix Computations, 4th ed., Cor.
-    8.6.2), |sigma_j(K) - sigma_j(Re K)| <= ||Im K||_2 <= 1e-12 sigma_max.
-    Any other kernel, and one with an entry that is not finite, is
-    decomposed as it is.  `svd_record` says which arithmetic was used and
+    decomposed in real arithmetic.  So is a complex kernel that is real up
+    to rounding, ||Im K||_F <= 1e-12 ||K||_F / sqrt(min(m, n)), as Re K,
+    at about half the cost: by Weyl's inequality for singular values
+    (Golub and Van Loan, Matrix Computations, 4th ed., Cor. 8.6.2),
+    |sigma_j(K) - sigma_j(Re K)| <= ||Im K||_2 <= 1e-12 sigma_max.
+
+    The matrix so chosen is then split when it is symmetric under the
+    grid reflection P (index i to -i mod m on the rows, j to -j mod n on
+    the columns) up to rounding, ||K - PKP||_F / 2 <= 1e-12 ||K||_F /
+    sqrt(min(m, n)): the SVDs of the even and odd blocks of (K + PKP) / 2
+    (`_reflection_blocks`), each about a quarter of K, are merged in
+    decreasing order, and by Weyl's inequality each value moves by at
+    most ||K - PKP||_F / 2.  Any other matrix, a zero one and one with an
+    entry that is not finite included, is decomposed as it is, with
+    np.linalg.svd's own bits.  `svd_record` says which path was taken and
     what it can have cost."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
     if max(F.matrix.shape) > SVD_CAP:
         raise ValueError(f"dense decomposition capped at {SVD_CAP}")
-    real = not np.iscomplexobj(F.matrix) or _imag_part(F.matrix)[0]
-    s = np.linalg.svd(F.matrix.real if real else F.matrix, compute_uv=False)
+    matrix = F.matrix
+    if np.iscomplexobj(matrix) and _imag_part(matrix)[0]:
+        matrix = matrix.real
+    if _reflection_part(matrix)[0]:
+        s = np.concatenate([np.linalg.svd(block, compute_uv=False)
+                            for block in _reflection_blocks(matrix)])
+        s = np.sort(s)[::-1]
+    else:
+        s = np.linalg.svd(matrix, compute_uv=False)
     return s[:count] if count is not None else s
 
 
 def svd_record(F: DiscreteOperator, sigma_max: float) -> dict:
-    """How `singular_values` decomposed F, given its largest singular value:
+    """How `singular_values` decomposed F, given its largest singular value.
+
     "arithmetic", "real" or "complex", and "imag_bound" = ||Im K||_F /
-    sigma_max, which bounds by how much of sigma_max dropping Im K can
-    have moved any singular value (recorded for both arithmetics; 0 for a
-    zero matrix and for a real one)."""
-    if not np.iscomplexobj(F.matrix):
-        return {"arithmetic": "real", "imag_bound": 0.0}
-    real, scale, imag = _imag_part(F.matrix)
-    return {"arithmetic": "real" if real else "complex",
-            "imag_bound": imag * (scale / sigma_max) if sigma_max > 0.0
-            else 0.0}
+    sigma_max, which bounds by how much of sigma_max dropping Im K can have
+    moved any singular value (recorded for both arithmetics; 0 for a zero
+    matrix and for a real one).  "blocks", the shapes of the even and odd
+    blocks when the SVD was split by the grid reflection, else None, and
+    "reflection_bound" = ||K - PKP||_F / (2 sigma_max) of the matrix
+    decomposed, which bounds the split's move in the same way (0 when not
+    split).  The rules are evaluated again here: `singular_values` returns
+    the values alone."""
+    matrix = F.matrix
+    record = {"arithmetic": "real", "imag_bound": 0.0}
+    if np.iscomplexobj(matrix):
+        real, scale, imag = _imag_part(matrix)
+        record = {"arithmetic": "real" if real else "complex",
+                  "imag_bound": imag * (scale / sigma_max) if sigma_max > 0.0
+                  else 0.0}
+        if real:
+            matrix = matrix.real
+    split, scale, asym = _reflection_part(matrix)
+    record["blocks"] = [list(shape) for shape in _block_shapes(
+        *matrix.shape)] if split else None
+    record["reflection_bound"] = asym * (scale / sigma_max) \
+        if split and sigma_max > 0.0 else 0.0
+    return record
 
 
 def save_operator(F: DiscreteOperator, path: str) -> None:

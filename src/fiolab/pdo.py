@@ -269,11 +269,14 @@ def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
     a factor >= 1.3 under refinement.  COMPACT-CONSISTENT: the value at a
     fixed tail index is < 0.01 at both resolutions and stable within 10%.
     Anything else: INCONCLUSIVE.  The report carries both spectra and how
-    each SVD was taken: `singular_values` decomposes a real matrix as it
-    is ("imag_bound" 0), and a complex kernel that is real up to rounding
-    in real arithmetic, which moves each singular value by at most
-    ||Im K||_F (Weyl's inequality), recorded relative to sigma_max as
-    "imag_bound" and at most 1e-12 on that path.
+    each SVD was taken (`svd_record`): `singular_values` decomposes a real
+    matrix in real arithmetic ("imag_bound" 0), and a complex kernel that
+    is real up to rounding as Re K, which moves each singular value by at
+    most ||Im K||_F (Weyl's inequality), recorded relative to sigma_max as
+    "imag_bound" and at most 1e-12 on that path.  A matrix symmetric under
+    the grid reflection up to rounding is split into two blocks
+    ("blocks"), which moves each value by at most ||K - PKP||_F / 2,
+    recorded as "reflection_bound".
     """
     sc = singular_values(F_coarse)
     sf = singular_values(F_fine)

@@ -389,6 +389,9 @@ class TestMirrorBuild:
             singular_values(F).tobytes()
 
     def test_svd_takes_the_real_matrix_as_it_is(self, S_xt, monkeypatch):
+        # the real matrix is symmetric under the grid reflection: its SVD
+        # is that of the two blocks, merged, and within the recorded bound
+        # of the SVD of the whole
         grid = GridSpec(1, 4.0, 64, dft_aligned=True)
         F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
 
@@ -396,10 +399,17 @@ class TestMirrorBuild:
             raise AssertionError("_imag_part of a real matrix")
         monkeypatch.setattr(operators, "_imag_part", fail)
         s = singular_values(F)
-        assert s.tobytes() == np.linalg.svd(F.matrix,
-                                            compute_uv=False).tobytes()
-        assert svd_record(F, float(s[0])) == {"arithmetic": "real",
-                                              "imag_bound": 0.0}
+        blocks = np.concatenate([
+            np.linalg.svd(b, compute_uv=False)
+            for b in operators._reflection_blocks(F.matrix)])
+        assert s.tobytes() == np.sort(blocks)[::-1].tobytes()
+        record = svd_record(F, float(s[0]))
+        assert record == {"arithmetic": "real", "imag_bound": 0.0,
+                          "blocks": [[33, 33], [31, 31]],
+                          "reflection_bound": record["reflection_bound"]}
+        want = np.linalg.svd(F.matrix, compute_uv=False)
+        assert np.max(np.abs(s - want)) <= (
+            record["reflection_bound"] + svd_rounding(F.matrix)) * want[0]
 
     def test_algebra_on_the_real_matrix(self, S_xt):
         # apply, adjoint, compose and the norm give the values of the same
@@ -419,6 +429,58 @@ class TestMirrorBuild:
         assert operator_norm(F) == pytest.approx(operator_norm(Fc),
                                                  abs=1e-12)
 
+    def test_apply_complex_vector_in_real_arithmetic(self, S_xt):
+        # F u with a complex u on a float64 matrix: the real matrix against
+        # u's (re, im) columns.  The complex-held matrix forms the same
+        # products (its imaginary parts are 0); the two sums can differ
+        # only by rounding, at most a few n eps of sum |M| |u| per entry
+        grid = GridSpec(1, 8.0, 300, dft_aligned=True)
+        F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
+        Fc = DiscreteOperator(F.matrix.astype(complex), F.row_grid,
+                              F.col_grid, F.provenance)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        got, want = apply(F, u), apply(Fc, u)
+        assert got.dtype == np.complex128
+        scale = (np.abs(F.matrix) @ np.abs(u)) * np.sqrt(
+            F.quad_weights / F.row_weights)
+        bound = 4 * 300 * np.finfo(float).eps * scale
+        assert np.all(np.abs(got.real - want.real) <= bound)
+        assert np.all(np.abs(got.imag - want.imag) <= bound)
+
+    def test_apply_complex_vector_makes_no_complex_matrix(self, S_xt):
+        grid = GridSpec(1, 4.0, 512, dft_aligned=True)
+        F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
+        u = gaussian_samples(grid, 0.5, 1.0) * (1 + 2j)
+        apply(F, u)  # warm
+        tracemalloc.start()
+        try:
+            apply(F, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < F.matrix.nbytes
+
+    @pytest.mark.parametrize("s, route", [
+        ("x*theta", Route.KERNEL), ("x*theta + theta**2/2", Route.KERNEL),
+        ("x*theta + theta**2/2", Route.SPECTRAL)],
+        ids=["real", "complex", "spectral"])
+    def test_amplitude_parsed_once_per_build(self, monkeypatch, s, route):
+        # three row blocks; the matrix keeps the bits of the point-list
+        # formula (TestInPlaceBuild)
+        calls = []
+        parse = operators.as_expr
+
+        def counting(a, variables):
+            calls.append(a)
+            return parse(a, variables)
+        monkeypatch.setattr(operators, "as_expr", counting)
+        grid = GridSpec(1, 8.0, 2 * operators._BUILD_ROWS + 44,
+                        dft_aligned=True)
+        discretize_fio(GeneratingFunction.from_expr(s, 1), "1/lam", grid,
+                       grid, grid.dual(), route)
+        assert calls == ["1/lam"]
+
     @pytest.mark.parametrize("node", [40, 0], ids=["mirrored", "-Theta"])
     def test_names_the_first_non_finite_node_as_complex(self, S_xt, node):
         # a = 1/(theta^2 - theta_node^2) is infinite at theta_node and at
@@ -429,7 +491,8 @@ class TestMirrorBuild:
         theta = float(grid.dual().axis()[node])
         a = f"1/(theta**2 - {theta ** 2!r})"
         assert operators._real_by_mirror(
-            S_xt, a, operators._theta_weights(grid.dual(), True))
+            S_xt, as_expr(a, S_xt.variables),
+            operators._theta_weights(grid.dual(), True))
         messages = []
         for route in Route:
             with pytest.raises(ValueError) as info:
@@ -534,12 +597,14 @@ class TestRealArithmeticSvd:
     singular value moves by at most ||Im K||_2 (Weyl), which the record
     bounds by ||Im K||_F / sigma_max; any other kernel keeps its bits."""
 
-    @pytest.mark.parametrize("a, R", [("1/lam", 4.0), ("1", 8.0)],
-                             ids=["compact_decay", "noncompact_identity"])
+    @pytest.mark.parametrize("a, R", [("1/lam", 4.0), ("1", 8.0),
+                                      ("exp(-theta**2)", 8.0)],
+                             ids=["compact_decay", "noncompact_identity",
+                                  "multiplier_norm"])
     @pytest.mark.parametrize("M", [64, 128])
     def test_bundled_kernels_within_the_recorded_bound(self, S_xt, a, R, M):
-        # the kernels of compact_decay and noncompact_identity, as the
-        # runner builds them, at small M
+        # the kernels of the three SVD scenarios, as the runner builds
+        # them, at small M
         grid = GridSpec(1, R, M, dft_aligned=True)
         F = discretize_fio(S_xt, a, grid, grid, grid.dual())
         want = np.linalg.svd(F.matrix, compute_uv=False)
@@ -547,14 +612,23 @@ class TestRealArithmeticSvd:
         record = svd_record(F, float(got[0]))
         assert record["arithmetic"] == "real"
         assert record["imag_bound"] <= 1e-12
+        assert record["blocks"] == [[M // 2 + 1] * 2, [M // 2 - 1] * 2]
+        assert record["reflection_bound"] <= 1e-12
         assert np.max(np.abs(got - want)) <= (
             record["imag_bound"] + svd_rounding(F.matrix)) * want[0]
 
-    def test_complex_kernel_keeps_its_bits(self, chirp_op):
-        assert np.array_equal(
-            singular_values(chirp_op),
-            np.linalg.svd(chirp_op.matrix, compute_uv=False))
-        assert svd_record(chirp_op, 1.0)["arithmetic"] == "complex"
+    def test_complex_kernel_keeps_its_bits(self):
+        # the cubic phase is odd, so PKP is conj K: ||K - PKP||_F / 2 is
+        # about 11 ||K||_F / sqrt(M), far above the reflection rule
+        grid = GridSpec(1, 8.0, 256, dft_aligned=True)
+        F = discretize_fio(
+            GeneratingFunction.from_expr("x*theta + theta**3/6", 1), "1",
+            grid, grid, grid.dual(), Route.SPECTRAL)
+        got = singular_values(F)
+        assert np.array_equal(got, np.linalg.svd(F.matrix, compute_uv=False))
+        record = svd_record(F, float(got[0]))
+        assert record["arithmetic"] == "complex"
+        assert (record["blocks"], record["reflection_bound"]) == (None, 0.0)
 
     def test_huge_kernel_keeps_its_relative_spectrum(self, S_xt):
         # ||K||_F of K * 1e300 overflows unless K is scaled first
@@ -600,7 +674,8 @@ class TestRealArithmeticSvd:
         F = DiscreteOperator(np.zeros((8, 8), dtype=complex), grid, grid, {})
         assert np.array_equal(singular_values(F), np.zeros(8))
         assert svd_record(F, 0.0) == {"arithmetic": "real",
-                                      "imag_bound": 0.0}
+                                      "imag_bound": 0.0, "blocks": None,
+                                      "reflection_bound": 0.0}
 
     @settings(max_examples=60, deadline=None)
     @example(m=6, n=4, seed=0, log_delta=None)
@@ -632,6 +707,129 @@ class TestRealArithmeticSvd:
                 svd_rounding(matrix) * want[0]
         else:
             assert np.array_equal(got, want)
+
+
+def reflect(matrix):
+    """PKP by fancy indexing: row i to -i mod m, column j to -j mod n."""
+    m, n = matrix.shape
+    return matrix[np.ix_(-np.arange(m) % m, -np.arange(n) % n)]
+
+
+def reflection_basis(m):
+    """(even, odd) orthonormal columns, built one by one: e_i for i = -i
+    mod m, and (e_i +- e_{m-i}) / sqrt 2 for the pairs, i = 1 .. m // 2."""
+    even, odd = [], []
+    for i in range(m // 2 + 1):
+        v = np.zeros(m)
+        v[i] += 1.0
+        v[-i % m] += 1.0
+        even.append(v / np.linalg.norm(v))
+        if i != -i % m:
+            w = np.zeros(m)
+            w[i], w[-i % m] = 1.0, -1.0
+            odd.append(w / np.sqrt(2.0))
+    return np.array(even).T, np.array(odd).reshape(-1, m).T
+
+
+class TestReflectionSplit:
+    """A matrix symmetric under the grid reflection P up to rounding,
+    ||K - PKP||_F / 2 <= 1e-12 ||K||_F / sqrt(min(m, n)), has its SVD taken
+    of the even and odd blocks of (K + PKP) / 2: each value moves by at
+    most ||K - PKP||_F / 2 (Weyl), which the record bounds relative to
+    sigma_max.  Any other matrix keeps np.linalg.svd's own bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(m=64, n=64, seed=0, complex_=False, log_delta=None)
+    @example(m=64, n=64, seed=1, complex_=True, log_delta=-14.0)
+    @example(m=64, n=64, seed=2, complex_=False, log_delta=-10.0)
+    @example(m=6, n=4, seed=0, complex_=True, log_delta=-16.0)
+    @example(m=5, n=8, seed=0, complex_=False, log_delta=-9.0)
+    @given(m=st.integers(2, 12), n=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
+           log_delta=st.one_of(st.just(None), st.floats(-18.0, -8.0)))
+    def test_within_the_asymmetry_on_either_side(self, m, n, seed, complex_,
+                                                 log_delta):
+        # K = (a P-symmetric matrix) + delta (a P-antisymmetric matrix)
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            a = rng.standard_normal((m, n))
+            return a + 1j * rng.standard_normal((m, n)) if complex_ else a
+        a, b = draw(), draw()
+        delta = 0.0 if log_delta is None else 10.0 ** log_delta
+        matrix = (a + reflect(a)) / 2 + delta * (b - reflect(b)) / 2
+        F = DiscreteOperator(matrix, GridSpec(1, 1.0, m), GridSpec(1, 1.0, n),
+                             {})
+        want = np.linalg.svd(matrix, compute_uv=False)
+        got = singular_values(F)
+        record = svd_record(F, float(got[0]))
+        asym = np.linalg.norm(matrix - reflect(matrix)) / 2
+        split = asym <= 1e-12 * np.linalg.norm(matrix) / np.sqrt(min(m, n))
+        assert (record["blocks"] is not None) == split
+        if split:
+            assert len(got) == min(m, n)
+            assert record["reflection_bound"] == pytest.approx(
+                asym / got[0], rel=1e-6, abs=0.0)
+            assert np.max(np.abs(got - want)) <= asym + \
+                svd_rounding(matrix) * want[0]
+        else:
+            assert np.array_equal(got, want)
+            assert record["reflection_bound"] == 0.0
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (5, 8), (8, 5), (7, 7),
+                                      (6, 6)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_of_the_symmetric_part(self, m, n, dtype):
+        # against Q^T (K + PKP)/2 Q in an explicitly built basis, for a K
+        # that is not symmetric
+        rng = np.random.default_rng(m * 16 + n)
+        matrix = rng.standard_normal((m, n)).astype(dtype)
+        if dtype is complex:
+            matrix += 1j * rng.standard_normal((m, n))
+        (er, orow), (ec, ocol) = reflection_basis(m), reflection_basis(n)
+        sym = (matrix + reflect(matrix)) / 2
+        even, odd = operators._reflection_blocks(matrix)
+        tol = 1e-14 * np.max(np.abs(matrix))
+        assert np.max(np.abs(er.T @ sym @ ocol), initial=0.0) <= tol
+        assert np.max(np.abs(orow.T @ sym @ ec), initial=0.0) <= tol
+        assert even.shape == (er.shape[1], ec.shape[1])
+        assert odd.shape == (orow.shape[1], ocol.shape[1])
+        assert np.max(np.abs(even - er.T @ sym @ ec)) <= tol
+        assert np.max(np.abs(odd - orow.T @ sym @ ocol), initial=0.0) <= tol
+
+    def test_complex_kernel_splits(self):
+        # the chirp's KERNEL build at M = 64 is complex and P-symmetric up
+        # to rounding (S is even in (x, theta) jointly)
+        grid = GridSpec(1, 8.0, 64, dft_aligned=True)
+        F = discretize_fio(chirp("1"), "1", grid, grid, grid.dual())
+        got = singular_values(F)
+        record = svd_record(F, float(got[0]))
+        assert F.matrix.dtype == np.complex128
+        assert record["arithmetic"] == "complex"
+        assert record["blocks"] == [[33, 33], [31, 31]]
+        assert record["reflection_bound"] <= 1e-12
+        want = np.linalg.svd(F.matrix, compute_uv=False)
+        assert np.max(np.abs(got - want)) <= (
+            record["reflection_bound"] + svd_rounding(F.matrix)) * want[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_not_split(self, monkeypatch, bad):
+        matrix = np.zeros((8, 8))
+        matrix[3, 5] = bad
+        grid = GridSpec(1, 1.0, 8)
+        F = DiscreteOperator(matrix, grid, grid, {})
+        given = []
+        svd = np.linalg.svd
+
+        def spy(m, **kwargs):
+            given.append(m.shape)
+            return svd(m, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        with np.errstate(all="ignore"), \
+                contextlib.suppress(np.linalg.LinAlgError):
+            singular_values(F)
+        assert given == [(8, 8)]
+        assert svd_record(F, 1.0)["blocks"] is None
 
 
 class TestAmplitudeForms:
