@@ -22,7 +22,7 @@ import sympy as sp
 
 from .expressions import evaluate
 from .grids import GridSpec
-from .phases import GeneratingFunction
+from .phases import GeneratingFunction, conjugate_mirror
 from .symbols import as_expr
 
 MAGIC = b"FIOLAB01"
@@ -206,16 +206,12 @@ def _mirror_synthesis_table(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _real_by_mirror(S: GeneratingFunction, a_expr: sp.Expr,
                     weights: np.ndarray) -> bool:
     """Whether the KERNEL route's kernel is real by mirror symmetry: n = 1,
-    sympy proves S(x, -theta) = -conj S(x, theta) (-S for a real phase)
-    and a(x, -theta) = conj a(x, theta) (each difference expands to 0; one
-    it cannot decide is not taken), and the one node without a mirror,
-    -Theta, has weight 0.  Then the theta and -theta terms of each entry
-    are complex conjugates."""
-    if S.n != 1 or weights[0] != 0.0:
-        return False
-    flip = {S.tvars[0]: -S.tvars[0]}
-    return all(sp.expand(f.xreplace(flip) + sign * sp.conjugate(f)) == 0
-               for f, sign in ((S.expr, 1), (a_expr, -1)))
+    sympy proves S(x, -theta) = -conj S(x, theta) and a(x, -theta) =
+    conj a(x, theta) (`conjugate_mirror`), and the one node without a
+    mirror, -Theta, has weight 0.  Then the theta and -theta terms of each
+    entry are complex conjugates."""
+    return (S.n == 1 and weights[0] == 0.0
+            and conjugate_mirror(S.expr, a_expr, S.tvars[0]))
 
 
 def _mirror_nodes(points: int) -> Tuple[np.ndarray, np.ndarray]:

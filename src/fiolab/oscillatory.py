@@ -54,6 +54,17 @@ function:
   reads u's own jet, sympy's identically-zero derivatives of u (every
   theta derivative of a theta-free u) are number-0 rows, which every
   transpose skips.
+  When sympy proves phi(y, -theta) = -conj phi(y, theta) and
+  u(y, -theta) = conj u(y, theta) at the point x (`conjugate_mirror`;
+  S = x theta at any x with a real f, for one), the whole integrand is
+  conjugate-symmetric in theta: h_y = d_y phi / D is odd in theta and
+  h_t = d_theta phi / D even, so T w = d_y(h_y w) + d_theta(h_t w) has
+  (T w)(y, -theta) = -(T v)(y, theta) for v(y, theta) = w(y, -theta), and
+  tL = i T maps conjugate-symmetric functions to conjugate-symmetric ones
+  (T has real coefficients), while the partition ratio, omega, psi and the
+  tail shell are even in theta.  Both grids are then summed over their
+  nodes theta >= 0 only, each theta > 0 counted twice, and the value is
+  the real part (`_tiled_quadrature`): half the integrand points.
 
 Quadrature is tensor-trapezoid with grid spacing chosen from the sampled
 phase gradients (Nyquist plus a smoothness margin, `_grid`), which gives
@@ -65,10 +76,11 @@ process per allowed CPU (`shares`); the tile sums are added in tile order,
 so the results are bit-identical to one process.  A tile is evaluated in
 blocks of `_BLOCK_ROWS` y rows into one array of its values, so a process
 holds one tile's values plus the integrand's temporaries on one row block:
-the off-origin call x = 0.7, k = 2, R = 24 (two 4096-point local axes),
-alone in a fresh process on 2 CPUs, peaks at 94 MB RSS in the caller and
-84 MB in its child.  Every integrand is pointwise, so the sums are those of
-whole tiles, bit for bit.
+the off-origin call x = 0.7, k = 2, R = 24 (a 4096-point local y axis and
+its 2048 local theta columns >= 0), alone in a fresh process on 2 CPUs,
+peaks at about 92 MB RSS in the caller and 82 MB in its child, as on the
+whole grid.  Every integrand is pointwise, so the sums are those of whole
+tiles, bit for bit.
 Only n = N = 1 is supported here.
 """
 from __future__ import annotations
@@ -84,7 +96,7 @@ import sympy as sp
 
 from . import jets, shares
 from .expressions import evaluate, lambdify
-from .phases import PhaseField
+from .phases import PhaseField, conjugate_mirror
 from .symbols import as_expr
 from .weights import bracket
 
@@ -269,7 +281,8 @@ class OscIntegralResult:
     quadrature: List[dict] = field(default_factory=list)
     #: the choices `fio_apply_ibp` made for the caller: the partition
     #: threshold "eps0", psi's radius "s0" and support edge "local_radius"
-    #: (sqrt(2) s0), "psi_split" (k > 0), whether the point cap widened a
+    #: (sqrt(2) s0), "psi_split" (k > 0), whether both grids were summed
+    #: over theta >= 0 only ("theta_mirror"), whether the point cap widened a
     #: step of the coarse grid ("coarse_cap_hit"), and for the local grid
     #: the step asked for ("local_step_asked"), the step of the grid used
     #: ("local_step") and whether the point cap widened it
@@ -460,13 +473,37 @@ def _grid(phi: PhaseField, xv: float, ry: float, rt: float, margin: float,
             y_capped or t_capped)
 
 
-def _tiled_quadrature(fn, y_ax, t_ax):
+def _mirror_count(t) -> np.ndarray:
+    """How many nodes of a mirrored theta axis the node t >= 0 stands for:
+    2 where t > 0 (itself and -t), 1 at t = 0."""
+    return np.where(t > 0.0, 2.0, 1.0)
+
+
+def _mirror_half(t_ax, wt):
+    """The nodes theta >= 0 of the linspace t_ax, each standing for its
+    exact mirror -theta too, and their trapezoid weights wt times
+    `_mirror_count`.  linspace can round a node theta < 0 an ulp or two
+    away from the negated node theta > 0, and the middle node of an odd
+    count away from 0; here that middle node is 0.0."""
+    first = len(t_ax) // 2
+    half = t_ax[first:].copy()
+    if len(t_ax) % 2:
+        half[0] = 0.0
+    return half, wt[first:] * _mirror_count(half)
+
+
+def _tiled_quadrature(fn, y_ax, t_ax, mirror: bool = False):
     """sum w_y w_t fn(y, t) over the tensor grid, in tiles of 256 theta
     columns.  fn(Y, T) returns the complex integrand on a block of points,
     or a pair (values, tail_terms) with a 1-D float array of tail terms;
     the result is then the pair of the sum and the tail, which is each
     tile's sum of tail terms times the cell area hy * ht, summed over the
     tiles.
+
+    With mirror, fn is conjugate-symmetric in t, fn(y, -t) = conj fn(y, t),
+    and the sum runs over the nodes t >= 0 of t_ax only (`_mirror_half`),
+    each t > 0 weighted twice: the sum is the real part of that.  Its tail
+    terms must carry their node's `_mirror_count` themselves.
 
     Each tile is evaluated in blocks of `_BLOCK_ROWS` y rows into one
     complex array of its values, so no integrand temporary is larger than
@@ -481,6 +518,8 @@ def _tiled_quadrature(fn, y_ax, t_ax):
     hy, ht = y_ax[1] - y_ax[0], t_ax[1] - t_ax[0]
     wy = _trapezoid_weights(len(y_ax), hy)
     wt = _trapezoid_weights(len(t_ax), ht)
+    if mirror:
+        t_ax, wt = _mirror_half(t_ax, wt)
     starts = range(0, len(t_ax), tile)
 
     def tile_sum(i):
@@ -497,7 +536,8 @@ def _tiled_quadrature(fn, y_ax, t_ax):
             vals[rows] = out
         tail = (float(np.sum(np.concatenate(tails))) * hy * ht
                 if tails else None)
-        return np.einsum("i,ij,j->", wy, vals, wt[cols]), tail
+        part = np.einsum("i,ij,j->", wy, vals, wt[cols])
+        return (part.real if mirror else part), tail
 
     total, tail_total, paired = 0.0 + 0.0j, 0.0, False
     for part, tail in shares.in_shares(tile_sum, len(starts)):
@@ -913,11 +953,13 @@ def _psi(s0: float):
 
 @functools.lru_cache(maxsize=8)
 def _local_sum(u, phi_yt, yv, tv, xv: float, eps0: float, k: int,
-               s0: float, npts: int) -> complex:
+               s0: float, npts: int, mirror: bool) -> complex:
     """The sum of psi times the integrand of `fio_apply_ibp` (the
     `_ibp_callables` build of the first seven arguments) over the local
     grid: the square [-sqrt(2) s0, sqrt(2) s0]^2 with npts points per axis,
-    evaluated only where psi > 0 (`_on_support`).
+    evaluated only where psi > 0 (`_on_support`), and with mirror (the
+    integrand is conjugate-symmetric in theta) on its half theta >= 0
+    (`_tiled_quadrature`).
 
     Those are all the sum reads, so the calls of one process that differ
     only in R (criterion 3's R = 12 and R = 24, where s0 and the grid are
@@ -930,7 +972,7 @@ def _local_sum(u, phi_yt, yv, tv, xv: float, eps0: float, k: int,
     local_radius = float(np.sqrt(2.0) * s0)
     loc_ax = np.linspace(-local_radius, local_radius, npts)
     return _tiled_quadrature(
-        _on_support(values, _psi(s0), phase_factor), loc_ax, loc_ax)
+        _on_support(values, _psi(s0), phase_factor), loc_ax, loc_ax, mirror)
 
 
 def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
@@ -963,9 +1005,20 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
     (local radius sqrt(2) s0 >= R) raise ValueError.
     The partition threshold eps0 is `choose_eps0(phi, x)`.
     `tail_mass` reports the absolute integrand mass on the outer half-shell,
-    the quantity whose decay order improves with k.  `decisions` records
-    eps0, s0, the local radius, whether the point cap widened the coarse
-    grid's step and the local grid's step.
+    the quantity whose decay order improves with k.
+    When sympy proves phi(y, -theta) = -conj phi(y, theta) and
+    u(y, -theta) = conj u(y, theta) at x, u = a f (`conjugate_mirror`),
+    the integrand is conjugate-symmetric in theta (see the module
+    docstring): both grids are summed over their nodes theta >= 0 only,
+    taken as exact mirrors of the nodes theta < 0, each theta > 0 counted
+    twice, the value is the real part of that sum, and `tail_mass` counts
+    the theta > 0 shell terms twice.  This halves the integrand points and
+    moves the value by rounding only (at most 6e-14 relative on criterion
+    3's calls).  A call whose proof fails, or that sympy cannot decide, sums
+    the whole grids.
+    `decisions` records eps0, s0, the local radius, whether the psi split
+    ran, whether the grids were mirrored ("theta_mirror"), whether the
+    point cap widened the coarse grid's step and the local grid's step.
     Both grids are summed by `_tiled_quadrature` in forked tile shares on
     every allowed CPU; the value and `tail_mass` are the ones a single
     process gives, bit for bit.
@@ -982,6 +1035,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
              float(eps0), k)
     callables = _ibp_callables(*build)
     ratio_fn = callables[2]
+    mirror = conjugate_mirror(phi_yt, build[0], phi.tvars[0])
     integrand_values, phase_factor = _ibp_integrand(*callables)
 
     # The chi-transition annulus (1 < ratio < 2) carries very large
@@ -1012,14 +1066,17 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         vals = integrand_values(Y, T)
         shell = np.maximum(np.abs(Y), np.abs(T)) >= R / 2.0
         tail_terms = np.abs(vals[shell])
+        if mirror:
+            tail_terms *= _mirror_count(T[shell])
         if k > 0:
             vals = vals * (1.0 - psi(Y, T))
         return vals * phase_factor(Y, T), tail_terms
 
-    val, tail = _tiled_quadrature(coarse_integrand, y_ax, t_ax)
+    val, tail = _tiled_quadrature(coarse_integrand, y_ax, t_ax, mirror)
 
     decisions = {"eps0": float(eps0), "s0": s0, "local_radius": local_radius,
-                 "psi_split": k > 0, "coarse_cap_hit": coarse_capped,
+                 "psi_split": k > 0, "theta_mirror": mirror,
+                 "coarse_cap_hit": coarse_capped,
                  "local_step_asked": None,
                  "local_step": None, "local_cap_hit": None}
     if k > 0:
@@ -1028,7 +1085,7 @@ def fio_apply_ibp(a, phi: PhaseField, f, x: float, k: int,
         decisions.update(local_step_asked=h_loc,
                          local_step=float(loc_ax[1] - loc_ax[0]),
                          local_cap_hit=capped)
-        val = val + _local_sum(*build, s0, len(loc_ax))
+        val = val + _local_sum(*build, s0, len(loc_ax), mirror)
 
     val = val / (2.0 * np.pi)
     return OscIntegralResult(value=complex(val), ibp_order=k,

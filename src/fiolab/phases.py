@@ -142,6 +142,19 @@ def special_phase(S: GeneratingFunction) -> PhaseField:
                       xvars=S.xvars, yvars=yvars, tvars=S.tvars)
 
 
+def conjugate_mirror(phase: sp.Expr, amplitude: sp.Expr,
+                     theta: sp.Symbol) -> bool:
+    """Whether sympy proves phase(-theta) = -conj phase(theta) (-phase for a
+    real phase) and amplitude(-theta) = conj amplitude(theta): each
+    difference expands to 0, and one it cannot decide is not taken.  Then
+    e^{i phase} amplitude at -theta is the complex conjugate of its value
+    at theta, so the theta and -theta terms of a sum over a mirrored theta
+    axis add up to twice a real part."""
+    flip = {theta: -theta}
+    return all(sp.expand(f.xreplace(flip) + sign * sp.conjugate(f)) == 0
+               for f, sign in ((phase, 1), (amplitude, -1)))
+
+
 def quadratic_generating(coeffs: dict, n: int) -> GeneratingFunction:
     """S = sum C_{alpha,beta} x^alpha theta^beta over |alpha|+|beta| = 2.
 

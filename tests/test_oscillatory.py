@@ -25,7 +25,8 @@ from fiolab.oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                                 chi_derivative, chi_expr, choose_eps0,
                                 fio_apply_ibp, omega_partition,
                                 regularized_fio_apply)
-from fiolab.phases import GeneratingFunction, special_phase
+from fiolab.phases import (GeneratingFunction, conjugate_mirror,
+                           special_phase)
 from fiolab.symbols import as_expr
 
 A_ONE = "1"
@@ -534,6 +535,11 @@ class TestFioApplyIBP:
         assert d["local_step"] > d["local_step_asked"]
         assert d["local_step"] == pytest.approx(
             2.0 * d["local_radius"] / 4095, rel=1e-12)
+        # (0.7 - y) theta and a real f are conjugate-symmetric in theta
+        assert d["theta_mirror"] is True and res.value.imag == 0.0
+        assert set(d) == {"eps0", "s0", "local_radius", "psi_split",
+                          "theta_mirror", "coarse_cap_hit", "local_step_asked",
+                          "local_step", "local_cap_hit"}
         # the record holds plain numbers only: it reads the same in JSON
         assert json.loads(json.dumps(d)) == d
 
@@ -541,6 +547,81 @@ class TestFioApplyIBP:
         d = fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=6.0).decisions
         assert d["local_cap_hit"] is False and d["coarse_cap_hit"] is False
         assert d["local_step"] <= d["local_step_asked"]
+
+
+#: (a, f, x, k) whose integrand sympy proves conjugate-symmetric in theta
+MIRRORED = [(A_ONE, F_GAUSS, 0.0, 0), (A_ONE, F_GAUSS, 0.0, 2),
+            (A_ONE, F_GAUSS, 0.0, 4), (A_ONE, "exp(-(y-0.3)**2/2)", 0.7, 2),
+            ("1/(1+theta**2)", F_GAUSS, 0.0, 2)]
+#: (a, f, x, k) whose integrand is not: a odd in theta, f complex
+UNMIRRORED = [("theta", F_GAUSS, 0.0, 2), (A_ONE, "exp(-y**2/2 + I*y)", 0.0, 2)]
+
+
+def ibp_build(phi, a, f, x, k):
+    """The `_ibp_callables` arguments of fio_apply_ibp(a, phi, f, x, k, R)."""
+    xv, phi_yt, a_yt, f_expr = oscillatory._at_point(a, phi, f, x)
+    return (a_yt * f_expr, phi_yt, phi.yvars[0], phi.tvars[0], xv,
+            float(choose_eps0(phi, xv)), k)
+
+
+class TestThetaMirror:
+    """`fio_apply_ibp` sums both grids over theta >= 0 exactly when sympy
+    proves its integrand conjugate-symmetric in theta."""
+
+    @pytest.mark.parametrize("a, f, x, k", MIRRORED + UNMIRRORED)
+    def test_decided_by_the_proof(self, phi_xt, a, f, x, k):
+        u, phi_yt, _, tv, *_ = ibp_build(phi_xt, a, f, x, k)
+        assert conjugate_mirror(phi_yt, u, tv) is ((a, f, x, k) in MIRRORED)
+
+    @pytest.mark.parametrize("a, f, x, k", MIRRORED)
+    def test_matches_the_full_grid(self, phi_xt, monkeypatch, a, f, x, k):
+        # R = 12 holds psi's disk at x = 0.7 (local radius 11.2)
+        mirrored = fio_apply_ibp(a, phi_xt, f, x, k=k, R=12.0)
+        monkeypatch.setattr(oscillatory, "conjugate_mirror",
+                            lambda *args: False)
+        full = fio_apply_ibp(a, phi_xt, f, x, k=k, R=12.0)
+        assert mirrored.decisions["theta_mirror"] is True
+        assert full.decisions["theta_mirror"] is False
+        assert mirrored.value.imag == 0.0
+        assert abs(mirrored.value - full.value) <= 1e-12 * abs(full.value)
+        assert abs(mirrored.tail_mass - full.tail_mass) \
+            <= 1e-12 * full.tail_mass
+
+    @pytest.mark.parametrize("a, f, x, k", UNMIRRORED)
+    def test_unproven_takes_the_full_grid(self, phi_xt, monkeypatch, a, f,
+                                          x, k):
+        real = oscillatory._tiled_quadrature
+        seen = []
+
+        def recording(fn, y_ax, t_ax, mirror=False):
+            seen.append(mirror)
+            return real(fn, y_ax, t_ax, mirror)
+        monkeypatch.setattr(oscillatory, "_tiled_quadrature", recording)
+        res = fio_apply_ibp(a, phi_xt, f, x, k=k, R=12.0)
+        assert res.decisions["theta_mirror"] is False
+        # both grids whole: the instructions, and so the bits, of the sums
+        # before the mirror
+        assert seen == [False, False]
+
+    @given(case=st.sampled_from(MIRRORED + UNMIRRORED
+                                + [("exp(I*theta)/(1+theta**2)", F_GAUSS,
+                                    0.0, 2)]),
+           y=st.floats(-12.0, 12.0), t=st.floats(0.0, 12.0))
+    @settings(max_examples=80, deadline=None)
+    def test_proven_integrand_is_conjugate_symmetric(self, phi_xt, case, y,
+                                                     t):
+        # both grids lie in [-12, 12]^2 at R = 12; a proof that accepted a
+        # case it should not would show here as I(y, -t) != conj I(y, t)
+        build = ibp_build(phi_xt, *case)
+        u, phi_yt, _, tv, *_ = build
+        if not conjugate_mirror(phi_yt, u, tv):
+            return
+        values, phase = oscillatory._ibp_integrand(
+            *oscillatory._ibp_callables(*build))
+        Y, T = np.array([y, y]), np.array([t, -t])
+        plus, minus = values(Y, T) * phase(Y, T)
+        eps = np.finfo(float).eps
+        assert abs(minus - np.conj(plus)) <= 8 * eps * abs(plus)
 
 
 def test_grid_reports_the_point_cap(phi_xt):
@@ -580,12 +661,7 @@ def test_ibp_value_independent_of_blas_threads(tmp_path):
 def ibp_callables(phi, k):
     """`_ibp_callables` with the arguments fio_apply_ibp(A_ONE, phi, F_GAUSS,
     0.0, k, R) passes, so the symbolic build is shared with those calls."""
-    yv, tv = phi.yvars[0], phi.tvars[0]
-    u = as_expr(A_ONE, phi.variables).subs(phi.xvars[0], 0.0) * \
-        as_expr(F_GAUSS, (yv,))
-    return oscillatory._ibp_callables(
-        u, phi.expr.subs(phi.xvars[0], 0.0), yv, tv, 0.0,
-        float(choose_eps0(phi, 0.0)), k)
+    return oscillatory._ibp_callables(*ibp_build(phi, A_ONE, F_GAUSS, 0.0, k))
 
 
 class TestIBPRegions:
@@ -682,9 +758,9 @@ class TestIBPSupport:
                     state["local"] = False
             return flagged
 
-        def quadrature(fn, y_ax, t_ax):
+        def quadrature(fn, y_ax, t_ax, mirror=False):
             state["axes"].append(y_ax)
-            return real_quadrature(fn, y_ax, t_ax)
+            return real_quadrature(fn, y_ax, t_ax, mirror)
         monkeypatch.setattr(oscillatory, "_ibp_callables", callables)
         monkeypatch.setattr(oscillatory, "_on_support", on_support)
         monkeypatch.setattr(oscillatory, "_tiled_quadrature", quadrature)
@@ -710,11 +786,11 @@ class TestLocalSumMemo:
         real = oscillatory._tiled_quadrature
         ends = []
 
-        def recording(fn, y_ax, t_ax):
+        def recording(fn, y_ax, t_ax, mirror=False):
             ends.append(float(y_ax[-1]))
             if local is not None and ends[-1] not in (12.0, 24.0):
-                return local(fn, y_ax, t_ax)
-            return real(fn, y_ax, t_ax)
+                return local(fn, y_ax, t_ax, mirror)
+            return real(fn, y_ax, t_ax, mirror)
         monkeypatch.setattr(oscillatory, "_tiled_quadrature", recording)
         return ends
 
@@ -735,7 +811,7 @@ class TestLocalSumMemo:
                                                    monkeypatch):
         # at x = 0.7, s0 reads 7.943077 at R = 12 and 7.94 at R = 24; the
         # local grids (16.8 M points each) are recorded, not summed
-        ends = self.spy(monkeypatch, local=lambda fn, y_ax, t_ax: 0j)
+        ends = self.spy(monkeypatch, local=lambda fn, y_ax, t_ax, mirror: 0j)
         f = "exp(-(y-0.3)**2/2)"
         radii = [fio_apply_ibp(A_ONE, phi_xt, f, 0.7, k=2, R=R).decisions[
             "local_radius"] for R in (12.0, 24.0)]
@@ -743,7 +819,7 @@ class TestLocalSumMemo:
         assert ends == [12.0, radii[0], 24.0, radii[1]]
 
     def test_a_raising_local_grid_caches_nothing(self, phi_xt, monkeypatch):
-        def failing(fn, y_ax, t_ax):
+        def failing(fn, y_ax, t_ax, mirror):
             raise FloatingPointError("non-finite integrand away from the guard")
         ends = self.spy(monkeypatch, local=failing)
         with pytest.raises(FloatingPointError, match="non-finite integrand"):
@@ -771,7 +847,8 @@ class TestTileShares:
         one, two = results
         assert two.value == one.value and two.tail_mass == one.tail_mass
         # at R = 6 the coarse grid is one tile; the local grid of k > 0
-        # (1260 columns, five tiles) is the one that forks
+        # (1260 columns, mirrored to its 630 columns theta >= 0, three
+        # tiles) is the one that forks
         assert len(forks) == (1 if k else 0)
 
     def test_error_in_a_child_tile_reaches_the_caller(self, cpus):
@@ -808,12 +885,19 @@ class TestTileShares:
         assert got[0][1] == tail
 
 
-def whole_tiles(fn, y_ax, t_ax):
+def whole_tiles(fn, y_ax, t_ax, mirror=False):
     """`_tiled_quadrature`'s sums with each tile evaluated in one piece, in
-    one process: the reference of its row blocks."""
+    one process: the reference of its row blocks.  With mirror, the tiles
+    cover the nodes t >= 0 of t_ax (the middle one of an odd count exactly
+    0), each t > 0 weighted twice, and the sums are real parts."""
     hy, ht = y_ax[1] - y_ax[0], t_ax[1] - t_ax[0]
     wy = oscillatory._trapezoid_weights(len(y_ax), hy)
     wt = oscillatory._trapezoid_weights(len(t_ax), ht)
+    if mirror:
+        first = len(t_ax) // 2
+        t_ax = np.r_[0.0, t_ax[first + 1:]] if len(t_ax) % 2 \
+            else t_ax[first:]
+        wt = wt[first:] * np.where(t_ax > 0.0, 2.0, 1.0)
     total, tail, paired = 0.0 + 0.0j, 0.0, False
     for start in range(0, len(t_ax), 256):
         cols = slice(start, start + 256)
@@ -822,7 +906,8 @@ def whole_tiles(fn, y_ax, t_ax):
             out, terms = out
             tail += float(np.sum(terms)) * hy * ht
             paired = True
-        total += np.einsum("i,ij,j->", wy, out, wt[cols])
+        part = np.einsum("i,ij,j->", wy, out, wt[cols])
+        total += part.real if mirror else part
     return (total, tail) if paired else total
 
 
@@ -838,20 +923,21 @@ class TestRowBlocks:
         real = oscillatory._tiled_quadrature
         grids, blocks = [], []
 
-        def recording(fn, y_ax, t_ax):
-            grids.append((fn, y_ax, t_ax))
+        def recording(fn, y_ax, t_ax, mirror=False):
+            grids.append((fn, y_ax, t_ax, mirror))
 
             def spied(Y, T):
                 blocks.append((len(grids) - 1, Y.shape))
                 return fn(Y, T)
-            return real(spied, y_ax, t_ax)
+            return real(spied, y_ax, t_ax, mirror)
         monkeypatch.setattr(oscillatory, "_tiled_quadrature", recording)
         return real, grids, blocks
 
     def test_blocks_equal_whole_tiles(self, phi_xt, monkeypatch):
         real, grids, _ = self.spy(monkeypatch)
         fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
-        (coarse, y_ax, t_ax), (local, loc_ax, _) = grids
+        (coarse, y_ax, t_ax, mirrored), (local, loc_ax, _, _) = grids
+        assert mirrored
         rows = oscillatory._BLOCK_ROWS
         # 292 and 1260 rows: neither is a multiple of a block
         assert len(y_ax) % rows and len(loc_ax) % rows
@@ -864,6 +950,15 @@ class TestRowBlocks:
             got, ref = real(fn, ys, ts), whole_tiles(fn, ys, ts)
             assert repr(got) == repr(ref)
         assert isinstance(got, complex) and len(real(*cases[1])) == 2
+        # mirrored: the even local axis (630 columns theta > 0), and an odd
+        # coarse axis, whose middle column theta = 0 counts once; linspace
+        # leaves that node 1.8e-15 above 0, and the fold takes it as 0
+        odd = np.linspace(-t_ax[-1], t_ax[-1], 375)
+        assert t_ax[-1] == 12.0 and odd[187] > 0.0
+        for fn, ys, ts in [(local, loc_ax, loc_ax), (coarse, y_ax, odd)]:
+            got = real(fn, ys, ts, True)
+            assert repr(got) == repr(whole_tiles(fn, ys, ts, mirror=True))
+        assert got[0].imag == 0.0
 
     def test_no_call_sees_more_than_one_block(self, phi_xt, monkeypatch,
                                               cpus):
@@ -874,11 +969,14 @@ class TestRowBlocks:
         fio_apply_ibp(A_ONE, phi_xt, F_GAUSS, 0.0, k=2, R=12.0)
         rows = oscillatory._BLOCK_ROWS
         assert len(grids) == 2
-        for i, (_, y_ax, t_ax) in enumerate(grids):
+        for i, (_, y_ax, t_ax, mirror) in enumerate(grids):
+            # a mirrored grid evaluates its columns theta >= 0 only
+            assert mirror
+            columns = (len(t_ax) + 1) // 2
             shapes = [shape for grid, shape in blocks if grid == i]
             assert max(r for r, _ in shapes) == rows
             assert all(r <= rows and c <= 256 for r, c in shapes)
-            assert sum(r * c for r, c in shapes) == len(y_ax) * len(t_ax)
+            assert sum(r * c for r, c in shapes) == len(y_ax) * columns
 
     def test_traced_peak_of_a_k4_call(self, phi_xt, cpus):
         # 34.1 MB with whole tiles, 14.7 MB in blocks of 64 rows; the
