@@ -17,12 +17,24 @@ function:
     column (record route "separable"); the radial bump only where it is
     exactly 1.0 at every y, a column where it is exactly 0.0 adds nothing,
     and the transition columns between are summed point by point (route
-    "split").  The Fourier sums are one complex GEMM whose exponential
-    tables are outer products of short ones: a `regularized` pass of the
-    bench (x = 1, sigma up to 256) evaluates 72 k complex exponentials
-    instead of 2.09 M (`_exp_table`, `_fourier_sum`); the transition
-    columns share one (y, column) table (11 k exponentials at sigma = 256
-    instead of 223 k).
+    "split").  The Fourier sums are complex GEMMs whose exponential
+    tables are outer products of short ones, each exponential exact to
+    first order in the rounding of its phase and of the split of its node
+    (`_exp_table`): a `regularized` pass of the bench (x = 1, sigma up to
+    256) evaluates 51 k complex exponentials instead of 1.47 M
+    (`_fourier_sum`, which also lands F exactly on each theta node); the
+    transition columns share one (y, column) table (10.8 k exponentials at
+    sigma = 256 instead of 212 k).
+    When sympy proves phi(y, -theta) = -conj phi(y, theta) and
+    a(-theta) f(y) = conj(a(theta) f(y)) at the point x
+    (`conjugate_mirror`; S = x theta at any x with a real f, for one), the
+    term at (y, -theta) is the conjugate of the term at (y, theta), since
+    the cutoff and the trapezoid weights are even in theta, and so is the
+    column at -theta of the column at theta.  Every pass, Gaussian or
+    bump, then sums its columns theta >= 0 only, each theta > 0 counted
+    twice, and the value is the real part (record "theta_mirror"): half
+    the Fourier-sum rows, and half the transition columns and so half the
+    cutoff evaluations (1.41 M instead of 2.81 M in that pass).
   - tensor: every other case (a y-dependent amplitude, a non-special
     phase) is summed on the tensor grid, which is also the reference the
     tests compare the special route against.
@@ -241,13 +253,15 @@ class CutoffSpec:
             return 2.0 * sigma
         return sigma * float(np.sqrt(-2.0 * np.log(tail)))
 
-    def special_factors(self, x2, sigma: float, y_ax, t_ax):
+    def special_factors(self, x2, sigma: float, y_ax, t_ax, count=1):
         """g(|(x, y, t)|/sigma), x2 = (x/sigma)^2, on the special route's
         grid y_ax x t_ax as (g_y, g_t, ones, zeros, entries): g is
         g_y(y) g_t(t) on the theta columns of the mask `ones`, 0 on those of
         `zeros`, and is evaluated point by point on the rest; `entries` are
-        the route's fields of the quadrature record.  The Gaussian factors
-        on every column; the bump is 1 times 1 where it is exactly 1.0
+        the route's fields of the quadrature record, whose column counts
+        count each node of t_ax as `count` columns of the grid (2 for a
+        node theta > 0 of a mirrored axis).  The Gaussian factors on every
+        column; the bump is 1 times 1 where it is exactly 1.0
         (`_bump_columns`)."""
         if self.kind is CutoffKind.GAUSSIAN:
             every = np.ones(len(t_ax), dtype=bool)
@@ -255,9 +269,11 @@ class CutoffSpec:
                     np.exp(-(x2 + (t_ax / sigma) ** 2) / 2.0), every, ~every,
                     {"route": "separable"})
         ones, zeros = _bump_columns(self, x2, sigma, y_ax, t_ax)
-        counts = {"separable": int(np.count_nonzero(ones)),
-                  "zero": int(np.count_nonzero(zeros))}
-        counts["transition"] = len(t_ax) - counts["separable"] - counts["zero"]
+        count = np.broadcast_to(count, t_ax.shape)
+        counts = {"separable": int(np.sum(count[ones])),
+                  "zero": int(np.sum(count[zeros]))}
+        counts["transition"] = (int(np.sum(count)) - counts["separable"]
+                                - counts["zero"])
         return 1.0, 1.0, ones, zeros, {"columns": counts, "route": "split"}
 
 
@@ -277,7 +293,10 @@ class OscIntegralResult:
     #: ("capped") and the route that summed it: "tensor", or on the
     #: special route "separable" (Gaussian cutoff, every column factored)
     #: or "split" (smooth bump), whose record also counts its theta columns
-    #: by class under "columns": "separable", "transition" and "zero"
+    #: by class under "columns": "separable", "transition" and "zero"; a
+    #: special-route record says under "theta_mirror" whether the pass was
+    #: summed over theta >= 0 only.  ny, nt and the column counts are those
+    #: of the whole grid either way, a folded column theta > 0 counted twice
     quadrature: List[dict] = field(default_factory=list)
     #: the choices `fio_apply_ibp` made for the caller: the partition
     #: threshold "eps0", psi's radius "s0" and support edge "local_radius"
@@ -555,51 +574,99 @@ def _linspace_step(ax) -> float:
     return (ax[-1] - ax[0]) / max(len(ax) - 1, 1)
 
 
-def _exp_table(t, y_ax) -> Tuple[np.ndarray, np.ndarray]:
-    """(E, delta) with e^{-i t_k y_j} = E[k, j] (1 - i t_k delta_j) for
-    every t_k in t and every point y_j of the linspace y_ax, up to
-    (t_k delta_j)^2 / 2, about 1e-22 at |t y| = 2e4.
+def _residual(x, a, b):
+    """x - (a + b) exactly, for an x within an ulp or two of a + b: the
+    rounding of the sum a + b (Knuth's two-sum), and then the difference
+    of two numbers an ulp apart."""
+    s = a + b
+    late = s - a
+    return (x - s) - ((a - (s - late)) + (b - late))
 
-    E, shape (len(t), ny), is built from the split index j = p*Q + q with
-    Q = ceil(sqrt(ny)): E[k, pQ + q] = e^{-i t_k y_{pQ}} e^{-i t_k q h_y},
-    so each row is the outer product of P + Q exponentials, P = ceil(ny/Q),
-    cut to ny, and (P + Q) exponentials replace ny.  The split grid
-    y_{pQ} + q h_y misses y_j by delta_j, an ulp or two of y_j in a
-    sawtooth that a sum over y would pick up coherently (1e-13 of the sum
-    at ny = 6191, |t| = 2000), so callers add the term -i t_k delta_j."""
+
+def _split(ax) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base, offset, delta) of the split index j = p*Q + q of the linspace
+    ax, Q = ceil(sqrt(len(ax))): base = ax[::Q], offset = q times the step,
+    and delta_j = ax[j] - (base_p + offset_q) exactly, an ulp or two of
+    ax[j] in a sawtooth that a sum over the axis would pick up coherently
+    (1e-13 of a sum over y at ny = 6191, |t| = 2000)."""
+    n = len(ax)
+    Q = int(np.ceil(np.sqrt(n)))
+    base = ax[::Q]
+    offset = np.arange(Q) * _linspace_step(ax)
+    return base, offset, _residual(ax, np.repeat(base, Q)[:n],
+                                   np.tile(offset, len(base))[:n])
+
+
+def _exp_table(t, y_ax) -> np.ndarray:
+    """E with E[k, j] = e^{-i t_k y_j} for every t_k in t and every point
+    y_j of the linspace y_ax, up to a few rounding errors of a complex
+    product while |t_k y_j| stays below about 1e8 (`_exp_outer`).
+
+    E, shape (len(t), ny), is built from the split index j = p*Q + q of
+    `_split`: E[k, pQ + q] = e^{-i t_k y_{pQ}} e^{-i t_k q h_y}
+    (1 - i t_k delta_j), so each row is the outer product of P + Q
+    exponentials, P = ceil(ny/Q), cut to ny, and (P + Q) exponentials
+    replace ny.  The last factor takes the split's miss delta_j back to
+    first order, up to (t_k delta_j)^2 / 2, about 1e-22 at |t y| = 2e4."""
     t = np.asarray(t, dtype=float)
     ny = len(y_ax)
-    Q = int(np.ceil(np.sqrt(ny)))
-    base = y_ax[::Q, None]
-    offset = np.arange(Q) * _linspace_step(y_ax)
-    table = np.exp(-1j * np.outer(t, base))[:, :, None] * np.exp(
-        -1j * np.outer(t, offset))[:, None, :]
-    # y_j - (base + offset), exactly: the sum's rounding (Knuth's two-sum)
-    # and then the difference of two numbers an ulp apart
-    split = base + offset
-    late = split - base
-    rounding = (base - (split - late)) + (offset - late)
-    delta = (y_ax - split.ravel()[:ny]) - rounding.ravel()[:ny]
-    return table.reshape(len(t), -1)[:, :ny], delta
+    base, offset, delta = _split(y_ax)
+    # 1 - i t_k delta_j, times the two exponentials, on the (k, p, q)
+    # layout of j = p*Q + q
+    table = np.empty((len(t), len(base), len(offset)), dtype=complex)
+    table.real = 1.0
+    np.multiply.outer(-t, np.pad(delta, (0, table[0].size - ny)).reshape(
+        table.shape[1:]), out=table.imag)
+    table *= _exp_outer(t, base)[:, :, None]
+    table *= _exp_outer(t, offset)[:, None, :]
+    return table.reshape(len(t), -1)[:, :ny]
+
+
+def _exp_outer(t, y) -> np.ndarray:
+    """e^{-i t_k y_j} for every pair, with the rounding of the product
+    t_k y_j (up to half an ulp of it, 3.6e-12 at |t y| = 6e4) taken back to
+    first order: the exact error of the product (Dekker's two-product, on
+    Veltkamp's split of each factor) rides as the factor 1 - i error, and
+    what is left, error^2 / 2, is below an ulp of 1 while |t y| < 1e8.
+    Left in the phases, that rounding put `_fourier_sum` 2e-13 of
+    sum |c_j| off at the flat c described there."""
+    t, y = np.asarray(t, dtype=float)[:, None], np.asarray(y, dtype=float)
+    phase = t * y
+    t_hi, t_lo = _veltkamp(t)
+    y_hi, y_lo = _veltkamp(y)
+    error = (((t_hi * y_hi - phase) + t_hi * y_lo) + t_lo * y_hi) + t_lo * y_lo
+    return np.exp(-1j * phase) * (1.0 - 1j * error)
+
+
+def _veltkamp(a):
+    """(hi, lo) with a = hi + lo exactly, each of at most 26 significant
+    bits, so that the product of two parts is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _fourier_sum(c, y_ax, t_ax) -> np.ndarray:
     """F_k = sum_j c_j e^{-i y_j t_k} at every point t_k of the linspace
-    axis t_ax, as a complex GEMM over the split index k = a*B + b with
-    B = ceil(sqrt(nt)): e^{-i y t_k} = e^{-i y t_{aB}} e^{-i y b h}.  Its
-    two tables come from `_exp_table`, which splits y the same way, so
+    axis t_ax, as a complex GEMM over the split index k = a*B + b of
+    `_split`: e^{-i y t'_k} = e^{-i y t_{aB}} e^{-i y b h}.  Its two
+    tables come from `_exp_table`, which splits y the same way, so
     (nt/B + B)(ny/Q + Q) exponentials build them instead of (nt/B + B) ny:
-    28.8 k instead of 1.13 M at nt = 8192, ny = 6191.  A second GEMM, with
-    the head rows scaled by delta, sums the correction term of
-    `_exp_table`."""
+    28.8 k instead of 1.13 M at nt = 8192, ny = 6191.  The split misses
+    t_k by the delta epsilon_k of `_split`, so a second GEMM, with the head
+    rows scaled by y, adds F's first-order term
+    -i epsilon_k sum_j c_j y_j e^{-i y_j t'_k}: F is then that of t_k.  F
+    at t'_k is up to 1.5e-12 of sum |c_j| off at a flat c (|y| <= 30,
+    ny = 6191, |t| <= 2000, nt = 8192), next to t = 2 pi m / h_y, where
+    every term has the same phase and the offsets add up coherently."""
     nt = len(t_ax)
-    B = int(np.ceil(np.sqrt(nt)))
-    head, delta = _exp_table(t_ax[::B], y_ax)
-    step, _ = _exp_table(np.arange(B) * _linspace_step(t_ax), y_ax)
+    t_base, t_offset, epsilon = _split(t_ax)
+    head = _exp_table(t_base, y_ax)
+    step = _exp_table(t_offset, y_ax).T
     head *= c
-    plain = (head @ step.T).ravel()[:nt]
-    head *= delta
-    return plain - 1j * t_ax * (head @ step.T).ravel()[:nt]
+    plain = (head @ step).ravel()[:nt]
+    head *= y_ax
+    return plain - 1j * epsilon * (head @ step).ravel()[:nt]
 
 
 def _bump_columns(cut: CutoffSpec, x2, sigma: float, y_ax, t_ax):
@@ -618,17 +685,28 @@ def _bump_columns(cut: CutoffSpec, x2, sigma: float, y_ax, t_ax):
 
 
 def _special_quadrature(theta_fn, f_fn, x2, sigma: float, cut: CutoffSpec,
-                        y_ax, t_ax):
+                        y_ax, t_ax, mirror: bool = False):
     """The tensor-trapezoid sum of e^{i S(t)} a(t) f(y) e^{-i y t}
     g(|(x, y, t)|/sigma) over y_ax x t_ax, theta_fn(t) = e^{i S(t)} a(t),
     by theta column as `CutoffSpec.special_factors` classes them: a
     factored column is w_t g_t(t) theta_fn(t) times the `_fourier_sum` of
     w_y f(y) g_y(y), a zero column adds nothing, and a transition column is
-    summed point by point.  Returns the sum and the record's fields."""
+    summed point by point.  Returns the sum and the record's fields, which
+    say under "theta_mirror" whether the sum was folded.
+
+    With mirror, the term is conjugate-symmetric in t (the column at -t is
+    the conjugate of the column at t), and the sum runs over the columns
+    t >= 0 of t_ax only (`_mirror_half`), each t > 0 weighted twice: the
+    sum is the real part of that.  The record still counts the columns of
+    the whole axis, a column t > 0 as two."""
     wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
+    count = 1
+    if mirror:
+        t_ax, wt = _mirror_half(t_ax, wt)
+        count = _mirror_count(t_ax)
     g_y, g_t, ones, zeros, entries = cut.special_factors(x2, sigma, y_ax,
-                                                         t_ax)
+                                                         t_ax, count)
     c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape) * g_y
     w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape) * g_t
     total = 0j
@@ -643,22 +721,25 @@ def _special_quadrature(theta_fn, f_fn, x2, sigma: float, cut: CutoffSpec,
     if len(transition):
         # on a tile of consecutive columns, e^{-i y t_{k0+b}} =
         # e^{-i y t_{k0}} e^{-i y b h}: one head row per tile and one (b, y)
-        # table for all of them replace an exponential per point; the
-        # correction term of `_exp_table` rides as a second row
+        # table for all of them replace an exponential per point; t_{k0} +
+        # b h misses t_{k0+b} by `_residual`, whose first-order term rides
+        # as a second row, scaled by y
         tile = 128
-        step, delta = _exp_table(np.arange(tile) * _linspace_step(t_ax),
-                                 y_ax)
+        offset = np.arange(tile) * _linspace_step(t_ax)
+        step = _exp_table(offset, y_ax).T
         tiles = list(_tiles(transition, tile))
-        heads, _ = _exp_table(t_ax[[k0 for k0, _ in tiles]], y_ax)
+        heads = _exp_table(t_ax[[k0 for k0, _ in tiles]], y_ax)
         heads *= c
         y_scaled2 = (y_ax[:, None] / sigma) ** 2
         for (k0, k1), head in zip(tiles, heads):
-            g = cut.at_r2(x2 + y_scaled2 + (t_ax[k0:k1] / sigma) ** 2)
-            plain, fix = np.stack([head, head * delta]) @ (
-                g * step.T[:, :k1 - k0])
-            total += np.sum(w_theta[k0:k1]
-                            * (plain - 1j * t_ax[k0:k1] * fix))
-    return complex(total), entries
+            cols = t_ax[k0:k1]
+            g = cut.at_r2(x2 + y_scaled2 + (cols / sigma) ** 2)
+            plain, slope = np.stack([head, head * y_ax]) @ (
+                g * step[:, :k1 - k0])
+            epsilon = _residual(cols, cols[0], offset[:k1 - k0])
+            total += np.sum(w_theta[k0:k1] * (plain - 1j * epsilon * slope))
+    entries["theta_mirror"] = mirror
+    return complex(total.real if mirror else total), entries
 
 
 def _tiles(columns, tile: int):
@@ -679,7 +760,17 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     A quadrature takes the special route (see the module docstring) when
     the phase is special (phi = S(x, theta) - y theta) and a does not
     depend on y, and the tensor route otherwise; both sum the same
-    trapezoid grid, recorded in `OscIntegralResult.quadrature`.  A
+    trapezoid grid, recorded in `OscIntegralResult.quadrature`.
+    On the special route, when sympy proves phi(y, -theta) =
+    -conj phi(y, theta) and a(-theta) f(y) = conj(a(theta) f(y)) at x
+    (`conjugate_mirror`), every pass sums the columns theta >= 0 only,
+    taken as exact mirrors of the columns theta < 0, each theta > 0 counted
+    twice, and its value is the real part of that sum (record
+    "theta_mirror").  This halves the Fourier-sum rows and the bump's
+    transition columns, and moves each value by rounding only (at most
+    2e-13 relative on the bench's call, where the linspace nodes near
+    theta = 0 carry the rounding of |theta| up to 2000).  A call whose
+    proof fails, or that sympy cannot decide, sums the whole axis.  A
     quadrature whose value is not finite (an f or a that is not finite on
     the grid) and an x that is not finite raise ValueError."""
     schedule = [float(s) for s in schedule]
@@ -695,8 +786,10 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     # S(theta) = phi + y theta; y-free exactly when d phi / dy = -theta
     s_t = sp.expand(phi_yt + yv * tv)
     theta_fn = core_fn = None
+    mirror = False
     if yv not in s_t.free_symbols | a_yt.free_symbols:
         theta_fn = lambdify(tv, sp.exp(sp.I * s_t) * a_yt)
+        mirror = conjugate_mirror(phi_yt, a_yt * f_expr, tv)
     else:  # the tensor route's integrand
         core_fn = lambdify((yv, tv), sp.exp(sp.I * phi_yt) * a_yt * f_expr)
     quadrature = []
@@ -737,7 +830,7 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
                 record["route"] = "tensor"
             else:
                 val, entries = _special_quadrature(theta_fn, f_fn, x2, sigma,
-                                                   cut, y_ax, t_ax)
+                                                   cut, y_ax, t_ax, mirror)
                 record.update(entries)
         if not np.isfinite(val):
             raise ValueError(f"the {cut.kind.value} cutoff's quadrature at "

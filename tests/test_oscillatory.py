@@ -161,7 +161,8 @@ class TestRegularizedApply:
 
 #: (a, f, x) of the route-against-tensor-sum comparisons
 SEPARABLE_CASES = [(A_ONE, F_GAUSS, 1.0), ("exp(-theta**2/8)", "1", 0.0),
-                   ("exp(-theta**2/8)", "1", 1.0)]
+                   ("exp(-theta**2/8)", "1", 1.0),
+                   (A_ONE, "exp(-y**2/2 + I*y)", 1.0)]
 
 
 #: sigma, x, the y radius and the grid sizes of the special route's
@@ -205,8 +206,9 @@ class TestSpecialRoute:
         real = oscillatory._special_quadrature
         seen = []
 
-        def spy(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax):
-            val, entries = real(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+        def spy(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax, mirror):
+            val, entries = real(theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax,
+                                mirror)
             seen.append((x2, sigma, cut, y_ax, t_ax, val, entries))
             return val, entries
         monkeypatch.setattr(oscillatory, "_special_quadrature", spy)
@@ -215,6 +217,9 @@ class TestSpecialRoute:
                                     cutoff=CutoffSpec(kind),
                                     compute_gap=False)
         assert [sigma for _, sigma, *_ in seen] == list(schedule)
+        # folded exactly where the proof holds: every case but the complex f
+        assert [entries["theta_mirror"] for *_, entries in seen] == [
+            "I*y" not in f] * len(schedule)
         # an axis that the point cap widened has exactly 8192 points
         assert res.quadrature == [
             {"sigma": sigma, "cutoff": kind.value, "ny": len(y_ax),
@@ -262,18 +267,25 @@ class TestSpecialRoute:
         assert [q["capped"] for q in res.quadrature] == [False, False]
         assert len(calls) == (2 if route == "tensor" else 0)
 
-    @given(kind=st.sampled_from(CutoffKind), **SPECIAL_GRIDS)
-    @example(kind=CutoffKind.SMOOTH_BUMP, sigma=4.0, x=0.0, ry=1.0, ny=9,
-             nt=3)  # one all-1 column
-    @example(kind=CutoffKind.GAUSSIAN, sigma=0.25, x=8.0, ry=0.05, ny=2,
-             nt=2)  # the exponent's rounding, 19 eps ulps scale
-    @example(kind=CutoffKind.GAUSSIAN, sigma=31.5, x=1200.0, ry=763.0,
-             ny=5, nt=7)  # a subnormal sum, 370 eps ulps scale
+    @given(kind=st.sampled_from(CutoffKind), mirror=st.booleans(),
+           **SPECIAL_GRIDS)
+    @example(kind=CutoffKind.SMOOTH_BUMP, mirror=False, sigma=4.0, x=0.0,
+             ry=1.0, ny=9, nt=3)  # one all-1 column
+    @example(kind=CutoffKind.GAUSSIAN, mirror=False, sigma=0.25, x=8.0,
+             ry=0.05, ny=2, nt=2)  # the exponent's rounding, 19 eps ulps
+    @example(kind=CutoffKind.GAUSSIAN, mirror=False, sigma=31.5, x=1200.0,
+             ry=763.0, ny=5, nt=7)  # a subnormal sum, 370 eps ulps scale
+    @example(kind=CutoffKind.SMOOTH_BUMP, mirror=True, sigma=256.0, x=1.0,
+             ry=9.4, ny=65, nt=399)  # folded, the middle node set to 0.0
     @settings(max_examples=60, deadline=None)
-    def test_matches_tensor_sum_on_any_grid(self, kind, sigma, x, ry, ny,
-                                            nt):
+    def test_matches_tensor_sum_on_any_grid(self, kind, mirror, sigma, x, ry,
+                                            ny, nt):
         # the routes round the phase y t differently, by a few ulp of
-        # max |y t| per term, and add the terms in another order
+        # max |y t| per term, and add the terms in another order; the term
+        # is conjugate-symmetric in t (S = 0.7 t, a real f), and folded
+        # onto t >= 0 its nodes t < 0 move to the exact mirrors of the
+        # nodes t > 0, by a few ulp of 2 sigma, which the phase multiplies
+        # by at most ry
         cut, x2, y_ax, t_ax, _ = _special_grid(kind, sigma, x, ry, ny, nt)
 
         def r2(Y, T):
@@ -289,7 +301,8 @@ class TestSpecialRoute:
             return theta_fn(T) * f_fn(Y) * np.exp(-1j * Y * T) * cut.at_r2(
                 r2(Y, T))
         val, entries = oscillatory._special_quadrature(
-            theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax)
+            theta_fn, f_fn, x2, sigma, cut, y_ax, t_ax, mirror)
+        assert entries["theta_mirror"] is mirror
         if "columns" in entries:
             assert sum(entries["columns"].values()) == nt
         ref = oscillatory._tiled_quadrature(term, y_ax, t_ax)
@@ -310,13 +323,43 @@ class TestSpecialRoute:
                 + 2 * tiny * (ny + 2.0 * ry) * (nt + 4.0 * sigma)
         assert abs(val - ref) <= bound
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_transition_tiles_land_on_the_nodes(self, mirror):
+        # x = 1.5 sigma: every column the bump does not zero is a transition
+        # column, up to |t| = 1.32 sigma = 1320; a flat f and a = 1, whose
+        # sums over y line up next to t = 2 pi m / h_y.  Against a long
+        # double sum of the same terms on the same nodes (the folded sum on
+        # its exact mirror nodes), to within one rounding of the scale
+        sigma, x2 = 1000.0, 2.25
+        cut = CutoffSpec(CutoffKind.SMOOTH_BUMP)
+        y_ax = np.linspace(-30.0, 30.0, 601)
+        t_ax = np.linspace(-2000.0, 2000.0, 1024)
+        val, entries = oscillatory._special_quadrature(
+            np.ones_like, np.ones_like, x2, sigma, cut, y_ax, t_ax, mirror)
+        assert entries["columns"] == {"separable": 0, "zero": 348,
+                                      "transition": 676}
+        t = t_ax
+        wt = oscillatory._trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
+        if mirror:
+            t, wt = oscillatory._mirror_half(t, wt)
+        wy = oscillatory._trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
+        terms = (wy[:, None] * wt * cut.at_r2(
+            x2 + (y_ax[:, None] / sigma) ** 2 + (t / sigma) ** 2)).astype(
+                np.longdouble)
+        phase = np.outer(y_ax.astype(np.longdouble), t.astype(np.longdouble))
+        want = complex(float(np.sum(terms * np.cos(phase))),
+                       0.0 if mirror else float(-np.sum(terms
+                                                        * np.sin(phase))))
+        assert abs(val - want) <= np.finfo(float).eps * float(np.sum(terms))
+
     @pytest.mark.parametrize("kind, zero, whole", [
-        (CutoffKind.GAUSSIAN, {"route": "separable"}, {"route": "separable"}),
+        (CutoffKind.GAUSSIAN, {"route": "separable", "theta_mirror": False},
+         {"route": "separable", "theta_mirror": False}),
         (CutoffKind.SMOOTH_BUMP,
          {"columns": {"separable": 0, "zero": 11, "transition": 0},
-          "route": "split"},
+          "route": "split", "theta_mirror": False},
          {"columns": {"separable": 11, "zero": 0, "transition": 0},
-          "route": "split"})])
+          "route": "split", "theta_mirror": False})])
     def test_empty_transition_and_all_zero_grids(self, kind, zero, whole):
         # x far outside the cutoff's support: the sum is 0 (the bump's
         # columns are all 0); no transition column: the Fourier sum alone
@@ -336,29 +379,118 @@ class TestSpecialRoute:
         assert abs(val - ref) <= 1e-14 * abs(ref)
 
 
+#: (a, f, x) whose special-route term sympy proves conjugate-symmetric in
+#: theta, and (S, a, f, x) whose term is not: S even in part (the chirp), a
+#: odd in theta, f complex
+FOLDED = [(A_ONE, F_GAUSS, 0.0), ("1/(1+theta**2)", F_GAUSS, 0.0),
+          (A_ONE, "exp(-(y-0.3)**2/2)", 0.7),
+          ("1/(1+theta**2)", "exp(-(y-0.3)**2/2)", 0.7)]
+UNFOLDED = [("x*theta + theta**2/2", A_ONE, F_GAUSS, 0.5),
+            ("x*theta", "theta", F_GAUSS, 0.5),
+            ("x*theta", A_ONE, "exp(-y**2/2 + I*y)", 0.0)]
+
+
+def _special_passes(monkeypatch, *args, **kwargs):
+    """regularized_fio_apply(*args, **kwargs) and the (value, mirror) of
+    each of its `_special_quadrature` calls."""
+    real = oscillatory._special_quadrature
+    seen = []
+
+    def spy(*spy_args):
+        val, entries = real(*spy_args)
+        seen.append((val, spy_args[-1]))
+        return val, entries
+    monkeypatch.setattr(oscillatory, "_special_quadrature", spy)
+    res = regularized_fio_apply(*args, **kwargs)
+    monkeypatch.setattr(oscillatory, "_special_quadrature", real)
+    return res, seen
+
+
+class TestSpecialRouteMirror:
+    """The special route sums over theta >= 0 exactly when sympy proves its
+    term conjugate-symmetric in theta, and then moves each value by
+    rounding only."""
+
+    @pytest.mark.parametrize("a, f, x", FOLDED)
+    @pytest.mark.parametrize("kind", list(CutoffKind))
+    def test_matches_the_full_sum(self, phi_xt, monkeypatch, kind, a, f, x):
+        # each sigma pass and the other cutoff's gap pass, against the same
+        # call summed over the whole theta axis
+        kwargs = dict(schedule=(8, 16, 32), cutoff=CutoffSpec(kind))
+        folded, folded_passes = _special_passes(monkeypatch, a, phi_xt, f, x,
+                                                **kwargs)
+        monkeypatch.setattr(oscillatory, "conjugate_mirror",
+                            lambda *args: False)
+        full, full_passes = _special_passes(monkeypatch, a, phi_xt, f, x,
+                                            **kwargs)
+        assert [q["theta_mirror"] for q in folded.quadrature] == [True] * 4
+        assert [q["theta_mirror"] for q in full.quadrature] == [False] * 4
+        assert [m for _, m in folded_passes] == [True] * 4
+        assert [m for _, m in full_passes] == [False] * 4
+        assert all(v.imag == 0.0 for v, _ in folded_passes)
+        assert folded.value.imag == 0.0
+        for (v_folded, _), (v_full, _) in zip(folded_passes, full_passes):
+            assert abs(v_folded - v_full) <= 1e-12 * abs(v_full)
+        assert abs(folded.value - full.value) <= 1e-12 * abs(full.value)
+        # the gap is a difference of two values that each move
+        assert abs(folded.cutoff_gap - full.cutoff_gap) \
+            <= 1e-12 * abs(full.value)
+        # the records count the whole axis
+        assert [{k: v for k, v in q.items() if k != "theta_mirror"}
+                for q in folded.quadrature] == [
+            {k: v for k, v in q.items() if k != "theta_mirror"}
+            for q in full.quadrature]
+
+    @pytest.mark.parametrize("S, a, f, x", UNFOLDED)
+    @pytest.mark.parametrize("kind", list(CutoffKind))
+    def test_unproven_sums_the_whole_axis(self, monkeypatch, kind, S, a, f,
+                                          x):
+        phi = special_phase(GeneratingFunction.from_expr(S, 1))
+        u, phi_yt = (as_expr(a, phi.variables) * as_expr(f, phi.yvars),
+                     phi.expr)
+        assert not conjugate_mirror(phi_yt.subs(phi.xvars[0], x),
+                                    u.subs(phi.xvars[0], x), phi.tvars[0])
+        kwargs = dict(schedule=(8, 16, 32), cutoff=CutoffSpec(kind))
+        res, passes = _special_passes(monkeypatch, a, phi, f, x, **kwargs)
+        assert [q["theta_mirror"] for q in res.quadrature] == [False] * 4
+        assert [m for _, m in passes] == [False] * 4
+        # the same instructions, and so the same bits, as a call whose proof
+        # is forced to fail
+        monkeypatch.setattr(oscillatory, "conjugate_mirror",
+                            lambda *args: False)
+        forced, forced_passes = _special_passes(monkeypatch, a, phi, f, x,
+                                                **kwargs)
+        assert repr(passes) == repr(forced_passes)
+        assert repr(dataclasses.astuple(res)) == repr(
+            dataclasses.astuple(forced))
+
+
 class TestExpTable:
     """The factored tables of e^{-i t y} behind the special route's
     Fourier sums and transition tiles."""
-
-    @staticmethod
-    def _direct(table, delta, t):
-        return table * (1.0 - 1j * np.outer(t, delta))
 
     @pytest.mark.parametrize("ny", [1, 2, 3, 7, 422, 6191])
     def test_matches_direct_exponentials(self, ny):
         # Q = ceil(sqrt(ny)) does not divide ny = 3, 7, 422 or 6191
         y_ax = np.linspace(-9.4, 9.4, ny)
         t = np.concatenate([np.linspace(-2055.5, 2055.5, 41), [1e-3]])
-        table, delta = oscillatory._exp_table(t, y_ax)
+        table = oscillatory._exp_table(t, y_ax)
         assert table.shape == (len(t), ny)
-        # np.exp rounds the phase t y by up to half an ulp of it, and the
-        # factors round their own phases t y_{pQ} and t q h_y, as large as
-        # the row's largest phase |t| max|y|: a few ulp of that
+        # np.exp rounds the phase t y by up to half an ulp of it, as large
+        # as the row's largest phase |t| max|y|: a few ulp of that
         eps = np.finfo(float).eps
         row_phase = np.abs(t)[:, None] * np.max(np.abs(y_ax))
-        assert np.all(np.abs(self._direct(table, delta, t)
-                             - np.exp(-1j * np.outer(t, y_ax)))
+        assert np.all(np.abs(table - np.exp(-1j * np.outer(t, y_ax)))
                       <= 4 * eps * (1.0 + row_phase))
+        # the table takes the rounding of its phases back, so it is within
+        # a few rounding errors of a complex product of the exact value,
+        # however large t y (sampled: 25 points y_j of each row)
+        with mpmath.workdps(40):
+            for j in np.unique(np.linspace(0, ny - 1, 25).astype(int)):
+                for k, t_k in enumerate(t):
+                    exact = complex(mpmath.expj(-mpmath.mpf(t_k)
+                                                * mpmath.mpf(y_ax[j])))
+                    assert abs(table[k, j] - exact) <= 4 * eps
 
     def test_fourier_sum_matches_direct_sum(self, rng):
         # the sizes of the Gaussian's sigma = 256 special quadrature in
@@ -372,6 +504,28 @@ class TestExpTable:
         cols = rng.choice(len(t_ax), 64, replace=False)
         want = np.exp(-1j * np.outer(t_ax[cols], y_ax)) @ c
         assert np.max(np.abs(got[cols] - want)) <= 1e-13 * np.sum(np.abs(c))
+
+    def test_fourier_sum_lands_on_the_nodes(self):
+        # a flat c (f = 1): F is evaluated at t_k, not at the split node
+        # t_{aB} + b h an ulp or two away, nor with the phases' rounding.
+        # The columns next to t = 2 pi m / h_y, where every term has the
+        # same phase and errors add up coherently, and random ones; the
+        # reference sums in long double
+        y_ax = np.linspace(-30.0, 30.0, 6191)
+        t_ax = np.linspace(-2000.0, 2000.0, 8192)
+        c = oscillatory._trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
+        got = oscillatory._fourier_sum(c, y_ax, t_ax)
+        alias = 2.0 * np.pi / (y_ax[1] - y_ax[0]) * np.arange(-3, 4)
+        near = np.searchsorted(t_ax, alias[np.abs(alias) <= 2000.0])
+        near = np.concatenate([near - 1, near])
+        cols = np.concatenate([near, np.random.default_rng(0).choice(
+            len(t_ax), 64 - len(near), replace=False)])
+        phase = np.outer(t_ax[cols].astype(np.longdouble),
+                         y_ax.astype(np.longdouble))
+        c_long = c.astype(np.longdouble)
+        error = np.hypot(got[cols].real - np.cos(phase) @ c_long,
+                         got[cols].imag + np.sin(phase) @ c_long)
+        assert np.max(error) <= 1e-13 * np.sum(np.abs(c))
 
 
 class TestSplitBumpRoute:

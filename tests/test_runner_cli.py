@@ -475,6 +475,28 @@ class TestBlasFacts:
         blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
         assert blas["threads"] == 1
 
+    def test_oscint_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # the special route's Fourier sums are GEMMs; folded onto
+        # theta >= 0, the value is a real part, whose bits one and two
+        # OpenBLAS threads agree on
+        src = str(Path(runner.__file__).parents[1])
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "fiolab.cli", "run", "oscint_gaussian",
+                 "--out-dir", str(out)],
+                env=env, cwd=tmp_path, capture_output=True, check=True)
+            blas = json.loads((out / "manifest.json").read_text())["blas"]
+            assert blas["threads"] in (None, int(threads))
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()
+                              if p.name != "manifest.json"})
+        assert set(artifacts[0]) == {"oscint.json", "oscint_residuals.csv"}
+        assert artifacts[0] == artifacts[1]
+
     def test_null_where_unknown(self, monkeypatch):
         def no_config(*args, **kwargs):
             raise TypeError("no mode")
