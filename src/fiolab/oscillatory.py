@@ -17,14 +17,22 @@ function:
     column (record route "separable"); the radial bump only where it is
     exactly 1.0 at every y, a column where it is exactly 0.0 adds nothing,
     and the transition columns between are summed point by point (route
-    "split").  The Fourier sums are complex GEMMs whose exponential
-    tables are outer products of short ones, each exponential exact to
-    first order in the rounding of its phase and of the split of its node
-    (`_exp_table`): a `regularized` pass of the bench (x = 1, sigma up to
-    256) evaluates 51 k complex exponentials instead of 1.47 M
-    (`_fourier_sum`, which also lands F exactly on each theta node); the
-    transition columns share one (y, column) table (10.8 k exponentials at
-    sigma = 256 instead of 212 k).
+    "split").  A column vanishes wherever a times the y-sum F of f g does,
+    whatever sigma is, so each pass sums the theta range where
+    envelope |F| lives, read from one FFT of F's terms over the period
+    of the cutoff grid's y axis (`_spectral_radius`), with a y step that
+    keeps F's aliases off that range: the bench's sigma = 256 pass (x = 1,
+    f Gaussian) sums 94 x 69 points, not the 6191 x 8192 of the cutoff's
+    range, 8 sigma.  A pass whose |F| does not decay inside that period
+    (an f that is not smooth, or that is cut at |y| = 64) keeps the
+    cutoff's range and grid.  The Fourier sums are complex GEMMs whose
+    exponential tables are outer products of short ones, each exponential
+    exact to first order in the rounding of its phase and of the split of
+    its node (`_exp_table`): a `regularized` pass of the bench (x = 1,
+    sigma up to 256) evaluates 1.44 k complex exponentials instead of
+    6.77 k (`_fourier_sum`, which also lands F exactly on each theta node;
+    61.8 k on the cutoff's ranges); transition columns share one
+    (y, column) table.
     When sympy proves phi(y, -theta) = -conj phi(y, theta) and
     a(-theta) f(y) = conj(a(theta) f(y)) at the point x
     (`conjugate_mirror`; S = x theta at any x with a real f, for one), the
@@ -34,7 +42,7 @@ function:
     bump, then sums its columns theta >= 0 only, each theta > 0 counted
     twice, and the value is the real part (record "theta_mirror"): half
     the Fourier-sum rows, and half the transition columns and so half the
-    cutoff evaluations (1.41 M instead of 2.81 M in that pass).
+    cutoff evaluations.
   - tensor: every other case (a y-dependent amplitude, a non-special
     phase) is summed on the tensor grid, which is also the reference the
     tests compare the special route against.
@@ -285,6 +293,10 @@ class OscIntegralResult:
     sigma_residuals: List[Tuple[float, float]] = field(default_factory=list)
     cutoff_gap: Optional[float] = None
     ibp_order: int = 0
+    #: the theta radius of the last sigma pass of the schedule (the box
+    #: radius R for `fio_apply_ibp`): where the a-envelope times the cutoff
+    #: falls below 1e-14, or on a special-route pass that reads it, where
+    #: the a-envelope times |F| does, F the y-sum of f g
     truncation_radius: float = 0.0
     tail_mass: Optional[float] = None
     #: one record per regularized quadrature, in the order they ran (the
@@ -296,7 +308,9 @@ class OscIntegralResult:
     #: by class under "columns": "separable", "transition" and "zero"; a
     #: special-route record says under "theta_mirror" whether the pass was
     #: summed over theta >= 0 only.  ny, nt and the column counts are those
-    #: of the whole grid either way, a folded column theta > 0 counted twice
+    #: of the whole grid either way, a folded column theta > 0 counted twice.
+    #: On the special route nt spans the theta range where |a F| lives when
+    #: the pass reads it, so f Gaussian gives "separable" bump columns only
     quadrature: List[dict] = field(default_factory=list)
     #: the choices `fio_apply_ibp` made for the caller: the partition
     #: threshold "eps0", psi's radius "s0" and support edge "local_radius"
@@ -440,12 +454,13 @@ def choose_eps0(phi: PhaseField, x: float = 0.0) -> float:
 
 
 def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
-                  start: float, name: str, var: str) -> float:
-    """Radius beyond which the 1-D profile, sampled at 2048 points of
+                  start: float, name: str, var: str,
+                  samples: int = 2048) -> float:
+    """Radius beyond which the 1-D profile, sampled at `samples` points of
     [0, start], stays below 1e-14 * max.  A sample where the profile is not
     finite (f = 1/y at 0) leaves no edge to find: ValueError naming the
     profile and the sample point."""
-    r = np.linspace(0.0, start, 2048)
+    r = np.linspace(0.0, start, samples)
     with np.errstate(all="ignore"):
         v = np.abs(profile(r))
     bad = np.flatnonzero(~np.isfinite(v))
@@ -467,11 +482,20 @@ def _trapezoid_weights(npts: int, spacing: float) -> np.ndarray:
     return w
 
 
-def _axis(radius: float, step: float, cap: int = 8192):
+#: points per axis of a regularized quadrature's grid at most; a radius that
+#: needs more widens the step (recorded as "capped")
+_AXIS_CAP = 8192
+
+
+def _axis(radius: float, step: float, cap: int = _AXIS_CAP):
     """(linspace of [-radius, radius] with step <= `step`, whether the cap
-    on its points widened the step)."""
-    npts = int(np.ceil(2.0 * radius / step)) + 1
-    return np.linspace(-radius, radius, min(npts, cap)), npts > cap
+    on its points widened the step).  A radius so large that the point
+    count is not finite raises ValueError."""
+    npts = np.ceil(2.0 * radius / step) + 1.0
+    if not np.isfinite(npts):
+        raise ValueError(f"the axis [-{radius:g}, {radius:g}] at step "
+                         f"{step:g} has no finite point count")
+    return np.linspace(-radius, radius, int(min(npts, cap))), bool(npts > cap)
 
 
 def _grid(phi: PhaseField, xv: float, ry: float, rt: float, margin: float,
@@ -750,6 +774,63 @@ def _tiles(columns, tile: int):
             yield run[start], run[min(start + tile, len(run)) - 1] + 1
 
 
+def _spectral_radius(f_fn, envelope, x2, sigma: float, cut: CutoffSpec,
+                     ry: float, rt: float, margin: float):
+    """(R, R_F): where the special route's theta-integrand lives, R, and
+    where its y-sum lives, R_F, read from f rather than from the cutoff; or
+    None where they cannot be read, and the cutoff's radius rt stands.
+
+    A theta column of the special route is w_t e^{i S} a g_t times the
+    y-sum F(t) = sum_j w_j f(y_j) g(x, y_j, 0) e^{-i y_j t} (exactly for the
+    Gaussian, on the all-1 columns for the bump), a trapezoid Fourier
+    transform of f g: the integrand lives where envelope(t) |F(t)| does
+    (envelope = max |a| times g_t, as for rt), however far g reaches.  F
+    is summed on the y axis of the cutoff's own grid (step
+    2 pi / (rt + margin), at most `_AXIS_CAP` points), so it sees every
+    frequency of f g that grid sees.  On that axis F is periodic, with
+    period P = 2 pi / h_y, and |F| over the whole period, at steps of
+    P / (2 ny), is the modulus of one zero-padded FFT of the y-sum's terms:
+    content of f g beyond P / 2, which that grid aliases too, shows up
+    somewhere in the period, so no part of the period can hide it.  R_F
+    and R are `_decay_radius`'s rule on |F| and on envelope |F|, both
+    signs of t.
+
+    None where |F| does not fall below the rule inside the period (an f
+    that is not smooth, or cut at 64 like 1/(1+y^2)), where R does not
+    fall below rt, or where the terms or |F| are not finite (the pass then
+    raises)."""
+    count = np.ceil(2.0 * ry / (2.0 * np.pi / (rt + margin))) + 1.0
+    y_ax = np.linspace(-ry, ry, int(min(count, _AXIS_CAP)))
+    h = _linspace_step(y_ax)
+    c = (_trapezoid_weights(len(y_ax), h)
+         * np.broadcast_to(f_fn(y_ax), y_ax.shape)
+         * cut.at_r2(x2 + (y_ax / sigma) ** 2))
+    # |F| at t_k = k P / n for k = 0..n/2 and at -t_k, n = 2 ny; a term
+    # that is not finite leaves none of them finite
+    n = 2 * len(y_ax)
+    spectrum = np.abs(np.fft.fft(c, n))
+    if not np.all(np.isfinite(spectrum)):
+        return None
+    at_plus = spectrum[:n // 2 + 1]
+    at_minus = np.roll(spectrum[::-1], 1)[:n // 2 + 1]
+    # _decay_radius samples [0, P/2] at the t_k themselves
+    half_period = np.pi / h
+    both = np.maximum(at_plus, at_minus)
+    radius_f = _decay_radius(lambda r: both, half_period, "F", "theta",
+                             samples=len(both))
+    if radius_f >= half_period:
+        return None
+    try:
+        radius = _decay_radius(
+            lambda r: np.maximum(envelope(r) * at_plus,
+                                 envelope(-r) * at_minus),
+            half_period, "the a-envelope times |F|", "theta",
+            samples=len(both))
+    except ValueError:  # the envelope is not finite at some -t
+        return None
+    return (radius, radius_f) if radius < rt else None
+
+
 def regularized_fio_apply(a, phi: PhaseField, f, x: float,
                           schedule: Sequence[float] = (4, 8, 16, 32, 64),
                           cutoff: CutoffSpec = CutoffSpec(CutoffKind.GAUSSIAN),
@@ -761,18 +842,28 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     the phase is special (phi = S(x, theta) - y theta) and a does not
     depend on y, and the tensor route otherwise; both sum the same
     trapezoid grid, recorded in `OscIntegralResult.quadrature`.
+    A grid spans y over the decay radius of f (at most 64) and of the
+    cutoff, and theta over the decay radius of the a-envelope times the
+    cutoff, 8 sigma for a = 1 and the Gaussian.  On the special route a
+    pass sums instead the theta range where the a-envelope times |F|, F
+    the y-sum of f g, falls below the same 1e-14 rule, with a y step whose
+    aliases of F stay off that range (`_spectral_radius`): a range that
+    stops growing with sigma once the cutoff is wider than |a F|, so
+    sigma = 1e307 on f Gaussian at x = 0 sums 94 x 66 points.  A pass
+    whose |F| does not fall below the rule (an f that is not smooth, or
+    that is cut at 64) keeps the cutoff's range and grid, bit for bit;
+    there a grid whose point count is not finite (sigma = 1e307 on
+    f = 1/(1+y^2)) raises ValueError naming sigma.
     On the special route, when sympy proves phi(y, -theta) =
     -conj phi(y, theta) and a(-theta) f(y) = conj(a(theta) f(y)) at x
     (`conjugate_mirror`), every pass sums the columns theta >= 0 only,
     taken as exact mirrors of the columns theta < 0, each theta > 0 counted
     twice, and its value is the real part of that sum (record
     "theta_mirror").  This halves the Fourier-sum rows and the bump's
-    transition columns, and moves each value by rounding only (at most
-    2e-13 relative on the bench's call, where the linspace nodes near
-    theta = 0 carry the rounding of |theta| up to 2000).  A call whose
-    proof fails, or that sympy cannot decide, sums the whole axis.  A
-    quadrature whose value is not finite (an f or a that is not finite on
-    the grid) and an x that is not finite raise ValueError."""
+    transition columns, and moves each value by rounding only.  A call
+    whose proof fails, or that sympy cannot decide, sums the whole axis.
+    A quadrature whose value is not finite (an f or a that is not finite
+    on the grid) and an x that is not finite raise ValueError."""
     schedule = [float(s) for s in schedule]
     if not schedule or not math.isfinite(schedule[-1]) or not all(
             s1 < s2 for s1, s2 in zip([0.0] + schedule, schedule)):
@@ -813,18 +904,31 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
             envelope, start=rt0, var="theta",
             name="the a-envelope (max over y of |a| times the cutoff)")
 
-        y_ax, t_ax, _, capped = _grid(phi, xv, ry, rt, 12.0, y_floor=rt)
-
         def integrand(Y, T):
             vals = np.asarray(core_fn(Y, T), dtype=complex)
             return vals * cut.at_r2(x2 + (Y / sigma) ** 2 + (T / sigma) ** 2)
 
-        record = {"sigma": sigma, "cutoff": cut.kind.value,
-                  "ny": len(y_ax), "nt": len(t_ax), "capped": capped}
         # a huge x saturates the cutoff to 0; a non-finite integrand is
         # caught below, by the value it gives
         with np.errstate(all="ignore"):
             x2 = np.square(xv / sigma)
+            y_floor = rt
+            if theta_fn is not None:
+                probed = _spectral_radius(f_fn, envelope, x2, sigma, cut, ry,
+                                          rt, 12.0)
+                if probed is not None:
+                    # F's content, |t| <= R_F, aliased 2 pi / h_y away,
+                    # stays off the theta range [-R, R]
+                    rt, radius_f = probed
+                    y_floor = rt + radius_f
+            try:
+                y_ax, t_ax, _, capped = _grid(phi, xv, ry, rt, 12.0,
+                                              y_floor=y_floor)
+            except ValueError as exc:
+                raise ValueError(f"the {cut.kind.value} cutoff's grid at "
+                                 f"sigma = {sigma:g}: {exc}") from None
+            record = {"sigma": sigma, "cutoff": cut.kind.value,
+                      "ny": len(y_ax), "nt": len(t_ax), "capped": capped}
             if theta_fn is None:
                 val = _tiled_quadrature(integrand, y_ax, t_ax)
                 record["route"] = "tensor"

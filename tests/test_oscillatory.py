@@ -1,5 +1,6 @@
 """Oscillatory integrals: regularization, partition of unity, integration
 by parts with the exact transpose operator."""
+import cmath
 import dataclasses
 import functools
 import json
@@ -159,10 +160,171 @@ class TestRegularizedApply:
                                   schedule=(0.5, 1, 2), compute_gap=False)
 
 
+def _gaussian_sigma_value(x: float, sigma: float, k: float) -> complex:
+    """I_sigma(x), the Gaussian cutoff's value on S = x theta, a = 1 and
+    f = e^{-y^2/2 + i k y}:
+    I_sigma = (1/2 pi) int int e^{i (x - y) t} f(y)
+              e^{-(x^2 + y^2 + t^2) / (2 sigma^2)} dy dt.
+    With B = 1 + sigma^-2, the y-integral is
+    sqrt(2 pi / B) e^{-(t - k)^2 / (2 B)}; with A = sigma^-2 + 1/B, the
+    t-integral of e^{i x t} times that and e^{-t^2 / (2 sigma^2)} is
+    sqrt(2 pi / A) e^{b^2 / (2 A) - k^2 / (2 B)}, b = k/B + i x, so
+    I_sigma = e^{-x^2 / (2 sigma^2)} e^{(k/B + i x)^2 / (2 A) - k^2 / (2 B)}
+              / sqrt(A B).
+    The exponent is written without its cancellation: k^2 / (2 A B^2) -
+    k^2 / (2 B) = -k^2 / (2 sigma^2 A B), since 1 - A B = -B / sigma^2;
+    at k = 20 the two terms are about 200 each, and their difference
+    would carry 3e-14 of rounding."""
+    s2 = sigma ** -2
+    B = 1.0 + s2
+    A = s2 + 1.0 / B
+    return cmath.exp(-x * x * s2 / 2 - k * k * s2 / (2 * A * B)
+                     + 1j * k * x / (A * B) - x * x / (2 * A)) / math.sqrt(
+                         A * B)
+
+
+def _sigma_passes(monkeypatch, *args, **kwargs):
+    """regularized_fio_apply(*args, **kwargs), the (sigma, value) of each
+    special-route pass (the value is the pass's sum / 2 pi, as the schedule
+    sees it) and what `_spectral_radius` returned for each pass; a call
+    that raises ConvergenceError gives its partial result."""
+    quadrature, probe = oscillatory._special_quadrature, \
+        oscillatory._spectral_radius
+    passes, probed = [], []
+
+    def spy(*spy_args):
+        val, entries = quadrature(*spy_args)
+        passes.append((spy_args[3], val / (2.0 * np.pi)))
+        return val, entries
+
+    def probe_spy(*probe_args):
+        probed.append(probe(*probe_args))
+        return probed[-1]
+    monkeypatch.setattr(oscillatory, "_special_quadrature", spy)
+    monkeypatch.setattr(oscillatory, "_spectral_radius", probe_spy)
+    try:
+        res = regularized_fio_apply(*args, **kwargs)
+    except ConvergenceError as exc:
+        res = exc.result
+    finally:
+        monkeypatch.setattr(oscillatory, "_special_quadrature", quadrature)
+        monkeypatch.setattr(oscillatory, "_spectral_radius", probe)
+    return res, passes, probed
+
+
+class TestThetaRadius:
+    """On the special route the theta range is where |a F| lives, F the
+    y-sum of f g, read from one FFT over the period of the cutoff grid's
+    y axis; the y step keeps F's aliases off that range."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("k", [0.0, 20.0, -20.0])
+    def test_every_sigma_value_matches_the_closed_form(self, phi_xt,
+                                                       monkeypatch, k, x):
+        # k = 20: F lives on 12 <= theta <= 28 (k = -20: on -28..-12, the
+        # side a probe of theta >= 0 would miss).  A y step with aliases
+        # R + 12 apart, R the theta range, puts one inside the range (100 %
+        # off at sigma = 64..256); on the cutoff's range, 8 sigma, g_t hid
+        # it only down to 1.2e-12 at sigma = 16
+        f = F_GAUSS if k == 0.0 else f"exp(-y**2/2 + {k:g}*I*y)"
+        schedule = (16, 32, 64, 128, 256)
+        _, passes, probed = _sigma_passes(
+            monkeypatch, A_ONE, phi_xt, f, x, schedule=schedule,
+            compute_gap=False)
+        assert [sigma for sigma, _ in passes] == list(schedule)
+        assert None not in probed
+        for sigma, value in passes:
+            want = _gaussian_sigma_value(x, sigma, k)
+            assert abs(value - want) <= 2e-14 * abs(want), sigma
+
+    @pytest.mark.parametrize("k", [50.0, 100.0, 200.0, 400.0])
+    def test_probed_passes_hold_within_the_grids_reach(self, phi_xt,
+                                                       monkeypatch, k):
+        # the transform of f = e^{-y^2/2 + i k y} lives on |t - k| <= 8.03.
+        # A probe that read F on a window [-W, W] of a y axis whose aliases
+        # lie 2W + 12 apart would take an alias for content inside the
+        # window (0.94 off at k = 50, sigma = 16).  Over the whole period
+        # of the cutoff grid's y axis, every pass that reads a radius holds
+        # wherever that grid resolves f, k + 8.03 below half its period
+        # (rt + 12) / 2; beyond it, the cutoff's grid aliases f as well
+        # (0.09 off at k = 200, sigma = 32)
+        f = f"exp(-y**2/2 + {k:g}*I*y)"
+        _, passes, probed = _sigma_passes(
+            monkeypatch, A_ONE, phi_xt, f, 0.3,
+            schedule=(16, 32, 64, 128, 256), compute_gap=False)
+        checked = 0
+        for (sigma, value), radii in zip(passes, probed):
+            reach = (CutoffSpec().radius(sigma) + 12.0) / 2.0
+            if radii is not None and k + 8.03 < reach:
+                assert abs(value - _gaussian_sigma_value(0.3, sigma, k)) \
+                    <= 1e-12, sigma
+                checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize("sigma", [1e10, 1e13, 1e100, 1e307])
+    def test_huge_sigma_returns_the_limit(self, phi_xt, sigma):
+        # the cutoff's range, 8 sigma, used to widen the step at the point
+        # cap (-1.39e6 at 1e10), to make the phases non-finite (1e100) or
+        # to overflow the point count (1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = regularized_fio_apply(A_ONE, phi_xt, F_GAUSS, 0.0,
+                                        schedule=(sigma,))
+        assert abs(res.value - 1.0) <= 1e-12
+        assert [q["capped"] for q in res.quadrature] == [False, False]
+
+    def test_uncountable_fallback_grid_names_sigma(self, phi_xt):
+        # f = 1/(1+y^2) is cut at y = 64, so its transform never decays and
+        # the pass keeps the cutoff's range, whose point count overflows
+        with pytest.raises(ValueError, match=r"the gaussian cutoff's grid "
+                           r"at sigma = 1e\+307: the axis .* has no finite "
+                           r"point count"):
+            regularized_fio_apply(A_ONE, phi_xt, "1/(1+y**2)", 0.0,
+                                  schedule=(1e307,))
+
+    def test_fallback_keeps_the_cutoffs_grids(self, phi_xt, monkeypatch):
+        # every pass of this call falls back, and sums the grids the
+        # cutoff's range gives, bit for bit as a call with no probe
+        args = (A_ONE, phi_xt, "1/(1+y**2)", 0.3)
+        kwargs = dict(schedule=(16, 32, 64))
+        res, passes, probed = _sigma_passes(monkeypatch, *args, **kwargs)
+        assert probed == [None] * 4
+        assert [(q["ny"], q["nt"]) for q in res.quadrature] == [
+            (2863, 3122), (5480, 6242), (8192, 8192), (2854, 3110)]
+        monkeypatch.setattr(oscillatory, "_spectral_radius",
+                            lambda *probe_args: None)
+        forced, forced_passes, _ = _sigma_passes(monkeypatch, *args,
+                                                 **kwargs)
+        assert repr(passes) == repr(forced_passes)
+        assert repr(dataclasses.astuple(res)) == repr(
+            dataclasses.astuple(forced))
+
+
+#: f = sech y, whose transform pi sech(pi theta / 2) falls below 1e-14 of
+#: its peak only at |theta| = 21, past the bump's all-1 columns at sigma = 16
+F_SECH = "2/(exp(y) + exp(-y))"
+
 #: (a, f, x) of the route-against-tensor-sum comparisons
 SEPARABLE_CASES = [(A_ONE, F_GAUSS, 1.0), ("exp(-theta**2/8)", "1", 0.0),
                    ("exp(-theta**2/8)", "1", 1.0),
-                   (A_ONE, "exp(-y**2/2 + I*y)", 1.0)]
+                   (A_ONE, "exp(-y**2/2 + I*y)", 1.0), (A_ONE, F_SECH, 1.0)]
+
+#: the bump's column classes that occur in each pass of the schedule
+#: 16, ..., 256 of each case: f Gaussian, the transforms of f g live on
+#: |theta| <= 9.4, inside the all-1 columns at every sigma; f = 1 does not
+#: decay, so its passes keep the theta range of a and the bump; and sech y
+#: reaches past the all-1 columns at sigma = 16 and 32
+_ONLY_FACTORED = [{"separable"}] * 5
+BUMP_CLASSES = {
+    (A_ONE, F_GAUSS, 1.0): _ONLY_FACTORED,
+    ("exp(-theta**2/8)", "1", 0.0): [{"transition"}, {"transition"},
+                                     {"separable", "transition"},
+                                     {"separable"}, {"separable"}],
+    (A_ONE, "exp(-y**2/2 + I*y)", 1.0): _ONLY_FACTORED,
+    (A_ONE, F_SECH, 1.0): [{"transition", "zero"}, {"transition"},
+                           {"separable"}, {"separable"}, {"separable"}]}
+BUMP_CLASSES["exp(-theta**2/8)", "1", 1.0] = BUMP_CLASSES[
+    "exp(-theta**2/8)", "1", 0.0]
 
 
 #: sigma, x, the y radius and the grid sizes of the special route's
@@ -227,13 +389,12 @@ class TestSpecialRoute:
              **entries}
             for _, sigma, _, y_ax, t_ax, _, entries in seen]
         if kind is CutoffKind.SMOOTH_BUMP:
-            # the classes cover the grid, and both summed classes occur
-            # somewhere in the schedule
+            # the classes cover the grid, and are those the case gets
             counts = [entries["columns"] for *_, entries in seen]
             assert [sum(c.values()) for c in counts] == [
                 len(t_ax) for *_, t_ax, _, _ in seen]
-            assert all(any(c[name] for c in counts)
-                       for name in ("separable", "transition"))
+            assert [{name for name, n in c.items() if n} for c in counts] \
+                == BUMP_CLASSES[a, f, x]
         core = _core(phi_xt, a, f, x)
         for x2, sigma, cut, y_ax, t_ax, val, _ in seen:
             ref = oscillatory._tiled_quadrature(
@@ -789,6 +950,13 @@ def test_grid_reports_the_point_cap(phi_xt):
     assert capped is False
     assert y_ax[1] - y_ax[0] <= 2.0 * np.pi / 22.0
     assert t_ax[1] - t_ax[0] <= step == 2.0 * np.pi / 42.0
+
+
+def test_axis_rejects_a_point_count_that_is_not_finite():
+    # 2 radius / step overflows; it used to reach int() as an OverflowError
+    with pytest.raises(ValueError, match="has no finite point count"):
+        oscillatory._axis(1e308, 1e-3)
+    assert len(oscillatory._axis(1e300, 1e-3)[0]) == 8192
 
 
 def test_ibp_value_independent_of_blas_threads(tmp_path):

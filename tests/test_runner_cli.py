@@ -56,24 +56,39 @@ class TestCli:
         assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_oscint_artifacts(self, tmp_path):
-        d = tmp_path / "out"
-        assert main(["oscint", "oscint_gaussian", "--out-dir", str(d)]) == 0
-        names = {p.name for p in d.iterdir()}
-        assert {"oscint.json", "oscint_residuals.csv",
-                "manifest.json"} <= names
-        # every quadrature's grid and route: the schedule 16, 32, 64 on the
-        # separable route, then the smooth-bump gap pass on the split route
-        # with its theta columns counted by class
-        quadrature = json.loads((d / "oscint.json").read_text())["quadrature"]
-        assert [(q["sigma"], q["cutoff"], q["route"]) for q in quadrature] == [
-            (16.0, "gaussian", "separable"), (32.0, "gaussian", "separable"),
-            (64.0, "gaussian", "separable"), (64.0, "smooth_bump", "split")]
-        assert all(q["ny"] > 1 and q["nt"] > 1 for q in quadrature)
-        assert [q["capped"] for q in quadrature] == [False] * 4
-        assert ["columns" in q for q in quadrature] == [False] * 3 + [True]
-        columns = quadrature[-1]["columns"]
-        assert sum(columns.values()) == quadrature[-1]["nt"]
-        assert columns["separable"] > 0 and columns["transition"] > 0
+        # every quadrature's grid and route: the schedule on the separable
+        # route, then the smooth-bump gap pass on the split route with its
+        # theta columns counted by class.  f Gaussian: its theta range,
+        # |theta| <= 9.4, ends inside the bump's all-1 columns; f = sech y,
+        # whose transform reaches |theta| = 21, past the all-1 columns of
+        # the bump at sigma = 16
+        for name, overrides, sigmas, gap_columns in [
+                ("gaussian", (), (16.0, 32.0, 64.0),
+                 {"separable": 66, "transition": 0, "zero": 0}),
+                ("sech", ("oscint.f=2/(exp(y) + exp(-y))",
+                          "oscint.schedule=4,8,16"), (4.0, 8.0, 16.0),
+                 {"separable": 0, "transition": 448, "zero": 2})]:
+            d = tmp_path / name
+            args = ["oscint", "oscint_gaussian", "--out-dir", str(d)]
+            for override in overrides:
+                args += ["--override", override]
+            assert main(args) == 0
+            names = {p.name for p in d.iterdir()}
+            assert {"oscint.json", "oscint_residuals.csv",
+                    "manifest.json"} <= names
+            quadrature = json.loads(
+                (d / "oscint.json").read_text())["quadrature"]
+            assert [(q["sigma"], q["cutoff"], q["route"])
+                    for q in quadrature] == [
+                *((s, "gaussian", "separable") for s in sigmas),
+                (sigmas[-1], "smooth_bump", "split")]
+            assert all(q["ny"] > 1 and q["nt"] > 1 for q in quadrature)
+            assert [q["capped"] for q in quadrature] == [False] * 4
+            assert ["columns" in q for q in quadrature] == [False] * 3 + [
+                True]
+            columns = quadrature[-1]["columns"]
+            assert sum(columns.values()) == quadrature[-1]["nt"]
+            assert columns == gap_columns
 
     def test_spectrum_artifacts(self, tmp_path):
         d = tmp_path / "out"
@@ -203,6 +218,26 @@ class TestCli:
         result = json.loads((d / "oscint.json").read_text())
         assert result["value"] == {"re": 0.0, "im": 0.0}
         assert result["passed"] is False
+
+    def test_huge_oscint_sigma(self, tmp_path, capsys):
+        # f Gaussian: the theta range is that of f's transform, whatever
+        # sigma is, and the pass returns f(0) = 1.  f = 1/(1+y^2), cut at
+        # y = 64, keeps the cutoff's range, whose point count overflows: a
+        # config error naming sigma, where it used to exit 3 on an
+        # OverflowError
+        d = tmp_path / "gaussian"
+        assert main(["oscint", "oscint_gaussian", "--out-dir", str(d),
+                     "--override", "oscint.schedule=1e307"]) == 0
+        result = json.loads((d / "oscint.json").read_text())
+        assert abs(result["value"]["re"] - 1.0) <= 1e-12
+        assert [q["capped"] for q in result["quadrature"]] == [False] * 2
+        assert main(["oscint", "oscint_gaussian", "--out-dir",
+                     str(tmp_path / "cut"), "--override",
+                     "oscint.f=1/(1+y**2)", "--override",
+                     "oscint.schedule=1e307"]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "the gaussian cutoff's grid at sigma = 1e+307" in err
 
     @pytest.mark.parametrize("name, overrides, code", [
         ("multiplier_norm", f"grids.M=64 symbol.a=1e300 {CV_CHECK}", 1),
