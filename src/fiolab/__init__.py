@@ -27,10 +27,11 @@ from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                           chi, chi_expr, choose_eps0, fio_apply_ibp,
                           omega_partition, regularized_fio_apply)
 from .operators import (AlignmentError, DiscreteOperator, GridMismatchError,
-                        IterationError, Route, adjoint, apply, compose,
-                        discretize_fio, gaussian_samples, kernel_eval,
-                        load_operator, operator_norm, save_operator,
-                        singular_values, svd_record)
+                        IterationError, ReflectionBlocks, Route, adjoint,
+                        apply, compose, discretize_blocks, discretize_fio,
+                        gaussian_samples, kernel_eval, load_operator,
+                        operator_norm, save_operator, singular_values,
+                        svd_record)
 from .pdo import (BoundCheckReport, CompactnessReport, PdoSymbolEstimate,
                   SeminormReport, Which, compactness_probe, compare_symbols,
                   cv_bound_check, cv_seminorm, extract_symbol,

@@ -15,7 +15,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import sympy as sp
@@ -474,6 +474,92 @@ def _reflection_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
             scale, asym)
 
 
+@dataclass(frozen=True)
+class ReflectionBlocks:
+    """The even and odd blocks of (K + PKP) / 2 (`_reflection_blocks`) of a
+    KERNEL operator K from `col_grid` to `row_grid`, built by
+    `discretize_blocks` without K, and `asymmetry` = ||K - PKP||_F / 2, the
+    part of K they leave out."""
+
+    even: np.ndarray
+    odd: np.ndarray
+    row_grid: GridSpec
+    col_grid: GridSpec
+    asymmetry: float
+
+
+def discretize_blocks(S: GeneratingFunction, a, x_grid: GridSpec,
+                      y_grid: GridSpec, theta_grid: GridSpec,
+                      taper: bool = True) -> Optional[ReflectionBlocks]:
+    """The reflection blocks of the KERNEL route's matrix K (`discretize_fio`
+    with the same arguments), built without K; None where they are not.
+
+    They are built when n = 1, both grids have an even point count, the
+    kernel is real by mirror symmetry (`_real_by_mirror`), and sympy proves
+    S(-x, theta) = -conj S(x, theta) and a(-x, theta) = conj a(x, theta)
+    (`conjugate_mirror` in x), so that S(-x, -theta) = S(x, theta) and
+    a(-x, -theta) = a(x, theta).  The real build's E[r, k] (e^{iS} a times
+    the weight and multiplicity of the node theta_k >= 0) then has an even
+    real part and an odd imaginary part in x, and K = C + Sn with
+    C = sum_k Re E cos(theta_k y) even in x and in y, Sn = sum_k Im E
+    sin(theta_k y) odd in both.  So E is evaluated on the rows x_r <= 0 only,
+    and with c = sqrt(dx) sqrt(dy), D = 1 at the fixed indices 0 and m / 2
+    and sqrt 2 at the paired ones, the even block is c D C D over the rows
+    and columns 0 .. m / 2 (plus Sn at the fixed-fixed entries, which are
+    their own mirrors), and the odd block 2 c Sn over the paired ones: half
+    of the full build's e^{iS} a evaluations and a quarter of its products.
+
+    The proof does not reach the fixed rows and columns: x_0 = -R is its own
+    mirror on the grid, while -x_0 = R is not a node.  There K - PKP is
+    2 Sn, whose norm the same product gives; the blocks are None when it
+    fails `singular_values`' rule ||K - PKP||_F / 2 <= 1e-12 ||K||_F /
+    sqrt(min(m, n)), as it does for S = x theta + x^3 theta^3 / 100, and for
+    a zero K, so that they are taken exactly where `singular_values` would
+    split K.  A non-finite e^{iS} a (named at its node theta >= 0) or block
+    entry raises ValueError."""
+    if (S.n, x_grid.dim, y_grid.dim, theta_grid.dim) != (1, 1, 1, 1) or \
+            x_grid.points % 2 or y_grid.points % 2:
+        return None
+    a = as_expr(a, S.variables)
+    weights = _theta_weights(theta_grid, taper)
+    if not (_real_by_mirror(S, a, weights)
+            and conjugate_mirror(S.expr, a, S.xvars[0])):
+        return None
+    nodes, multiplicity = _mirror_nodes(theta_grid.points)
+    th = theta_grid.mesh()[nodes]
+    rows, cols = x_grid.points // 2 + 1, y_grid.points // 2 + 1  # x, y <= 0
+    e = _phase_amp_matrix(S, a, x_grid.mesh()[:rows], th,
+                          weights[nodes] * multiplicity)[:, 1:]
+    table = np.multiply.outer(th[1:, 0], y_grid.axis()[:cols])
+    fr, pr, _ = _axis_reflection(x_grid.points)
+    fc, pc, _ = _axis_reflection(y_grid.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = np.ascontiguousarray(e.real) @ np.cos(table)
+        sn = np.ascontiguousarray(e.imag) @ np.sin(table, out=table)
+        del e, table
+        even[fr, fc] += sn[fr, fc]
+        for part in (even, sn):
+            part *= math.sqrt(x_grid.spacing)
+            part *= math.sqrt(y_grid.spacing)
+        even[pr, pc] *= 2.0
+        even[fr, pc] *= math.sqrt(2.0)
+        even[pr, fc] *= math.sqrt(2.0)
+        odd = sn[pr, pc] * 2.0
+    if not (np.isfinite(even).all() and np.isfinite(sn).all()):
+        raise ValueError("a reflection block of the operator matrix overflows")
+    parts = (even, odd, sn[fr, pc], sn[pr, fc])
+    scale = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
+    if scale == 0.0:
+        return None
+    squares = [_frobenius(part / scale) ** 2 for part in parts]
+    asym = math.sqrt(2.0 * (squares[2] + squares[3]))  # each entry and mirror
+    total = math.sqrt(squares[0] + squares[1] + asym ** 2)
+    if asym > _REAL_SVD_TOL * total / math.sqrt(min(x_grid.size,
+                                                    y_grid.size)):
+        return None
+    return ReflectionBlocks(even, odd, x_grid, y_grid, asym * scale)
+
+
 def _block_shapes(m: int, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """The shapes of the even and odd blocks of an m x n matrix."""
     return (m // 2 + 1, n // 2 + 1), ((m - 1) // 2, (n - 1) // 2)
@@ -517,7 +603,7 @@ def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def singular_values(F: DiscreteOperator,
+def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
                     count: Optional[int] = None) -> np.ndarray:
     """The singular values in decreasing order, the first `count` of them
     when count is given (a negative count raises ValueError).
@@ -537,25 +623,33 @@ def singular_values(F: DiscreteOperator,
     decreasing order, and by Weyl's inequality each value moves by at
     most ||K - PKP||_F / 2.  Any other matrix, a zero one and one with an
     entry that is not finite included, is decomposed as it is, with
-    np.linalg.svd's own bits.  `svd_record` says which path was taken and
-    what it can have cost."""
+    np.linalg.svd's own bits.  `ReflectionBlocks`, built under the same
+    rule by `discretize_blocks`, are merged in the same way.  `svd_record`
+    says which path was taken and what it can have cost."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
-    if max(F.matrix.shape) > SVD_CAP:
+    if isinstance(F, ReflectionBlocks):
+        shape, blocks = (F.row_grid.size, F.col_grid.size), (F.even, F.odd)
+    else:
+        shape, matrix, blocks = F.matrix.shape, F.matrix, None
+    if max(shape) > SVD_CAP:
         raise ValueError(f"dense decomposition capped at {SVD_CAP}")
-    matrix = F.matrix
-    if np.iscomplexobj(matrix) and _imag_part(matrix)[0]:
-        matrix = matrix.real
-    if _reflection_part(matrix)[0]:
+    if blocks is None:
+        if np.iscomplexobj(matrix) and _imag_part(matrix)[0]:
+            matrix = matrix.real
+        if _reflection_part(matrix)[0]:
+            blocks = _reflection_blocks(matrix)
+    if blocks is not None:
         s = np.concatenate([np.linalg.svd(block, compute_uv=False)
-                            for block in _reflection_blocks(matrix)])
+                            for block in blocks])
         s = np.sort(s)[::-1]
     else:
         s = np.linalg.svd(matrix, compute_uv=False)
     return s[:count] if count is not None else s
 
 
-def svd_record(F: DiscreteOperator, sigma_max: float) -> dict:
+def svd_record(F: Union[DiscreteOperator, ReflectionBlocks],
+               sigma_max: float) -> dict:
     """How `singular_values` decomposed F, given its largest singular value.
 
     "arithmetic", "real" or "complex", and "imag_bound" = ||Im K||_F /
@@ -565,8 +659,15 @@ def svd_record(F: DiscreteOperator, sigma_max: float) -> dict:
     blocks when the SVD was split by the grid reflection, else None, and
     "reflection_bound" = ||K - PKP||_F / (2 sigma_max) of the matrix
     decomposed, which bounds the split's move in the same way (0 when not
-    split).  The rules are evaluated again here: `singular_values` returns
-    the values alone."""
+    split).  For a DiscreteOperator the rules are evaluated again here:
+    `singular_values` returns the values alone.  `ReflectionBlocks` carry
+    their record: a real kernel, split, with the asymmetry that
+    `discretize_blocks` measured on the fixed rows and columns."""
+    if isinstance(F, ReflectionBlocks):
+        return {"arithmetic": "real", "imag_bound": 0.0,
+                "blocks": [list(F.even.shape), list(F.odd.shape)],
+                "reflection_bound": F.asymmetry / sigma_max
+                if sigma_max > 0.0 else 0.0}
     matrix = F.matrix
     record = {"arithmetic": "real", "imag_bound": 0.0}
     if np.iscomplexobj(matrix):

@@ -863,12 +863,23 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
     transition columns, and moves each value by rounding only.  A call
     whose proof fails, or that sympy cannot decide, sums the whole axis.
     A quadrature whose value is not finite (an f or a that is not finite
-    on the grid) and an x that is not finite raise ValueError."""
+    on the grid), an x that is not finite, and a schedule whose last sigma
+    gives a cutoff of the call (the gap pass's included) a radius that is
+    not finite raise ValueError."""
     schedule = [float(s) for s in schedule]
     if not schedule or not math.isfinite(schedule[-1]) or not all(
             s1 < s2 for s1, s2 in zip([0.0] + schedule, schedule)):
         raise ValueError(f"schedule must be non-empty, positive, finite "
                          f"and increasing: {schedule}")
+    other = CutoffSpec(CutoffKind.SMOOTH_BUMP
+                       if cutoff.kind is CutoffKind.GAUSSIAN
+                       else CutoffKind.GAUSSIAN)
+    for cut in (cutoff, other) if compute_gap else (cutoff,):
+        # the radius grows with sigma: the last one is the largest
+        if not math.isfinite(cut.radius(schedule[-1])):
+            raise ValueError(f"schedule: sigma = {schedule[-1]!r} gives the "
+                             f"{cut.kind.value} cutoff a radius that is not "
+                             f"finite")
     xv, phi_yt, a_yt, f_expr = _at_point(a, phi, f, x)
     yv, tv = phi.yvars[0], phi.tvars[0]
 
@@ -961,9 +972,6 @@ def regularized_fio_apply(a, phi: PhaseField, f, x: float,
 
     gap = None
     if compute_gap:
-        other = CutoffSpec(CutoffKind.SMOOTH_BUMP
-                           if cutoff.kind is CutoffKind.GAUSSIAN
-                           else CutoffKind.GAUSSIAN)
         v_other, _ = one_sigma(schedule[-1], other)
         gap = float(abs(v_other - values[-1]))
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .expressions import evaluate, multi_indices
 from .grids import GridSpec
-from .operators import (DiscreteOperator, operator_norm, singular_values,
-                        svd_record)
+from .operators import (DiscreteOperator, ReflectionBlocks, operator_norm,
+                        singular_values, svd_record)
 from .phases import GeneratingFunction
 from .symbols import SymbolField, as_expr
 
@@ -261,22 +261,27 @@ def cv_bound_check(F: DiscreteOperator, Q: SeminormReport,
                             passed=bool(norm <= bound * (1.0 + 1e-6)))
 
 
-def compactness_probe(F_coarse: DiscreteOperator, F_fine: DiscreteOperator,
+def compactness_probe(F_coarse: Union[DiscreteOperator, ReflectionBlocks],
+                      F_fine: Union[DiscreteOperator, ReflectionBlocks],
                       tail_index: Optional[int] = None) -> CompactnessReport:
     """Singular-value diagnostics at two resolutions.
 
     NONCOMPACT-CONSISTENT: the plateau count (s_j >= 0.5 * s_max) grows by
     a factor >= 1.3 under refinement.  COMPACT-CONSISTENT: the value at a
     fixed tail index is < 0.01 at both resolutions and stable within 10%.
-    Anything else: INCONCLUSIVE.  The report carries both spectra and how
-    each SVD was taken (`svd_record`): `singular_values` decomposes a real
-    matrix in real arithmetic ("imag_bound" 0), and a complex kernel that
-    is real up to rounding as Re K, which moves each singular value by at
-    most ||Im K||_F (Weyl's inequality), recorded relative to sigma_max as
+    Anything else: INCONCLUSIVE.  Each side is an operator or its
+    reflection blocks (`discretize_blocks`), decomposed once by
+    `singular_values`.  The report carries both spectra and how each SVD
+    was taken (`svd_record`): `singular_values` decomposes a real matrix in
+    real arithmetic ("imag_bound" 0), and a complex kernel that is real up
+    to rounding as Re K, which moves each singular value by at most
+    ||Im K||_F (Weyl's inequality), recorded relative to sigma_max as
     "imag_bound" and at most 1e-12 on that path.  A matrix symmetric under
     the grid reflection up to rounding is split into two blocks
     ("blocks"), which moves each value by at most ||K - PKP||_F / 2,
-    recorded as "reflection_bound".
+    recorded as "reflection_bound"; for blocks built directly, that is the
+    asymmetry `discretize_blocks` measured on the fixed rows and columns,
+    the only entries where its proof leaves K - PKP free.
     """
     sc = singular_values(F_coarse)
     sf = singular_values(F_fine)

@@ -24,7 +24,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 import sympy
@@ -38,10 +39,11 @@ from . import __version__
 from .grids import GridSpec
 from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
                           regularized_fio_apply)
-from .operators import (SVD_CAP, DiscreteOperator, IterationError, Route,
-                        adjoint, apply, compose, discretize_fio,
-                        gaussian_samples, operator_norm, save_operator,
-                        singular_values, svd_record)
+from .operators import (SVD_CAP, DiscreteOperator, IterationError,
+                        ReflectionBlocks, Route, adjoint, apply, compose,
+                        discretize_blocks, discretize_fio, gaussian_samples,
+                        operator_norm, save_operator, singular_values,
+                        svd_record)
 from .pdo import (NewtonError, Which, compactness_probe, compare_symbols,
                   cv_bound_check, cv_seminorm)
 from .phases import (GeneratingFunction, quadratic_generating, special_phase,
@@ -358,11 +360,41 @@ def _op_cv_check(cfg, ctx, out_dir: Path):
                            "bound": report.bound, "ratio": report.ratio}
 
 
+def _decomposed(cfg, ctx, x: Optional[GridSpec] = None
+                ) -> Union[DiscreteOperator, ReflectionBlocks]:
+    """What `compactness` decomposes on the grid `x` (the scenario grid by
+    default): on the KERNEL route, the operator's reflection blocks when
+    `discretize_blocks` builds them, else the operator (`_operator`).  A
+    ValueError of the block build falls back to the full build, which
+    reports it in its own words."""
+    grid = ctx["x"] if x is None else x
+    if cfg["operator", "route"] == Route.KERNEL.value:
+        try:
+            blocks = discretize_blocks(ctx["S"], cfg["symbol", "a"], grid,
+                                       grid, grid.dual(),
+                                       taper=cfg["operator", "taper"])
+        except ValueError:
+            blocks = None
+        if blocks is not None:
+            return blocks
+    return _operator(cfg, ctx, x)
+
+
 def _op_compactness(cfg, ctx, out_dir: Path):
+    """`compactness_probe` of the operator on the scenario grid (M points)
+    and on the grid of 2M points over the same radius.  Each side is built
+    as its reflection blocks without the full matrix where
+    `discretize_blocks` proves and measures the symmetry (an even M, a
+    KERNEL kernel that is real and reflection-symmetric); otherwise, as
+    for the SPECTRAL route, the chirp, an odd M or an amplitude the proof
+    does not cover, it is the full operator, the scenario grid's built
+    once per run, and `singular_values` decides the split.  The SVD cap is
+    checked before either build."""
     _check_svd_cap(ctx["x"].points, 2)
-    coarse = _operator(cfg, ctx)
-    fine = _operator(cfg, ctx, GridSpec(1, ctx["x"].radius,
-                                        2 * ctx["x"].points, dft_aligned=True))
+    coarse = _decomposed(cfg, ctx)
+    fine = _decomposed(cfg, ctx, GridSpec(1, ctx["x"].radius,
+                                          2 * ctx["x"].points,
+                                          dft_aligned=True))
     report = compactness_probe(
         coarse, fine, tail_index=cfg["compactness", "tail_index"] or None)
     expected = cfg["compactness", "expected"]

@@ -832,6 +832,88 @@ class TestReflectionSplit:
         assert svd_record(F, 1.0)["blocks"] is None
 
 
+class TestReflectionBlocks:
+    """`discretize_blocks` builds the even and odd blocks of (K + PKP) / 2
+    without K where sympy proves the kernel real and reflection-symmetric
+    and the fixed rows and columns pass the split rule; `discretize_fio`
+    with `singular_values` is the reference."""
+
+    @pytest.mark.parametrize("R", [4.0, 8.0])
+    @pytest.mark.parametrize("M", [64, 256, 512])
+    @pytest.mark.parametrize("a", ["1", "1/lam", "exp(-theta**2)",
+                                   "1/lam**2"])
+    def test_matches_the_full_build(self, S_xt, a, M, R):
+        grid = GridSpec(1, R, M, dft_aligned=True)
+        args = (S_xt, a, grid, grid, grid.dual())
+        blocks, F = operators.discretize_blocks(*args), discretize_fio(*args)
+        got, want = singular_values(blocks), singular_values(F)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        scale = np.max(np.abs(F.matrix))
+        for built, split in zip((blocks.even, blocks.odd),
+                                operators._reflection_blocks(F.matrix)):
+            assert np.max(np.abs(built - split)) <= 1e-14 * scale
+        record, reference = svd_record(blocks, got[0]), svd_record(F, want[0])
+        assert record["arithmetic"] == "real" and record["imag_bound"] == 0.0
+        assert record["blocks"] == reference["blocks"] == [
+            [M // 2 + 1, M // 2 + 1], [M // 2 - 1, M // 2 - 1]]
+        # the asymmetry of the fixed rows and columns is the full matrix's
+        assert record["reflection_bound"] == pytest.approx(
+            reference["reflection_bound"], rel=1e-2)
+        assert record["reflection_bound"] <= 1e-12
+
+    def test_count_and_cap(self, S_xt, monkeypatch):
+        grid = GridSpec(1, 4.0, 64, dft_aligned=True)
+        blocks = operators.discretize_blocks(S_xt, "1/lam", grid, grid,
+                                             grid.dual())
+        assert np.array_equal(singular_values(blocks, 5),
+                              singular_values(blocks)[:5])
+        monkeypatch.setattr(operators, "SVD_CAP", 63)
+        with pytest.raises(ValueError, match="capped at 63"):
+            singular_values(blocks)
+
+    @pytest.mark.parametrize("S, a, M, taper, evaluated, split", [
+        # outside the proof, nothing is evaluated: the chirp (a complex
+        # kernel), a(-x, -theta) != a(x, theta), an odd M, and a weighted
+        # node -Theta (taper off), whose full build sums complex terms
+        ("x*theta + theta**2/2", "1", 64, True, False, True),
+        ("x*theta", "1/lam + x/10", 64, True, False, False),
+        ("x*theta", "1", 63, True, False, False),
+        ("x*theta", "1", 64, False, False, True),
+        # proved, but the row x = -R is far from symmetric, so K is not
+        # split either; and a zero kernel, which is decomposed whole
+        ("x*theta + x**3*theta**3/100", "1/lam", 64, True, True, False),
+        ("x*theta", "1 + I*x*theta", 64, True, True, False),
+        ("x*theta", "0", 64, True, True, False),
+    ])
+    def test_not_built_outside_the_proof(self, monkeypatch, S, a, M, taper,
+                                         evaluated, split):
+        grid = GridSpec(1, 8.0, M, dft_aligned=True)
+        S = GeneratingFunction.from_expr(S, 1)
+        args = (S, a, grid, grid, grid.dual())
+        calls = []
+        phase_amp = operators._phase_amp_matrix
+
+        def spy(*call, **kwargs):
+            calls.append(call)
+            return phase_amp(*call, **kwargs)
+        monkeypatch.setattr(operators, "_phase_amp_matrix", spy)
+        assert operators.discretize_blocks(*args, taper=taper) is None
+        assert bool(calls) == evaluated
+        F = discretize_fio(*args, taper=taper)
+        record = svd_record(F, float(singular_values(F)[0]))
+        assert (record["blocks"] is not None) == split
+
+    @pytest.mark.parametrize("a, message", [
+        ("1/x**2", "gives e\\^\\(iS\\) a = \\(inf\\+nanj\\) at x = \\[0.0\\]"),
+        ("1e308", "a reflection block of the operator matrix overflows")])
+    def test_non_finite_raises(self, S_xt, a, message):
+        grid = GridSpec(1, 4.0, 64, dft_aligned=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                operators.discretize_blocks(S_xt, a, grid, grid, grid.dual())
+
+
 class TestAmplitudeForms:
     """Every accepted amplitude form gives the same operator, bit for bit."""
 

@@ -239,6 +239,16 @@ class TestCli:
         assert "config error:" in err
         assert "the gaussian cutoff's grid at sigma = 1e+307" in err
 
+    def test_sigma_whose_cutoff_radius_overflows(self, tmp_path, capfd):
+        # 8 sigma overflows to inf: a config error naming sigma, before any
+        # grid is sized, with no numpy warning
+        assert main(["oscint", "oscint_gaussian", "--out-dir", str(tmp_path),
+                     "--override", "oscint.schedule=1.7e308"]) == 2
+        err = capfd.readouterr().err
+        assert "config error: [oscint] schedule: sigma = 1.7e+308 gives " \
+            "the gaussian cutoff a radius that is not finite" in err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("name, overrides, code", [
         ("multiplier_norm", f"grids.M=64 symbol.a=1e300 {CV_CHECK}", 1),
         ("ffstar_gaussian", "grids.M=64 symbol.a=1e300", 2),
@@ -438,20 +448,87 @@ class TestCompactness:
                 rows = list(csv.reader(fh))[1:]
             assert [float(v) for _, v in rows] == spectrum.tolist()
 
-    def test_reuses_the_built_operator(self, tmp_path, monkeypatch):
-        calls = []
-        discretize = runner.discretize_fio
+    @pytest.mark.parametrize("route, full, blocks", [
+        ("spectral", [64, 128], []), ("kernel", [64], [64, 128])],
+        ids=["spectral", "kernel"])
+    def test_reuses_the_built_operator(self, tmp_path, monkeypatch, route,
+                                       full, blocks):
+        # the full operator is built at most once per run; on the KERNEL
+        # route, compact_decay's kernel is decomposed from blocks built at
+        # both resolutions instead
+        calls = {"full": [], "blocks": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[2].points)
-            return discretize(*args, **kwargs)
-        monkeypatch.setattr(runner, "discretize_fio", counting)
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls[name].append(args[2].points)
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(runner, "discretize_fio",
+                            counting("full", runner.discretize_fio))
+        monkeypatch.setattr(runner, "discretize_blocks",
+                            counting("blocks", runner.discretize_blocks))
         run_scenario(cfg_path("compact_decay"), out_dir=str(tmp_path / "out"),
                      overrides=["grids.M=64", "compactness.tail_index=40",
+                                f"operator.route={route}",
                                 "scenario.operations=build-operator "
                                 "compactness"])
-        assert calls == [64, 128]
+        assert calls == {"full": full, "blocks": blocks}
 
+    def test_artifacts_do_not_depend_on_the_operation_list(self, tmp_path):
+        # with the operator built first, compactness still decomposes the
+        # blocks, byte for byte
+        names = ("compactness.json", "spectrum_coarse.csv",
+                 "spectrum_fine.csv")
+        files = []
+        for ops in ("compactness", "build-operator compactness"):
+            out = tmp_path / ops.replace(" ", "_")
+            run_scenario(cfg_path("compact_decay"), out_dir=str(out),
+                         overrides=["grids.M=64", "compactness.tail_index=40",
+                                    f"scenario.operations={ops}"])
+            files.append([(out / name).read_bytes() for name in names])
+        assert files[0] == files[1]
+        assert json.loads(files[0][0])["svd_coarse"]["blocks"] == [
+            [33, 33], [31, 31]]
+
+    @pytest.mark.parametrize("override", [
+        "phase.generating=expr:x*theta + theta**2/2", "symbol.a=1/lam + x/10",
+        "operator.route=spectral"])
+    def test_full_path_outside_the_proof(self, tmp_path, monkeypatch,
+                                         override):
+        # the chirp, an amplitude the proof does not cover and the SPECTRAL
+        # route: no blocks, and the spectra of the full builds, bit for bit
+        built = []
+        blocks = runner.discretize_blocks
+
+        def spy(*args, **kwargs):
+            built.append(blocks(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(runner, "discretize_blocks", spy)
+        out = tmp_path / "out"
+        run_scenario(cfg_path("compact_decay"), out_dir=str(out),
+                     overrides=["grids.M=64", "compactness.tail_index=40",
+                                override])
+        assert all(b is None for b in built)
+        cfg, _ = load_scenario(cfg_path("compact_decay"), [override])
+        for side, M in (("coarse", 64), ("fine", 128)):
+            grid = GridSpec(1, 4.0, M, dft_aligned=True)
+            F = operators.discretize_fio(
+                cfg["phase", "generating"], cfg["symbol", "a"], grid, grid,
+                grid.dual(), route=operators.Route[cfg["operator", "route"]])
+            with open(out / f"spectrum_{side}.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [float(v) for _, v in rows] == \
+                operators.singular_values(F).tolist()
+
+    def test_block_errors_are_the_full_builds(self, tmp_path, capsys):
+        # e^(iS) a is not finite on a row the blocks evaluate: the full
+        # build reports it
+        assert main(["run", "compact_decay", "--out-dir", str(tmp_path),
+                     "--override", "symbol.a=1/x**2",
+                     "--override", "grids.M=64"]) == 2
+        assert "the amplitude a = x0**(-2) gives e^(iS) a = (inf+nanj) at " \
+            "x = [0.0], theta = [-25.132741228718345], which is not finite" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("op, M, largest", [
         ("compactness", 2100, 2048), ("spectrum", 4097, 4096)])
