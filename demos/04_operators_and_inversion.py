@@ -42,7 +42,7 @@ print(f"kernel vs spectral route gap: "
 # -- norms and spectra ------------------------------------------------------
 chirp = discretize_fio(Sc, "1", grid, grid, theta_grid, Route.SPECTRAL)
 print(f"chirp operator norm: {operator_norm(chirp):.9f} (unitary, exact 1)")
-sv = singular_values(chirp, 5)
+sv, _ = singular_values(chirp, 5)
 print(f"leading singular values: {np.round(sv, 6)}")
 
 C = compose(chirp, adjoint(chirp))

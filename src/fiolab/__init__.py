@@ -30,8 +30,7 @@ from .operators import (AlignmentError, DiscreteOperator, GridMismatchError,
                         IterationError, ReflectionBlocks, Route, adjoint,
                         apply, compose, discretize_blocks, discretize_fio,
                         gaussian_samples, kernel_eval, load_operator,
-                        operator_norm, save_operator, singular_values,
-                        svd_record)
+                        operator_norm, save_operator, singular_values)
 from .pdo import (BoundCheckReport, CompactnessReport, PdoSymbolEstimate,
                   SeminormReport, Which, compactness_probe, compare_symbols,
                   cv_bound_check, cv_seminorm, extract_symbol,

@@ -401,9 +401,9 @@ SVD_CAP = 4096
 
 #: `singular_values` drops Im K when ||Im K||_F <= _REAL_SVD_TOL ||K||_F /
 #: sqrt(min(m, n)), and splits K by the grid reflection P when
-#: ||K - PKP||_F / 2 is below the same rule; since ||K||_F <= sqrt(min(m,
-#: n)) sigma_max, neither moves a singular value by more than
-#: _REAL_SVD_TOL sigma_max
+#: ||K - PKP||_F / 2 is below the same rule (`_below_rounding`); since
+#: ||K||_F <= sqrt(min(m, n)) sigma_max, neither moves a singular value by
+#: more than _REAL_SVD_TOL sigma_max
 _REAL_SVD_TOL = 1e-12
 
 
@@ -414,23 +414,36 @@ def _frobenius(part: np.ndarray) -> float:
     return math.sqrt(sum(float(np.einsum("ij,ij->", p, p)) for p in parts))
 
 
-def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
-    """(whether Im K is below the `_REAL_SVD_TOL` rule, max|K|,
-    ||Im K||_F / max|K|).
+def _below_rounding(part: float, total: float,
+                    shape: Tuple[int, int]) -> bool:
+    """The rounding rule of both SVD tests: whether the part of an m x n
+    matrix of norm `total` that is dropped, of norm `part`, is at most
+    _REAL_SVD_TOL total / sqrt(min(m, n))."""
+    return part <= _REAL_SVD_TOL * total / math.sqrt(min(shape))
 
-    Both Frobenius norms are taken of K / max|K|, whose entries are at most
-    1, so neither overflows nor underflows.  A K with an entry that is not
-    finite is never below the rule, and its ratio is nan."""
+
+def _scaled_norm(matrix: np.ndarray) -> Tuple[float, float]:
+    """(max|K|, ||K / max|K|||_F), the norm of a K whose entries are at most
+    1, so that it neither overflows nor underflows; the norm is 0 for a
+    zero K and nan for a K with an entry that is not finite."""
     magnitude = np.abs(matrix)
     scale = float(np.max(magnitude))
-    if not np.isfinite(scale):
-        return False, scale, float("nan")
-    if scale == 0.0:
-        return True, 0.0, 0.0
+    if scale == 0.0 or not np.isfinite(scale):
+        return scale, 0.0 if scale == 0.0 else float("nan")
     magnitude /= scale
+    return scale, _frobenius(magnitude)
+
+
+def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
+    """(whether Im K is below the rounding rule, max|K|,
+    ||Im K||_F / max|K|), both norms of K / max|K| (`_scaled_norm`).  A zero
+    K is below the rule; one with an entry that is not finite never is, and
+    its ratio is nan."""
+    scale, total = _scaled_norm(matrix)
+    if not total > 0.0:
+        return scale == 0.0, scale, total
     imag = _frobenius(matrix.imag / scale)
-    return (imag <= _REAL_SVD_TOL * _frobenius(magnitude)
-            / math.sqrt(min(matrix.shape))), scale, imag
+    return _below_rounding(imag, total, matrix.shape), scale, imag
 
 
 def _axis_reflection(m: int) -> Tuple[slice, slice, slice]:
@@ -443,22 +456,18 @@ def _axis_reflection(m: int) -> Tuple[slice, slice, slice]:
 
 
 def _reflection_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
-    """(whether ||K - PKP||_F / 2 is below the `_REAL_SVD_TOL` rule,
-    max|K|, ||K - PKP||_F / (2 max|K|)), where P reflects the row index i
-    to -i mod m and the column index j to -j mod n.
+    """(whether ||K - PKP||_F / 2 is below the rounding rule, max|K|,
+    ||K - PKP||_F / (2 max|K|)), where P reflects the row index i to -i
+    mod m and the column index j to -j mod n.
 
     K - PKP is 0 where both indices are fixed; every other entry has a
     mirror entry of the same size, so half of them, taken as differences
     of strided views (`_axis_reflection`), give the norm.  Both norms are
-    taken of blocks divided by max|K|, as in `_imag_part`.  A K with an
+    taken of blocks divided by max|K| (`_scaled_norm`).  A K with an
     entry that is not finite, and a zero K, are never below the rule."""
-    magnitude = np.abs(matrix)
-    scale = float(np.max(magnitude))
-    if not np.isfinite(scale) or scale == 0.0:
-        return False, scale, float("nan") if scale else 0.0
-    magnitude /= scale
-    total = _frobenius(magnitude)
-    del magnitude
+    scale, total = _scaled_norm(matrix)
+    if not total > 0.0:
+        return False, scale, total
     fr, pr, mr = _axis_reflection(matrix.shape[0])
     fc, pc, mc = _axis_reflection(matrix.shape[1])
     squares = 0.0
@@ -470,21 +479,18 @@ def _reflection_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
             part /= scale
             squares += _frobenius(part) ** 2
     asym = math.sqrt(squares / 2.0)  # each difference stands for two
-    return (asym <= _REAL_SVD_TOL * total / math.sqrt(min(matrix.shape)),
-            scale, asym)
+    return _below_rounding(asym, total, matrix.shape), scale, asym
 
 
 @dataclass(frozen=True)
 class ReflectionBlocks:
     """The even and odd blocks of (K + PKP) / 2 (`_reflection_blocks`) of a
-    KERNEL operator K from `col_grid` to `row_grid`, built by
-    `discretize_blocks` without K, and `asymmetry` = ||K - PKP||_F / 2, the
-    part of K they leave out."""
+    KERNEL operator K, built by `discretize_blocks` without K, and
+    `asymmetry` = ||K - PKP||_F / 2, the part of K they leave out.  K's
+    shape is the sum of the two blocks' shapes."""
 
     even: np.ndarray
     odd: np.ndarray
-    row_grid: GridSpec
-    col_grid: GridSpec
     asymmetry: float
 
 
@@ -512,11 +518,11 @@ def discretize_blocks(S: GeneratingFunction, a, x_grid: GridSpec,
     The proof does not reach the fixed rows and columns: x_0 = -R is its own
     mirror on the grid, while -x_0 = R is not a node.  There K - PKP is
     2 Sn, whose norm the same product gives; the blocks are None when it
-    fails `singular_values`' rule ||K - PKP||_F / 2 <= 1e-12 ||K||_F /
-    sqrt(min(m, n)), as it does for S = x theta + x^3 theta^3 / 100, and for
-    a zero K, so that they are taken exactly where `singular_values` would
-    split K.  A non-finite e^{iS} a (named at its node theta >= 0) or block
-    entry raises ValueError."""
+    fails `singular_values`' rule (`_below_rounding`) ||K - PKP||_F / 2
+    <= 1e-12 ||K||_F / sqrt(min(m, n)), as it does for S = x theta +
+    x^3 theta^3 / 100, and for a zero K, so that they are taken exactly
+    where `singular_values` would split K.  A non-finite e^{iS} a (named
+    at its node theta >= 0) or block entry raises ValueError."""
     if (S.n, x_grid.dim, y_grid.dim, theta_grid.dim) != (1, 1, 1, 1) or \
             x_grid.points % 2 or y_grid.points % 2:
         return None
@@ -554,15 +560,9 @@ def discretize_blocks(S: GeneratingFunction, a, x_grid: GridSpec,
     squares = [_frobenius(part / scale) ** 2 for part in parts]
     asym = math.sqrt(2.0 * (squares[2] + squares[3]))  # each entry and mirror
     total = math.sqrt(squares[0] + squares[1] + asym ** 2)
-    if asym > _REAL_SVD_TOL * total / math.sqrt(min(x_grid.size,
-                                                    y_grid.size)):
+    if not _below_rounding(asym, total, (x_grid.size, y_grid.size)):
         return None
-    return ReflectionBlocks(even, odd, x_grid, y_grid, asym * scale)
-
-
-def _block_shapes(m: int, n: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The shapes of the even and odd blocks of an m x n matrix."""
-    return (m // 2 + 1, n // 2 + 1), ((m - 1) // 2, (n - 1) // 2)
+    return ReflectionBlocks(even, odd, asym * scale)
 
 
 def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -584,7 +584,8 @@ def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     place from strided views of K, without a copy of it."""
     fr, pr, mr = _axis_reflection(matrix.shape[0])
     fc, pc, mc = _axis_reflection(matrix.shape[1])
-    even = np.empty(_block_shapes(*matrix.shape)[0], dtype=matrix.dtype)
+    even = np.empty((matrix.shape[0] // 2 + 1, matrix.shape[1] // 2 + 1),
+                    dtype=matrix.dtype)
     even[fr, fc] = matrix[fr, fc]
     for rows, cols, a, b in ((fr, pc, matrix[fr, pc], matrix[fr, mc]),
                              (pr, fc, matrix[pr, fc], matrix[mr, fc])):
@@ -604,9 +605,10 @@ def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
-                    count: Optional[int] = None) -> np.ndarray:
-    """The singular values in decreasing order, the first `count` of them
-    when count is given (a negative count raises ValueError).
+                    count: Optional[int] = None) -> Tuple[np.ndarray, dict]:
+    """(values, record): the singular values in decreasing order, the first
+    `count` of them when count is given (a negative count raises
+    ValueError), and how they were taken.
 
     A real matrix (a KERNEL build that is real by mirror symmetry) is
     decomposed in real arithmetic.  So is a complex kernel that is real up
@@ -624,20 +626,35 @@ def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
     most ||K - PKP||_F / 2.  Any other matrix, a zero one and one with an
     entry that is not finite included, is decomposed as it is, with
     np.linalg.svd's own bits.  `ReflectionBlocks`, built under the same
-    rule by `discretize_blocks`, are merged in the same way.  `svd_record`
-    says which path was taken and what it can have cost."""
+    rule by `discretize_blocks`, are merged in the same way.
+
+    Each rule is evaluated once, and the record is read from those
+    evaluations: "arithmetic", "real" or "complex"; "imag_bound" =
+    ||Im K||_F / sigma_max, which bounds by how much of sigma_max dropping
+    Im K can have moved any singular value (recorded for both arithmetics;
+    0 for a zero matrix and for a real one); "blocks", the shapes of the
+    even and odd blocks when the SVD was split, else None; and
+    "reflection_bound" = ||K - PKP||_F / (2 sigma_max) of the matrix
+    decomposed, which bounds the split's move in the same way (0 when not
+    split).  `ReflectionBlocks` are a real kernel, split, whose asymmetry
+    is the one `discretize_blocks` measured on the fixed rows and
+    columns."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
     if isinstance(F, ReflectionBlocks):
-        shape, blocks = (F.row_grid.size, F.col_grid.size), (F.even, F.odd)
+        shape, blocks = np.add(F.even.shape, F.odd.shape), (F.even, F.odd)
     else:
         shape, matrix, blocks = F.matrix.shape, F.matrix, None
     if max(shape) > SVD_CAP:
         raise ValueError(f"dense decomposition capped at {SVD_CAP}")
+    imag = None  # each rule gives (below, max|K|, norm / max|K|)
     if blocks is None:
-        if np.iscomplexobj(matrix) and _imag_part(matrix)[0]:
-            matrix = matrix.real
-        if _reflection_part(matrix)[0]:
+        if np.iscomplexobj(matrix):
+            imag = _imag_part(matrix)
+            if imag[0]:
+                matrix = matrix.real
+        reflection = _reflection_part(matrix)
+        if reflection[0]:
             blocks = _reflection_blocks(matrix)
     if blocks is not None:
         s = np.concatenate([np.linalg.svd(block, compute_uv=False)
@@ -645,44 +662,21 @@ def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
         s = np.sort(s)[::-1]
     else:
         s = np.linalg.svd(matrix, compute_uv=False)
-    return s[:count] if count is not None else s
-
-
-def svd_record(F: Union[DiscreteOperator, ReflectionBlocks],
-               sigma_max: float) -> dict:
-    """How `singular_values` decomposed F, given its largest singular value.
-
-    "arithmetic", "real" or "complex", and "imag_bound" = ||Im K||_F /
-    sigma_max, which bounds by how much of sigma_max dropping Im K can have
-    moved any singular value (recorded for both arithmetics; 0 for a zero
-    matrix and for a real one).  "blocks", the shapes of the even and odd
-    blocks when the SVD was split by the grid reflection, else None, and
-    "reflection_bound" = ||K - PKP||_F / (2 sigma_max) of the matrix
-    decomposed, which bounds the split's move in the same way (0 when not
-    split).  For a DiscreteOperator the rules are evaluated again here:
-    `singular_values` returns the values alone.  `ReflectionBlocks` carry
-    their record: a real kernel, split, with the asymmetry that
-    `discretize_blocks` measured on the fixed rows and columns."""
-    if isinstance(F, ReflectionBlocks):
-        return {"arithmetic": "real", "imag_bound": 0.0,
-                "blocks": [list(F.even.shape), list(F.odd.shape)],
-                "reflection_bound": F.asymmetry / sigma_max
-                if sigma_max > 0.0 else 0.0}
-    matrix = F.matrix
-    record = {"arithmetic": "real", "imag_bound": 0.0}
-    if np.iscomplexobj(matrix):
-        real, scale, imag = _imag_part(matrix)
-        record = {"arithmetic": "real" if real else "complex",
-                  "imag_bound": imag * (scale / sigma_max) if sigma_max > 0.0
-                  else 0.0}
-        if real:
-            matrix = matrix.real
-    split, scale, asym = _reflection_part(matrix)
-    record["blocks"] = [list(shape) for shape in _block_shapes(
-        *matrix.shape)] if split else None
-    record["reflection_bound"] = asym * (scale / sigma_max) \
-        if split and sigma_max > 0.0 else 0.0
-    return record
+    sigma_max = float(s[0])
+    record = {"arithmetic": "complex" if imag and not imag[0] else "real",
+              "imag_bound": 0.0,
+              "blocks": None if blocks is None else [
+                  list(block.shape) for block in blocks],
+              "reflection_bound": 0.0}
+    if sigma_max > 0.0:
+        if imag:
+            record["imag_bound"] = imag[2] * (imag[1] / sigma_max)
+        if isinstance(F, ReflectionBlocks):
+            record["reflection_bound"] = F.asymmetry / sigma_max
+        elif reflection[0]:
+            record["reflection_bound"] = reflection[2] * (
+                reflection[1] / sigma_max)
+    return (s[:count] if count is not None else s), record
 
 
 def save_operator(F: DiscreteOperator, path: str) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from .expressions import evaluate, multi_indices
 from .grids import GridSpec
 from .operators import (DiscreteOperator, ReflectionBlocks, operator_norm,
-                        singular_values, svd_record)
+                        singular_values)
 from .phases import GeneratingFunction
 from .symbols import SymbolField, as_expr
 
@@ -81,7 +81,7 @@ class CompactnessReport:
     plateau_fine: int
     spectrum_coarse: np.ndarray
     spectrum_fine: np.ndarray
-    #: `svd_record` of each side's SVD
+    #: the record `singular_values` returned with each side's spectrum
     svd_coarse: dict
     svd_fine: dict
 
@@ -261,6 +261,18 @@ def cv_bound_check(F: DiscreteOperator, Q: SeminormReport,
                             passed=bool(norm <= bound * (1.0 + 1e-6)))
 
 
+def check_tail_index(count: int, tail_index: Optional[int] = None) -> int:
+    """The index `compactness_probe` reads in a coarse spectrum of `count`
+    values: tail_index, or int(0.8 count) when it is None; ValueError when
+    it is outside 0 .. count - 1."""
+    if tail_index is None:
+        tail_index = int(0.8 * count)
+    if not 0 <= tail_index < count:
+        raise ValueError(f"tail index {tail_index} outside the coarse "
+                         f"spectrum of {count} values")
+    return tail_index
+
+
 def compactness_probe(F_coarse: Union[DiscreteOperator, ReflectionBlocks],
                       F_fine: Union[DiscreteOperator, ReflectionBlocks],
                       tail_index: Optional[int] = None) -> CompactnessReport:
@@ -269,33 +281,28 @@ def compactness_probe(F_coarse: Union[DiscreteOperator, ReflectionBlocks],
     NONCOMPACT-CONSISTENT: the plateau count (s_j >= 0.5 * s_max) grows by
     a factor >= 1.3 under refinement.  COMPACT-CONSISTENT: the value at a
     fixed tail index is < 0.01 at both resolutions and stable within 10%.
-    Anything else: INCONCLUSIVE.  Each side is an operator or its
-    reflection blocks (`discretize_blocks`), decomposed once by
-    `singular_values`.  The report carries both spectra and how each SVD
-    was taken (`svd_record`): `singular_values` decomposes a real matrix in
-    real arithmetic ("imag_bound" 0), and a complex kernel that is real up
-    to rounding as Re K, which moves each singular value by at most
-    ||Im K||_F (Weyl's inequality), recorded relative to sigma_max as
-    "imag_bound" and at most 1e-12 on that path.  A matrix symmetric under
+    Anything else: INCONCLUSIVE.  The tail index defaults to int(0.8 M) for
+    a coarse spectrum of M values (`check_tail_index`).  Each side is an
+    operator or its reflection blocks (`discretize_blocks`), decomposed
+    once by `singular_values`.  The report carries both spectra and the
+    record that call returned with each: `singular_values` decomposes a
+    real matrix in real arithmetic ("imag_bound" 0), and a complex kernel
+    that is real up to rounding as Re K, which moves each singular value by
+    at most ||Im K||_F (Weyl's inequality), recorded relative to sigma_max
+    as "imag_bound" and at most 1e-12 on that path.  A matrix symmetric under
     the grid reflection up to rounding is split into two blocks
     ("blocks"), which moves each value by at most ||K - PKP||_F / 2,
     recorded as "reflection_bound"; for blocks built directly, that is the
     asymmetry `discretize_blocks` measured on the fixed rows and columns,
     the only entries where its proof leaves K - PKP free.
     """
-    sc = singular_values(F_coarse)
-    sf = singular_values(F_fine)
-    records = (svd_record(F_coarse, float(sc[0])),
-               svd_record(F_fine, float(sf[0])))
-    if tail_index is None:
-        tail_index = int(0.8 * len(sc))
-    if not 0 <= tail_index < len(sc):
-        raise ValueError(f"tail index {tail_index} outside the coarse "
-                         f"spectrum of {len(sc)} values")
+    sc, svd_coarse = singular_values(F_coarse)
+    sf, svd_fine = singular_values(F_fine)
+    tail_index = check_tail_index(len(sc), tail_index)
     smax = max(float(sc[0]), float(sf[0]))
     if smax == 0.0:
         return CompactnessReport("COMPACT-CONSISTENT", tail_index,
-                                 0.0, 0.0, 0, 0, sc, sf, *records)
+                                 0.0, 0.0, 0, 0, sc, sf, svd_coarse, svd_fine)
     pc = int(np.sum(sc >= 0.5 * smax))
     pf = int(np.sum(sf >= 0.5 * smax))
     tc = float(sc[tail_index])
@@ -311,5 +318,5 @@ def compactness_probe(F_coarse: Union[DiscreteOperator, ReflectionBlocks],
                              tail_coarse=tc, tail_fine=tf,
                              plateau_coarse=pc, plateau_fine=pf,
                              spectrum_coarse=sc, spectrum_fine=sf,
-                             svd_coarse=records[0], svd_fine=records[1])
+                             svd_coarse=svd_coarse, svd_fine=svd_fine)
 

@@ -42,10 +42,9 @@ from .oscillatory import (ConvergenceError, CutoffKind, CutoffSpec,
 from .operators import (SVD_CAP, DiscreteOperator, IterationError,
                         ReflectionBlocks, Route, adjoint, apply, compose,
                         discretize_blocks, discretize_fio, gaussian_samples,
-                        operator_norm, save_operator, singular_values,
-                        svd_record)
+                        operator_norm, save_operator, singular_values)
 from .pdo import (NewtonError, Which, compactness_probe, compare_symbols,
-                  cv_bound_check, cv_seminorm)
+                  check_tail_index, cv_bound_check, cv_seminorm)
 from .phases import (GeneratingFunction, quadratic_generating, special_phase,
                      verify_G2, verify_G3, verify_H2, verify_H3)
 from .symbols import SymbolField, seminorm_estimate
@@ -288,11 +287,10 @@ def _check_svd_cap(points: int, factor: int):
 def _op_spectrum(cfg, ctx, out_dir: Path):
     _check_svd_cap(ctx["x"].points, 1)
     F = _operator(cfg, ctx)
-    s = singular_values(F, cfg["spectrum", "count"] or None)
+    s, record = singular_values(F, cfg["spectrum", "count"] or None)
     _write_csv(out_dir / "spectrum.csv", ["index", "singular_value"],
                enumerate(s.tolist()))
-    return True, {"count": len(s), "top": float(s[0]),
-                  "svd": svd_record(F, float(s[0]))}
+    return True, {"count": len(s), "top": float(s[0]), "svd": record}
 
 
 def _op_oscint(cfg, ctx, out_dir: Path):
@@ -388,15 +386,17 @@ def _op_compactness(cfg, ctx, out_dir: Path):
     KERNEL kernel that is real and reflection-symmetric); otherwise, as
     for the SPECTRAL route, the chirp, an odd M or an amplitude the proof
     does not cover, it is the full operator, the scenario grid's built
-    once per run, and `singular_values` decides the split.  The SVD cap is
-    checked before either build."""
+    once per run, and `singular_values` decides the split.  The SVD cap and
+    the tail index (0 < M values on the scenario grid) are checked before
+    either build."""
     _check_svd_cap(ctx["x"].points, 2)
+    tail = check_tail_index(ctx["x"].points,
+                            cfg["compactness", "tail_index"] or None)
     coarse = _decomposed(cfg, ctx)
     fine = _decomposed(cfg, ctx, GridSpec(1, ctx["x"].radius,
                                           2 * ctx["x"].points,
                                           dft_aligned=True))
-    report = compactness_probe(
-        coarse, fine, tail_index=cfg["compactness", "tail_index"] or None)
+    report = compactness_probe(coarse, fine, tail_index=tail)
     expected = cfg["compactness", "expected"]
     passed = True if expected is None else report.verdict == expected
     for side, s in (("coarse", report.spectrum_coarse),

@@ -1,5 +1,4 @@
 """Discretized operators: kernel evaluation, routes, algebra, norms, I/O."""
-import contextlib
 import functools
 import json
 import os
@@ -23,7 +22,7 @@ from fiolab.operators import (AlignmentError, DiscreteOperator,
                               OperatorFormatError, Route, adjoint, apply,
                               compose, discretize_fio, gaussian_samples,
                               kernel_eval, load_operator, operator_norm,
-                              save_operator, singular_values, svd_record)
+                              save_operator, singular_values)
 from fiolab.oscillatory import fio_apply_ibp
 from fiolab.pdo import predicted_symbol
 from fiolab.phases import GeneratingFunction, special_phase
@@ -363,7 +362,7 @@ class TestMirrorBuild:
         grid = GridSpec(1, R, M, dft_aligned=True)
         F = discretize_fio(S_xt, a, grid, grid, grid.dual())
         ref = point_list_matrix(S_xt, a, grid, Route.KERNEL)
-        got = singular_values(F)
+        got, _ = singular_values(F)
         want = np.linalg.svd(ref, compute_uv=False)
         assert np.max(np.abs(got - want)) <= np.linalg.norm(F.matrix - ref) \
             + svd_rounding(ref) * want[0]
@@ -385,8 +384,8 @@ class TestMirrorBuild:
         assert back.matrix.dtype == np.complex128
         assert np.array_equal(back.matrix, F.matrix)
         assert back.provenance == F.provenance
-        assert singular_values(back).tobytes() == \
-            singular_values(F).tobytes()
+        assert singular_values(back)[0].tobytes() == \
+            singular_values(F)[0].tobytes()
 
     def test_svd_takes_the_real_matrix_as_it_is(self, S_xt, monkeypatch):
         # the real matrix is symmetric under the grid reflection: its SVD
@@ -398,12 +397,11 @@ class TestMirrorBuild:
         def fail(matrix):
             raise AssertionError("_imag_part of a real matrix")
         monkeypatch.setattr(operators, "_imag_part", fail)
-        s = singular_values(F)
+        s, record = singular_values(F)
         blocks = np.concatenate([
             np.linalg.svd(b, compute_uv=False)
             for b in operators._reflection_blocks(F.matrix)])
         assert s.tobytes() == np.sort(blocks)[::-1].tobytes()
-        record = svd_record(F, float(s[0]))
         assert record == {"arithmetic": "real", "imag_bound": 0.0,
                           "blocks": [[33, 33], [31, 31]],
                           "reflection_bound": record["reflection_bound"]}
@@ -552,18 +550,18 @@ class TestNorms:
         assert abs(n ** 2 - m) <= 2 * tol
 
     def test_singular_values_nonincreasing(self, chirp_op):
-        sv = singular_values(chirp_op)
+        sv, _ = singular_values(chirp_op)
         assert np.all(np.diff(sv) <= 1e-12)
         assert len(sv) == 256
 
     def test_singular_values_count(self, chirp_op):
-        assert len(singular_values(chirp_op, 10)) == 10
+        assert len(singular_values(chirp_op, 10)[0]) == 10
 
     def test_norm_equals_top_singular_value(self, S_chirp, grid256):
         F = discretize_fio(S_chirp, A_GAUSS, grid256, grid256,
                            grid256.dual(), Route.SPECTRAL)
         assert operator_norm(F) == pytest.approx(
-            float(singular_values(F, 1)[0]), abs=1e-7)
+            float(singular_values(F, 1)[0][0]), abs=1e-7)
 
     def test_non_finite_iterate_raises_at_once(self, chirp_op):
         # F*F overflows: the first iterate is not finite, and the iteration
@@ -592,6 +590,23 @@ def svd_rounding(matrix) -> float:
     return 8.0 * max(matrix.shape) * np.finfo(float).eps
 
 
+def spy_on_svd(monkeypatch) -> list:
+    """The matrices np.linalg.svd is given from here on.  Where LAPACK does
+    not converge (it may not on an entry that is not finite), the spy
+    returns nan values, so that `singular_values` still returns its
+    record."""
+    given, svd = [], np.linalg.svd
+
+    def spy(m, **kwargs):
+        given.append(m)
+        try:
+            return svd(m, **kwargs)
+        except np.linalg.LinAlgError:
+            return np.full(min(m.shape), np.nan)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return given
+
+
 class TestRealArithmeticSvd:
     """A kernel that is real up to rounding has its SVD taken of Re K: each
     singular value moves by at most ||Im K||_2 (Weyl), which the record
@@ -608,8 +623,7 @@ class TestRealArithmeticSvd:
         grid = GridSpec(1, R, M, dft_aligned=True)
         F = discretize_fio(S_xt, a, grid, grid, grid.dual())
         want = np.linalg.svd(F.matrix, compute_uv=False)
-        got = singular_values(F)
-        record = svd_record(F, float(got[0]))
+        got, record = singular_values(F)
         assert record["arithmetic"] == "real"
         assert record["imag_bound"] <= 1e-12
         assert record["blocks"] == [[M // 2 + 1] * 2, [M // 2 - 1] * 2]
@@ -624,9 +638,8 @@ class TestRealArithmeticSvd:
         F = discretize_fio(
             GeneratingFunction.from_expr("x*theta + theta**3/6", 1), "1",
             grid, grid, grid.dual(), Route.SPECTRAL)
-        got = singular_values(F)
+        got, record = singular_values(F)
         assert np.array_equal(got, np.linalg.svd(F.matrix, compute_uv=False))
-        record = svd_record(F, float(got[0]))
         assert record["arithmetic"] == "complex"
         assert (record["blocks"], record["reflection_bound"]) == (None, 0.0)
 
@@ -638,12 +651,10 @@ class TestRealArithmeticSvd:
                                 F.provenance)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.sum(np.abs(huge.matrix) ** 2))
-        got = singular_values(huge)
-        record = svd_record(huge, float(got[0]))
+        got, record = singular_values(huge)
         assert record["arithmetic"] == "real"
         assert record["imag_bound"] == pytest.approx(
-            svd_record(F, float(singular_values(F)[0]))["imag_bound"],
-            rel=1e-12)
+            singular_values(F)[1]["imag_bound"], rel=1e-12)
         want = np.linalg.svd(F.matrix, compute_uv=False)
         assert np.max(np.abs(got / got[0] - want / want[0])) <= \
             record["imag_bound"] + svd_rounding(F.matrix)
@@ -655,27 +666,19 @@ class TestRealArithmeticSvd:
         matrix[3, 5] = bad
         grid = GridSpec(1, 1.0, 8)
         F = DiscreteOperator(matrix, grid, grid, {})
-        given = []
-        svd = np.linalg.svd
-
-        def spy(m, **kwargs):
-            given.append(m.dtype)
-            return svd(m, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        # LAPACK may fail to converge or return non-finite values
-        with np.errstate(all="ignore"), \
-                contextlib.suppress(np.linalg.LinAlgError):
-            singular_values(F)
-        assert given == [np.dtype(complex)]
-        assert svd_record(F, 1.0)["arithmetic"] == "complex"
+        given = spy_on_svd(monkeypatch)
+        with np.errstate(all="ignore"):
+            _, record = singular_values(F)
+        assert [m.dtype for m in given] == [np.dtype(complex)]
+        assert record["arithmetic"] == "complex"
 
     def test_zero_kernel(self):
         grid = GridSpec(1, 1.0, 8)
         F = DiscreteOperator(np.zeros((8, 8), dtype=complex), grid, grid, {})
-        assert np.array_equal(singular_values(F), np.zeros(8))
-        assert svd_record(F, 0.0) == {"arithmetic": "real",
-                                      "imag_bound": 0.0, "blocks": None,
-                                      "reflection_bound": 0.0}
+        got, record = singular_values(F)
+        assert np.array_equal(got, np.zeros(8))
+        assert record == {"arithmetic": "real", "imag_bound": 0.0,
+                          "blocks": None, "reflection_bound": 0.0}
 
     @settings(max_examples=60, deadline=None)
     @example(m=6, n=4, seed=0, log_delta=None)
@@ -697,10 +700,10 @@ class TestRealArithmeticSvd:
         F = DiscreteOperator(matrix, GridSpec(1, 1.0, m), GridSpec(1, 1.0, n),
                              {})
         want = np.linalg.svd(matrix, compute_uv=False)
-        got = singular_values(F)
+        got, record = singular_values(F)
         real = np.linalg.norm(imag) <= 1e-12 * np.linalg.norm(matrix) \
             / np.sqrt(min(m, n))
-        assert svd_record(F, float(got[0]))["arithmetic"] == (
+        assert record["arithmetic"] == (
             "real" if real else "complex")
         if real:
             assert np.max(np.abs(got - want)) <= np.linalg.norm(imag) + \
@@ -761,8 +764,7 @@ class TestReflectionSplit:
         F = DiscreteOperator(matrix, GridSpec(1, 1.0, m), GridSpec(1, 1.0, n),
                              {})
         want = np.linalg.svd(matrix, compute_uv=False)
-        got = singular_values(F)
-        record = svd_record(F, float(got[0]))
+        got, record = singular_values(F)
         asym = np.linalg.norm(matrix - reflect(matrix)) / 2
         split = asym <= 1e-12 * np.linalg.norm(matrix) / np.sqrt(min(m, n))
         assert (record["blocks"] is not None) == split
@@ -802,8 +804,7 @@ class TestReflectionSplit:
         # to rounding (S is even in (x, theta) jointly)
         grid = GridSpec(1, 8.0, 64, dft_aligned=True)
         F = discretize_fio(chirp("1"), "1", grid, grid, grid.dual())
-        got = singular_values(F)
-        record = svd_record(F, float(got[0]))
+        got, record = singular_values(F)
         assert F.matrix.dtype == np.complex128
         assert record["arithmetic"] == "complex"
         assert record["blocks"] == [[33, 33], [31, 31]]
@@ -818,18 +819,11 @@ class TestReflectionSplit:
         matrix[3, 5] = bad
         grid = GridSpec(1, 1.0, 8)
         F = DiscreteOperator(matrix, grid, grid, {})
-        given = []
-        svd = np.linalg.svd
-
-        def spy(m, **kwargs):
-            given.append(m.shape)
-            return svd(m, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        with np.errstate(all="ignore"), \
-                contextlib.suppress(np.linalg.LinAlgError):
-            singular_values(F)
-        assert given == [(8, 8)]
-        assert svd_record(F, 1.0)["blocks"] is None
+        given = spy_on_svd(monkeypatch)
+        with np.errstate(all="ignore"):
+            _, record = singular_values(F)
+        assert [m.shape for m in given] == [(8, 8)]
+        assert record["blocks"] is None
 
 
 class TestReflectionBlocks:
@@ -846,13 +840,13 @@ class TestReflectionBlocks:
         grid = GridSpec(1, R, M, dft_aligned=True)
         args = (S_xt, a, grid, grid, grid.dual())
         blocks, F = operators.discretize_blocks(*args), discretize_fio(*args)
-        got, want = singular_values(blocks), singular_values(F)
+        (got, record), (want, reference) = (singular_values(blocks),
+                                            singular_values(F))
         assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
         scale = np.max(np.abs(F.matrix))
         for built, split in zip((blocks.even, blocks.odd),
                                 operators._reflection_blocks(F.matrix)):
             assert np.max(np.abs(built - split)) <= 1e-14 * scale
-        record, reference = svd_record(blocks, got[0]), svd_record(F, want[0])
         assert record["arithmetic"] == "real" and record["imag_bound"] == 0.0
         assert record["blocks"] == reference["blocks"] == [
             [M // 2 + 1, M // 2 + 1], [M // 2 - 1, M // 2 - 1]]
@@ -865,8 +859,8 @@ class TestReflectionBlocks:
         grid = GridSpec(1, 4.0, 64, dft_aligned=True)
         blocks = operators.discretize_blocks(S_xt, "1/lam", grid, grid,
                                              grid.dual())
-        assert np.array_equal(singular_values(blocks, 5),
-                              singular_values(blocks)[:5])
+        assert np.array_equal(singular_values(blocks, 5)[0],
+                              singular_values(blocks)[0][:5])
         monkeypatch.setattr(operators, "SVD_CAP", 63)
         with pytest.raises(ValueError, match="capped at 63"):
             singular_values(blocks)
@@ -900,8 +894,7 @@ class TestReflectionBlocks:
         assert operators.discretize_blocks(*args, taper=taper) is None
         assert bool(calls) == evaluated
         F = discretize_fio(*args, taper=taper)
-        record = svd_record(F, float(singular_values(F)[0]))
-        assert (record["blocks"] is not None) == split
+        assert (singular_values(F)[1]["blocks"] is not None) == split
 
     @pytest.mark.parametrize("a, message", [
         ("1/x**2", "gives e\\^\\(iS\\) a = \\(inf\\+nanj\\) at x = \\[0.0\\]"),

@@ -518,14 +518,15 @@ class TestCompactness:
             with open(out / f"spectrum_{side}.csv") as fh:
                 rows = list(csv.reader(fh))[1:]
             assert [float(v) for _, v in rows] == \
-                operators.singular_values(F).tolist()
+                operators.singular_values(F)[0].tolist()
 
     def test_block_errors_are_the_full_builds(self, tmp_path, capsys):
         # e^(iS) a is not finite on a row the blocks evaluate: the full
-        # build reports it
+        # build reports it (the tail index fits M = 64, so the builds run)
         assert main(["run", "compact_decay", "--out-dir", str(tmp_path),
                      "--override", "symbol.a=1/x**2",
-                     "--override", "grids.M=64"]) == 2
+                     "--override", "grids.M=64",
+                     "--override", "compactness.tail_index=40"]) == 2
         assert "the amplitude a = x0**(-2) gives e^(iS) a = (inf+nanj) at " \
             "x = [0.0], theta = [-25.132741228718345], which is not finite" \
             in capsys.readouterr().err
@@ -559,6 +560,85 @@ class TestCompactness:
                        "--override", f"scenario.operations={op}"])
                  for M in (largest, largest + 1)]
         assert codes[0] in (0, 1) and codes[1] == 2
+
+    @pytest.mark.parametrize("M, tail", [(512, 100000), (64, 64), (64, -1)])
+    def test_tail_index_checked_before_any_build(self, tmp_path, capsys,
+                                                 monkeypatch, M, tail):
+        def build(*args, **kwargs):
+            raise AssertionError("an operator was built")
+        monkeypatch.setattr(runner, "discretize_fio", build)
+        monkeypatch.setattr(runner, "discretize_blocks", build)
+        assert main(["run", "compact_decay", "--out-dir", str(tmp_path),
+                     "--override", f"grids.M={M}",
+                     "--override", f"compactness.tail_index={tail}"]) == 2
+        assert f"config error: [compactness] tail index {tail} outside the " \
+            f"coarse spectrum of {M} values" in capsys.readouterr().err
+
+
+def spy_on_rule(monkeypatch) -> list:
+    """The function that called the rounding rule, once per call."""
+    calls, rule = [], operators._below_rounding
+
+    def spy(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return rule(*args)
+    monkeypatch.setattr(operators, "_below_rounding", spy)
+    return calls
+
+
+class TestSvdRules:
+    """Each SVD evaluates each of its rules once, and its record comes from
+    those evaluations."""
+
+    @pytest.mark.parametrize("route, rules", [
+        ("kernel", ["_reflection_part"]),
+        ("spectral", ["_imag_part", "_reflection_part"])])
+    def test_spectrum_runs_each_rule_once(self, tmp_path, monkeypatch, route,
+                                          rules):
+        # the KERNEL build of multiplier_norm is real, the SPECTRAL complex
+        calls = spy_on_rule(monkeypatch)
+        run_scenario(cfg_path("multiplier_norm"), out_dir=str(tmp_path),
+                     overrides=["grids.M=64", "scenario.operations=spectrum",
+                                f"operator.route={route}"])
+        assert calls == rules
+        record = json.loads((tmp_path / "spectrum.json").read_text())["svd"]
+        assert record["arithmetic"] == "real"
+        assert record["blocks"] == [[33, 33], [31, 31]]
+
+    def test_blocks_run_no_rule_of_the_svd(self, tmp_path, monkeypatch):
+        # the blocks' build applies the rule once per resolution; their
+        # SVDs apply none
+        calls = spy_on_rule(monkeypatch)
+        run_scenario(cfg_path("compact_decay"), out_dir=str(tmp_path),
+                     overrides=["grids.M=64", "compactness.tail_index=40"])
+        assert calls == ["discretize_blocks"] * 2
+
+
+class TestTracedSvd:
+    """`bench/worker.py scenario --trace` on the scenarios that take an SVD:
+    the traced run passes its checks and writes the untraced run's bytes."""
+
+    @pytest.mark.parametrize("name, svds", [("multiplier_norm", 1),
+                                            ("compact_decay", 2)])
+    def test_traced_artifacts_are_bit_identical(self, tmp_path, name, svds):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        files, spans = [], None
+        for trace in ([], ["--trace"]):
+            dest = tmp_path / f"out{len(files)}"
+            result = tmp_path / f"result{len(files)}.json"
+            subprocess.run([sys.executable, str(root / "bench" / "worker.py"),
+                            "scenario", "--scenario", name, "--out-dir",
+                            str(dest), "--result", str(result), *trace],
+                           env=env, cwd=tmp_path, check=True,
+                           capture_output=True)
+            res = json.loads(result.read_text())
+            assert res["checks"] and all(c["passed"] for c in res["checks"])
+            spans = res["spans"]
+            files.append({p.name: p.read_bytes() for p in dest.iterdir()
+                          if p.name != "manifest.json"})
+        assert files[0] == files[1] and files[0]
+        assert [s["name"] for s in spans].count("singular_values") == svds
 
 
 class TestBlasFacts:
