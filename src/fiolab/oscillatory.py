@@ -31,8 +31,8 @@ function:
     its node (`_exp_table`): a `regularized` pass of the bench (x = 1,
     sigma up to 256) evaluates 1.44 k complex exponentials instead of
     6.77 k (`_fourier_sum`, which also lands F exactly on each theta node;
-    61.8 k on the cutoff's ranges); transition columns share one
-    (y, column) table.
+    61.8 k on the cutoff's ranges); a transition column is a row of
+    `_exp_table` times the bump.
     When sympy proves phi(y, -theta) = -conj phi(y, theta) and
     a(-theta) f(y) = conj(a(theta) f(y)) at the point x
     (`conjugate_mirror`; S = x theta at any x with a real f, for one), the
@@ -260,29 +260,6 @@ class CutoffSpec:
         if self.kind is CutoffKind.SMOOTH_BUMP:
             return 2.0 * sigma
         return sigma * float(np.sqrt(-2.0 * np.log(tail)))
-
-    def special_factors(self, x2, sigma: float, y_ax, t_ax, count=1):
-        """g(|(x, y, t)|/sigma), x2 = (x/sigma)^2, on the special route's
-        grid y_ax x t_ax as (g_y, g_t, ones, zeros, entries): g is
-        g_y(y) g_t(t) on the theta columns of the mask `ones`, 0 on those of
-        `zeros`, and is evaluated point by point on the rest; `entries` are
-        the route's fields of the quadrature record, whose column counts
-        count each node of t_ax as `count` columns of the grid (2 for a
-        node theta > 0 of a mirrored axis).  The Gaussian factors on every
-        column; the bump is 1 times 1 where it is exactly 1.0
-        (`_bump_columns`)."""
-        if self.kind is CutoffKind.GAUSSIAN:
-            every = np.ones(len(t_ax), dtype=bool)
-            return (np.exp(-(y_ax / sigma) ** 2 / 2.0),
-                    np.exp(-(x2 + (t_ax / sigma) ** 2) / 2.0), every, ~every,
-                    {"route": "separable"})
-        ones, zeros = _bump_columns(self, x2, sigma, y_ax, t_ax)
-        count = np.broadcast_to(count, t_ax.shape)
-        counts = {"separable": int(np.sum(count[ones])),
-                  "zero": int(np.sum(count[zeros]))}
-        counts["transition"] = (int(np.sum(count)) - counts["separable"]
-                                - counts["zero"])
-        return 1.0, 1.0, ones, zeros, {"columns": counts, "route": "split"}
 
 
 @dataclass
@@ -712,11 +689,14 @@ def _special_quadrature(theta_fn, f_fn, x2, sigma: float, cut: CutoffSpec,
                         y_ax, t_ax, mirror: bool = False):
     """The tensor-trapezoid sum of e^{i S(t)} a(t) f(y) e^{-i y t}
     g(|(x, y, t)|/sigma) over y_ax x t_ax, theta_fn(t) = e^{i S(t)} a(t),
-    by theta column as `CutoffSpec.special_factors` classes them: a
-    factored column is w_t g_t(t) theta_fn(t) times the `_fourier_sum` of
-    w_y f(y) g_y(y), a zero column adds nothing, and a transition column is
-    summed point by point.  Returns the sum and the record's fields, which
-    say under "theta_mirror" whether the sum was folded.
+    by theta column.  The Gaussian g is g_y(y) g_t(t) on every column, and
+    a column is w_t theta_fn(t) g_t(t) times the `_fourier_sum` of
+    w_y f(y) g_y(y).  The bump's columns are classed by `_bump_columns`: an
+    all-1 column is w_t theta_fn(t) times the `_fourier_sum` of w_y f(y), an
+    all-0 column adds nothing, and a transition column is the sum over y of
+    its row of `_exp_table` times g and w_y f.  Returns the sum and the
+    record's fields, which say under "theta_mirror" whether the sum was
+    folded, and for the bump count its columns by class.
 
     With mirror, the term is conjugate-symmetric in t (the column at -t is
     the conjugate of the column at t), and the sum runs over the columns
@@ -725,53 +705,40 @@ def _special_quadrature(theta_fn, f_fn, x2, sigma: float, cut: CutoffSpec,
     the whole axis, a column t > 0 as two."""
     wy = _trapezoid_weights(len(y_ax), y_ax[1] - y_ax[0])
     wt = _trapezoid_weights(len(t_ax), t_ax[1] - t_ax[0])
-    count = 1
     if mirror:
         t_ax, wt = _mirror_half(t_ax, wt)
-        count = _mirror_count(t_ax)
-    g_y, g_t, ones, zeros, entries = cut.special_factors(x2, sigma, y_ax,
-                                                         t_ax, count)
-    c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape) * g_y
-    w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape) * g_t
+    c = wy * np.broadcast_to(f_fn(y_ax), y_ax.shape)
+    w_theta = wt * np.broadcast_to(theta_fn(t_ax), t_ax.shape)
     total = 0j
-    if np.any(ones):
-        # the factored columns are those with |t| below a bound, one run of
-        # the linspace; the mask keeps the sum exact if they were not
-        first, last = np.flatnonzero(ones)[[0, -1]]
-        hull = slice(first, last + 1)
-        total += np.sum((w_theta[hull] * _fourier_sum(c, y_ax, t_ax[hull]))[
-            ones[hull]])
-    transition = np.flatnonzero(~(ones | zeros))
-    if len(transition):
-        # on a tile of consecutive columns, e^{-i y t_{k0+b}} =
-        # e^{-i y t_{k0}} e^{-i y b h}: one head row per tile and one (b, y)
-        # table for all of them replace an exponential per point; t_{k0} +
-        # b h misses t_{k0+b} by `_residual`, whose first-order term rides
-        # as a second row, scaled by y
-        tile = 128
-        offset = np.arange(tile) * _linspace_step(t_ax)
-        step = _exp_table(offset, y_ax).T
-        tiles = list(_tiles(transition, tile))
-        heads = _exp_table(t_ax[[k0 for k0, _ in tiles]], y_ax)
-        heads *= c
-        y_scaled2 = (y_ax[:, None] / sigma) ** 2
-        for (k0, k1), head in zip(tiles, heads):
-            cols = t_ax[k0:k1]
-            g = cut.at_r2(x2 + y_scaled2 + (cols / sigma) ** 2)
-            plain, slope = np.stack([head, head * y_ax]) @ (
-                g * step[:, :k1 - k0])
-            epsilon = _residual(cols, cols[0], offset[:k1 - k0])
-            total += np.sum(w_theta[k0:k1] * (plain - 1j * epsilon * slope))
+    if cut.kind is CutoffKind.GAUSSIAN:
+        g_t = np.exp(-(x2 + (t_ax / sigma) ** 2) / 2.0)
+        total += np.sum(w_theta * g_t * _fourier_sum(
+            c * np.exp(-(y_ax / sigma) ** 2 / 2.0), y_ax, t_ax))
+        entries = {"route": "separable"}
+    else:
+        ones, zeros = _bump_columns(cut, x2, sigma, y_ax, t_ax)
+        count = np.broadcast_to(_mirror_count(t_ax) if mirror else 1,
+                                t_ax.shape)
+        columns = {"separable": int(np.sum(count[ones])),
+                   "zero": int(np.sum(count[zeros]))}
+        columns["transition"] = (int(np.sum(count)) - columns["separable"]
+                                 - columns["zero"])
+        entries = {"columns": columns, "route": "split"}
+        if np.any(ones):
+            # the all-1 columns are those with |t| below a bound: one run of
+            # the axis
+            first, last = np.flatnonzero(ones)[[0, -1]]
+            hull = slice(first, last + 1)
+            total += np.sum(w_theta[hull] * _fourier_sum(c, y_ax, t_ax[hull]))
+        transition = np.flatnonzero(~(ones | zeros))
+        for start in range(0, len(transition), 128):
+            cols = transition[start:start + 128]
+            table = _exp_table(t_ax[cols], y_ax)
+            table *= cut.at_r2(x2 + (y_ax / sigma) ** 2
+                               + (t_ax[cols, None] / sigma) ** 2)
+            total += np.sum(w_theta[cols] * (table @ c))
     entries["theta_mirror"] = mirror
     return complex(total.real if mirror else total), entries
-
-
-def _tiles(columns, tile: int):
-    """(start, stop) of the runs of consecutive indices in the sorted
-    `columns`, each cut into tiles of at most `tile` indices."""
-    for run in np.split(columns, np.flatnonzero(np.diff(columns) > 1) + 1):
-        for start in range(0, len(run), tile):
-            yield run[start], run[min(start + tile, len(run)) - 1] + 1
 
 
 def _spectral_radius(f_fn, envelope, x2, sigma: float, cut: CutoffSpec,
@@ -799,6 +766,9 @@ def _spectral_radius(f_fn, envelope, x2, sigma: float, cut: CutoffSpec,
     that is not smooth, or cut at 64 like 1/(1+y^2)), where R does not
     fall below rt, or where the terms or |F| are not finite (the pass then
     raises)."""
+    # the y axis `_axis(ry, 2 pi / (rt + margin))` gives, but built here:
+    # at sigma = 1e307 its point count is infinite, which `_axis` rejects
+    # and this caps at `_AXIS_CAP`, so the probe still reads R there
     count = np.ceil(2.0 * ry / (2.0 * np.pi / (rt + margin))) + 1.0
     y_ax = np.linspace(-ry, ry, int(min(count, _AXIS_CAP)))
     h = _linspace_step(y_ax)

@@ -509,7 +509,11 @@ def load_scenario(path, overrides: Sequence[str] = ()):
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") \
+            from exc
     # no section header can name the empty default section, so [DEFAULT]
     # is an ordinary section here, and unknown
     parser = configparser.ConfigParser(interpolation=None, default_section="",
@@ -560,7 +564,11 @@ def run_scenario(path, out_dir: Optional[str] = None,
     cfg, digest = load_scenario(path, overrides)
     dest = Path(cfg["output", "dir"] if out_dir is None
                 else _convert("output", "dir", out_dir, cfg))
-    dest.mkdir(parents=True, exist_ok=True)
+    try:
+        dest.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {dest}: {exc}") \
+            from exc
 
     with _config_values("[grids]"):
         xg = GridSpec(1, cfg["grids", "R"], cfg["grids", "M"],

@@ -487,7 +487,8 @@ class TestSpecialRoute:
     @pytest.mark.parametrize("mirror", [False, True])
     def test_transition_tiles_land_on_the_nodes(self, mirror):
         # x = 1.5 sigma: every column the bump does not zero is a transition
-        # column, up to |t| = 1.32 sigma = 1320; a flat f and a = 1, whose
+        # column, up to |t| = 1.32 sigma = 1320, summed on its own row of
+        # `_exp_table`, in tiles of 128 columns; a flat f and a = 1, whose
         # sums over y line up next to t = 2 pi m / h_y.  Against a long
         # double sum of the same terms on the same nodes (the folded sum on
         # its exact mirror nodes), to within one rounding of the scale
@@ -628,7 +629,7 @@ class TestSpecialRouteMirror:
 
 class TestExpTable:
     """The factored tables of e^{-i t y} behind the special route's
-    Fourier sums and transition tiles."""
+    Fourier sums and transition columns."""
 
     @pytest.mark.parametrize("ny", [1, 2, 3, 7, 422, 6191])
     def test_matches_direct_exponentials(self, ny):
@@ -709,6 +710,12 @@ class TestSplitBumpRoute:
         mixed = ~(ones | zeros)
         assert not np.any(np.all(g[:, mixed] == 1.0, axis=0)
                           | np.all(g[:, mixed] == 0.0, axis=0))
+        # the all-1 columns are one run of the axis with no all-0 column
+        # inside it, so the route sums their hull with no mask
+        if np.any(ones):
+            first, last = np.flatnonzero(ones)[[0, -1]]
+            assert np.all(ones[first:last + 1])
+            assert not np.any(zeros[first:last + 1])
 
 
 class TestOmegaPartition:

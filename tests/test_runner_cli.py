@@ -191,6 +191,34 @@ class TestCli:
         assert "[output] dir" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_scenario_file_exits_two(self, tmp_path, capsys,
+                                                case):
+        path = tmp_path / "bad.cfg"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"[scenario]\nname = caf\xe9\n")
+        rc = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: cannot read scenario file")
+        assert str(path) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_output_dir_exits_two(self, tmp_path, capsys, below):
+        # --out-dir names an existing file, or a path below one
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        rc = main(["run", "fourier_inversion", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: cannot create output directory")
+        assert str(out) in err
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("sample", ["0 1e300", "1e300 0", "20 0"])
     def test_ffstar_sample_off_the_grid_exits_two(self, tmp_path, capsys,
                                                   sample):
