@@ -399,11 +399,10 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
 #: the largest row or column count `singular_values` decomposes
 SVD_CAP = 4096
 
-#: `singular_values` drops Im K when ||Im K||_F <= _REAL_SVD_TOL ||K||_F /
-#: sqrt(min(m, n)), and splits K by the grid reflection P when
-#: ||K - PKP||_F / 2 is below the same rule (`_below_rounding`); since
-#: ||K||_F <= sqrt(min(m, n)) sigma_max, neither moves a singular value by
-#: more than _REAL_SVD_TOL sigma_max
+#: `singular_values` splits K by the grid reflection P when ||K - PKP||_F / 2
+#: <= _REAL_SVD_TOL ||K||_F / sqrt(min(m, n)) (`_below_rounding`); since
+#: ||K||_F <= sqrt(min(m, n)) sigma_max, the split moves no singular value
+#: by more than _REAL_SVD_TOL sigma_max
 _REAL_SVD_TOL = 1e-12
 
 
@@ -416,34 +415,10 @@ def _frobenius(part: np.ndarray) -> float:
 
 def _below_rounding(part: float, total: float,
                     shape: Tuple[int, int]) -> bool:
-    """The rounding rule of both SVD tests: whether the part of an m x n
-    matrix of norm `total` that is dropped, of norm `part`, is at most
+    """The split rule: whether the part of an m x n matrix of norm `total`
+    that the reflection split drops, of norm `part`, is at most
     _REAL_SVD_TOL total / sqrt(min(m, n))."""
     return part <= _REAL_SVD_TOL * total / math.sqrt(min(shape))
-
-
-def _scaled_norm(matrix: np.ndarray) -> Tuple[float, float]:
-    """(max|K|, ||K / max|K|||_F), the norm of a K whose entries are at most
-    1, so that it neither overflows nor underflows; the norm is 0 for a
-    zero K and nan for a K with an entry that is not finite."""
-    magnitude = np.abs(matrix)
-    scale = float(np.max(magnitude))
-    if scale == 0.0 or not np.isfinite(scale):
-        return scale, 0.0 if scale == 0.0 else float("nan")
-    magnitude /= scale
-    return scale, _frobenius(magnitude)
-
-
-def _imag_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
-    """(whether Im K is below the rounding rule, max|K|,
-    ||Im K||_F / max|K|), both norms of K / max|K| (`_scaled_norm`).  A zero
-    K is below the rule; one with an entry that is not finite never is, and
-    its ratio is nan."""
-    scale, total = _scaled_norm(matrix)
-    if not total > 0.0:
-        return scale == 0.0, scale, total
-    imag = _frobenius(matrix.imag / scale)
-    return _below_rounding(imag, total, matrix.shape), scale, imag
 
 
 def _axis_reflection(m: int) -> Tuple[slice, slice, slice]:
@@ -455,39 +430,12 @@ def _axis_reflection(m: int) -> Tuple[slice, slice, slice]:
     return fixed, slice(1, h + 1), slice(m - 1, m - h - 1, -1)
 
 
-def _reflection_part(matrix: np.ndarray) -> Tuple[bool, float, float]:
-    """(whether ||K - PKP||_F / 2 is below the rounding rule, max|K|,
-    ||K - PKP||_F / (2 max|K|)), where P reflects the row index i to -i
-    mod m and the column index j to -j mod n.
-
-    K - PKP is 0 where both indices are fixed; every other entry has a
-    mirror entry of the same size, so half of them, taken as differences
-    of strided views (`_axis_reflection`), give the norm.  Both norms are
-    taken of blocks divided by max|K| (`_scaled_norm`).  A K with an
-    entry that is not finite, and a zero K, are never below the rule."""
-    scale, total = _scaled_norm(matrix)
-    if not total > 0.0:
-        return False, scale, total
-    fr, pr, mr = _axis_reflection(matrix.shape[0])
-    fc, pc, mc = _axis_reflection(matrix.shape[1])
-    squares = 0.0
-    with np.errstate(over="ignore"):
-        for rows, cols, mirror_rows, mirror_cols in (
-                (fr, pc, fr, mc), (pr, fc, mr, fc), (pr, pc, mr, mc),
-                (pr, mc, mr, pc)):
-            part = matrix[rows, cols] - matrix[mirror_rows, mirror_cols]
-            part /= scale
-            squares += _frobenius(part) ** 2
-    asym = math.sqrt(squares / 2.0)  # each difference stands for two
-    return _below_rounding(asym, total, matrix.shape), scale, asym
-
-
 @dataclass(frozen=True)
 class ReflectionBlocks:
-    """The even and odd blocks of (K + PKP) / 2 (`_reflection_blocks`) of a
-    KERNEL operator K, built by `discretize_blocks` without K, and
-    `asymmetry` = ||K - PKP||_F / 2, the part of K they leave out.  K's
-    shape is the sum of the two blocks' shapes."""
+    """The even and odd blocks of (K + PKP) / 2 (`_reflection_blocks`) of an
+    operator K, built by `discretize_blocks` without K or split from K by
+    `_reflection_part`, and `asymmetry` = ||K - PKP||_F / 2, the part of K
+    they leave out.  K's shape is the sum of the two blocks' shapes."""
 
     even: np.ndarray
     odd: np.ndarray
@@ -604,6 +552,41 @@ def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def _reflection_part(matrix: np.ndarray) -> Optional[ReflectionBlocks]:
+    """K split by the grid reflection P (row index i to -i mod m, column
+    index j to -j mod n): the blocks of (K + PKP) / 2 (`_reflection_blocks`)
+    with their asymmetry ||K - PKP||_F / 2, when that passes the split rule
+    (`_below_rounding`); else None.
+
+    K - PKP is 0 where both indices are fixed; every other entry has a
+    mirror entry of the same size, so half of them, taken as differences
+    of strided views (`_axis_reflection`), give the norm.  Both norms are
+    taken of blocks divided by max|K|, so that they neither overflow nor
+    underflow.  A K with an entry that is not finite, and a zero K, are
+    never split."""
+    magnitude = np.abs(matrix)
+    scale = float(np.max(magnitude))
+    if scale == 0.0 or not np.isfinite(scale):
+        return None
+    magnitude /= scale
+    total = _frobenius(magnitude)
+    del magnitude  # not held while the blocks are built
+    fr, pr, mr = _axis_reflection(matrix.shape[0])
+    fc, pc, mc = _axis_reflection(matrix.shape[1])
+    squares = 0.0
+    with np.errstate(over="ignore"):
+        for rows, cols, mirror_rows, mirror_cols in (
+                (fr, pc, fr, mc), (pr, fc, mr, fc), (pr, pc, mr, mc),
+                (pr, mc, mr, pc)):
+            part = matrix[rows, cols] - matrix[mirror_rows, mirror_cols]
+            part /= scale
+            squares += _frobenius(part) ** 2
+    asym = math.sqrt(squares / 2.0)  # each difference stands for two
+    if not _below_rounding(asym, total, matrix.shape):
+        return None
+    return ReflectionBlocks(*_reflection_blocks(matrix), asym * scale)
+
+
 def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
                     count: Optional[int] = None) -> Tuple[np.ndarray, dict]:
     """(values, record): the singular values in decreasing order, the first
@@ -611,71 +594,54 @@ def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
     ValueError), and how they were taken.
 
     A real matrix (a KERNEL build that is real by mirror symmetry) is
-    decomposed in real arithmetic.  So is a complex kernel that is real up
-    to rounding, ||Im K||_F <= 1e-12 ||K||_F / sqrt(min(m, n)), as Re K,
-    at about half the cost: by Weyl's inequality for singular values
-    (Golub and Van Loan, Matrix Computations, 4th ed., Cor. 8.6.2),
-    |sigma_j(K) - sigma_j(Re K)| <= ||Im K||_2 <= 1e-12 sigma_max.
+    decomposed in real arithmetic, and so is a complex K whose entries are
+    all finite and whose imaginary part is exactly 0 (a real operator
+    written by `save_operator` and read back), as Re K, which moves
+    nothing.  Any other complex K is decomposed in complex arithmetic.
 
-    The matrix so chosen is then split when it is symmetric under the
-    grid reflection P (index i to -i mod m on the rows, j to -j mod n on
-    the columns) up to rounding, ||K - PKP||_F / 2 <= 1e-12 ||K||_F /
-    sqrt(min(m, n)): the SVDs of the even and odd blocks of (K + PKP) / 2
-    (`_reflection_blocks`), each about a quarter of K, are merged in
-    decreasing order, and by Weyl's inequality each value moves by at
-    most ||K - PKP||_F / 2.  Any other matrix, a zero one and one with an
-    entry that is not finite included, is decomposed as it is, with
-    np.linalg.svd's own bits.  `ReflectionBlocks`, built under the same
-    rule by `discretize_blocks`, are merged in the same way.
+    That matrix is split when it is symmetric under the grid reflection P
+    up to rounding (`_reflection_part`): the SVDs of the even and odd
+    blocks of (K + PKP) / 2, each about a quarter of K, are merged in
+    decreasing order, and by Weyl's inequality for singular values (Golub
+    and Van Loan, Matrix Computations, 4th ed., Cor. 8.6.2) each value
+    moves by at most ||K - PKP||_F / 2.  Any other matrix, a zero one and
+    one with an entry that is not finite included, is decomposed as it is,
+    with np.linalg.svd's own bits.  `ReflectionBlocks`, built under the
+    same rule by `discretize_blocks`, are merged in the same way.
 
-    Each rule is evaluated once, and the record is read from those
-    evaluations: "arithmetic", "real" or "complex"; "imag_bound" =
-    ||Im K||_F / sigma_max, which bounds by how much of sigma_max dropping
-    Im K can have moved any singular value (recorded for both arithmetics;
-    0 for a zero matrix and for a real one); "blocks", the shapes of the
-    even and odd blocks when the SVD was split, else None; and
-    "reflection_bound" = ||K - PKP||_F / (2 sigma_max) of the matrix
-    decomposed, which bounds the split's move in the same way (0 when not
-    split).  `ReflectionBlocks` are a real kernel, split, whose asymmetry
-    is the one `discretize_blocks` measured on the fixed rows and
-    columns."""
+    The split rule is evaluated once, and the record is read from what was
+    decomposed: "arithmetic", "real" or "complex"; "blocks", the shapes of
+    the even and odd blocks when the SVD was split, else None; and
+    "reflection_bound" = asymmetry / sigma_max, which bounds by how much of
+    sigma_max the split can have moved any singular value (0 when not
+    split).  The asymmetry of blocks from `discretize_blocks` is the one it
+    measured on the fixed rows and columns."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
-    if isinstance(F, ReflectionBlocks):
-        shape, blocks = np.add(F.even.shape, F.odd.shape), (F.even, F.odd)
-    else:
-        shape, matrix, blocks = F.matrix.shape, F.matrix, None
+    split = F if isinstance(F, ReflectionBlocks) else None
+    shape = F.matrix.shape if split is None else np.add(F.even.shape,
+                                                        F.odd.shape)
     if max(shape) > SVD_CAP:
         raise ValueError(f"dense decomposition capped at {SVD_CAP}")
-    imag = None  # each rule gives (below, max|K|, norm / max|K|)
-    if blocks is None:
-        if np.iscomplexobj(matrix):
-            imag = _imag_part(matrix)
-            if imag[0]:
-                matrix = matrix.real
-        reflection = _reflection_part(matrix)
-        if reflection[0]:
-            blocks = _reflection_blocks(matrix)
-    if blocks is not None:
-        s = np.concatenate([np.linalg.svd(block, compute_uv=False)
-                            for block in blocks])
+    if split is None:
+        matrix = F.matrix
+        if np.iscomplexobj(matrix) and not matrix.imag.any() and \
+                np.isfinite(matrix).all():
+            matrix = matrix.real
+        split = _reflection_part(matrix)
+    blocks = (matrix,) if split is None else (split.even, split.odd)
+    s = np.concatenate([np.linalg.svd(block, compute_uv=False)
+                        for block in blocks])
+    if split is not None:
         s = np.sort(s)[::-1]
-    else:
-        s = np.linalg.svd(matrix, compute_uv=False)
     sigma_max = float(s[0])
-    record = {"arithmetic": "complex" if imag and not imag[0] else "real",
-              "imag_bound": 0.0,
-              "blocks": None if blocks is None else [
+    record = {"arithmetic": "complex" if np.iscomplexobj(blocks[0])
+              else "real",
+              "blocks": None if split is None else [
                   list(block.shape) for block in blocks],
               "reflection_bound": 0.0}
-    if sigma_max > 0.0:
-        if imag:
-            record["imag_bound"] = imag[2] * (imag[1] / sigma_max)
-        if isinstance(F, ReflectionBlocks):
-            record["reflection_bound"] = F.asymmetry / sigma_max
-        elif reflection[0]:
-            record["reflection_bound"] = reflection[2] * (
-                reflection[1] / sigma_max)
+    if split is not None and sigma_max > 0.0:
+        record["reflection_bound"] = split.asymmetry / sigma_max
     return (s[:count] if count is not None else s), record
 
 

@@ -430,26 +430,42 @@ def choose_eps0(phi: PhaseField, x: float = 0.0) -> float:
 # quadrature plumbing
 
 
-def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
-                  start: float, name: str, var: str,
-                  samples: int = 2048) -> float:
-    """Radius beyond which the 1-D profile, sampled at `samples` points of
-    [0, start], stays below 1e-14 * max.  A sample where the profile is not
+def _edge(r: np.ndarray, v: np.ndarray, name: str,
+          var: str) -> Tuple[float, int]:
+    """(radius, k) of the 1-D profile with values v at the samples
+    0 = r[0] < ... < r[-1]: r[k] is the last sample where |v| is above
+    1e-14 * max, and the profile is taken to stay below that rule beyond
+    radius = min(r[-1], 1.05 r[k] + 1); a profile that is 0 at every sample
+    gives radius 1 and k the last index.  A sample where the profile is not
     finite (f = 1/y at 0) leaves no edge to find: ValueError naming the
     profile and the sample point."""
-    r = np.linspace(0.0, start, samples)
-    with np.errstate(all="ignore"):
-        v = np.abs(profile(r))
+    v = np.abs(v)
     bad = np.flatnonzero(~np.isfinite(v))
     if len(bad):
         raise ValueError(f"{name} is not finite at {var} = "
                          f"{float(r[bad[0]])!r}, so it has no decay radius")
     peak = float(np.max(v))
     if peak == 0.0:
-        return 1.0
-    above = np.nonzero(v > 1e-14 * peak)[0]
-    edge = r[above[-1]] if len(above) else 0.0
-    return float(min(start, edge * 1.05 + 1.0))
+        return 1.0, len(r) - 1
+    k = int(np.nonzero(v > 1e-14 * peak)[0][-1])
+    return float(min(r[-1], r[k] * 1.05 + 1.0)), k
+
+
+def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
+                  start: float, name: str, var: str) -> float:
+    """Radius beyond which the 1-D profile stays below 1e-14 * max, the
+    `_edge` of 2048 samples of [0, start].  Where that radius lands below
+    the sample r[k + 1] after the edge (an edge among the first samples of
+    a wide range, as for a = e^{-theta^2} under a cutoff of radius 8
+    sigma), the profile between them went unseen, and [0, r[k + 1]] is
+    sampled again."""
+    while True:
+        r = np.linspace(0.0, start, 2048)
+        with np.errstate(all="ignore"):
+            radius, k = _edge(r, profile(r), name, var)
+        if k + 1 == len(r) or radius >= r[k + 1]:
+            return radius
+        start = float(r[k + 1])
 
 
 def _trapezoid_weights(npts: int, spacing: float) -> np.ndarray:
@@ -759,7 +775,7 @@ def _spectral_radius(f_fn, envelope, x2, sigma: float, cut: CutoffSpec,
     P / (2 ny), is the modulus of one zero-padded FFT of the y-sum's terms:
     content of f g beyond P / 2, which that grid aliases too, shows up
     somewhere in the period, so no part of the period can hide it.  R_F
-    and R are `_decay_radius`'s rule on |F| and on envelope |F|, both
+    and R are `_edge`'s rule on |F| and on envelope |F|, both
     signs of t.
 
     None where |F| does not fall below the rule inside the period (an f
@@ -783,19 +799,14 @@ def _spectral_radius(f_fn, envelope, x2, sigma: float, cut: CutoffSpec,
         return None
     at_plus = spectrum[:n // 2 + 1]
     at_minus = np.roll(spectrum[::-1], 1)[:n // 2 + 1]
-    # _decay_radius samples [0, P/2] at the t_k themselves
-    half_period = np.pi / h
-    both = np.maximum(at_plus, at_minus)
-    radius_f = _decay_radius(lambda r: both, half_period, "F", "theta",
-                             samples=len(both))
-    if radius_f >= half_period:
+    t = np.linspace(0.0, np.pi / h, len(at_plus))  # the t_k of [0, P/2]
+    radius_f, _ = _edge(t, np.maximum(at_plus, at_minus), "F", "theta")
+    if radius_f >= t[-1]:
         return None
     try:
-        radius = _decay_radius(
-            lambda r: np.maximum(envelope(r) * at_plus,
-                                 envelope(-r) * at_minus),
-            half_period, "the a-envelope times |F|", "theta",
-            samples=len(both))
+        radius, _ = _edge(t, np.maximum(envelope(t) * at_plus,
+                                        envelope(-t) * at_minus),
+                          "the a-envelope times |F|", "theta")
     except ValueError:  # the envelope is not finite at some -t
         return None
     return (radius, radius_f) if radius < rt else None

@@ -286,13 +286,11 @@ def compactness_probe(F_coarse: Union[DiscreteOperator, ReflectionBlocks],
     operator or its reflection blocks (`discretize_blocks`), decomposed
     once by `singular_values`.  The report carries both spectra and the
     record that call returned with each: `singular_values` decomposes a
-    real matrix in real arithmetic ("imag_bound" 0), and a complex kernel
-    that is real up to rounding as Re K, which moves each singular value by
-    at most ||Im K||_F (Weyl's inequality), recorded relative to sigma_max
-    as "imag_bound" and at most 1e-12 on that path.  A matrix symmetric under
-    the grid reflection up to rounding is split into two blocks
-    ("blocks"), which moves each value by at most ||K - PKP||_F / 2,
-    recorded as "reflection_bound"; for blocks built directly, that is the
+    real matrix in real arithmetic, and a complex one in complex arithmetic
+    unless its imaginary part is exactly 0 ("arithmetic").  A matrix symmetric under the grid reflection up to
+    rounding is split into two blocks ("blocks"), which moves each value by
+    at most ||K - PKP||_F / 2 (Weyl's inequality), recorded relative to
+    sigma_max as "reflection_bound"; for blocks built directly, that is the
     asymmetry `discretize_blocks` measured on the fixed rows and columns,
     the only entries where its proof leaves K - PKP free.
     """

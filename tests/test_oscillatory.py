@@ -273,6 +273,25 @@ class TestThetaRadius:
         assert abs(res.value - 1.0) <= 1e-12
         assert [q["capped"] for q in res.quadrature] == [False, False]
 
+    @pytest.mark.parametrize("kind, sigma, tol", [
+        (CutoffKind.SMOOTH_BUMP, 16384, 1e-12),
+        (CutoffKind.SMOOTH_BUMP, 1e8, 1e-12),
+        (CutoffKind.SMOOTH_BUMP, 1e300, 1e-12),
+        (CutoffKind.GAUSSIAN, 1e8, 1e-12),
+        (CutoffKind.GAUSSIAN, 1e300, 1e-12),
+        (CutoffKind.GAUSSIAN, 2048, 1e-6)])
+    def test_huge_sigma_returns_the_limit_of_a_narrow_amplitude(
+            self, phi_xt, kind, sigma, tol):
+        # a = e^{-theta^2} lives on |theta| <= 5.7, inside the first step
+        # of 2048 samples of the cutoff's range (8.03 sigma for the
+        # Gaussian, 2 sigma for the bump) from sigma = 1450 and 5800: read
+        # from those samples alone, the range fell to [-1, 1], 5.2e-2 off.
+        # The limit is (2 pi)^-1 int e^{-theta^2} sqrt(2 pi) e^{-theta^2/2}
+        # = 1/sqrt 3; the Gaussian's own bias at sigma = 2048 is 6.9e-8
+        res = regularized_fio_apply("exp(-theta**2)", phi_xt, F_GAUSS, 0.0,
+                                    schedule=(sigma,), cutoff=CutoffSpec(kind))
+        assert abs(res.value - 1.0 / math.sqrt(3.0)) <= tol
+
     def test_uncountable_fallback_grid_names_sigma(self, phi_xt):
         # f = 1/(1+y^2) is cut at y = 64, so its transform never decays and
         # the pass keeps the cutoff's range, whose point count overflows

@@ -618,19 +618,18 @@ class TestSvdRules:
     """Each SVD evaluates each of its rules once, and its record comes from
     those evaluations."""
 
-    @pytest.mark.parametrize("route, rules", [
-        ("kernel", ["_reflection_part"]),
-        ("spectral", ["_imag_part", "_reflection_part"])])
+    @pytest.mark.parametrize("route, arithmetic", [("kernel", "real"),
+                                                   ("spectral", "complex")])
     def test_spectrum_runs_each_rule_once(self, tmp_path, monkeypatch, route,
-                                          rules):
+                                          arithmetic):
         # the KERNEL build of multiplier_norm is real, the SPECTRAL complex
         calls = spy_on_rule(monkeypatch)
         run_scenario(cfg_path("multiplier_norm"), out_dir=str(tmp_path),
                      overrides=["grids.M=64", "scenario.operations=spectrum",
                                 f"operator.route={route}"])
-        assert calls == rules
+        assert calls == ["_reflection_part"]
         record = json.loads((tmp_path / "spectrum.json").read_text())["svd"]
-        assert record["arithmetic"] == "real"
+        assert record["arithmetic"] == arithmetic
         assert record["blocks"] == [[33, 33], [31, 31]]
 
     def test_blocks_run_no_rule_of_the_svd(self, tmp_path, monkeypatch):
@@ -695,10 +694,18 @@ class TestBlasFacts:
         blas = json.loads((tmp_path / "manifest.json").read_text())["blas"]
         assert blas["threads"] == 1
 
-    def test_oscint_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
-        # the special route's Fourier sums are GEMMs; folded onto
-        # theta >= 0, the value is a real part, whose bits one and two
-        # OpenBLAS threads agree on
+    @pytest.mark.parametrize("name, files", [
+        ("oscint_gaussian", {"oscint.json", "oscint_residuals.csv"}),
+        ("multiplier_norm", {"build-operator.json", "cv-check.json",
+                             "spectrum.csv", "spectrum.json"})],
+        ids=["oscint_gaussian", "multiplier_norm"])
+    def test_oscint_artifacts_do_not_depend_on_blas_threads(self, tmp_path,
+                                                            name, files):
+        # oscint_gaussian: the special route's Fourier sums are GEMMs;
+        # folded onto theta >= 0, the value is a real part, whose bits one
+        # and two OpenBLAS threads agree on.  multiplier_norm: its SVD,
+        # split into reflection blocks of its real kernel, gives the same
+        # bits at one and two threads as well
         src = str(Path(runner.__file__).parents[1])
         artifacts = []
         for threads in ("1", "2"):
@@ -707,14 +714,14 @@ class TestBlasFacts:
                    "PYTHONPATH": os.pathsep.join(
                        [src, os.environ.get("PYTHONPATH", "")])}
             subprocess.run(
-                [sys.executable, "-m", "fiolab.cli", "run", "oscint_gaussian",
+                [sys.executable, "-m", "fiolab.cli", "run", name,
                  "--out-dir", str(out)],
                 env=env, cwd=tmp_path, capture_output=True, check=True)
             blas = json.loads((out / "manifest.json").read_text())["blas"]
             assert blas["threads"] in (None, int(threads))
             artifacts.append({p.name: p.read_bytes() for p in out.iterdir()
                               if p.name != "manifest.json"})
-        assert set(artifacts[0]) == {"oscint.json", "oscint_residuals.csv"}
+        assert set(artifacts[0]) == files
         assert artifacts[0] == artifacts[1]
 
     def test_null_where_unknown(self, monkeypatch):
