@@ -399,10 +399,11 @@ def operator_norm(F: DiscreteOperator, tol: float = 1e-8) -> float:
 #: the largest row or column count `singular_values` decomposes
 SVD_CAP = 4096
 
-#: `singular_values` splits K by the grid reflection P when ||K - PKP||_F / 2
-#: <= _REAL_SVD_TOL ||K||_F / sqrt(min(m, n)) (`_below_rounding`); since
-#: ||K||_F <= sqrt(min(m, n)) sigma_max, the split moves no singular value
-#: by more than _REAL_SVD_TOL sigma_max
+#: `discretize_blocks` builds K's reflection blocks only when the part they
+#: leave out, ||K - PKP||_F / 2, is at most _REAL_SVD_TOL ||K||_F /
+#: sqrt(min(m, n)) (`_below_rounding`); since ||K||_F <= sqrt(min(m, n))
+#: sigma_max, their SVDs move no singular value by more than
+#: _REAL_SVD_TOL sigma_max
 _REAL_SVD_TOL = 1e-12
 
 
@@ -415,9 +416,9 @@ def _frobenius(part: np.ndarray) -> float:
 
 def _below_rounding(part: float, total: float,
                     shape: Tuple[int, int]) -> bool:
-    """The split rule: whether the part of an m x n matrix of norm `total`
-    that the reflection split drops, of norm `part`, is at most
-    _REAL_SVD_TOL total / sqrt(min(m, n))."""
+    """The split rule of `discretize_blocks`: whether the part of an m x n
+    matrix of norm `total` that its reflection blocks drop, of norm `part`,
+    is at most _REAL_SVD_TOL total / sqrt(min(m, n))."""
     return part <= _REAL_SVD_TOL * total / math.sqrt(min(shape))
 
 
@@ -432,10 +433,19 @@ def _axis_reflection(m: int) -> Tuple[slice, slice, slice]:
 
 @dataclass(frozen=True)
 class ReflectionBlocks:
-    """The even and odd blocks of (K + PKP) / 2 (`_reflection_blocks`) of an
-    operator K, built by `discretize_blocks` without K or split from K by
-    `_reflection_part`, and `asymmetry` = ||K - PKP||_F / 2, the part of K
-    they leave out.  K's shape is the sum of the two blocks' shapes."""
+    """The even and odd blocks of (K + PKP) / 2 of an operator K, P the grid
+    reflection (row index i to -i mod m, column index j to -j mod n), built
+    by `discretize_blocks` without K, and `asymmetry` = ||K - PKP||_F / 2,
+    the part of K they leave out.
+
+    On an axis, each index that P fixes gives the unit vector e_i, and each
+    pair i, m - i the vectors (e_i + e_{m-i}) / sqrt 2 (even) and
+    (e_i - e_{m-i}) / sqrt 2 (odd).  In that orthonormal basis
+    (K + PKP) / 2 is block diagonal, the even vectors against the even and
+    the odd against the odd, so its singular values are those of the two
+    blocks together (A. Cantoni and P. Butler, Linear Algebra Appl. 13
+    (1976), for the eigenvalues of centrosymmetric matrices).  K's shape
+    is the sum of the two blocks' shapes."""
 
     even: np.ndarray
     odd: np.ndarray
@@ -466,11 +476,12 @@ def discretize_blocks(S: GeneratingFunction, a, x_grid: GridSpec,
     The proof does not reach the fixed rows and columns: x_0 = -R is its own
     mirror on the grid, while -x_0 = R is not a node.  There K - PKP is
     2 Sn, whose norm the same product gives; the blocks are None when it
-    fails `singular_values`' rule (`_below_rounding`) ||K - PKP||_F / 2
-    <= 1e-12 ||K||_F / sqrt(min(m, n)), as it does for S = x theta +
-    x^3 theta^3 / 100, and for a zero K, so that they are taken exactly
-    where `singular_values` would split K.  A non-finite e^{iS} a (named
-    at its node theta >= 0) or block entry raises ValueError."""
+    fails the split rule (`_below_rounding`) ||K - PKP||_F / 2 <= 1e-12
+    ||K||_F / sqrt(min(m, n)), as it does for S = x theta +
+    x^3 theta^3 / 100, and for a zero K.  This proof and this rule are the
+    only place an SVD is split: `singular_values` decomposes an operator
+    whole.  A non-finite e^{iS} a (named at its node theta >= 0) or block
+    entry raises ValueError."""
     if (S.n, x_grid.dim, y_grid.dim, theta_grid.dim) != (1, 1, 1, 1) or \
             x_grid.points % 2 or y_grid.points % 2:
         return None
@@ -513,135 +524,53 @@ def discretize_blocks(S: GeneratingFunction, a, x_grid: GridSpec,
     return ReflectionBlocks(even, odd, asym * scale)
 
 
-def _reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The even and odd blocks of the symmetric part (K + PKP) / 2.
-
-    On an axis, each fixed index i gives the unit vector e_i, and each pair
-    i, m - i the vectors (e_i + e_{m-i}) / sqrt 2 (even) and
-    (e_i - e_{m-i}) / sqrt 2 (odd).  In that orthonormal basis
-    (K + PKP) / 2 is block diagonal, the even vectors against the even and
-    the odd against the odd, so its singular values are those of the two
-    blocks together (A. Cantoni and P. Butler, Linear Algebra Appl. 13
-    (1976), for the eigenvalues of centrosymmetric matrices).
-
-    With i, j fixed and p, q paired indices, the even block holds K[i, j],
-    (K[i, q] + K[i, -q]) / sqrt 2, (K[p, j] + K[-p, j]) / sqrt 2 and
-    (K[p, q] + K[p, -q] + K[-p, q] + K[-p, -q]) / 2, at K's own row and
-    column indices 0 .. m // 2 and 0 .. n // 2; the odd block holds
-    (K[p, q] - K[p, -q] - K[-p, q] + K[-p, -q]) / 2.  Each is written in
-    place from strided views of K, without a copy of it."""
-    fr, pr, mr = _axis_reflection(matrix.shape[0])
-    fc, pc, mc = _axis_reflection(matrix.shape[1])
-    even = np.empty((matrix.shape[0] // 2 + 1, matrix.shape[1] // 2 + 1),
-                    dtype=matrix.dtype)
-    even[fr, fc] = matrix[fr, fc]
-    for rows, cols, a, b in ((fr, pc, matrix[fr, pc], matrix[fr, mc]),
-                             (pr, fc, matrix[pr, fc], matrix[mr, fc])):
-        np.add(a, b, out=even[rows, cols])
-        even[rows, cols] *= math.sqrt(0.5)
-    quarters = (matrix[pr, pc], matrix[pr, mc], matrix[mr, pc],
-                matrix[mr, mc])
-    inner = np.add(quarters[0], quarters[1], out=even[pr, pc])
-    inner += quarters[2]
-    inner += quarters[3]
-    inner *= 0.5
-    odd = np.subtract(quarters[0], quarters[1])
-    odd -= quarters[2]
-    odd += quarters[3]
-    odd *= 0.5
-    return even, odd
-
-
-def _reflection_part(matrix: np.ndarray) -> Optional[ReflectionBlocks]:
-    """K split by the grid reflection P (row index i to -i mod m, column
-    index j to -j mod n): the blocks of (K + PKP) / 2 (`_reflection_blocks`)
-    with their asymmetry ||K - PKP||_F / 2, when that passes the split rule
-    (`_below_rounding`); else None.
-
-    K - PKP is 0 where both indices are fixed; every other entry has a
-    mirror entry of the same size, so half of them, taken as differences
-    of strided views (`_axis_reflection`), give the norm.  Both norms are
-    taken of blocks divided by max|K|, so that they neither overflow nor
-    underflow.  A K with an entry that is not finite, and a zero K, are
-    never split."""
-    magnitude = np.abs(matrix)
-    scale = float(np.max(magnitude))
-    if scale == 0.0 or not np.isfinite(scale):
-        return None
-    magnitude /= scale
-    total = _frobenius(magnitude)
-    del magnitude  # not held while the blocks are built
-    fr, pr, mr = _axis_reflection(matrix.shape[0])
-    fc, pc, mc = _axis_reflection(matrix.shape[1])
-    squares = 0.0
-    with np.errstate(over="ignore"):
-        for rows, cols, mirror_rows, mirror_cols in (
-                (fr, pc, fr, mc), (pr, fc, mr, fc), (pr, pc, mr, mc),
-                (pr, mc, mr, pc)):
-            part = matrix[rows, cols] - matrix[mirror_rows, mirror_cols]
-            part /= scale
-            squares += _frobenius(part) ** 2
-    asym = math.sqrt(squares / 2.0)  # each difference stands for two
-    if not _below_rounding(asym, total, matrix.shape):
-        return None
-    return ReflectionBlocks(*_reflection_blocks(matrix), asym * scale)
-
-
 def singular_values(F: Union[DiscreteOperator, ReflectionBlocks],
                     count: Optional[int] = None) -> Tuple[np.ndarray, dict]:
     """(values, record): the singular values in decreasing order, the first
     `count` of them when count is given (a negative count raises
     ValueError), and how they were taken.
 
-    A real matrix (a KERNEL build that is real by mirror symmetry) is
-    decomposed in real arithmetic, and so is a complex K whose entries are
-    all finite and whose imaginary part is exactly 0 (a real operator
-    written by `save_operator` and read back), as Re K, which moves
-    nothing.  Any other complex K is decomposed in complex arithmetic.
+    An operator's matrix K is decomposed as it is, with np.linalg.svd's own
+    bits: in real arithmetic when it is real (a KERNEL build that is real
+    by mirror symmetry), and when it is complex with every entry finite and
+    an imaginary part exactly 0 (a real operator written by `save_operator`
+    and read back), as Re K, which moves nothing; in complex arithmetic
+    otherwise.  `ReflectionBlocks`, which `discretize_blocks` builds where
+    sympy proves the symmetry, have the SVDs of their even and odd blocks
+    merged in decreasing order; by Weyl's inequality for singular values
+    (Golub and Van Loan, Matrix Computations, 4th ed., Cor. 8.6.2) each
+    value is within their asymmetry of K's.
 
-    That matrix is split when it is symmetric under the grid reflection P
-    up to rounding (`_reflection_part`): the SVDs of the even and odd
-    blocks of (K + PKP) / 2, each about a quarter of K, are merged in
-    decreasing order, and by Weyl's inequality for singular values (Golub
-    and Van Loan, Matrix Computations, 4th ed., Cor. 8.6.2) each value
-    moves by at most ||K - PKP||_F / 2.  Any other matrix, a zero one and
-    one with an entry that is not finite included, is decomposed as it is,
-    with np.linalg.svd's own bits.  `ReflectionBlocks`, built under the
-    same rule by `discretize_blocks`, are merged in the same way.
-
-    The split rule is evaluated once, and the record is read from what was
-    decomposed: "arithmetic", "real" or "complex"; "blocks", the shapes of
-    the even and odd blocks when the SVD was split, else None; and
-    "reflection_bound" = asymmetry / sigma_max, which bounds by how much of
-    sigma_max the split can have moved any singular value (0 when not
-    split).  The asymmetry of blocks from `discretize_blocks` is the one it
-    measured on the fixed rows and columns."""
+    The record is read from what was decomposed: "arithmetic", "real" or
+    "complex"; "blocks", the shapes of the even and odd blocks, or None
+    for an operator; and "reflection_bound" = asymmetry / sigma_max, which
+    bounds by how much of sigma_max the split can have moved any singular
+    value (0 for an operator)."""
     if count is not None and count < 0:
         raise ValueError(f"count {count} must be >= 0")
-    split = F if isinstance(F, ReflectionBlocks) else None
-    shape = F.matrix.shape if split is None else np.add(F.even.shape,
-                                                        F.odd.shape)
+    split = isinstance(F, ReflectionBlocks)
+    shape = np.add(F.even.shape, F.odd.shape) if split else F.matrix.shape
     if max(shape) > SVD_CAP:
         raise ValueError(f"dense decomposition capped at {SVD_CAP}")
-    if split is None:
+    if split:
+        blocks = (F.even, F.odd)
+    else:
         matrix = F.matrix
         if np.iscomplexobj(matrix) and not matrix.imag.any() and \
                 np.isfinite(matrix).all():
             matrix = matrix.real
-        split = _reflection_part(matrix)
-    blocks = (matrix,) if split is None else (split.even, split.odd)
+        blocks = (matrix,)
     s = np.concatenate([np.linalg.svd(block, compute_uv=False)
                         for block in blocks])
-    if split is not None:
+    if split:
         s = np.sort(s)[::-1]
     sigma_max = float(s[0])
     record = {"arithmetic": "complex" if np.iscomplexobj(blocks[0])
               else "real",
-              "blocks": None if split is None else [
-                  list(block.shape) for block in blocks],
+              "blocks": [list(b.shape) for b in blocks] if split else None,
               "reflection_bound": 0.0}
-    if split is not None and sigma_max > 0.0:
-        record["reflection_bound"] = split.asymmetry / sigma_max
+    if split and sigma_max > 0.0:
+        record["reflection_bound"] = F.asymmetry / sigma_max
     return (s[:count] if count is not None else s), record
 
 

@@ -457,15 +457,19 @@ def _decay_radius(profile: Callable[[np.ndarray], np.ndarray],
     `_edge` of 2048 samples of [0, start].  Where that radius lands below
     the sample r[k + 1] after the edge (an edge among the first samples of
     a wide range, as for a = e^{-theta^2} under a cutoff of radius 8
-    sigma), the profile between them went unseen, and [0, r[k + 1]] is
-    sampled again."""
+    sigma), the profile between them went unseen: the edge is located
+    once on the halvings r[k + 1] / 2^j, j = 0 .. 2046, and 0, and
+    [0, s] is sampled linearly again, s the first halving past it."""
+    r = np.linspace(0.0, start, 2048)
     while True:
-        r = np.linspace(0.0, start, 2048)
         with np.errstate(all="ignore"):
             radius, k = _edge(r, profile(r), name, var)
         if k + 1 == len(r) or radius >= r[k + 1]:
             return radius
-        start = float(r[k + 1])
+        halvings = np.r_[0.0, np.ldexp(r[k + 1], np.arange(2 - len(r), 1))]
+        with np.errstate(all="ignore"):
+            _, k = _edge(halvings, profile(halvings), name, var)
+        r = np.linspace(0.0, halvings[min(k + 1, len(r) - 1)], len(r))
 
 
 def _trapezoid_weights(npts: int, spacing: float) -> np.ndarray:

@@ -287,12 +287,13 @@ def compactness_probe(F_coarse: Union[DiscreteOperator, ReflectionBlocks],
     once by `singular_values`.  The report carries both spectra and the
     record that call returned with each: `singular_values` decomposes a
     real matrix in real arithmetic, and a complex one in complex arithmetic
-    unless its imaginary part is exactly 0 ("arithmetic").  A matrix symmetric under the grid reflection up to
-    rounding is split into two blocks ("blocks"), which moves each value by
-    at most ||K - PKP||_F / 2 (Weyl's inequality), recorded relative to
-    sigma_max as "reflection_bound"; for blocks built directly, that is the
-    asymmetry `discretize_blocks` measured on the fixed rows and columns,
-    the only entries where its proof leaves K - PKP free.
+    unless its imaginary part is exactly 0 ("arithmetic").  An operator is
+    decomposed whole ("blocks" None).  Blocks are decomposed apart
+    ("blocks", their shapes), which moves each value by at most
+    ||K - PKP||_F / 2 (Weyl's inequality), recorded relative to sigma_max
+    as "reflection_bound": the asymmetry `discretize_blocks` measured on
+    the fixed rows and columns, the only entries where its proof leaves
+    K - PKP free.
     """
     sc, svd_coarse = singular_values(F_coarse)
     sf, svd_fine = singular_values(F_fine)

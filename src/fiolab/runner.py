@@ -362,9 +362,9 @@ def _decomposed(cfg, ctx, x: Optional[GridSpec] = None
                 ) -> Union[DiscreteOperator, ReflectionBlocks]:
     """What `compactness` decomposes on the grid `x` (the scenario grid by
     default): on the KERNEL route, the operator's reflection blocks when
-    `discretize_blocks` builds them, else the operator (`_operator`).  A
-    ValueError of the block build falls back to the full build, which
-    reports it in its own words."""
+    `discretize_blocks` builds them, else the operator (`_operator`), which
+    `singular_values` decomposes whole.  A ValueError of the block build
+    falls back to the full build, which reports it in its own words."""
     grid = ctx["x"] if x is None else x
     if cfg["operator", "route"] == Route.KERNEL.value:
         try:
@@ -386,9 +386,9 @@ def _op_compactness(cfg, ctx, out_dir: Path):
     KERNEL kernel that is real and reflection-symmetric); otherwise, as
     for the SPECTRAL route, the chirp, an odd M or an amplitude the proof
     does not cover, it is the full operator, the scenario grid's built
-    once per run, and `singular_values` decides the split.  The SVD cap and
-    the tail index (0 < M values on the scenario grid) are checked before
-    either build."""
+    once per run, and decomposed whole.  The SVD cap and the tail index
+    (0 < M values on the scenario grid) are checked before either
+    build."""
     _check_svd_cap(ctx["x"].points, 2)
     tail = check_tail_index(ctx["x"].points,
                             cfg["compactness", "tail_index"] or None)

@@ -1,11 +1,13 @@
 """Discretized operators: kernel evaluation, routes, algebra, norms, I/O."""
 import functools
 import json
+import math
 import os
 import struct
 import tempfile
 import tracemalloc
 import warnings
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -388,22 +390,16 @@ class TestMirrorBuild:
             singular_values(F)[0].tobytes()
 
     def test_svd_takes_the_real_matrix_as_it_is(self, S_xt):
-        # the real matrix is symmetric under the grid reflection: its SVD
-        # is that of the two blocks, merged, and within the recorded bound
-        # of the SVD of the whole
+        # the real matrix is symmetric under the grid reflection, and still
+        # decomposed whole, with np.linalg.svd's own bits
         grid = GridSpec(1, 4.0, 64, dft_aligned=True)
         F = discretize_fio(S_xt, "1/lam", grid, grid, grid.dual())
         s, record = singular_values(F)
-        blocks = np.concatenate([
-            np.linalg.svd(b, compute_uv=False)
-            for b in operators._reflection_blocks(F.matrix)])
-        assert s.tobytes() == np.sort(blocks)[::-1].tobytes()
-        assert record == {"arithmetic": "real",
-                          "blocks": [[33, 33], [31, 31]],
-                          "reflection_bound": record["reflection_bound"]}
-        want = np.linalg.svd(F.matrix, compute_uv=False)
-        assert np.max(np.abs(s - want)) <= (
-            record["reflection_bound"] + svd_rounding(F.matrix)) * want[0]
+        assert F.matrix.dtype == np.float64
+        assert s.tobytes() == \
+            np.linalg.svd(F.matrix, compute_uv=False).tobytes()
+        assert record == {"arithmetic": "real", "blocks": None,
+                          "reflection_bound": 0.0}
 
     def test_algebra_on_the_real_matrix(self, S_xt):
         # apply, adjoint, compose and the norm give the values of the same
@@ -620,10 +616,9 @@ class TestRealArithmeticSvd:
         F = discretize_fio(S_xt, a, grid, grid, grid.dual())
         want = np.linalg.svd(F.matrix, compute_uv=False)
         got, record = singular_values(F)
-        assert record["arithmetic"] == "real"
-        assert record["blocks"] == [[M // 2 + 1] * 2, [M // 2 - 1] * 2]
-        assert record["reflection_bound"] <= 1e-12
-        assert np.max(np.abs(got - want)) <= svd_rounding(F.matrix) * want[0]
+        assert record == {"arithmetic": "real", "blocks": None,
+                          "reflection_bound": 0.0}
+        assert got.tobytes() == want.tobytes()
 
     def test_complex_kernel_keeps_its_bits(self):
         # the cubic phase is odd, so PKP is conj K: ||K - PKP||_F / 2 is
@@ -679,6 +674,45 @@ def reflect(matrix):
     return matrix[np.ix_(-np.arange(m) % m, -np.arange(n) % n)]
 
 
+def reflection_blocks(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of the symmetric part (K + PKP) / 2.
+
+    On an axis, each fixed index i gives the unit vector e_i, and each pair
+    i, m - i the vectors (e_i + e_{m-i}) / sqrt 2 (even) and
+    (e_i - e_{m-i}) / sqrt 2 (odd).  In that orthonormal basis
+    (K + PKP) / 2 is block diagonal, the even vectors against the even and
+    the odd against the odd, so its singular values are those of the two
+    blocks together (A. Cantoni and P. Butler, Linear Algebra Appl. 13
+    (1976), for the eigenvalues of centrosymmetric matrices).
+
+    With i, j fixed and p, q paired indices, the even block holds K[i, j],
+    (K[i, q] + K[i, -q]) / sqrt 2, (K[p, j] + K[-p, j]) / sqrt 2 and
+    (K[p, q] + K[p, -q] + K[-p, q] + K[-p, -q]) / 2, at K's own row and
+    column indices 0 .. m // 2 and 0 .. n // 2; the odd block holds
+    (K[p, q] - K[p, -q] - K[-p, q] + K[-p, -q]) / 2.  Each is written in
+    place from strided views of K, without a copy of it."""
+    fr, pr, mr = operators._axis_reflection(matrix.shape[0])
+    fc, pc, mc = operators._axis_reflection(matrix.shape[1])
+    even = np.empty((matrix.shape[0] // 2 + 1, matrix.shape[1] // 2 + 1),
+                    dtype=matrix.dtype)
+    even[fr, fc] = matrix[fr, fc]
+    for rows, cols, a, b in ((fr, pc, matrix[fr, pc], matrix[fr, mc]),
+                             (pr, fc, matrix[pr, fc], matrix[mr, fc])):
+        np.add(a, b, out=even[rows, cols])
+        even[rows, cols] *= math.sqrt(0.5)
+    quarters = (matrix[pr, pc], matrix[pr, mc], matrix[mr, pc],
+                matrix[mr, mc])
+    inner = np.add(quarters[0], quarters[1], out=even[pr, pc])
+    inner += quarters[2]
+    inner += quarters[3]
+    inner *= 0.5
+    odd = np.subtract(quarters[0], quarters[1])
+    odd -= quarters[2]
+    odd += quarters[3]
+    odd *= 0.5
+    return even, odd
+
+
 def reflection_basis(m):
     """(even, odd) orthonormal columns, built one by one: e_i for i = -i
     mod m, and (e_i +- e_{m-i}) / sqrt 2 for the pairs, i = 1 .. m // 2."""
@@ -696,11 +730,10 @@ def reflection_basis(m):
 
 
 class TestReflectionSplit:
-    """A matrix symmetric under the grid reflection P up to rounding,
-    ||K - PKP||_F / 2 <= 1e-12 ||K||_F / sqrt(min(m, n)), has its SVD taken
-    of the even and odd blocks of (K + PKP) / 2: each value moves by at
-    most ||K - PKP||_F / 2 (Weyl), which the record bounds relative to
-    sigma_max.  Any other matrix keeps np.linalg.svd's own bits."""
+    """A matrix is decomposed whole, with np.linalg.svd's own bits, however
+    close it is to symmetric under the grid reflection P; the even and odd
+    blocks of (K + PKP) / 2 (`reflection_blocks`) are the reference for
+    the blocks `discretize_blocks` builds."""
 
     @settings(max_examples=60, deadline=None)
     @example(m=64, n=64, seed=0, complex_=False, log_delta=None)
@@ -726,18 +759,8 @@ class TestReflectionSplit:
                              {})
         want = np.linalg.svd(matrix, compute_uv=False)
         got, record = singular_values(F)
-        asym = np.linalg.norm(matrix - reflect(matrix)) / 2
-        split = asym <= 1e-12 * np.linalg.norm(matrix) / np.sqrt(min(m, n))
-        assert (record["blocks"] is not None) == split
-        if split:
-            assert len(got) == min(m, n)
-            assert record["reflection_bound"] == pytest.approx(
-                asym / got[0], rel=1e-6, abs=0.0)
-            assert np.max(np.abs(got - want)) <= asym + \
-                svd_rounding(matrix) * want[0]
-        else:
-            assert np.array_equal(got, want)
-            assert record["reflection_bound"] == 0.0
+        assert np.array_equal(got, want)
+        assert (record["blocks"], record["reflection_bound"]) == (None, 0.0)
 
     @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (5, 8), (8, 5), (7, 7),
                                       (6, 6)])
@@ -751,7 +774,7 @@ class TestReflectionSplit:
             matrix += 1j * rng.standard_normal((m, n))
         (er, orow), (ec, ocol) = reflection_basis(m), reflection_basis(n)
         sym = (matrix + reflect(matrix)) / 2
-        even, odd = operators._reflection_blocks(matrix)
+        even, odd = reflection_blocks(matrix)
         tol = 1e-14 * np.max(np.abs(matrix))
         assert np.max(np.abs(er.T @ sym @ ocol), initial=0.0) <= tol
         assert np.max(np.abs(orow.T @ sym @ ec), initial=0.0) <= tol
@@ -759,20 +782,6 @@ class TestReflectionSplit:
         assert odd.shape == (orow.shape[1], ocol.shape[1])
         assert np.max(np.abs(even - er.T @ sym @ ec)) <= tol
         assert np.max(np.abs(odd - orow.T @ sym @ ocol), initial=0.0) <= tol
-
-    def test_complex_kernel_splits(self):
-        # the chirp's KERNEL build at M = 64 is complex and P-symmetric up
-        # to rounding (S is even in (x, theta) jointly)
-        grid = GridSpec(1, 8.0, 64, dft_aligned=True)
-        F = discretize_fio(chirp("1"), "1", grid, grid, grid.dual())
-        got, record = singular_values(F)
-        assert F.matrix.dtype == np.complex128
-        assert record["arithmetic"] == "complex"
-        assert record["blocks"] == [[33, 33], [31, 31]]
-        assert record["reflection_bound"] <= 1e-12
-        want = np.linalg.svd(F.matrix, compute_uv=False)
-        assert np.max(np.abs(got - want)) <= (
-            record["reflection_bound"] + svd_rounding(F.matrix)) * want[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_is_not_split(self, monkeypatch, bad):
@@ -790,8 +799,8 @@ class TestReflectionSplit:
 class TestReflectionBlocks:
     """`discretize_blocks` builds the even and odd blocks of (K + PKP) / 2
     without K where sympy proves the kernel real and reflection-symmetric
-    and the fixed rows and columns pass the split rule; `discretize_fio`
-    with `singular_values` is the reference."""
+    and the fixed rows and columns pass the split rule; the blocks of
+    `discretize_fio`'s matrix (`reflection_blocks`) are the reference."""
 
     @pytest.mark.parametrize("R", [4.0, 8.0])
     @pytest.mark.parametrize("M", [64, 256, 512])
@@ -801,19 +810,21 @@ class TestReflectionBlocks:
         grid = GridSpec(1, R, M, dft_aligned=True)
         args = (S_xt, a, grid, grid, grid.dual())
         blocks, F = operators.discretize_blocks(*args), discretize_fio(*args)
-        (got, record), (want, reference) = (singular_values(blocks),
-                                            singular_values(F))
+        reference = reflection_blocks(F.matrix)
+        got, record = singular_values(blocks)
+        want = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                       for b in reference]))[::-1]
         assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
         scale = np.max(np.abs(F.matrix))
-        for built, split in zip((blocks.even, blocks.odd),
-                                operators._reflection_blocks(F.matrix)):
+        for built, split in zip((blocks.even, blocks.odd), reference):
             assert np.max(np.abs(built - split)) <= 1e-14 * scale
         assert record["arithmetic"] == "real"
-        assert record["blocks"] == reference["blocks"] == [
+        assert record["blocks"] == [
             [M // 2 + 1, M // 2 + 1], [M // 2 - 1, M // 2 - 1]]
         # the asymmetry of the fixed rows and columns is the full matrix's
-        assert record["reflection_bound"] == pytest.approx(
-            reference["reflection_bound"], rel=1e-2)
+        asym = np.linalg.norm(F.matrix - reflect(F.matrix)) / 2
+        assert record["reflection_bound"] == pytest.approx(asym / want[0],
+                                                           rel=1e-2)
         assert record["reflection_bound"] <= 1e-12
 
     def test_count_and_cap(self, S_xt, monkeypatch):
@@ -826,22 +837,22 @@ class TestReflectionBlocks:
         with pytest.raises(ValueError, match="capped at 63"):
             singular_values(blocks)
 
-    @pytest.mark.parametrize("S, a, M, taper, evaluated, split", [
+    @pytest.mark.parametrize("S, a, M, taper, evaluated", [
         # outside the proof, nothing is evaluated: the chirp (a complex
         # kernel), a(-x, -theta) != a(x, theta), an odd M, and a weighted
         # node -Theta (taper off), whose full build sums complex terms
-        ("x*theta + theta**2/2", "1", 64, True, False, True),
-        ("x*theta", "1/lam + x/10", 64, True, False, False),
-        ("x*theta", "1", 63, True, False, False),
-        ("x*theta", "1", 64, False, False, True),
-        # proved, but the row x = -R is far from symmetric, so K is not
-        # split either; and a zero kernel, which is decomposed whole
-        ("x*theta + x**3*theta**3/100", "1/lam", 64, True, True, False),
-        ("x*theta", "1 + I*x*theta", 64, True, True, False),
-        ("x*theta", "0", 64, True, True, False),
+        ("x*theta + theta**2/2", "1", 64, True, False),
+        ("x*theta", "1/lam + x/10", 64, True, False),
+        ("x*theta", "1", 63, True, False),
+        ("x*theta", "1", 64, False, False),
+        # proved, but the row x = -R is far from symmetric; and a zero
+        # kernel
+        ("x*theta + x**3*theta**3/100", "1/lam", 64, True, True),
+        ("x*theta", "1 + I*x*theta", 64, True, True),
+        ("x*theta", "0", 64, True, True),
     ])
     def test_not_built_outside_the_proof(self, monkeypatch, S, a, M, taper,
-                                         evaluated, split):
+                                         evaluated):
         grid = GridSpec(1, 8.0, M, dft_aligned=True)
         S = GeneratingFunction.from_expr(S, 1)
         args = (S, a, grid, grid, grid.dual())
@@ -854,8 +865,6 @@ class TestReflectionBlocks:
         monkeypatch.setattr(operators, "_phase_amp_matrix", spy)
         assert operators.discretize_blocks(*args, taper=taper) is None
         assert bool(calls) == evaluated
-        F = discretize_fio(*args, taper=taper)
-        assert (singular_values(F)[1]["blocks"] is not None) == split
 
     @pytest.mark.parametrize("a, message", [
         ("1/x**2", "gives e\\^\\(iS\\) a = \\(inf\\+nanj\\) at x = \\[0.0\\]"),

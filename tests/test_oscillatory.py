@@ -292,6 +292,32 @@ class TestThetaRadius:
                                     schedule=(sigma,), cutoff=CutoffSpec(kind))
         assert abs(res.value - 1.0 / math.sqrt(3.0)) <= tol
 
+    @settings(max_examples=40, deadline=None)
+    @example(kind=CutoffKind.GAUSSIAN, c=3.0, log_sigma=300.0)
+    @example(kind=CutoffKind.SMOOTH_BUMP, c=0.05, log_sigma=8.0)
+    @given(kind=st.sampled_from(CutoffKind), c=st.floats(0.05, 3.0),
+           log_sigma=st.floats(8.0, 300.0))
+    def test_huge_sigma_returns_the_limit_of_any_gaussian_amplitude(
+            self, phi_xt, kind, c, log_sigma):
+        # (2 pi)^-1 int e^{-c theta^2} sqrt(2 pi) e^{-theta^2/2} dtheta
+        # = 1/sqrt(2c + 1), for sigma log-uniform in [1e8, 1e300]
+        res = regularized_fio_apply(f"exp(-{c!r}*theta**2)", phi_xt, F_GAUSS,
+                                    0.0, schedule=(10.0 ** log_sigma,),
+                                    cutoff=CutoffSpec(kind),
+                                    compute_gap=False)
+        assert abs(res.value - 1.0 / math.sqrt(2.0 * c + 1.0)) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the theta step comes from the phase alone (ROADMAP item 15), not "
+        "from a: at sigma = 1e8 the value is 4.8e-8 off at c = 7 and 1.4e-2 "
+        "off at c = 50, whose pass has 12 theta nodes of step 0.27 (41 "
+        "nodes give 2.2e-16)"))
+    @pytest.mark.parametrize("c", [7.0, 50.0])
+    def test_narrower_amplitude_than_the_theta_step(self, phi_xt, c):
+        res = regularized_fio_apply(f"exp(-{c!r}*theta**2)", phi_xt, F_GAUSS,
+                                    0.0, schedule=(1e8,), compute_gap=False)
+        assert abs(res.value - 1.0 / math.sqrt(2.0 * c + 1.0)) <= 1e-12
+
     def test_uncountable_fallback_grid_names_sigma(self, phi_xt):
         # f = 1/(1+y^2) is cut at y = 64, so its transform never decays and
         # the pass keeps the cutoff's range, whose point count overflows

@@ -622,15 +622,16 @@ class TestSvdRules:
                                                    ("spectral", "complex")])
     def test_spectrum_runs_each_rule_once(self, tmp_path, monkeypatch, route,
                                           arithmetic):
-        # the KERNEL build of multiplier_norm is real, the SPECTRAL complex
+        # the KERNEL build of multiplier_norm is real, the SPECTRAL complex;
+        # either is decomposed whole, without a rule
         calls = spy_on_rule(monkeypatch)
         run_scenario(cfg_path("multiplier_norm"), out_dir=str(tmp_path),
                      overrides=["grids.M=64", "scenario.operations=spectrum",
                                 f"operator.route={route}"])
-        assert calls == ["_reflection_part"]
+        assert calls == []
         record = json.loads((tmp_path / "spectrum.json").read_text())["svd"]
         assert record["arithmetic"] == arithmetic
-        assert record["blocks"] == [[33, 33], [31, 31]]
+        assert record["blocks"] is None
 
     def test_blocks_run_no_rule_of_the_svd(self, tmp_path, monkeypatch):
         # the blocks' build applies the rule once per resolution; their
@@ -697,15 +698,20 @@ class TestBlasFacts:
     @pytest.mark.parametrize("name, files", [
         ("oscint_gaussian", {"oscint.json", "oscint_residuals.csv"}),
         ("multiplier_norm", {"build-operator.json", "cv-check.json",
-                             "spectrum.csv", "spectrum.json"})],
-        ids=["oscint_gaussian", "multiplier_norm"])
+                             "spectrum.csv", "spectrum.json"}),
+        ("ffstar_gaussian", {"build-operator.json", "check-ffstar.json",
+                             "ffstar_errors.csv", "ffstar_samples.csv"}),
+        ("fourier_inversion", {"build-operator.json"})],
+        ids=["oscint_gaussian", "multiplier_norm", "ffstar_gaussian",
+             "fourier_inversion"])
     def test_oscint_artifacts_do_not_depend_on_blas_threads(self, tmp_path,
                                                             name, files):
         # oscint_gaussian: the special route's Fourier sums are GEMMs;
         # folded onto theta >= 0, the value is a real part, whose bits one
-        # and two OpenBLAS threads agree on.  multiplier_norm: its SVD,
-        # split into reflection blocks of its real kernel, gives the same
-        # bits at one and two threads as well
+        # and two OpenBLAS threads agree on.  multiplier_norm: the SVD of
+        # its whole real 256 x 256 kernel gives the same bits at one and
+        # two threads as well.  ffstar_gaussian and fourier_inversion:
+        # their operator builds, compositions and power iterations do too
         src = str(Path(runner.__file__).parents[1])
         artifacts = []
         for threads in ("1", "2"):
